@@ -42,6 +42,7 @@ from .core import (
 )
 from .channel import SimChannel, Transcript, TranscriptEntry
 from .fuzzy import BiometricTemplate, rep
+from .session import scheme_module
 
 # Atoms the model says the adversary never holds.  Checked
 # case-insensitively against every externally supplied mapping key.
@@ -80,8 +81,7 @@ class AdversaryKnowledge:
     dictionary: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.scheme not in (baseline.SCHEME, improved.SCHEME):
-            raise ValueError("unknown scheme %r" % self.scheme)
+        scheme_module(self.scheme)
         if self.card_view is not None:
             for key in self.card_view:
                 if key.lower() in FORBIDDEN_ATOMS:
@@ -279,14 +279,13 @@ _TARGETS = ("ID", "SK")
 # ---------------------------------------------------------------------------
 
 def _wire_atoms(scheme: str, transcript: Transcript) -> dict[str, Field128]:
-    layouts = {
-        baseline.SCHEME: {"login": baseline.LOGIN_WIRE, "reply": baseline.REPLY_WIRE},
-        improved.SCHEME: {"login": improved.LOGIN_WIRE, "reply": improved.REPLY_WIRE},
-    }[scheme]
     atoms: dict[str, Field128] = {}
     for entry in transcript.entries:
-        names = layouts.get(entry.label)
-        if names is None or len(entry.data) != 16 * len(names):
+        try:
+            names = wire_layout(scheme, entry.label)
+        except ValueError:
+            continue  # a termination notice carries no fields
+        if len(entry.data) != 16 * len(names):
             continue
         for i, name in enumerate(names):
             # timestamps captured off the wire are words, not clock
@@ -493,6 +492,35 @@ def attack_improved(
     return _run_dictionary(knowledge, granted)
 
 
+def attack(
+    knowledge: AdversaryKnowledge,
+    out_of_model_timestamps: tuple[int, int] | None = None,
+) -> AttackOutcome:
+    """The dictionary attack for the knowledge's scheme (grants: improved only)."""
+    if knowledge.scheme == baseline.SCHEME:
+        if out_of_model_timestamps is not None:
+            raise ValueError("granted timestamps apply to the improved scheme only")
+        return attack_baseline(knowledge)
+    return attack_improved(knowledge, out_of_model_timestamps)
+
+
+def outcome_report(scheme: str, outcome: AttackOutcome) -> dict:
+    """An outcome as the JSON object that attack reports record."""
+    return {
+        "scheme": scheme,
+        "status": outcome.status,
+        "work": outcome.work,
+        "out_of_model": outcome.out_of_model,
+        "password": outcome.password,
+        "identity": outcome.identity.hex() if outcome.identity else None,
+        "session_key": outcome.session_key.hex() if outcome.session_key else None,
+        "gaps": [
+            {"equation": g.equation, "unknown": list(g.unknown)}
+            for g in outcome.gaps
+        ],
+    }
+
+
 def explain_gaps(outcome: AttackOutcome) -> list[str]:
     """Human-readable lines for why an attack could not start."""
     lines = []
@@ -545,16 +573,12 @@ def intercept(channel: SimChannel) -> Transcript:
 
 
 def wire_layout(scheme: str, label: str) -> tuple[str, ...]:
-    table = {
-        (baseline.SCHEME, "login"): baseline.LOGIN_WIRE,
-        (baseline.SCHEME, "reply"): baseline.REPLY_WIRE,
-        (improved.SCHEME, "login"): improved.LOGIN_WIRE,
-        (improved.SCHEME, "reply"): improved.REPLY_WIRE,
-    }
-    try:
-        return table[(scheme, label)]
-    except KeyError:
-        raise ValueError("no %s message in the %s scheme" % (label, scheme)) from None
+    mod = scheme_module(scheme)
+    if label == "login":
+        return mod.LOGIN_WIRE
+    if label == "reply":
+        return mod.REPLY_WIRE
+    raise ValueError("no %s message in the %s scheme" % (label, scheme))
 
 
 def tamper(

@@ -41,6 +41,7 @@ from .core import (
     ServerSecret,
     SessionRng,
     UnknownUser,
+    WireMessage,
     encode_text,
     field_to_ms,
     ms_to_field,
@@ -49,7 +50,7 @@ from .fuzzy import BiometricTemplate, HelperData, gen, rep
 
 SCHEME = "baseline"
 
-# Wire layouts: field name -> byte offset, in transmission order.
+# Wire layouts: one 128-bit word per name, in transmission order.
 LOGIN_WIRE = ("NID", "A1", "C_i", "T1")
 REPLY_WIRE = ("Cs", "A4", "T3")
 
@@ -77,36 +78,18 @@ class BaselineCard:
 
 
 @dataclass(frozen=True)
-class LoginMessage:
+class LoginMessage(WireMessage, wire=LOGIN_WIRE):
     nid: Field128
     a1: Field128
     c_i: Field128
     t1: Field128
 
-    def encode(self) -> bytes:
-        return b"".join((self.nid, self.a1, self.c_i, self.t1))
-
-    @classmethod
-    def decode(cls, raw: bytes) -> "LoginMessage":
-        if len(raw) != 64:
-            raise ValueError("baseline login message must be 64 bytes")
-        return cls(*(Field128(raw[i : i + 16]) for i in range(0, 64, 16)))
-
 
 @dataclass(frozen=True)
-class ReplyMessage:
+class ReplyMessage(WireMessage, wire=REPLY_WIRE):
     cs: Field128
     a4: Field128
     t3: Field128
-
-    def encode(self) -> bytes:
-        return b"".join((self.cs, self.a4, self.t3))
-
-    @classmethod
-    def decode(cls, raw: bytes) -> "ReplyMessage":
-        if len(raw) != 48:
-            raise ValueError("baseline reply message must be 48 bytes")
-        return cls(*(Field128(raw[i : i + 16]) for i in range(0, 48, 16)))
 
 
 @dataclass
@@ -276,3 +259,7 @@ def finish(env: Env, pending: PendingLogin, reply: ReplyMessage) -> Field128:
     if expected != reply.cs:
         raise AuthFailure("reply verifier mismatch")
     return sk
+
+
+Card = BaselineCard
+Server = BaselineServer

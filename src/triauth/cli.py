@@ -20,8 +20,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import adversary, baseline, improved
-from .channel import SERVER_TO_USER, USER_TO_SERVER, SimChannel
+from . import adversary
+from .channel import SERVER_TO_USER, SimChannel
 from .core import (
     AuthFailure,
     Env,
@@ -61,6 +61,7 @@ from .scenario import (
     run_scenario,
     write_result,
 )
+from .session import SCHEMES, Handshake
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -68,11 +69,6 @@ EXIT_PRECONDITION = 2
 EXIT_FRESHNESS = 3
 EXIT_AUTH = 4
 EXIT_REPLAY_DRIFT = 5
-
-_MODULES = {
-    baseline.SCHEME: (baseline, baseline.BaselineServer),
-    improved.SCHEME: (improved, improved.ImprovedServer),
-}
 
 
 def _exit_code_for(exc: Exception) -> int:
@@ -85,13 +81,18 @@ def _exit_code_for(exc: Exception) -> int:
     return EXIT_UNEXPECTED
 
 
-def _load_env(args, clock=None) -> Env:
+def _load_config(args) -> ProtocolConfig:
+    """The --config file (or the defaults), its seed overridden by --seed."""
     config = load_config(args.config) if args.config else ProtocolConfig()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config.seed = args.seed
-    if clock is None:
-        clock = RealClock() if getattr(args, "real_clock", False) else SimClock()
-    return Env.from_config(config, clock)
+    return config
+
+
+def _load_env(args) -> tuple[ProtocolConfig, Env]:
+    config = _load_config(args)
+    clock = RealClock() if args.real_clock else SimClock()
+    return config, Env.from_config(config, clock)
 
 
 def _print(line: str) -> None:
@@ -103,12 +104,8 @@ def _print(line: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_register(args) -> int:
-    config = load_config(args.config) if args.config else ProtocolConfig()
-    if args.seed is not None:
-        config.seed = args.seed
-    clock = RealClock() if args.real_clock else SimClock()
-    env = Env.from_config(config, clock)
-    mod, server_cls = _MODULES[args.scheme]
+    config, env = _load_env(args)
+    mod = SCHEMES[args.scheme]
     seed = config.seed
     rng = SessionRng(seed)
 
@@ -116,7 +113,7 @@ def _cmd_register(args) -> int:
     if state.exists():
         server = load_server(state, env)
     else:
-        server = server_cls(env, rng=SessionRng(derive_seed(seed, "server-secret")))
+        server = mod.Server(env, rng=SessionRng(derive_seed(seed, "server-secret")))
 
     if args.template:
         template = load_template(args.template)
@@ -142,12 +139,11 @@ def _cmd_register(args) -> int:
 
 
 def _cmd_login_run(args) -> int:
-    env = _load_env(args)
-    mod, _ = _MODULES[args.scheme]
+    config, env = _load_env(args)
     server = load_server(args.server_state, env)
     card = load_card(args.card)
     template = load_template(args.template)
-    seed = args.seed
+    seed = config.seed
     rng = SessionRng(seed)
     if args.advance_ms:
         env.clock.advance(args.advance_ms)
@@ -156,27 +152,17 @@ def _cmd_login_run(args) -> int:
     channel = SimChannel(
         env.clock, latency_ms=args.latency, session_id=session_id, rng_seed=seed
     )
+    handshake = Handshake(SCHEMES[args.scheme], env, server, channel)
     reading = perturb_within_tolerance(template, rng, args.noise_blocks)
     r_u = rng.exponent(env.params)
     r_s = SessionRng(derive_seed(seed, "server-ephemeral")).exponent(env.params)
 
     try:
-        with env.ledger.scope("login", "user"):
-            msg, pending = mod.login(
-                env, card, encode_text(args.id), args.password, reading, r_u
-            )
-        channel.send(USER_TO_SERVER, "login", msg.encode())
-        with env.ledger.scope("authentication", "server"):
-            reply, sk_server = server.respond(
-                mod.LoginMessage.decode(channel.recv(USER_TO_SERVER)),
-                r_s,
-                processing_ms=3,
-            )
-        channel.send(SERVER_TO_USER, "reply", reply.encode())
-        with env.ledger.scope("authentication", "user"):
-            sk_user = mod.finish(
-                env, pending, mod.ReplyMessage.decode(channel.recv(SERVER_TO_USER))
-            )
+        _, pending = handshake.login(
+            card, encode_text(args.id), args.password, reading, r_u
+        )
+        _, sk_server = handshake.respond(r_s, processing_ms=3)
+        sk_user = handshake.finish(pending)
     except ProtocolError as exc:
         channel.terminate(SERVER_TO_USER)
         _print("session rejected locally: %s (%s)" % (exc, exc.code))
@@ -224,16 +210,11 @@ def _cmd_attack(args) -> int:
         r_s=leak.get("r_s"),
         dictionary=words,
     )
-    if args.scheme == baseline.SCHEME:
-        if args.grant_timestamps:
-            raise ValueError("--grant-timestamps applies to the improved scheme")
-        outcome = adversary.attack_baseline(knowledge)
-    else:
-        granted = None
-        if args.grant_timestamps:
-            t1_ms, t2_ms = (int(x) for x in args.grant_timestamps.split(","))
-            granted = (t1_ms, t2_ms)
-        outcome = adversary.attack_improved(knowledge, granted)
+    granted = None
+    if args.grant_timestamps:
+        t1_ms, t2_ms = (int(x) for x in args.grant_timestamps.split(","))
+        granted = (t1_ms, t2_ms)
+    outcome = adversary.attack(knowledge, granted)
 
     _print("attack outcome: %s" % outcome.status)
     _print("verifier evaluations: %d" % outcome.work)
@@ -247,31 +228,14 @@ def _cmd_attack(args) -> int:
         _print(line)
 
     if args.out:
-        write_json_report(
-            {
-                "scheme": args.scheme,
-                "status": outcome.status,
-                "work": outcome.work,
-                "out_of_model": outcome.out_of_model,
-                "password": outcome.password,
-                "identity": outcome.identity.hex() if outcome.identity else None,
-                "session_key": outcome.session_key.hex()
-                if outcome.session_key
-                else None,
-                "gaps": [
-                    {"equation": g.equation, "unknown": list(g.unknown)}
-                    for g in outcome.gaps
-                ],
-            },
-            args.out,
-        )
+        write_json_report(adversary.outcome_report(args.scheme, outcome), args.out)
         _print("report -> %s" % args.out)
     return EXIT_OK
 
 
 def _cmd_cost_report(args) -> int:
-    config = load_config(args.config) if args.config else None
-    report = cost_report(args.scheme, config, seed=args.seed)
+    config = _load_config(args)
+    report = cost_report(args.scheme, config, seed=config.seed)
     _print(format_cost_report(report))
     if args.out:
         write_json_report(report, args.out)
@@ -301,11 +265,7 @@ def _cmd_replay(args) -> int:
 
 def _cmd_verify_card(args) -> int:
     card = load_card(args.card)
-    scheme = (
-        baseline.SCHEME
-        if isinstance(card, baseline.BaselineCard)
-        else improved.SCHEME
-    )
+    scheme = next(name for name, mod in SCHEMES.items() if isinstance(card, mod.Card))
     _print("card OK: %s scheme" % scheme)
     _print("hash: %s" % card.hash_name)
     _print("group: p=%032x g=%d (verified safe prime)" % (card.params.p, card.params.g))
@@ -325,14 +285,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scheme=True):
-        if scheme:
-            p.add_argument(
-                "--scheme", choices=sorted(_MODULES), required=True,
-                help="which scheme variant",
-            )
+    def scheme_option(p):
+        p.add_argument(
+            "--scheme", choices=sorted(SCHEMES), required=True,
+            help="which scheme variant",
+        )
+
+    def config_option(p):
         p.add_argument("--config", help="config file (key = value lines)")
-        p.add_argument("--seed", type=int, default=1, help="deterministic seed")
+
+    def common(p):
+        scheme_option(p)
+        config_option(p)
+        p.add_argument("--seed", type=int,
+                       help="deterministic seed (default: the config's, else 1)")
 
     p = sub.add_parser("register", help="enroll a user and issue a card")
     common(p)
@@ -367,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_login_run)
 
     p = sub.add_parser("attack", help="offline dictionary attack")
-    common(p)
+    scheme_option(p)
     p.add_argument("--card", required=True, help="captured card file")
     p.add_argument("--transcript", required=True, help="captured transcript")
     p.add_argument("--template", help="victim's biometric template")
@@ -385,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cost_report)
 
     p = sub.add_parser("replay", help="record or verify a scenario")
-    common(p, scheme=False)
+    config_option(p)
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True,
                    help="recording directory (created on first run)")

@@ -19,6 +19,7 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 
 FIELD_BYTES = 16
@@ -113,6 +114,35 @@ class Field128(bytes):
     @classmethod
     def zero(cls) -> "Field128":
         return cls(bytes(FIELD_BYTES))
+
+
+class WireMessage:
+    """A protocol message: one 128-bit word per name of its wire layout.
+
+    Subclasses are frozen dataclasses, ``class M(WireMessage, wire=...)``,
+    with one field per layout name, lowercased, in layout order.
+    """
+
+    def __init_subclass__(cls, wire: tuple[str, ...], **kwargs):
+        super().__init_subclass__(**kwargs)
+        attrs = tuple(name.lower() for name in wire)
+        if tuple(cls.__dict__.get("__annotations__", ())) != attrs:
+            raise TypeError("%s fields must be %s" % (cls.__name__, ", ".join(attrs)))
+        cls._words = attrgetter(*attrs)
+        cls._nbytes = FIELD_BYTES * len(wire)
+
+    def encode(self) -> bytes:
+        return b"".join(self._words(self))
+
+    @classmethod
+    def decode(cls, raw: bytes):
+        if len(raw) != cls._nbytes:
+            raise ValueError("%s.%s must be %d bytes" % (
+                cls.__module__, cls.__name__, cls._nbytes))
+        return cls(*[
+            Field128(raw[i : i + FIELD_BYTES])
+            for i in range(0, cls._nbytes, FIELD_BYTES)
+        ])
 
 
 def encode_text(text: str) -> Field128:

@@ -14,17 +14,14 @@ rather than massaging it.
 from __future__ import annotations
 
 from . import baseline, improved
+from .channel import SimChannel
 from .core import Env, ProtocolConfig, SessionRng, SimClock, encode_text
 from .fuzzy import BiometricTemplate, perturb_within_tolerance
+from .session import Handshake, scheme_module
 
 NOMINAL = {
     baseline.SCHEME: {"hash_total": 11, "wire_units": 7, "storage_units": 8},
     improved.SCHEME: {"hash_total": 21, "wire_units": 8, "storage_units": 10},
-}
-
-_SCHEMES = {
-    baseline.SCHEME: (baseline, baseline.BaselineServer),
-    improved.SCHEME: (improved, improved.ImprovedServer),
 }
 
 
@@ -36,13 +33,11 @@ def run_instrumented_session(
     Returns (env, session_keys) where both keys are equal if the run
     was healthy; the env's ledger carries every counter.
     """
-    if scheme not in _SCHEMES:
-        raise ValueError("unknown scheme %r" % scheme)
-    mod, server_cls = _SCHEMES[scheme]
+    mod = scheme_module(scheme)
     config = config or ProtocolConfig()
     env = Env.from_config(config, SimClock())
     rng = SessionRng(seed)
-    server = server_cls(env, rng=rng)
+    server = mod.Server(env, rng=rng)
     user_id = encode_text("cost-probe")
     template = BiometricTemplate.random(rng, config.template_bits)
 
@@ -54,20 +49,13 @@ def run_instrumented_session(
 
     env.clock.advance(60_000)
     noisy = perturb_within_tolerance(template, rng, 16)
-    with env.ledger.scope("login", "user"):
-        msg, pending = mod.login(
-            env, card, user_id, "probe-password", noisy, rng.exponent(env.params)
-        )
-    env.ledger.record_wire("login", len(msg.encode()))
-    env.clock.advance(25)
-    with env.ledger.scope("authentication", "server"):
-        reply, sk_server = server.respond(
-            msg, rng.exponent(env.params), processing_ms=3
-        )
-    env.ledger.record_wire("reply", len(reply.encode()))
-    env.clock.advance(25)
-    with env.ledger.scope("authentication", "user"):
-        sk_user = mod.finish(env, pending, reply)
+    # 25 ms each way between card and server
+    handshake = Handshake(mod, env, server, SimChannel(env.clock, latency_ms=25))
+    _, pending = handshake.login(
+        card, user_id, "probe-password", noisy, rng.exponent(env.params)
+    )
+    _, sk_server = handshake.respond(rng.exponent(env.params), processing_ms=3)
+    sk_user = handshake.finish(pending)
     return env, (sk_user, sk_server)
 
 

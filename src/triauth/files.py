@@ -428,12 +428,15 @@ def load_golden_vectors(path=None) -> list[tuple[list[bytes], bytes]]:
     return vectors
 
 
-def write_json_report(obj, path) -> None:
+def json_report_bytes(obj) -> bytes:
     """Stable JSON: sorted keys, fixed separators, trailing newline."""
-    Path(path).write_text(
-        json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n",
-        "utf-8",
-    )
+    return (
+        json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    ).encode("utf-8")
+
+
+def write_json_report(obj, path) -> None:
+    Path(path).write_bytes(json_report_bytes(obj))
 
 
 # Leak files: how the harness hands session secrets to the attack CLI.
@@ -441,9 +444,7 @@ def write_json_report(obj, path) -> None:
 # reads one of these except the attack entry points.
 
 def save_leak(leak: dict, path) -> None:
-    Path(path).write_text(
-        json.dumps(leak, sort_keys=True, indent=2) + "\n", "utf-8"
-    )
+    write_json_report(leak, path)
 
 
 def load_leak(path) -> dict:

@@ -45,9 +45,10 @@ User finish (no freshness check is defined at this step):
   A4 = A44 xor T3 xor T4, A5 = A4^r_u, A55 = A5 xor T3 xor T5,
   recompute SK and verify Cs.
 
-Scheme functions accept an optional `trace` list; when given, every
-computed value is appended as (name, ingredient-names) so tests can
-walk the construction dataflow.  Production paths pass nothing.
+`login` and `respond` accept an optional `trace` list; when given,
+every computed value is appended as (name, ingredient-names) so
+tests can walk the construction dataflow.  Production paths pass
+nothing.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from .core import (
     ServerSecret,
     SessionRng,
     UnknownUser,
+    WireMessage,
     encode_text,
     field_to_ms,
     ms_to_field,
@@ -109,37 +111,19 @@ class ImprovedCard:
 
 
 @dataclass(frozen=True)
-class LoginMessage:
+class LoginMessage(WireMessage, wire=LOGIN_WIRE):
     nid: Field128
     a11: Field128
     c_i: Field128
     q: Field128
 
-    def encode(self) -> bytes:
-        return b"".join((self.nid, self.a11, self.c_i, self.q))
-
-    @classmethod
-    def decode(cls, raw: bytes) -> "LoginMessage":
-        if len(raw) != 64:
-            raise ValueError("improved login message must be 64 bytes")
-        return cls(*(Field128(raw[i : i + 16]) for i in range(0, 64, 16)))
-
 
 @dataclass(frozen=True)
-class ReplyMessage:
+class ReplyMessage(WireMessage, wire=REPLY_WIRE):
     cs: Field128
     a44: Field128
     p: Field128
     q2: Field128
-
-    def encode(self) -> bytes:
-        return b"".join((self.cs, self.a44, self.p, self.q2))
-
-    @classmethod
-    def decode(cls, raw: bytes) -> "ReplyMessage":
-        if len(raw) != 64:
-            raise ValueError("improved reply message must be 64 bytes")
-        return cls(*(Field128(raw[i : i + 16]) for i in range(0, 64, 16)))
 
 
 @dataclass
@@ -360,12 +344,7 @@ def login(
     return msg, pending
 
 
-def finish(
-    env: Env,
-    pending: PendingLogin,
-    reply: ReplyMessage,
-    trace: Trace | None = None,
-) -> Field128:
+def finish(env: Env, pending: PendingLogin, reply: ReplyMessage) -> Field128:
     """User-side completion.
 
     The scheme defines no freshness check here — T4 and T5 are
@@ -387,3 +366,7 @@ def finish(
     if expected != reply.cs:
         raise AuthFailure("reply verifier mismatch")
     return sk
+
+
+Card = ImprovedCard
+Server = ImprovedServer

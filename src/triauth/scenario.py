@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import adversary, baseline, improved
+from . import adversary, improved
 from .channel import SERVER_TO_USER, USER_TO_SERVER, SimChannel, Transcript
 from .core import (
     Env,
@@ -44,12 +44,14 @@ from .core import (
     encode_text,
 )
 from .files import (
+    json_report_bytes,
     load_dictionary,
     save_transcript,
     transcript_bytes,
     write_json_report,
 )
 from .fuzzy import BiometricTemplate, perturb_within_tolerance
+from .session import Handshake, scheme_module
 
 KNOWN_OPS = (
     "register",
@@ -77,8 +79,7 @@ class ScenarioScript:
     delta_t_ms: int | None = None
 
     def validate(self) -> None:
-        if self.scheme not in (baseline.SCHEME, improved.SCHEME):
-            raise ValueError("scenario scheme must be baseline or improved")
+        scheme_module(self.scheme)
         for i, step in enumerate(self.steps, 1):
             op = step.get("op")
             if op not in KNOWN_OPS:
@@ -126,7 +127,7 @@ class _Session:
     session_id: str
     user: str
     seed: int
-    channel: SimChannel
+    handshake: Handshake
     pending: object = None
     r_u: int | None = None
     r_s: int | None = None
@@ -143,12 +144,8 @@ class _Runner:
             config.delta_t_ms = script.delta_t_ms
         self.config = config
         self.env = Env.from_config(config, SimClock(script.epoch_ms))
-        mod, server_cls = {
-            baseline.SCHEME: (baseline, baseline.BaselineServer),
-            improved.SCHEME: (improved, improved.ImprovedServer),
-        }[script.scheme]
-        self.mod = mod
-        self.server = server_cls(self.env, rng=SessionRng(script.seed))
+        self.mod = scheme_module(script.scheme)
+        self.server = self.mod.Server(self.env, rng=SessionRng(script.seed))
         self.users: dict[str, _User] = {}
         self.sessions: list[_Session] = []
         self.pool: dict[str, object] = {"transcripts": []}
@@ -193,16 +190,17 @@ class _Runner:
         user = self.users[step["user"]]
         seed = step["seed"]
         rng = SessionRng(seed)
+        channel = SimChannel(
+            self.env.clock,
+            latency_ms=self.script.latency_ms,
+            session_id="%s-s%03d" % (self.script.name, len(self.sessions) + 1),
+            rng_seed=seed,
+        )
         session = _Session(
             session_id="s%03d" % (len(self.sessions) + 1),
             user=step["user"],
             seed=seed,
-            channel=SimChannel(
-                self.env.clock,
-                latency_ms=self.script.latency_ms,
-                session_id="%s-s%03d" % (self.script.name, len(self.sessions) + 1),
-                rng_seed=seed,
-            ),
+            handshake=Handshake(self.mod, self.env, self.server, channel),
         )
         self.sessions.append(session)
         reading = perturb_within_tolerance(
@@ -210,17 +208,12 @@ class _Runner:
         )
         session.r_u = rng.exponent(self.env.params)
         try:
-            with self.env.ledger.scope("login", "user"):
-                msg, session.pending = self.mod.login(
-                    self.env, user.card, user.user_id, user.password,
-                    reading, session.r_u,
-                )
+            _, session.pending = session.handshake.login(
+                user.card, user.user_id, user.password, reading, session.r_u
+            )
         except ProtocolError as exc:
             session.error = exc.code
             return {"ok": False, "session": session.session_id, "error": exc.code}
-        raw = msg.encode()
-        self.env.ledger.record_wire("login", len(raw))
-        session.channel.send(USER_TO_SERVER, "login", raw)
         return {"ok": True, "session": session.session_id}
 
     def _op_respond(self, step) -> dict:
@@ -228,47 +221,33 @@ class _Runner:
         rng = SessionRng(step["seed"])
         session.r_s = rng.exponent(self.env.params)
         try:
-            raw = session.channel.recv(USER_TO_SERVER)
+            _, session.sk_server = session.handshake.respond(
+                session.r_s, processing_ms=step.get("processing_ms", 3)
+            )
         except LookupError:
             return {"ok": False, "session": session.session_id,
                     "error": "nothing in flight"}
-        login_cls = self.mod.LoginMessage
-        try:
-            msg = login_cls.decode(raw)
-            with self.env.ledger.scope("authentication", "server"):
-                reply, session.sk_server = self.server.respond(
-                    msg, session.r_s, processing_ms=step.get("processing_ms", 3)
-                )
         except (ProtocolError, ValueError) as exc:
             code = getattr(exc, "code", "malformed")
             session.error = code
-            session.channel.terminate(SERVER_TO_USER)
+            session.handshake.channel.terminate(SERVER_TO_USER)
             return {"ok": False, "session": session.session_id, "error": code}
-        raw_reply = reply.encode()
-        self.env.ledger.record_wire("reply", len(raw_reply))
-        session.channel.send(SERVER_TO_USER, "reply", raw_reply)
         return {"ok": True, "session": session.session_id}
 
     def _op_finish(self, step) -> dict:
         session = self._current()
         try:
-            raw = session.channel.recv(SERVER_TO_USER)
+            session.sk_user = session.handshake.finish(session.pending)
         except LookupError:
+            # nothing arrived, so the session secrets are still unused
             return {"ok": False, "session": session.session_id,
                     "error": "no reply: session terminated"}
-        if raw == b"session terminated":
-            return {"ok": False, "session": session.session_id,
-                    "error": "no reply: session terminated"}
-        try:
-            reply = self.mod.ReplyMessage.decode(raw)
-            with self.env.ledger.scope("authentication", "user"):
-                session.sk_user = self.mod.finish(self.env, session.pending, reply)
         except (ProtocolError, ValueError) as exc:
             code = getattr(exc, "code", "malformed")
             session.error = code
-            return {"ok": False, "session": session.session_id, "error": code}
-        finally:
             session.pending = None  # session secrets destroyed either way
+            return {"ok": False, "session": session.session_id, "error": code}
+        session.pending = None
         match = (
             session.sk_server is not None and session.sk_user == session.sk_server
         )
@@ -290,7 +269,7 @@ class _Runner:
         if "r_s" in values:
             self.pool["r_s"] = session.r_s
         if "transcript" in values:
-            self.pool["transcripts"].append(session.channel.transcript())
+            self.pool["transcripts"].append(session.handshake.channel.transcript())
         self.pool["victim"] = session.user
         return {"ok": True, "leaked": sorted(values), "session": session.session_id}
 
@@ -304,7 +283,7 @@ class _Runner:
             return {"ok": False, "error": "no field %r in %s" % (fieldname, label)}
         mask = bytes.fromhex(step["mask"])
         try:
-            session.channel.corrupt_in_flight(
+            session.handshake.channel.corrupt_in_flight(
                 direction, 16 * names.index(fieldname), mask
             )
         except LookupError:
@@ -323,34 +302,18 @@ class _Runner:
             r_s=self.pool.get("r_s"),
             dictionary=words,
         )
-        if self.script.scheme == baseline.SCHEME:
-            outcome = adversary.attack_baseline(knowledge)
-        else:
-            granted = None
-            if step.get("grant_timestamps"):
-                victim = self.users[self.pool["victim"]]
-                rec = next(
-                    r for r in self.server.records
-                    if r.user_id == victim.user_id
-                )
-                granted = (rec.t1_ms, rec.t2_ms)
-            outcome = adversary.attack_improved(knowledge, granted)
-        entry = {
-            "scheme": self.script.scheme,
-            "status": outcome.status,
-            "work": outcome.work,
-            "out_of_model": outcome.out_of_model,
-            "dictionary": dict_note,
-            "password": outcome.password,
-            "identity": outcome.identity.hex() if outcome.identity else None,
-            "session_key": outcome.session_key.hex()
-            if outcome.session_key
-            else None,
-            "gaps": [
-                {"equation": g.equation, "unknown": list(g.unknown)}
-                for g in outcome.gaps
-            ],
-        }
+        granted = None
+        # the grant is the improved scheme's white-box control; a
+        # baseline script that asks for it runs the plain attack
+        if step.get("grant_timestamps") and self.script.scheme == improved.SCHEME:
+            victim = self.users[self.pool["victim"]]
+            rec = next(
+                r for r in self.server.records if r.user_id == victim.user_id
+            )
+            granted = (rec.t1_ms, rec.t2_ms)
+        outcome = adversary.attack(knowledge, granted)
+        entry = adversary.outcome_report(self.script.scheme, outcome)
+        entry["dictionary"] = dict_note
         self.attack_reports.append(entry)
         return {"ok": True, "status": outcome.status, "work": outcome.work,
                 "out_of_model": outcome.out_of_model}
@@ -392,7 +355,7 @@ class _Runner:
                 ),
                 "error": s.error,
             }
-            transcripts[s.session_id] = s.channel.transcript()
+            transcripts[s.session_id] = s.handshake.channel.transcript()
         report = {
             "name": self.script.name,
             "scheme": self.script.scheme,
@@ -487,11 +450,7 @@ def compare_with_recording(result: ScenarioResult, out_dir) -> list[str]:
     """Byte-compare a fresh run against a recorded one; [] means identical."""
     out = Path(out_dir)
     mismatches = []
-    fresh_json = (
-        json.dumps(result.report, sort_keys=True, indent=2,
-                   separators=(",", ": ")) + "\n"
-    ).encode("utf-8")
-    if (out / "report.json").read_bytes() != fresh_json:
+    if (out / "report.json").read_bytes() != json_report_bytes(result.report):
         mismatches.append("report.json differs")
     if (out / "report.txt").read_bytes() != result.text.encode("utf-8"):
         mismatches.append("report.txt differs")

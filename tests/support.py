@@ -2,15 +2,10 @@
 
 from dataclasses import dataclass
 
-from triauth import baseline, improved
-from triauth.channel import SERVER_TO_USER, USER_TO_SERVER, Transcript, TranscriptEntry
+from triauth.channel import SimChannel, Transcript
 from triauth.core import Env, Field128, ProtocolConfig, SessionRng, SimClock, encode_text
 from triauth.fuzzy import BiometricTemplate, perturb_within_tolerance
-
-MODULES = {
-    baseline.SCHEME: (baseline, baseline.BaselineServer),
-    improved.SCHEME: (improved, improved.ImprovedServer),
-}
+from triauth.session import SCHEMES, Handshake
 
 
 @dataclass
@@ -34,6 +29,7 @@ class SessionRun:
     sk_server: Field128
     r_u: int
     r_s: int
+    transcript: Transcript  # the wire view an eavesdropper recorded
 
 
 def enroll(
@@ -45,11 +41,11 @@ def enroll(
     exchange_ms: int = 10,
     start_ms: int = 1_700_000_000_000,
 ) -> Enrollment:
-    mod, server_cls = MODULES[scheme]
+    mod = SCHEMES[scheme]
     config = ProtocolConfig(delta_t_ms=delta_t_ms)
     env = Env.from_config(config, SimClock(start_ms))
     rng = SessionRng(seed)
-    server = server_cls(env, rng=rng)
+    server = mod.Server(env, rng=rng)
     user_id = encode_text(identity)
     template = BiometricTemplate.random(rng, config.template_bits)
     card = mod.register(
@@ -66,35 +62,21 @@ def run_session(
     processing_ms: int = 3,
     password: str | None = None,
 ) -> SessionRun:
-    """One full honest handshake; the clock moves like a real exchange."""
-    mod, _ = MODULES[enr.scheme]
+    """One full honest handshake over a channel `network_ms` long each way."""
     env = enr.env
     env.clock.advance(gap_ms)
     reading = perturb_within_tolerance(enr.template, enr.rng, noise_blocks)
     r_u = enr.rng.exponent(env.params)
     r_s = enr.rng.exponent(env.params)
-    with env.ledger.scope("login", "user"):
-        msg, pending = mod.login(
-            env, enr.card, enr.user_id,
-            password if password is not None else enr.password,
-            reading, r_u,
-        )
-    env.clock.advance(network_ms)
-    with env.ledger.scope("authentication", "server"):
-        reply, sk_server = enr.server.respond(msg, r_s, processing_ms=processing_ms)
-    env.clock.advance(network_ms)
-    with env.ledger.scope("authentication", "user"):
-        sk_user = mod.finish(env, pending, reply)
-    return SessionRun(msg, pending, reply, sk_user, sk_server, r_u, r_s)
-
-
-def transcript_of(run: SessionRun, session_id: str = "eavesdrop") -> Transcript:
-    """The wire view an eavesdropper would have recorded for a run."""
-    return Transcript(
-        session_id,
-        rng_seed=None,
-        entries=[
-            TranscriptEntry(USER_TO_SERVER, "login", run.msg.encode(), 0),
-            TranscriptEntry(SERVER_TO_USER, "reply", run.reply.encode(), 0),
-        ],
+    channel = SimChannel(env.clock, latency_ms=network_ms)
+    handshake = Handshake(SCHEMES[enr.scheme], env, enr.server, channel)
+    msg, pending = handshake.login(
+        enr.card, enr.user_id,
+        password if password is not None else enr.password,
+        reading, r_u,
+    )
+    reply, sk_server = handshake.respond(r_s, processing_ms=processing_ms)
+    sk_user = handshake.finish(pending)
+    return SessionRun(
+        msg, pending, reply, sk_user, sk_server, r_u, r_s, channel.transcript()
     )

@@ -13,17 +13,16 @@ import time
 from importlib import resources
 from pathlib import Path
 
-from support import enroll, run_session, transcript_of
+from support import enroll, run_session
 
-from triauth import adversary, baseline, improved
+from triauth import adversary, baseline
 from triauth.core import LocalAuthFailure, ProtocolError, SessionRng
 from triauth.costs import cost_report
 from triauth.files import transcript_bytes
 from triauth.fuzzy import BiometricTemplate, gen, perturb_within_tolerance, rep
 from triauth.scenario import compare_with_recording, load_scenario, run_scenario
+from triauth.session import SCHEMES
 
-SCHEMES = (baseline.SCHEME, improved.SCHEME)
-MODULES = {baseline.SCHEME: baseline, improved.SCHEME: improved}
 SCENARIO_DIR = Path(str(resources.files("triauth"))) / "scenarios"
 EPOCH_MS = 1_700_000_000_000
 DAY_MS = 86_400_000
@@ -38,7 +37,7 @@ def _full_leak(enr, run, dictionary):
     return adversary.AdversaryKnowledge.assemble(
         enr.scheme,
         card=enr.card,
-        transcripts=(transcript_of(run),),
+        transcripts=(run.transcript,),
         biometric=enr.template,
         r_u=run.r_u,
         r_s=run.r_s,
@@ -288,7 +287,7 @@ def test_criterion_7_tampering_replay_and_staleness_are_all_rejected():
     tampered_rejected = tampered_total = 0
     replay_ok = stale_without_modexp = True
     for scheme in SCHEMES:
-        mod = MODULES[scheme]
+        mod = SCHEMES[scheme]
         enr = enroll(scheme, seed=707)
         run = run_session(enr)
         raws = {

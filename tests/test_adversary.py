@@ -2,7 +2,7 @@
 
 import pytest
 
-from support import enroll, run_session, transcript_of
+from support import enroll, run_session
 from triauth import adversary
 from triauth.adversary import (
     EXHAUSTED,
@@ -20,7 +20,7 @@ from triauth.adversary import (
     tamper,
     wire_layout,
 )
-from triauth.channel import USER_TO_SERVER, SimChannel
+from triauth.channel import USER_TO_SERVER, SimChannel, Transcript
 from triauth.core import SessionRng, SimClock
 
 
@@ -28,7 +28,7 @@ def leak_everything(enr, run, dictionary):
     return AdversaryKnowledge.assemble(
         enr.scheme,
         card=enr.card,
-        transcripts=(transcript_of(run),),
+        transcripts=(run.transcript,),
         biometric=enr.template,
         r_u=run.r_u,
         r_s=run.r_s,
@@ -106,7 +106,7 @@ def test_baseline_attack_is_deterministic():
 def test_baseline_attack_does_not_mutate_its_inputs():
     enr = enroll("baseline")
     run = run_session(enr)
-    transcript = transcript_of(run)
+    transcript = run.transcript
     entries_before = list(transcript.entries)
     knowledge = AdversaryKnowledge.assemble(
         "baseline", card=enr.card, transcripts=(transcript,),
@@ -141,7 +141,7 @@ def test_baseline_attack_without_r_u_cannot_start():
     enr = enroll("baseline")
     run = run_session(enr)
     knowledge = AdversaryKnowledge.assemble(
-        "baseline", card=enr.card, transcripts=(transcript_of(run),),
+        "baseline", card=enr.card, transcripts=(run.transcript,),
         biometric=enr.template, r_s=run.r_s,
         dictionary=words_with(enr.password, 5),
     )
@@ -158,7 +158,7 @@ def test_baseline_attack_without_the_card_cannot_start():
     enr = enroll("baseline")
     run = run_session(enr)
     knowledge = AdversaryKnowledge.assemble(
-        "baseline", transcripts=(transcript_of(run),),
+        "baseline", transcripts=(run.transcript,),
         biometric=enr.template, r_u=run.r_u, r_s=run.r_s,
         dictionary=words_with(enr.password, 5),
     )
@@ -171,7 +171,7 @@ def test_baseline_attack_without_the_biometric_cannot_finish_h():
     enr = enroll("baseline")
     run = run_session(enr)
     knowledge = AdversaryKnowledge.assemble(
-        "baseline", card=enr.card, transcripts=(transcript_of(run),),
+        "baseline", card=enr.card, transcripts=(run.transcript,),
         r_u=run.r_u, r_s=run.r_s, dictionary=words_with(enr.password, 5),
     )
     outcome = attack_baseline(knowledge)
@@ -291,7 +291,7 @@ def test_wire_layout_lookup():
 def test_tamper_flips_exactly_the_named_field():
     enr = enroll("baseline")
     run = run_session(enr)
-    transcript = transcript_of(run)
+    transcript = run.transcript
     tampered = tamper(transcript, "baseline", "login", "C_i", b"\x80")
     original = transcript.find("login").data
     altered = tampered.find("login").data
@@ -308,7 +308,7 @@ def test_tamper_flips_exactly_the_named_field():
 def test_tamper_with_a_zero_mask_is_the_identity():
     enr = enroll("baseline")
     run = run_session(enr)
-    transcript = transcript_of(run)
+    transcript = run.transcript
     tampered = tamper(transcript, "baseline", "login", "NID", bytes(16))
     assert tampered.find("login").data == transcript.find("login").data
 
@@ -316,14 +316,14 @@ def test_tamper_with_a_zero_mask_is_the_identity():
 def test_tamper_validates_its_arguments():
     enr = enroll("baseline")
     run = run_session(enr)
-    transcript = transcript_of(run)
+    transcript = run.transcript
     with pytest.raises(ValueError, match="no field"):
         tamper(transcript, "baseline", "login", "Q", b"\x01")
     with pytest.raises(ValueError, match="longer than a field"):
         tamper(transcript, "baseline", "login", "NID", bytes(17))
     with pytest.raises(ValueError, match="no 'reply' entry"):
         tamper(
-            transcript_of(run, "empty").__class__("empty"),
+            Transcript("empty"),
             "baseline", "reply", "Cs", b"\x01",
         )
 

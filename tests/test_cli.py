@@ -59,6 +59,21 @@ def test_register_writes_the_three_files(tmp_path, capsys):
         assert p.exists()
 
 
+def test_register_takes_the_seed_from_the_config_file(tmp_path):
+    config = tmp_path / "seed9.cfg"
+    config.write_text("seed = 9\n")
+    cards = {}
+    for name, options in (("config", ("--config", config)), ("flag", ("--seed", 9))):
+        cards[name] = tmp_path / ("%s.card" % name)
+        assert run_cli(
+            "register", "--scheme", "improved", *options,
+            "--id", "alice", "--password", "pw",
+            "--card-out", cards[name],
+            "--server-state", tmp_path / ("%s.state" % name),
+        ) == 0
+    assert cards["config"].read_bytes() == cards["flag"].read_bytes()
+
+
 def test_register_rejects_a_duplicate_identity(tmp_path, capsys):
     paths = register(tmp_path, "baseline")
     code = run_cli(

@@ -18,6 +18,7 @@ from triauth.scenario import (
 SCENARIO_DIR = Path(str(resources.files("triauth"))) / "scenarios"
 BASELINE_ATTACK = SCENARIO_DIR / "baseline-attack.scenario"
 IMPROVED_ATTACK = SCENARIO_DIR / "improved-attack.scenario"
+RECORDINGS = Path(__file__).parent / "recordings"
 
 
 def test_shipped_scenarios_parse():
@@ -103,6 +104,14 @@ def test_recording_round_trip_and_drift_detection(tmp_path):
     tfile.write_bytes(bytes(blob))
     mismatches = compare_with_recording(fresh, out)
     assert mismatches == ["transcripts/%s differs" % tfile.name]
+
+
+@pytest.mark.parametrize("path", [BASELINE_ATTACK, IMPROVED_ATTACK], ids=lambda p: p.stem)
+def test_shipped_scenarios_replay_their_committed_recordings(path):
+    """The committed recordings pin every report and transcript byte, so a
+    change anywhere on the scenario path shows up as drift here."""
+    result = run_scenario(load_scenario(path))
+    assert compare_with_recording(result, RECORDINGS / path.stem) == []
 
 
 def test_recorded_transcripts_reload_byte_exactly(tmp_path):
