@@ -27,11 +27,12 @@ control showing the engine is honest about *why* the attack fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 from . import baseline, improved
 from .core import (
+    CostLedger,
     Field128,
     GroupParams,
     HashEngine,
@@ -42,7 +43,7 @@ from .core import (
 )
 from .channel import SimChannel, Transcript, TranscriptEntry
 from .fuzzy import BiometricTemplate, rep
-from .session import scheme_module
+from .session import card_fields, card_from_fields, scheme_module
 
 # Atoms the model says the adversary never holds.  Checked
 # case-insensitively against every externally supplied mapping key.
@@ -104,20 +105,8 @@ class AdversaryKnowledge:
     ) -> "AdversaryKnowledge":
         view = None
         if card is not None:
-            view = {
-                "e": card.e,
-                "h": card.hash_name,
-                "p": card.params.p,
-                "g": card.params.g,
-                "Y": card.y,
-                "P_i": card.helper,
-                "L": card.l,
-                "V": card.v,
-            }
-            if isinstance(card, improved.ImprovedCard):
-                view["M"] = card.m
-                view["Nmask"] = card.nmask
-                # card.t12 deliberately not copied: outside the model
+            view = {"h": card.hash_name, **card_fields(card)}
+            view.pop("T12", None)  # on the card, but outside the model
         return cls(
             scheme=scheme,
             card_view=view,
@@ -618,14 +607,16 @@ def impersonate(
 ) -> str:
     """Try to open a fresh session as the victim; "accept" or "reject".
 
-    After a baseline recovery this replays the honest login computation
-    with the recovered password and identity and a fresh exponent, and
-    completes the handshake.  Anything less (notably the hardened
-    scheme, where the attack ends insufficient) falls back to a
-    best-effort forgery under random guesses, which the server should
-    throw out.
+    After a baseline recovery this rebuilds the card from the captured
+    view and runs the honest login and finish on it with the recovered
+    password and identity and a fresh exponent, in the adversary's own
+    Env (its own ledger, the card's hash, the victim's clock).  Anything
+    less (notably the hardened scheme, where the attack ends
+    insufficient) falls back to a best-effort forgery under random
+    guesses, which the server should throw out.
     """
     view = knowledge.card_view or {}
+    ctx = _ctx_from_knowledge(knowledge)
     r_fresh = rng.exponent(env.params)
 
     if (
@@ -633,43 +624,34 @@ def impersonate(
         and outcome.status == RECOVERED
         and knowledge.biometric is not None
     ):
-        ctx = _ctx_from_knowledge(knowledge)
-        pw = encode_text(outcome.password)
-        n = view["L"] ^ rep(knowledge.biometric, view["P_i"])
-        h_val = view["e"] ^ ctx.h(pw, n)
-        _, t1 = env.now_field()
-        a1 = ctx.exp(Field128.from_int(env.params.g), r_fresh)
-        a2 = ctx.exp(view["Y"], r_fresh)
-        nid = outcome.identity ^ a2
-        c_i = ctx.h(outcome.identity, h_val, a1, a2, t1)
-        msg = baseline.LoginMessage(nid, a1, c_i, t1)
-        pending = baseline.PendingLogin(
-            user_id=outcome.identity, h=h_val, a2=a2, r_u=r_fresh, t1=t1
+        ledger = CostLedger()
+        own = replace(  # the victim's clock and window, the card's tools
+            env, params=ctx.params, ledger=ledger, hasher=HashEngine(view["h"], ledger)
         )
         try:
+            msg, pending = baseline.login(
+                own, card_from_fields(knowledge.scheme, view), outcome.identity,
+                outcome.password, knowledge.biometric, r_fresh,
+            )
             reply, _sk = server.respond(msg, rng.exponent(env.params))
-            baseline.finish(env, pending, reply)
+            baseline.finish(own, pending, reply)
         except ProtocolError:
             return REJECT
         return ACCEPT
 
     # best-effort forgery: guess the values the model withholds
     guess_id, guess_h = rng.field(), rng.field()
+    a1 = ctx.exp(Field128.from_int(env.params.g), r_fresh)
+    a2 = ctx.exp(view["Y"], r_fresh)
     if knowledge.scheme == baseline.SCHEME:
-        ctx = _ctx_from_knowledge(knowledge)
         _, t1 = env.now_field()
-        a1 = ctx.exp(Field128.from_int(env.params.g), r_fresh)
-        a2 = ctx.exp(view["Y"], r_fresh)
         msg = baseline.LoginMessage(
             guess_id ^ a2, a1, ctx.h(guess_id, guess_h, a1, a2, t1), t1
         )
     else:
-        ctx = _ctx_from_knowledge(knowledge)
         t1_guess, t2_guess = rng.field(), rng.field()
         _, t3 = env.now_field()
-        a1 = ctx.exp(Field128.from_int(env.params.g), r_fresh)
         a11 = a1 ^ t2_guess ^ t3
-        a2 = ctx.exp(view["Y"], r_fresh)
         a22 = a2 ^ t3
         nid = guess_id ^ a22 ^ ctx.h(t1_guess, t3, t2_guess)
         c_i = ctx.h(guess_id, guess_h, a22, a11, t1_guess, t3, t2_guess)

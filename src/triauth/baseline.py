@@ -44,7 +44,6 @@ from .core import (
     WireMessage,
     encode_text,
     field_to_ms,
-    ms_to_field,
 )
 from .fuzzy import BiometricTemplate, HelperData, gen, rep
 
@@ -71,9 +70,8 @@ class BaselineCard:
     l: Field128
     v: Field128
 
-    # Field count as stored on the card, in 128-bit units; the helper
-    # string is one declared field although it is template-length.
-    STORAGE_UNITS = 8
+    # The stored fields, one 128-bit unit each; the helper string is
+    # one declared field although it is template-length.
     FIELD_NAMES = ("e", "h", "p", "g", "Y", "P_i", "L", "V")
 
 
@@ -133,6 +131,16 @@ class BaselineServer:
         self.registered.add(user_id)
         return h_val ^ w
 
+    def state_records(self) -> list[tuple]:
+        """The state file's records, one (ID,) per user, sorted."""
+        return [(uid,) for uid in sorted(self.registered)]
+
+    def restore_record(self, user_id: Field128, *ints: int) -> None:
+        """Re-enroll a user from one of `state_records`' records."""
+        if ints:
+            raise ValueError("record needs 'id'")
+        self.registered.add(user_id)
+
     def respond(
         self, msg: LoginMessage, r_s: int, processing_ms: int = 0
     ) -> tuple[ReplyMessage, Field128]:
@@ -152,7 +160,10 @@ class BaselineServer:
         if t2 - t1_ms > env.delta_t_ms:
             raise FreshnessFailure("login timestamp outside the window")
 
-        a3 = env.mod_exp(msg.a1, self.secret.x)
+        try:
+            a3 = env.mod_exp(msg.a1, self.secret.x)
+        except ValueError as exc:
+            raise AuthFailure("A1 is not a group element") from exc
         user_id = msg.nid ^ a3
         if user_id not in self.registered:
             raise UnknownUser("recovered identity is not enrolled")
@@ -253,7 +264,10 @@ def finish(env: Env, pending: PendingLogin, reply: ReplyMessage) -> Field128:
     if t4 - t3_ms > env.delta_t_ms:
         raise FreshnessFailure("reply timestamp outside the window")
 
-    a6 = env.mod_exp(reply.a4, pending.r_u)
+    try:
+        a6 = env.mod_exp(reply.a4, pending.r_u)
+    except ValueError as exc:
+        raise AuthFailure("A4 is not a group element") from exc
     sk = env.h(pending.user_id, pending.a2, a6, pending.h, pending.t1, reply.t3)
     expected = env.h(pending.user_id, sk, pending.h, reply.t3)
     if expected != reply.cs:

@@ -29,10 +29,8 @@ from .core import (
     LocalAuthFailure,
     ProtocolConfig,
     ProtocolError,
-    RealClock,
     RegistrationError,
     SessionRng,
-    SimClock,
     UnknownUser,
     derive_seed,
     encode_text,
@@ -61,7 +59,7 @@ from .scenario import (
     run_scenario,
     write_result,
 )
-from .session import SCHEMES, Handshake
+from .session import SCHEMES, Handshake, scheme_of
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -89,12 +87,6 @@ def _load_config(args) -> ProtocolConfig:
     return config
 
 
-def _load_env(args) -> tuple[ProtocolConfig, Env]:
-    config = _load_config(args)
-    clock = RealClock() if args.real_clock else SimClock()
-    return config, Env.from_config(config, clock)
-
-
 def _print(line: str) -> None:
     sys.stdout.write(line + "\n")
 
@@ -104,7 +96,8 @@ def _print(line: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_register(args) -> int:
-    config, env = _load_env(args)
+    config = _load_config(args)
+    env = Env.from_config(config)
     mod = SCHEMES[args.scheme]
     seed = config.seed
     rng = SessionRng(seed)
@@ -112,6 +105,8 @@ def _cmd_register(args) -> int:
     state = Path(args.server_state)
     if state.exists():
         server = load_server(state, env)
+        if scheme_of(server) != args.scheme:
+            raise ValueError("%s holds %s server state" % (state, scheme_of(server)))
     else:
         server = mod.Server(env, rng=SessionRng(derive_seed(seed, "server-secret")))
 
@@ -139,9 +134,14 @@ def _cmd_register(args) -> int:
 
 
 def _cmd_login_run(args) -> int:
-    config, env = _load_env(args)
+    config = _load_config(args)
+    env = Env.from_config(config)
     server = load_server(args.server_state, env)
     card = load_card(args.card)
+    scheme = scheme_of(card)
+    if scheme_of(server) != scheme:
+        raise ValueError("%s is a %s card; %s holds %s server state"
+                         % (args.card, scheme, args.server_state, scheme_of(server)))
     template = load_template(args.template)
     seed = config.seed
     rng = SessionRng(seed)
@@ -152,7 +152,7 @@ def _cmd_login_run(args) -> int:
     channel = SimChannel(
         env.clock, latency_ms=args.latency, session_id=session_id, rng_seed=seed
     )
-    handshake = Handshake(SCHEMES[args.scheme], env, server, channel)
+    handshake = Handshake(SCHEMES[scheme], env, server, channel)
     reading = perturb_within_tolerance(template, rng, args.noise_blocks)
     r_u = rng.exponent(env.params)
     r_s = SessionRng(derive_seed(seed, "server-ephemeral")).exponent(env.params)
@@ -196,13 +196,14 @@ def _cmd_login_run(args) -> int:
 
 def _cmd_attack(args) -> int:
     card = load_card(args.card)
+    scheme = scheme_of(card)
     transcript = load_transcript(args.transcript)
     template = load_template(args.template) if args.template else None
     leak = load_leak(args.leak) if args.leak else {}
     words = load_dictionary(args.dict)
 
     knowledge = adversary.AdversaryKnowledge.assemble(
-        args.scheme,
+        scheme,
         card=card,
         transcripts=(transcript,),
         biometric=template,
@@ -228,7 +229,7 @@ def _cmd_attack(args) -> int:
         _print(line)
 
     if args.out:
-        write_json_report(adversary.outcome_report(args.scheme, outcome), args.out)
+        write_json_report(adversary.outcome_report(scheme, outcome), args.out)
         _print("report -> %s" % args.out)
     return EXIT_OK
 
@@ -265,12 +266,11 @@ def _cmd_replay(args) -> int:
 
 def _cmd_verify_card(args) -> int:
     card = load_card(args.card)
-    scheme = next(name for name, mod in SCHEMES.items() if isinstance(card, mod.Card))
-    _print("card OK: %s scheme" % scheme)
+    _print("card OK: %s scheme" % scheme_of(card))
     _print("hash: %s" % card.hash_name)
     _print("group: p=%032x g=%d (verified safe prime)" % (card.params.p, card.params.g))
     _print("helper bits: %d" % card.helper.nbits)
-    _print("declared fields: %d" % card.STORAGE_UNITS)
+    _print("declared fields: %d" % len(card.FIELD_NAMES))
     return EXIT_OK
 
 
@@ -295,12 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="config file (key = value lines)")
 
     def common(p):
-        scheme_option(p)
         config_option(p)
         p.add_argument("--seed", type=int,
                        help="deterministic seed (default: the config's, else 1)")
 
     p = sub.add_parser("register", help="enroll a user and issue a card")
+    scheme_option(p)
     common(p)
     p.add_argument("--id", required=True, help="identity (at most 16 UTF-8 bytes)")
     p.add_argument("--password", required=True)
@@ -310,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--template-out", help="where to save the enrolled template")
     p.add_argument("--latency", type=int, default=10,
                    help="secure-channel hop in ms")
-    p.add_argument("--real-clock", action="store_true",
-                   help="wall clock instead of the simulated one")
     p.set_defaults(func=_cmd_register)
 
     p = sub.add_parser("login-run", help="run one full authentication")
@@ -329,11 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="directory for transcript (and leak)")
     p.add_argument("--leak", action="store_true",
                    help="export session randomness for the attack command")
-    p.add_argument("--real-clock", action="store_true")
     p.set_defaults(func=_cmd_login_run)
 
     p = sub.add_parser("attack", help="offline dictionary attack")
-    scheme_option(p)
     p.add_argument("--card", required=True, help="captured card file")
     p.add_argument("--transcript", required=True, help="captured transcript")
     p.add_argument("--template", help="victim's biometric template")
@@ -346,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_attack)
 
     p = sub.add_parser("cost-report", help="measured vs nominal costs")
+    scheme_option(p)
     common(p)
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=_cmd_cost_report)

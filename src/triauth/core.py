@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -203,16 +202,6 @@ class SimClock:
         self._now += ms
 
 
-class RealClock:
-    """Wall clock, CLI demo path only — never used by tests or scenarios."""
-
-    def now(self) -> int:
-        return int(time.time() * 1000)
-
-    def advance(self, ms: int) -> None:  # pragma: no cover - demo convenience
-        time.sleep(ms / 1000.0)
-
-
 # ---------------------------------------------------------------------------
 # Cost ledger
 # ---------------------------------------------------------------------------
@@ -397,12 +386,13 @@ class GroupParams:
         """Build params from user-supplied values.
 
         Verifies that p is a 128-bit-or-smaller safe prime and that g
-        generates a subgroup of order > 2**64.  Pass
-        ``trust_unchecked=True`` to skip the (documented) check — the
-        caller then owns the consequences.
+        generates a subgroup of order > 2**64 (the default group was
+        verified once, at import).  Pass ``trust_unchecked=True`` to
+        skip the (documented) check — the caller then owns the
+        consequences.
         """
         params = cls(p, g)
-        if not trust_unchecked:
+        if not trust_unchecked and params != _DEFAULT_GROUP:
             params.verify()
         return params
 
@@ -541,8 +531,6 @@ class ProtocolConfig:
     seed: int = 1
 
     def group(self) -> GroupParams:
-        if self.p == DEFAULT_P and self.g == DEFAULT_G:
-            return GroupParams.default()
         return GroupParams.from_values(self.p, self.g)
 
 
@@ -557,14 +545,14 @@ class Env:
     params: GroupParams
     hasher: HashEngine
     ledger: CostLedger
-    clock: SimClock | RealClock
+    clock: SimClock
     delta_t_ms: int = DEFAULT_DELTA_T_MS
 
     @classmethod
     def from_config(
         cls,
         config: ProtocolConfig | None = None,
-        clock: SimClock | RealClock | None = None,
+        clock: SimClock | None = None,
     ) -> "Env":
         config = config or ProtocolConfig()
         ledger = CostLedger()

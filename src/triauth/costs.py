@@ -45,7 +45,7 @@ def run_instrumented_session(
     card = mod.register(
         env, server, user_id, "probe-password", template, rng, exchange_ms=10
     )
-    env.ledger.record_storage("card", card.STORAGE_UNITS)
+    env.ledger.record_storage("card", len(card.FIELD_NAMES))
 
     env.clock.advance(60_000)
     noisy = perturb_within_tolerance(template, rng, 16)

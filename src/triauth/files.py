@@ -11,25 +11,25 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from . import baseline, improved
 from .core import (
     Field128,
-    GroupParams,
     ProtocolConfig,
     ServerSecret,
     decode_text,
     encode_text,
 )
-from .channel import Transcript, TranscriptEntry
-from .fuzzy import HelperData
+from .channel import SERVER_TO_USER, USER_TO_SERVER, Transcript, TranscriptEntry
+from .fuzzy import BiometricTemplate, HelperData
+from .session import card_fields, card_from_fields, scheme_module, scheme_of
 
 CARD_MAGIC = "triauth-card v1"
 SERVER_MAGIC = "triauth-server v1"
 TRANSCRIPT_MAGIC = b"TRIAUTH\x01"
+
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 class FileFormatError(ValueError):
@@ -41,180 +41,171 @@ def _fail(path, lineno: int, why: str) -> "FileFormatError":
 
 
 # ---------------------------------------------------------------------------
-# Line-oriented "key: value" scaffolding
+# Line-oriented scaffolding and strict value parsers
 # ---------------------------------------------------------------------------
 
-def _read_tagged_lines(path) -> list[tuple[int, str, str]]:
-    """All "key: value" lines as (lineno, key, value), comments skipped."""
-    out = []
-    for lineno, raw in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
+def _read_lines(path) -> list[str]:
+    """The file's lines of UTF-8 text."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise _fail(path, raw.count(b"\n", 0, exc.start) + 1, "not valid UTF-8") from None
+
+
+def _write_lines(path, lines: list[str]) -> None:
+    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+
+
+def _read_tagged(path, magic: str, header_keys: tuple[str, ...]):
+    """Check the magic line; return the header {key: (lineno, value)},
+    each of `header_keys` once, and the other "key: value" lines as
+    (lineno, key, value) in file order."""
+    lines = _read_lines(path)
+    if not lines or lines[0].strip() != magic:
+        raise _fail(path, 1, "bad magic, expected %r" % magic)
+    header: dict[str, tuple[int, str]] = {}
+    body: list[tuple[int, str, str]] = []
+    for lineno, raw in enumerate(lines[1:], 2):
         line = raw.strip()
         if not line or line.startswith("#"):
-            continue
-        if lineno == 1:
-            out.append((1, "", line))  # magic line has no key
             continue
         if ":" not in line:
             raise _fail(path, lineno, "expected 'key: value'")
         key, _, value = line.partition(":")
-        out.append((lineno, key.strip(), value.strip()))
-    return out
+        key, value = key.strip(), value.strip()
+        if key not in header_keys:
+            body.append((lineno, key, value))
+        elif key in header:
+            raise _fail(path, lineno, "duplicate header line %r" % key)
+        else:
+            header[key] = (lineno, value)
+    for need in header_keys:
+        if need not in header:
+            raise _fail(path, 1, "missing header line %r" % need)
+    return header, body
 
 
-def _parse_hex_field(path, lineno: int, name: str, value: str) -> Field128:
-    try:
-        raw = bytes.fromhex(value)
-    except ValueError:
-        raise _fail(path, lineno, "field %s is not valid hex" % name) from None
+def _parse_int(path, lineno: int, value: str, name: str) -> int:
+    """A non-negative decimal integer: ASCII digits only."""
+    if not (value.isascii() and value.isdigit()):
+        raise _fail(path, lineno, "%s must be a non-negative integer, got %r"
+                    % (name, value))
+    return int(value)
+
+
+def _parse_hex(path, lineno: int, value: str, name: str) -> bytes:
+    if len(value) % 2 or not _HEX_DIGITS.issuperset(value):
+        raise _fail(path, lineno, "field %s is not valid hex" % name)
+    return bytes.fromhex(value)
+
+
+def _parse_hex_field(path, lineno: int, value: str, name: str) -> Field128:
+    raw = _parse_hex(path, lineno, value, name)
     if len(raw) != 16:
         raise _fail(path, lineno, "field %s must be 16 bytes, got %d" % (name, len(raw)))
     return Field128(raw)
+
+
+def _checked(path, lineno: int, fn, *args):
+    """fn(*args), a ValueError from it reported at `lineno` of `path`."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise _fail(path, lineno, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
 # Smart card files
 # ---------------------------------------------------------------------------
 
+_CARD_HEADER = ("scheme", "hash", "helper_bits", "fields")
+
+
+def _card_field_hex(name: str, value) -> str:
+    if name == "h":
+        return encode_text(value).hex()
+    if name in ("p", "g"):
+        return Field128.from_int(value).hex()
+    if name == "P_i":
+        return value.offset.hex()
+    return value.hex()
+
+
+def _card_field_value(path, lineno: int, value: str, name: str, helper_bits: int):
+    if name == "P_i":
+        raw = _parse_hex(path, lineno, value, name)
+        if len(raw) * 8 != helper_bits:
+            raise _fail(path, lineno, "helper length does not match helper_bits")
+        return HelperData(raw, helper_bits)
+    word = _parse_hex_field(path, lineno, value, name)
+    if name in ("p", "g"):
+        return word.to_int()
+    if name == "h":
+        return _checked(path, lineno, decode_text, word)
+    return word
+
+
 def save_card(card, path) -> None:
     """Write a card file: versioned header, then fixed-order hex fields."""
-    lines = [CARD_MAGIC]
-    if isinstance(card, baseline.BaselineCard):
-        scheme = baseline.SCHEME
-        fields = [
-            ("e", card.e.hex()),
-            ("h", encode_text(card.hash_name).hex()),
-            ("p", Field128.from_int(card.params.p).hex()),
-            ("g", Field128.from_int(card.params.g).hex()),
-            ("Y", card.y.hex()),
-            ("P_i", card.helper.offset.hex()),
-            ("L", card.l.hex()),
-            ("V", card.v.hex()),
-        ]
-    elif isinstance(card, improved.ImprovedCard):
-        scheme = improved.SCHEME
-        fields = [
-            ("e", card.e.hex()),
-            ("p", Field128.from_int(card.params.p).hex()),
-            ("g", Field128.from_int(card.params.g).hex()),
-            ("Y", card.y.hex()),
-            ("P_i", card.helper.offset.hex()),
-            ("L", card.l.hex()),
-            ("V", card.v.hex()),
-            ("M", card.m.hex()),
-            ("Nmask", card.nmask.hex()),
-            ("T12", card.t12.hex()),
-        ]
-    else:
-        raise TypeError("not a card: %r" % (card,))
-    lines.append("scheme: %s" % scheme)
-    lines.append("hash: %s" % card.hash_name)
-    lines.append("helper_bits: %d" % card.helper.nbits)
-    lines.append("fields: %d" % len(fields))
-    lines.extend("%s: %s" % pair for pair in fields)
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+    fields = card_fields(card)
+    lines = [
+        CARD_MAGIC,
+        "scheme: %s" % scheme_of(card),
+        "hash: %s" % card.hash_name,
+        "helper_bits: %d" % card.helper.nbits,
+        "fields: %d" % len(fields),
+    ]
+    lines.extend(
+        "%s: %s" % (name, _card_field_hex(name, value)) for name, value in fields.items()
+    )
+    _write_lines(path, lines)
 
 
 def load_card(path):
-    """Parse a card file back into a BaselineCard or ImprovedCard."""
-    tagged = _read_tagged_lines(path)
-    if not tagged or tagged[0][2] != CARD_MAGIC:
-        raise _fail(path, 1, "bad magic, expected %r" % CARD_MAGIC)
-    header: dict[str, str] = {}
-    fields: dict[str, tuple[int, str]] = {}
-    order: list[str] = []
-    for lineno, key, value in tagged[1:]:
-        if key in ("scheme", "hash", "helper_bits", "fields"):
-            header[key] = value
-        else:
-            if key in fields:
-                raise _fail(path, lineno, "duplicate field %s" % key)
-            fields[key] = (lineno, value)
-            order.append(key)
-
-    for need in ("scheme", "hash", "helper_bits", "fields"):
-        if need not in header:
-            raise _fail(path, 1, "missing header line %r" % need)
-    scheme = header["scheme"]
-    expected_order = {
-        baseline.SCHEME: list(baseline.BaselineCard.FIELD_NAMES),
-        improved.SCHEME: list(improved.ImprovedCard.FIELD_NAMES),
-    }.get(scheme)
-    if expected_order is None:
-        raise _fail(path, 2, "unknown scheme %r" % scheme)
-    if int(header["fields"]) != len(expected_order):
-        raise _fail(path, 1, "field count %s, expected %d" % (header["fields"], len(expected_order)))
-    if order != expected_order:
-        raise _fail(path, 1, "fields out of order: %s" % ", ".join(order))
-
-    def word(name: str) -> Field128:
-        lineno, value = fields[name]
-        return _parse_hex_field(path, lineno, name, value)
-
-    helper_bits = int(header["helper_bits"])
-    lineno, helper_hex = fields["P_i"]
-    try:
-        helper_raw = bytes.fromhex(helper_hex)
-    except ValueError:
-        raise _fail(path, lineno, "field P_i is not valid hex") from None
-    if len(helper_raw) != helper_bits // 8:
-        raise _fail(path, lineno, "helper length does not match helper_bits")
-    helper = HelperData(helper_raw, helper_bits)
-    params = GroupParams.from_values(word("p").to_int(), word("g").to_int())
-
-    if scheme == baseline.SCHEME:
-        stored_hash = decode_text(word("h"))
-        if stored_hash != header["hash"]:
-            raise _fail(path, fields["h"][0], "h field disagrees with header hash")
-        return baseline.BaselineCard(
-            e=word("e"),
-            hash_name=header["hash"],
-            params=params,
-            y=word("Y"),
-            helper=helper,
-            l=word("L"),
-            v=word("V"),
-        )
-    return improved.ImprovedCard(
-        e=word("e"),
-        hash_name=header["hash"],
-        params=params,
-        y=word("Y"),
-        helper=helper,
-        l=word("L"),
-        v=word("V"),
-        m=word("M"),
-        nmask=word("Nmask"),
-        t12=word("T12"),
-    )
+    """Parse a card file back into its scheme's card."""
+    header, body = _read_tagged(path, CARD_MAGIC, _CARD_HEADER)
+    lineno, scheme = header["scheme"]
+    expected_order = list(_checked(path, lineno, scheme_module, scheme).Card.FIELD_NAMES)
+    count = _parse_int(path, *header["fields"], "fields")
+    if count != len(expected_order):
+        raise _fail(path, 1, "field count %d, expected %d" % (count, len(expected_order)))
+    helper_bits = _parse_int(path, *header["helper_bits"], "helper_bits")
+    hash_name = header["hash"][1]
+    fields = {"h": hash_name}
+    lines: dict[str, int] = {}
+    for lineno, key, value in body:
+        if key in lines:
+            raise _fail(path, lineno, "duplicate field %s" % key)
+        lines[key] = lineno
+        fields[key] = _card_field_value(path, lineno, value, key, helper_bits)
+    if list(lines) != expected_order:
+        raise _fail(path, 1, "fields out of order: %s" % ", ".join(lines))
+    if fields["h"] != hash_name:
+        raise _fail(path, lines["h"], "h field disagrees with header hash")
+    return _checked(path, lines["p"], card_from_fields, scheme, fields)
 
 
 # ---------------------------------------------------------------------------
 # Server state files
 # ---------------------------------------------------------------------------
 
+_SERVER_HEADER = ("scheme", "hash", "p", "g", "X")
+
+
 def save_server(server, path) -> None:
-    if isinstance(server, baseline.BaselineServer):
-        scheme = baseline.SCHEME
-        records = ["record: %s" % uid.hex() for uid in sorted(server.registered)]
-    elif isinstance(server, improved.ImprovedServer):
-        scheme = improved.SCHEME
-        records = [
-            "record: %s %d %d" % (rec.user_id.hex(), rec.t1_ms, rec.t2_ms)
-            for rec in server.records
-        ]
-    else:
-        raise TypeError("not a server: %r" % (server,))
     env = server.env
     lines = [
         SERVER_MAGIC,
-        "scheme: %s" % scheme,
+        "scheme: %s" % scheme_of(server),
         "hash: %s" % env.hasher.name,
         "p: %s" % Field128.from_int(env.params.p).hex(),
         "g: %s" % Field128.from_int(env.params.g).hex(),
         "X: %s" % Field128.from_int(server.secret.x).hex(),
     ]
-    lines.extend(records)
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+    for uid, *ints in server.state_records():
+        lines.append(" ".join(["record:", uid.hex(), *map(str, ints)]))
+    _write_lines(path, lines)
 
 
 def load_server(path, env):
@@ -223,49 +214,35 @@ def load_server(path, env):
     Y is recomputed from X, never read from disk; the env must use the
     same group the file declares.
     """
-    tagged = _read_tagged_lines(path)
-    if not tagged or tagged[0][2] != SERVER_MAGIC:
-        raise _fail(path, 1, "bad magic, expected %r" % SERVER_MAGIC)
-    header: dict[str, str] = {}
-    records: list[tuple[int, str]] = []
-    for lineno, key, value in tagged[1:]:
-        if key == "record":
-            records.append((lineno, value))
-        else:
-            header[key] = value
-    for need in ("scheme", "hash", "p", "g", "X"):
-        if need not in header:
-            raise _fail(path, 1, "missing header line %r" % need)
-    p = int(header["p"], 16)
-    g = int(header["g"], 16)
+    header, body = _read_tagged(path, SERVER_MAGIC, _SERVER_HEADER)
+    lineno, scheme = header["scheme"]
+    server_class = _checked(path, lineno, scheme_module, scheme).Server
+    p, g, x = (
+        _parse_hex_field(path, *header[name], name).to_int() for name in ("p", "g", "X")
+    )
     if (p, g) != (env.params.p, env.params.g):
         raise FileFormatError("%s: group parameters disagree with the config" % path)
-    if header["hash"] != env.hasher.name:
+    if header["hash"][1] != env.hasher.name:
         raise FileFormatError("%s: hash function disagrees with the config" % path)
-    secret = ServerSecret.from_x(env.params, int(header["X"], 16))
-
-    if header["scheme"] == baseline.SCHEME:
-        server = baseline.BaselineServer(env, secret=secret)
-        for lineno, value in records:
-            server.registered.add(_parse_hex_field(path, lineno, "record", value))
-        return server
-    if header["scheme"] == improved.SCHEME:
-        server = improved.ImprovedServer(env, secret=secret)
-        for lineno, value in records:
-            parts = value.split()
-            if len(parts) != 3:
-                raise _fail(path, lineno, "record needs 'id t1 t2'")
-            uid = _parse_hex_field(path, lineno, "record", parts[0])
-            server.records.append(
-                improved.ServerRecord(uid, int(parts[1]), int(parts[2]))
-            )
-        return server
-    raise _fail(path, 2, "unknown scheme %r" % header["scheme"])
+    secret = _checked(path, header["X"][0], ServerSecret.from_x, env.params, x)
+    server = server_class(env, secret=secret)
+    for lineno, key, value in body:
+        if key != "record":
+            raise _fail(path, lineno, "unknown line %r" % key)
+        uid, _, times = value.partition(" ")
+        uid = _parse_hex_field(path, lineno, uid, "record")
+        ints = [_parse_int(path, lineno, t, "record time") for t in times.split()]
+        _checked(path, lineno, server.restore_record, uid, *ints)
+    return server
 
 
 # ---------------------------------------------------------------------------
 # Transcript files (binary, length-prefixed)
 # ---------------------------------------------------------------------------
+
+# A transcript entry's direction byte indexes this tuple.
+_DIRECTIONS = (USER_TO_SERVER, SERVER_TO_USER)
+
 
 def transcript_bytes(transcript: Transcript) -> bytes:
     out = bytearray(TRANSCRIPT_MAGIC)
@@ -280,7 +257,7 @@ def transcript_bytes(transcript: Transcript) -> bytes:
     out += struct.pack(">I", len(transcript.entries))
     for entry in transcript.entries:
         label = entry.label.encode("utf-8")
-        direction = 0 if entry.direction == "user->server" else 1
+        direction = _DIRECTIONS.index(entry.direction)
         out += struct.pack(">BB", direction, len(label)) + label
         out += struct.pack(">QI", entry.captured_at, len(entry.data))
         out += entry.data
@@ -306,18 +283,33 @@ def load_transcript(path) -> Transcript:
         pos += n
         return chunk
 
+    def text(n: int) -> str:
+        start = pos
+        try:
+            return bytes(take(n)).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FileFormatError(
+                "%s: text at byte %d is not valid UTF-8" % (path, start)
+            ) from None
+
     (sid_len,) = struct.unpack(">H", take(2))
-    session_id = bytes(take(sid_len)).decode("utf-8")
+    session_id = text(sid_len)
     has_seed, seed = struct.unpack(">BQ", take(9))
+    if has_seed > 1 or not has_seed and seed:
+        raise FileFormatError("%s: seed flag %d with seed %d" % (path, has_seed, seed))
     (count,) = struct.unpack(">I", take(4))
     entries = []
     for _ in range(count):
         direction_code, label_len = struct.unpack(">BB", take(2))
-        label = bytes(take(label_len)).decode("utf-8")
+        if direction_code >= len(_DIRECTIONS):
+            raise FileFormatError("%s: direction %d at byte %d, expected 0 or 1"
+                                  % (path, direction_code, pos - 2))
+        label = text(label_len)
         captured_at, data_len = struct.unpack(">QI", take(12))
         data = bytes(take(data_len))
-        direction = "user->server" if direction_code == 0 else "server->user"
-        entries.append(TranscriptEntry(direction, label, data, captured_at))
+        entries.append(
+            TranscriptEntry(_DIRECTIONS[direction_code], label, data, captured_at)
+        )
     if pos != len(view):
         raise FileFormatError("%s: %d trailing bytes" % (path, len(view) - pos))
     return Transcript(session_id, seed if has_seed else None, entries)
@@ -334,23 +326,18 @@ def save_template(template, path) -> None:
 
 
 def load_template(path):
-    from .fuzzy import BiometricTemplate
-
-    line = Path(path).read_text("utf-8").strip()
-    parts = line.split()
+    parts = " ".join(_read_lines(path)).split()
     if len(parts) != 2:
-        raise FileFormatError("%s: expected '<bits> <hex>'" % path)
-    try:
-        nbits, raw = int(parts[0]), bytes.fromhex(parts[1])
-    except ValueError:
-        raise FileFormatError("%s: template is not valid hex" % path) from None
-    return BiometricTemplate(raw, nbits)
+        raise _fail(path, 1, "expected '<bits> <hex>'")
+    nbits = _parse_int(path, 1, parts[0], "bit count")
+    raw = _parse_hex(path, 1, parts[1], "template")
+    return _checked(path, 1, BiometricTemplate, raw, nbits)
 
 
 def load_dictionary(path) -> list[str]:
     """Candidate passwords, one per line, order preserved."""
     words = []
-    for raw in Path(path).read_text("utf-8").splitlines():
+    for raw in _read_lines(path):
         word = raw.strip()
         if word:
             words.append(word)
@@ -366,7 +353,8 @@ def save_dictionary(words: list[str], path) -> None:
 def load_config(path) -> ProtocolConfig:
     """"key = value" lines; unknown keys are an error, not a surprise."""
     config = ProtocolConfig()
-    for lineno, raw in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
+    seen = set()
+    for lineno, raw in enumerate(_read_lines(path), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -374,18 +362,17 @@ def load_config(path) -> ProtocolConfig:
             raise _fail(path, lineno, "expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in seen:
+            raise _fail(path, lineno, "duplicate config key %r" % key)
+        seen.add(key)
         if key == "p":
+            if not value or not _HEX_DIGITS.issuperset(value):
+                raise _fail(path, lineno, "p must be hex, got %r" % value)
             config.p = int(value, 16)
-        elif key == "g":
-            config.g = int(value)
         elif key == "hash":
             config.hash_name = value
-        elif key == "delta_t_ms":
-            config.delta_t_ms = int(value)
-        elif key == "template_bits":
-            config.template_bits = int(value)
-        elif key == "seed":
-            config.seed = int(value)
+        elif key in ("g", "delta_t_ms", "template_bits", "seed"):
+            setattr(config, key, _parse_int(path, lineno, value, key))
         else:
             raise _fail(path, lineno, "unknown config key %r" % key)
     return config
@@ -407,22 +394,17 @@ def save_config(config: ProtocolConfig, path) -> None:
 def load_golden_vectors(path=None) -> list[tuple[list[bytes], bytes]]:
     """The frozen hash vectors; defaults to the copy shipped in-package."""
     if path is None:
-        text = (
-            resources.files("triauth").joinpath("data/golden-hashes.txt").read_text("utf-8")
-        )
-        path = "<packaged golden-hashes.txt>"
-    else:
-        text = Path(path).read_text("utf-8")
+        path = resources.files("triauth") / "data" / "golden-hashes.txt"
     vectors = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(_read_lines(path), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "->" not in line:
             raise _fail(path, lineno, "expected 'blocks -> digest'")
         left, _, right = line.partition("->")
-        blocks = [bytes.fromhex(tok) for tok in left.split()]
-        vectors.append((blocks, bytes.fromhex(right.strip())))
+        blocks = [_parse_hex(path, lineno, tok, "block") for tok in left.split()]
+        vectors.append((blocks, _parse_hex(path, lineno, right.strip(), "digest")))
     if not vectors:
         raise FileFormatError("%s: no vectors" % path)
     return vectors
@@ -448,4 +430,15 @@ def save_leak(leak: dict, path) -> None:
 
 
 def load_leak(path) -> dict:
-    return json.loads(Path(path).read_text("utf-8"))
+    """A leak file: a JSON object with non-negative integers r_u and r_s."""
+    try:
+        leak = json.loads(Path(path).read_text("utf-8"))
+    except ValueError as exc:
+        raise FileFormatError("%s: not a JSON leak file (%s)" % (path, exc)) from None
+    if not isinstance(leak, dict) or not all(
+        type(leak.get(name)) is int and leak[name] >= 0 for name in ("r_u", "r_s")
+    ):
+        raise FileFormatError(
+            "%s: a leak must be an object with non-negative integers r_u and r_s" % path
+        )
+    return leak

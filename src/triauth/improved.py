@@ -44,11 +44,6 @@ User finish (no freshness check is defined at this step):
   T4 = P xor h(T1 || ID || T3), T5 = Q2 xor h(T2 || ID || T3),
   A4 = A44 xor T3 xor T4, A5 = A4^r_u, A55 = A5 xor T3 xor T5,
   recompute SK and verify Cs.
-
-`login` and `respond` accept an optional `trace` list; when given,
-every computed value is appended as (name, ingredient-names) so
-tests can walk the construction dataflow.  Production paths pass
-nothing.
 """
 
 from __future__ import annotations
@@ -78,12 +73,21 @@ SCHEME = "improved"
 LOGIN_WIRE = ("NID", "A11", "C_i", "Q")
 REPLY_WIRE = ("Cs", "A44", "P", "Q2")
 
-Trace = list  # list[tuple[str, tuple[str, ...]]]
-
-
-def _note(trace: Trace | None, name: str, *ingredients: str) -> None:
-    if trace is not None:
-        trace.append((name, ingredients))
+# Each value `login` and `respond` mask or key -> the values it combines,
+# so tests can walk the construction dataflow.
+CONSTRUCTION = {
+    "A11": ("A1", "T2", "T3"),
+    "A22": ("A2", "T3"),
+    "NID": ("ID", "A22", "T1", "T3", "T2"),
+    "C_i": ("ID", "H", "A22", "A11", "T1", "T3", "T2"),
+    "Q": ("T3", "T1"),
+    "A44": ("A4", "T3", "T4"),
+    "A55": ("A5", "T3", "T5"),
+    "SK": ("ID", "A22", "A55", "H", "T1", "T3", "T5"),
+    "Cs": ("ID", "SK", "H", "T2", "T4"),
+    "P": ("T1", "ID", "T3", "T4"),
+    "Q2": ("T2", "ID", "T3", "T5"),
+}
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,6 @@ class ImprovedCard:
     nmask: Field128
     t12: Field128
 
-    STORAGE_UNITS = 10
     FIELD_NAMES = ("e", "p", "g", "Y", "P_i", "L", "V", "M", "Nmask", "T12")
 
 
@@ -183,12 +186,18 @@ class ImprovedServer:
         self.records.append(ServerRecord(user_id, t1_ms, t2_ms))
         return h_val ^ w
 
+    def state_records(self) -> list[tuple]:
+        """The state file's records, one (ID, T1, T2) per user, in order."""
+        return [(rec.user_id, rec.t1_ms, rec.t2_ms) for rec in self.records]
+
+    def restore_record(self, user_id: Field128, *ints: int) -> None:
+        """Re-enroll a user from one of `state_records`' records."""
+        if len(ints) != 2:
+            raise ValueError("record needs 'id t1 t2'")
+        self.records.append(ServerRecord(user_id, *ints))
+
     def respond(
-        self,
-        msg: LoginMessage,
-        r_s: int,
-        trace: Trace | None = None,
-        processing_ms: int = 0,
+        self, msg: LoginMessage, r_s: int, processing_ms: int = 0
     ) -> tuple[ReplyMessage, Field128]:
         env = self.env
         t4_ms = env.clock.now()
@@ -243,13 +252,6 @@ class ImprovedServer:
         cs = env.h(user_id, sk, h_val, t2, t4)
         p_mask = env.h(t1, user_id, t3) ^ t4
         q2 = env.h(t2, user_id, t3) ^ t5
-
-        _note(trace, "A44", "A4", "T3", "T4")
-        _note(trace, "A55", "A5", "T3", "T5")
-        _note(trace, "SK", "ID", "A22", "A55", "H", "T1", "T3", "T5")
-        _note(trace, "Cs", "ID", "SK", "H", "T2", "T4")
-        _note(trace, "P", "T1", "ID", "T3", "T4")
-        _note(trace, "Q2", "T2", "ID", "T3", "T5")
         return ReplyMessage(cs, a44, p_mask, q2), sk
 
 
@@ -308,7 +310,6 @@ def login(
     password: str,
     template: BiometricTemplate,
     r_u: int,
-    trace: Trace | None = None,
 ) -> tuple[LoginMessage, PendingLogin]:
     """Card-side login: unmask T2, T1, N; verify V; mask the wire."""
     if card.hash_name != env.hasher.name:
@@ -330,13 +331,6 @@ def login(
     nid = user_id ^ a22 ^ env.h(t1, t3, t2)
     c_i = env.h(user_id, h_val, a22, a11, t1, t3, t2)
     q = t3 ^ env.h(t1)
-
-    _note(trace, "A11", "A1", "T2", "T3")
-    _note(trace, "A22", "A2", "T3")
-    _note(trace, "NID", "ID", "A22", "T1", "T3", "T2")
-    _note(trace, "C_i", "ID", "H", "A22", "A11", "T1", "T3", "T2")
-    _note(trace, "Q", "T3", "T1")
-
     msg = LoginMessage(nid, a11, c_i, q)
     pending = PendingLogin(
         user_id=user_id, h=h_val, a22=a22, r_u=r_u, t1=t1, t2=t2, t3=t3

@@ -227,11 +227,10 @@ class _Runner:
         except LookupError:
             return {"ok": False, "session": session.session_id,
                     "error": "nothing in flight"}
-        except (ProtocolError, ValueError) as exc:
-            code = getattr(exc, "code", "malformed")
-            session.error = code
+        except ProtocolError as exc:
+            session.error = exc.code
             session.handshake.channel.terminate(SERVER_TO_USER)
-            return {"ok": False, "session": session.session_id, "error": code}
+            return {"ok": False, "session": session.session_id, "error": exc.code}
         return {"ok": True, "session": session.session_id}
 
     def _op_finish(self, step) -> dict:
@@ -242,11 +241,10 @@ class _Runner:
             # nothing arrived, so the session secrets are still unused
             return {"ok": False, "session": session.session_id,
                     "error": "no reply: session terminated"}
-        except (ProtocolError, ValueError) as exc:
-            code = getattr(exc, "code", "malformed")
-            session.error = code
+        except ProtocolError as exc:
+            session.error = exc.code
             session.pending = None  # session secrets destroyed either way
-            return {"ok": False, "session": session.session_id, "error": code}
+            return {"ok": False, "session": session.session_id, "error": exc.code}
         session.pending = None
         match = (
             session.sk_server is not None and session.sk_user == session.sk_server

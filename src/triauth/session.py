@@ -2,26 +2,55 @@
 
 Each scheme module provides ``SCHEME``, ``LOGIN_WIRE``/``REPLY_WIRE``,
 ``LoginMessage``/``ReplyMessage``, ``Card``, ``Server``, ``register``,
-``login`` and ``finish``.
+``login`` and ``finish``.  A ``Card`` lists its stored fields in
+``FIELD_NAMES``; a ``Server`` saves and restores its per-user state
+through ``state_records``/``restore_record``.
 """
 
 from __future__ import annotations
 
 from . import baseline, improved
 from .channel import SERVER_TO_USER, USER_TO_SERVER, SimChannel
-from .core import Env, Field128, WireMessage
+from .core import Env, Field128, GroupParams, WireMessage
 
 SCHEMES = {m.SCHEME: m for m in (baseline, improved)}
 
 
 def scheme_module(name: str):
     """The module of scheme `name`; ValueError for an unknown name."""
-    try:
-        return SCHEMES[name]
-    except KeyError:
-        raise ValueError(
-            "unknown scheme %r: expected %s" % (name, " or ".join(SCHEMES))
-        ) from None
+    if name not in SCHEMES:
+        raise ValueError("unknown scheme %r: expected %s" % (name, " or ".join(SCHEMES)))
+    return SCHEMES[name]
+
+
+def scheme_of(card_or_server) -> str:
+    """The scheme name of a card or server instance."""
+    for name, mod in SCHEMES.items():
+        if isinstance(card_or_server, (mod.Card, mod.Server)):
+            return name
+    raise TypeError("not a card or server: %r" % (card_or_server,))
+
+
+def card_fields(card) -> dict:
+    """The card's fields as {name: value}, in ``Card.FIELD_NAMES`` order:
+    ``h`` is the hash name, ``p`` and ``g`` the group's ints, ``P_i``
+    the HelperData, and any other name the attribute ``name.lower()``."""
+    derived = {"h": card.hash_name, "p": card.params.p, "g": card.params.g,
+               "P_i": card.helper}
+    return {
+        name: derived[name] if name in derived else getattr(card, name.lower())
+        for name in card.FIELD_NAMES
+    }
+
+
+def card_from_fields(scheme: str, fields):
+    """The inverse of `card_fields`, the group verified; `fields` must
+    also carry ``h`` where the scheme's card does not store it."""
+    card = scheme_module(scheme).Card
+    plain = {name.lower(): fields[name] for name in card.FIELD_NAMES
+             if name not in ("h", "p", "g", "P_i")}
+    params = GroupParams.from_values(fields["p"], fields["g"])
+    return card(hash_name=fields["h"], params=params, helper=fields["P_i"], **plain)
 
 
 class Handshake:

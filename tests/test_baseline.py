@@ -184,9 +184,7 @@ def test_single_bit_tamper_on_each_login_field_is_rejected():
         raw = bytearray(msg.encode())
         raw[offset] ^= 0x01
         tampered = baseline.LoginMessage.decode(bytes(raw))
-        # a flipped group element may also unmask outside (0, p): that
-        # surfaces as ValueError and is a rejection all the same
-        with pytest.raises((AuthFailure, UnknownUser, FreshnessFailure, ValueError)):
+        with pytest.raises((AuthFailure, UnknownUser, FreshnessFailure)):
             enr.server.respond(tampered, enr.rng.exponent(enr.env.params))
         enr.env.clock.advance(100)
 
@@ -204,8 +202,34 @@ def test_single_bit_tamper_on_each_reply_field_is_rejected():
         raw = bytearray(reply.encode())
         raw[offset] ^= 0x01
         tampered = baseline.ReplyMessage.decode(bytes(raw))
-        with pytest.raises((AuthFailure, FreshnessFailure, ValueError)):
+        with pytest.raises((AuthFailure, FreshnessFailure)):
             baseline.finish(enr.env, pending, tampered)
+
+
+@pytest.mark.parametrize("bad", ["zero", "p"])
+def test_group_elements_outside_the_group_are_auth_failures(bad):
+    """A1 or A4 outside (0, p) is rejected as AuthFailure before any
+    exponentiation is counted."""
+    enr = enroll("baseline")
+    value = Field128.from_int(0 if bad == "zero" else enr.env.params.p)
+    enr.env.clock.advance(1000)
+    reading = perturb_within_tolerance(enr.template, enr.rng, 8)
+    msg, pending = baseline.login(
+        enr.env, enr.card, enr.user_id, enr.password, reading,
+        enr.rng.exponent(enr.env.params),
+    )
+    modexps = enr.env.ledger.modexp_total()
+    with pytest.raises(AuthFailure, match="A1 is not a group element"):
+        enr.server.respond(
+            dataclasses.replace(msg, a1=value), enr.rng.exponent(enr.env.params)
+        )
+    assert enr.env.ledger.modexp_total() == modexps
+
+    reply, _ = enr.server.respond(msg, enr.rng.exponent(enr.env.params))
+    modexps = enr.env.ledger.modexp_total()
+    with pytest.raises(AuthFailure, match="A4 is not a group element"):
+        baseline.finish(enr.env, pending, dataclasses.replace(reply, a4=value))
+    assert enr.env.ledger.modexp_total() == modexps
 
 
 def test_stale_reply_is_rejected_by_the_user():

@@ -33,10 +33,10 @@ def register(tmp_path, scheme, user="alice", password="hunter-glacier", seed=7):
     return paths
 
 
-def login(tmp_path, scheme, paths, user="alice", password="hunter-glacier",
+def login(tmp_path, paths, user="alice", password="hunter-glacier",
           seed=7, extra=()):
     return run_cli(
-        "login-run", "--scheme", scheme, "--seed", seed,
+        "login-run", "--seed", seed,
         "--id", user, "--password", password,
         "--card", paths["card"], "--template", paths["template"],
         "--server-state", paths["server"], *extra,
@@ -100,7 +100,7 @@ def test_register_rejects_an_overlong_identity(tmp_path, capsys):
 @pytest.mark.parametrize("scheme", ["baseline", "improved"])
 def test_full_login_run_succeeds(tmp_path, capsys, scheme):
     paths = register(tmp_path, scheme)
-    assert login(tmp_path, scheme, paths) == 0
+    assert login(tmp_path, paths) == 0
     out = capsys.readouterr().out
     assert "keys match: yes" in out
     assert "session key (user)" in out
@@ -110,14 +110,41 @@ def test_second_user_shares_the_server_state(tmp_path, capsys):
     paths = register(tmp_path, "improved")
     bob = register(tmp_path, "improved", user="bob", password="other-pw", seed=9)
     assert bob["server"] == paths["server"]
-    assert login(tmp_path, "improved", bob, user="bob",
+    assert login(tmp_path, bob, user="bob",
                  password="other-pw", seed=9) == 0
     assert "keys match: yes" in capsys.readouterr().out
 
 
+def test_register_refuses_server_state_of_another_scheme(tmp_path, capsys):
+    paths = register(tmp_path, "baseline")
+    before = paths["server"].read_bytes()
+    code = run_cli(
+        "register", "--scheme", "improved", "--seed", "8",
+        "--id", "bob", "--password", "other-pw",
+        "--card-out", tmp_path / "bob.card",
+        "--server-state", paths["server"],
+    )
+    assert code == 2
+    assert "holds baseline server state" in capsys.readouterr().err
+    assert paths["server"].read_bytes() == before
+    assert not (tmp_path / "bob.card").exists()
+
+
+def test_login_run_refuses_a_card_and_state_of_different_schemes(tmp_path, capsys):
+    for scheme in ("baseline", "improved"):
+        (tmp_path / scheme).mkdir()
+    alice = register(tmp_path / "baseline", "baseline")
+    improved = register(tmp_path / "improved", "improved")
+    code = login(tmp_path, {**alice, "server": improved["server"]})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "is a baseline card;" in err
+    assert "holds improved server state" in err
+
+
 def test_wrong_password_exits_with_the_auth_code(tmp_path, capsys):
     paths = register(tmp_path, "baseline")
-    code = login(tmp_path, "baseline", paths, password="not-it")
+    code = login(tmp_path, paths, password="not-it")
     assert code == 4
     out = capsys.readouterr().out
     assert "session rejected locally" in out
@@ -127,14 +154,14 @@ def test_wrong_password_exits_with_the_auth_code(tmp_path, capsys):
 
 def test_excessive_latency_exits_with_the_freshness_code(tmp_path, capsys):
     paths = register(tmp_path, "baseline")
-    code = login(tmp_path, "baseline", paths, extra=("--latency", "5000"))
+    code = login(tmp_path, paths, extra=("--latency", "5000"))
     assert code == 3
     assert "freshness" in capsys.readouterr().out
 
 
 def test_wrong_card_for_the_identity_is_rejected(tmp_path, capsys):
     paths = register(tmp_path, "baseline")
-    code = login(tmp_path, "baseline", paths, user="mallory")
+    code = login(tmp_path, paths, user="mallory")
     assert code == 4
     assert "local-auth" in capsys.readouterr().out
 
@@ -142,7 +169,7 @@ def test_wrong_card_for_the_identity_is_rejected(tmp_path, capsys):
 def test_baseline_attack_recovers_from_a_full_leak(tmp_path, capsys):
     paths = register(tmp_path, "baseline")
     capture = tmp_path / "capture"
-    assert login(tmp_path, "baseline", paths,
+    assert login(tmp_path, paths,
                  extra=("--out", str(capture), "--leak")) == 0
     honest = capsys.readouterr().out
     sk_line = next(l for l in honest.splitlines() if "(user)" in l)
@@ -151,7 +178,7 @@ def test_baseline_attack_recovers_from_a_full_leak(tmp_path, capsys):
     words, expected_work = write_words(tmp_path, "hunter-glacier")
     report = tmp_path / "attack.json"
     code = run_cli(
-        "attack", "--scheme", "baseline",
+        "attack",
         "--card", paths["card"],
         "--transcript", capture / "transcript.bin",
         "--template", paths["template"],
@@ -172,12 +199,12 @@ def test_baseline_attack_recovers_from_a_full_leak(tmp_path, capsys):
 def test_improved_attack_is_blocked_in_model(tmp_path, capsys):
     paths = register(tmp_path, "improved")
     capture = tmp_path / "capture"
-    assert login(tmp_path, "improved", paths,
+    assert login(tmp_path, paths,
                  extra=("--out", str(capture), "--leak")) == 0
     words, _ = write_words(tmp_path, "hunter-glacier")
     capsys.readouterr()
     code = run_cli(
-        "attack", "--scheme", "improved",
+        "attack",
         "--card", paths["card"],
         "--transcript", capture / "transcript.bin",
         "--template", paths["template"],
@@ -194,7 +221,7 @@ def test_improved_attack_is_blocked_in_model(tmp_path, capsys):
 def test_improved_attack_flips_with_granted_timestamps(tmp_path, capsys):
     paths = register(tmp_path, "improved")
     capture = tmp_path / "capture"
-    assert login(tmp_path, "improved", paths,
+    assert login(tmp_path, paths,
                  extra=("--out", str(capture), "--leak")) == 0
     honest = capsys.readouterr().out
     sk_line = next(l for l in honest.splitlines() if "(user)" in l)
@@ -204,7 +231,7 @@ def test_improved_attack_flips_with_granted_timestamps(tmp_path, capsys):
     # registration instants for the default simulated clock and latency
     grant = "%d,%d" % (EPOCH_MS, EPOCH_MS + 10)
     code = run_cli(
-        "attack", "--scheme", "improved",
+        "attack",
         "--card", paths["card"],
         "--transcript", capture / "transcript.bin",
         "--template", paths["template"],
@@ -221,11 +248,11 @@ def test_improved_attack_flips_with_granted_timestamps(tmp_path, capsys):
 def test_grant_timestamps_is_refused_for_the_baseline_scheme(tmp_path, capsys):
     paths = register(tmp_path, "baseline")
     capture = tmp_path / "capture"
-    assert login(tmp_path, "baseline", paths,
+    assert login(tmp_path, paths,
                  extra=("--out", str(capture), "--leak")) == 0
     words, _ = write_words(tmp_path, "hunter-glacier")
     code = run_cli(
-        "attack", "--scheme", "baseline",
+        "attack",
         "--card", paths["card"],
         "--transcript", capture / "transcript.bin",
         "--dict", words, "--grant-timestamps", "1,2",
@@ -283,7 +310,7 @@ def test_verify_card_rejects_a_non_card_file(tmp_path, capsys):
 
 def test_missing_input_file_is_a_precondition_failure(tmp_path, capsys):
     code = run_cli(
-        "login-run", "--scheme", "baseline", "--id", "a", "--password", "p",
+        "login-run", "--id", "a", "--password", "p",
         "--card", tmp_path / "absent.card",
         "--template", tmp_path / "absent.template",
         "--server-state", tmp_path / "absent.state",

@@ -14,7 +14,6 @@ from triauth.core import (
     GroupParams,
     HashEngine,
     ProtocolConfig,
-    RealClock,
     ServerSecret,
     SessionRng,
     SimClock,
@@ -131,13 +130,6 @@ def test_sim_clock_only_moves_forward():
     assert clock.now() == 1025
     with pytest.raises(ValueError):
         clock.advance(-1)
-
-
-def test_real_clock_tracks_wall_time():
-    now = RealClock().now()
-    import time
-
-    assert abs(now - time.time() * 1000) < 5000
 
 
 # ---------------------------------------------------------------------------

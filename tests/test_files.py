@@ -1,11 +1,13 @@
 """File formats: round-trips and pointed failure messages."""
 
 import hashlib
+import re
+from pathlib import Path
 
 import pytest
 
 from support import enroll
-from triauth import baseline, improved
+from triauth import baseline, cli, improved
 from triauth.channel import Transcript, TranscriptEntry
 from triauth.core import Env, Field128, ProtocolConfig, SessionRng, SimClock
 from triauth.files import (
@@ -29,6 +31,46 @@ from triauth.files import (
     write_json_report,
 )
 from triauth.fuzzy import BiometricTemplate
+
+
+RECORDED_FILES = Path(__file__).parent / "recordings" / "files"
+
+
+# ---------------------------------------------------------------------------
+# Recorded card and server-state bytes
+# ---------------------------------------------------------------------------
+
+def _register_alice_and_bob(scheme, out):
+    for user, password, seed in (("alice", "hunter-glacier", 7), ("bob", "other-pw", 8)):
+        assert cli.main([
+            "register", "--scheme", scheme, "--seed", str(seed),
+            "--id", user, "--password", password,
+            "--card-out", str(out / ("%s.card" % user)),
+            "--server-state", str(out / "server.state"),
+        ]) == 0
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "improved"])
+def test_registration_writes_the_recorded_file_bytes(tmp_path, scheme):
+    _register_alice_and_bob(scheme, tmp_path)
+    for name in ("alice.card", "bob.card", "server.state"):
+        assert (tmp_path / name).read_bytes() == (RECORDED_FILES / scheme / name).read_bytes()
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "improved"])
+def test_recorded_cards_reload_and_resave_byte_for_byte(tmp_path, scheme):
+    recorded = RECORDED_FILES / scheme
+    for name in ("alice.card", "bob.card"):
+        save_card(load_card(recorded / name), tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (recorded / name).read_bytes()
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "improved"])
+def test_recorded_server_state_reloads_and_resaves_byte_for_byte(tmp_path, scheme):
+    recorded = RECORDED_FILES / scheme
+    env = Env.from_config(ProtocolConfig(), SimClock())
+    save_server(load_server(recorded / "server.state", env), tmp_path / "server.state")
+    assert (tmp_path / "server.state").read_bytes() == (recorded / "server.state").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +163,42 @@ def test_card_hash_header_cross_check(tmp_path):
         load_card(path)
 
 
+def _edited_copy(tmp_path, recorded, name, old: bytes, new: bytes):
+    """A copy of a recorded file with the first `old` replaced by `new`."""
+    data = (RECORDED_FILES / recorded).read_bytes()
+    assert old in data
+    path = tmp_path / name
+    path.write_bytes(data.replace(old, new, 1))
+    return path
+
+
+def _raises_at(path, line, why):
+    return pytest.raises(
+        FileFormatError, match="^%s$" % re.escape("%s, line %d: %s" % (path, line, why))
+    )
+
+
+@pytest.mark.parametrize("old, new, line, why", [
+    (b"helper_bits: 512", b"helper_bits: abc", 4,
+     "helper_bits must be a non-negative integer, got 'abc'"),
+    (b"fields: 8", b"fields: x", 5, "fields must be a non-negative integer, got 'x'"),
+    (b"fields: 8", b"fields: -8", 5, "fields must be a non-negative integer, got '-8'"),
+    (b"hash: sha256", b"hash: sha\xff256", 3, "not valid UTF-8"),
+    (b"fields: 8\n", b"fields: 8\nhash: sha256\n", 6, "duplicate header line 'hash'"),
+    (b"scheme: baseline", b"scheme: other", 2,
+     "unknown scheme 'other': expected baseline or improved"),
+    (b"h: 7368", b"h: ff68", 7,
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b"e: f260", b"e: f2 60", 6, "field e is not valid hex"),
+    (b"g: 00000000000000000000000000000004", b"g: 00000000000000000000000000000001", 8,
+     "g out of range"),
+])
+def test_card_parse_errors_name_the_file_and_line(tmp_path, old, new, line, why):
+    path = _edited_copy(tmp_path, "baseline/alice.card", "u.card", old, new)
+    with _raises_at(path, line, why):
+        load_card(path)
+
+
 # ---------------------------------------------------------------------------
 # Server state
 # ---------------------------------------------------------------------------
@@ -174,6 +252,25 @@ def test_improved_server_record_needs_three_parts(tmp_path):
     rec_line = [l for l in text.splitlines() if l.startswith("record:")][0]
     path.write_text(text.replace(rec_line, rec_line.rsplit(" ", 1)[0]))
     with pytest.raises(FileFormatError, match="record needs"):
+        load_server(path, Env.from_config(ProtocolConfig(), SimClock()))
+
+
+@pytest.mark.parametrize("recorded, old, new, line, why", [
+    ("improved", b"p: ffff", b"p: zzzz", 4, "field p is not valid hex"),
+    ("improved", b"X: facf", b"X: xacf", 6, "field X is not valid hex"),
+    ("improved", b" 1700000000000 ", b" 17000O0000000 ", 7,
+     "record time must be a non-negative integer, got '17000O0000000'"),
+    ("improved", b" 1700000000010\n", b" t2\n", 7,
+     "record time must be a non-negative integer, got 't2'"),
+    ("improved", b"hash: sha256", b"hash: sh\xe4256", 3, "not valid UTF-8"),
+    ("improved", b"X: ", b"hash: sha256\nX: ", 6, "duplicate header line 'hash'"),
+    ("baseline", b"record: 616c", b"ercord: 616c", 7, "unknown line 'ercord'"),
+    ("baseline", b"6f6200000000000000000000000000", b"6f6200000000000000000000000000 5", 8,
+     "record needs 'id'"),
+])
+def test_server_parse_errors_name_the_file_and_line(tmp_path, recorded, old, new, line, why):
+    path = _edited_copy(tmp_path, recorded + "/server.state", "srv.state", old, new)
+    with _raises_at(path, line, why):
         load_server(path, Env.from_config(ProtocolConfig(), SimClock()))
 
 
@@ -239,6 +336,21 @@ def test_transcript_truncation_is_detected(tmp_path):
         load_transcript(path)
 
 
+@pytest.mark.parametrize("edit, why", [
+    (lambda raw: raw.replace(b"\x00\x05login", b"\x02\x05login"),
+     "direction 2 at byte 29, expected 0 or 1"),
+    (lambda raw: raw.replace(b"login", b"l\xf6gin"), "text at byte 31 is not valid UTF-8"),
+    (lambda raw: raw.replace(b"sess-1", b"sess-\xff"), "text at byte 10 is not valid UTF-8"),
+    (lambda raw: raw.replace(b"sess-1\x01", b"sess-1\x02"), "seed flag 2 with seed 42"),
+    (lambda raw: raw.replace(b"sess-1\x01", b"sess-1\x00"), "seed flag 0 with seed 42"),
+])
+def test_transcript_parse_errors_name_the_file(tmp_path, edit, why):
+    path = tmp_path / "t.bin"
+    path.write_bytes(edit(transcript_bytes(sample_transcript())))
+    with pytest.raises(FileFormatError, match="^%s$" % re.escape("%s: %s" % (path, why))):
+        load_transcript(path)
+
+
 def test_transcript_trailing_bytes_are_detected(tmp_path):
     raw = transcript_bytes(sample_transcript())
     path = tmp_path / "t.bin"
@@ -265,6 +377,20 @@ def test_template_parse_errors(tmp_path):
         load_template(path)
     path.write_text("512 zz\n")
     with pytest.raises(FileFormatError, match="not valid hex"):
+        load_template(path)
+
+
+@pytest.mark.parametrize("text, why", [
+    (b"512 abcd\n", "template length does not match bit count"),
+    (b"5l2 abcd\n", "bit count must be a non-negative integer, got '5l2'"),
+    (b"16 ab cd\n", "expected '<bits> <hex>'"),
+    (b"16 abc\n", "field template is not valid hex"),
+    (b"16 \xab\xcd\n", "not valid UTF-8"),
+])
+def test_template_parse_errors_name_the_file_and_line(tmp_path, text, why):
+    path = tmp_path / "u.tpl"
+    path.write_bytes(text)
+    with _raises_at(path, 1, why):
         load_template(path)
 
 
@@ -301,6 +427,21 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("text, line, why", [
+    (b"p = 0x17\n", 1, "p must be hex, got '0x17'"),
+    (b"seed = 1\np = \n", 2, "p must be hex, got ''"),
+    (b"g = four\n", 1, "g must be a non-negative integer, got 'four'"),
+    (b"seed = 1\ndelta_t_ms = -5\n", 2, "delta_t_ms must be a non-negative integer, got '-5'"),
+    (b"seed = 1\nseed = 2\n", 2, "duplicate config key 'seed'"),
+    (b"# \xe9t\xe9\nseed = 1\n", 1, "not valid UTF-8"),
+])
+def test_config_parse_errors_name_the_file_and_line(tmp_path, text, line, why):
+    path = tmp_path / "c.conf"
+    path.write_bytes(text)
+    with _raises_at(path, line, why):
+        load_config(path)
+
+
 # ---------------------------------------------------------------------------
 # Golden vectors, reports, leaks
 # ---------------------------------------------------------------------------
@@ -326,3 +467,27 @@ def test_leak_round_trips(tmp_path):
     path = tmp_path / "leak.json"
     save_leak(leak, path)
     assert load_leak(path) == leak
+
+
+@pytest.mark.parametrize("text", [
+    b"[1, 2]",
+    b'{"r_u": "12", "r_s": 3}',
+    b'{"r_u": -1, "r_s": 3}',
+    b'{"r_u": true, "r_s": 3}',
+    b'{"r_u": 1.5, "r_s": 3}',
+    b'{"r_u": 12}',
+])
+def test_leak_must_be_an_object_of_non_negative_ints(tmp_path, text):
+    path = tmp_path / "leak.json"
+    path.write_bytes(text)
+    why = "a leak must be an object with non-negative integers r_u and r_s"
+    with pytest.raises(FileFormatError, match="^%s$" % re.escape("%s: %s" % (path, why))):
+        load_leak(path)
+
+
+@pytest.mark.parametrize("text", [b"not json", b'{"r_u": 1, "r_s": 2', b'{"r_u": "\xff"}'])
+def test_leak_that_is_not_json_names_the_file(tmp_path, text):
+    path = tmp_path / "leak.json"
+    path.write_bytes(text)
+    with pytest.raises(FileFormatError, match="^%s: not a JSON leak file" % re.escape(str(path))):
+        load_leak(path)
