@@ -139,6 +139,8 @@ class BaselineServer:
         """Re-enroll a user from one of `state_records`' records."""
         if ints:
             raise ValueError("record needs 'id'")
+        if user_id in self.registered:
+            raise ValueError("identity already registered")
         self.registered.add(user_id)
 
     def respond(

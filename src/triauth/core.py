@@ -75,6 +75,12 @@ class AuthFailure(ProtocolError):
 # The 128-bit protocol word
 # ---------------------------------------------------------------------------
 
+_from_bytes = int.from_bytes
+# bytes.__new__ builds a Field128 from bytes already known to be 16 long,
+# skipping the length check of Field128.__new__
+_new_bytes = bytes.__new__
+
+
 class Field128(bytes):
     """A 16-byte protocol word with XOR.
 
@@ -94,7 +100,8 @@ class Field128(bytes):
     def __xor__(self, other: bytes) -> "Field128":
         if len(other) != FIELD_BYTES:
             raise ValueError("xor operand must be 16 bytes")
-        return Field128(bytes(a ^ b for a, b in zip(self, other)))
+        word = _from_bytes(self, "big") ^ _from_bytes(other, "big")
+        return _new_bytes(Field128, word.to_bytes(FIELD_BYTES, "big"))
 
     __rxor__ = __xor__
 
@@ -299,23 +306,30 @@ class HashEngine:
     """
 
     def __init__(self, name: str = "sha256", ledger: CostLedger | None = None):
-        hashlib.new(name)  # fail fast on unknown algorithms
+        # fail fast on unknown algorithms and on those that cannot yield
+        # a 16-byte word (shake_* has digest_size 0: its digest needs a length)
+        self._empty = hashlib.new(name)
+        if self._empty.digest_size < FIELD_BYTES:
+            raise ValueError(
+                "hash %r cannot yield a %d-byte word" % (name, FIELD_BYTES)
+            )
         self.name = name
         self.ledger = ledger
 
     def __call__(self, *parts: bytes) -> Field128:
         if not parts:
             raise ValueError("hash of zero blocks is undefined")
-        h = hashlib.new(self.name)
         for part in parts:
             if len(part) != FIELD_BYTES:
                 raise ValueError(
                     "hash input block must be 16 bytes, got %d" % len(part)
                 )
-            h.update(part)
+        data = b"".join(parts)
         if self.ledger is not None:
             self.ledger.count_hash()
-        return Field128(h.digest()[:FIELD_BYTES])
+        h = self._empty.copy()
+        h.update(data)
+        return _new_bytes(Field128, h.digest()[:FIELD_BYTES])
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .core import (
     Field128,
+    HashEngine,
     ProtocolConfig,
     ServerSecret,
     decode_text,
@@ -370,6 +371,7 @@ def load_config(path) -> ProtocolConfig:
                 raise _fail(path, lineno, "p must be hex, got %r" % value)
             config.p = int(value, 16)
         elif key == "hash":
+            _checked(path, lineno, HashEngine, value)
             config.hash_name = value
         elif key in ("g", "delta_t_ms", "template_bits", "seed"):
             setattr(config, key, _parse_int(path, lineno, value, key))

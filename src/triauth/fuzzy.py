@@ -16,6 +16,7 @@ well below 1, so all 128 bits essentially never.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import FIELD_BYTES, Field128, SessionRng
 
@@ -72,16 +73,39 @@ def _repetition_factor(nbits: int) -> int:
     return t
 
 
+@lru_cache(maxsize=None)
+def _byte_codewords(t: int) -> tuple[bytes, ...]:
+    """Per byte value: its 8 bits each repeated t times, as t bytes."""
+    return tuple(
+        int("".join(bit * t for bit in format(byte, "08b")), 2).to_bytes(t, "big")
+        for byte in range(256)
+    )
+
+
 def _expand(key: Field128, t: int) -> int:
     """Repetition-code encoding of a 128-bit key, as an int."""
-    key_int = key.to_int()
+    return int.from_bytes(b"".join(map(_byte_codewords(t).__getitem__, key)), "big")
+
+
+@lru_cache(maxsize=None)
+def _vote_masks(t: int) -> tuple[int, int, int, int, int, int, int]:
+    """Constants of the bit-sliced majority vote over 128 t-bit blocks.
+
+    Block j (counted from the least significant end) holds bits
+    j*t .. j*t+t-1.  Returns the blocks' low bits; per parity (even,
+    odd j) the blocks' full masks, the bias that carries a block's
+    count into bit t exactly when it is a strict majority, and those
+    carry bits.
+    """
+    even_low = sum(1 << (j * t) for j in range(0, KEY_BITS, 2))
+    odd_low = even_low << t
     block = (1 << t) - 1
-    word = 0
-    for i in range(KEY_BITS):
-        word <<= t
-        if (key_int >> (KEY_BITS - 1 - i)) & 1:
-            word |= block
-    return word
+    bias = (1 << t) - (t // 2 + 1)  # count + bias >= 2**t iff 2 * count > t
+    return (
+        even_low | odd_low,
+        even_low * block, even_low * bias, even_low << t,
+        odd_low * block, odd_low * bias, odd_low << t,
+    )
 
 
 def gen(
@@ -105,14 +129,20 @@ def rep(template: BiometricTemplate, helper: HelperData) -> Field128:
         raise ValueError("template and helper sizes differ")
     t = _repetition_factor(template.nbits)
     noisy = template.as_int() ^ int.from_bytes(helper.offset, "big")
-    block_mask = (1 << t) - 1
-    key_int = 0
-    for i in range(KEY_BITS):
-        shift = (KEY_BITS - 1 - i) * t
-        weight = ((noisy >> shift) & block_mask).bit_count()
-        key_int <<= 1
-        if weight * 2 > t:  # tie (weight*2 == t) decodes as 0
-            key_int |= 1
+    low, even, even_bias, even_carry, odd, odd_bias, odd_carry = _vote_masks(t)
+    # each block's bit count, summed lane by lane into the block's own
+    # bits (a count of at most t fits in t bits, so blocks never mix)
+    counts = 0
+    for lane in range(t):
+        counts += (noisy >> lane) & low
+    # even and odd blocks apart, so a carry lands in an empty neighbour;
+    # a tie (2 * count == t) carries nothing and decodes as 0
+    votes = (((counts & even) + even_bias) & even_carry) | (
+        ((counts & odd) + odd_bias) & odd_carry
+    )
+    # block j's vote sits at bit (j+1)*t: move it to j*t and keep every
+    # t-th bit of the binary string, most significant block first
+    key_int = int(format(votes >> t, "0%db" % template.nbits)[t - 1 :: t], 2)
     return Field128.from_int(key_int)
 
 

@@ -172,19 +172,24 @@ class ImprovedServer:
             secret = ServerSecret.generate(env.params, rng)
         self.env = env
         self.secret = secret
-        self.records: list[ServerRecord] = []
+        self.records: list[ServerRecord] = []  # in enrollment order
+        self._user_ids: set[Field128] = set()  # the records' identities
 
     def enroll(
         self, user_id: Field128, w: Field128, t1_ms: int, t2_ms: int
     ) -> Field128:
         """Registration at the server: returns e; stores (ID, T1, T2)."""
-        if any(rec.user_id == user_id for rec in self.records):
+        if user_id in self._user_ids:
             raise RegistrationError("identity already registered")
         x_word = Field128.from_int(self.secret.x)
         g_val = self.env.h(user_id, x_word)
         h_val = g_val ^ ms_to_field(t2_ms)
-        self.records.append(ServerRecord(user_id, t1_ms, t2_ms))
+        self._add(ServerRecord(user_id, t1_ms, t2_ms))
         return h_val ^ w
+
+    def _add(self, rec: ServerRecord) -> None:
+        self.records.append(rec)
+        self._user_ids.add(rec.user_id)
 
     def state_records(self) -> list[tuple]:
         """The state file's records, one (ID, T1, T2) per user, in order."""
@@ -194,7 +199,9 @@ class ImprovedServer:
         """Re-enroll a user from one of `state_records`' records."""
         if len(ints) != 2:
             raise ValueError("record needs 'id t1 t2'")
-        self.records.append(ServerRecord(user_id, *ints))
+        if user_id in self._user_ids:
+            raise ValueError("identity already registered")
+        self._add(ServerRecord(user_id, *ints))
 
     def respond(
         self, msg: LoginMessage, r_s: int, processing_ms: int = 0

@@ -319,6 +319,20 @@ def test_missing_input_file_is_a_precondition_failure(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_config_hash_without_a_16_byte_word_is_a_precondition_failure(tmp_path, capsys):
+    config = tmp_path / "shake.cfg"
+    config.write_text("hash = shake_128\n")
+    code = run_cli(
+        "register", "--scheme", "improved", "--config", config,
+        "--id", "alice", "--password", "pw",
+        "--card-out", tmp_path / "alice.card",
+        "--server-state", tmp_path / "server.state",
+    )
+    assert code == 2
+    assert "line 1: hash 'shake_128' cannot yield a 16-byte word" in capsys.readouterr().err
+    assert not (tmp_path / "alice.card").exists()
+
+
 def test_bad_config_file_is_a_precondition_failure(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("fast_mode = yes\n")

@@ -55,6 +55,16 @@ def test_field_xor_rejects_wrong_length():
         Field128.zero() ^ b"\x01"
 
 
+def test_word_operations_return_exact_16_byte_words():
+    rng = SessionRng(8)
+    a, b = rng.field(), rng.field()
+    engine = HashEngine("sha256")
+    for word in (a ^ b, bytes(b) ^ a, a ^ bytes(b), engine(a, b)):
+        assert type(word) is Field128
+        assert len(word) == 16
+    assert a ^ b == bytes(x ^ y for x, y in zip(a, b))
+
+
 def test_field_int_round_trip():
     for value in (0, 1, 255, 1 << 64, (1 << 128) - 1):
         assert Field128.from_int(value).to_int() == value
@@ -224,6 +234,24 @@ def test_hash_engine_counts_into_ledger():
 def test_hash_engine_rejects_unknown_algorithm():
     with pytest.raises(ValueError):
         HashEngine("not-a-hash")
+
+
+@pytest.mark.parametrize("name", ["shake_128", "shake_256"])
+def test_hash_engine_refuses_algorithms_without_a_16_byte_word(name):
+    with pytest.raises(ValueError, match="cannot yield a 16-byte word"):
+        HashEngine(name)
+
+
+@pytest.mark.parametrize("name", ["sha256", "sha512", "blake2b"])
+@pytest.mark.parametrize("nblocks", [1, 5, 7])
+def test_hash_engine_matches_raw_hashlib(name, nblocks):
+    rng = SessionRng(nblocks)
+    engine = HashEngine(name)
+    for _ in range(20):
+        blocks = [rng.field() for _ in range(nblocks)]
+        raw = hashlib.new(name, b"".join(blocks)).digest()[:16]
+        assert engine(*blocks) == raw
+        assert engine(*blocks) == raw  # the engine keeps no state between calls
 
 
 def test_alternate_digest_is_also_truncated_to_one_word():

@@ -9,7 +9,15 @@ import pytest
 from support import enroll
 from triauth import baseline, cli, improved
 from triauth.channel import Transcript, TranscriptEntry
-from triauth.core import Env, Field128, ProtocolConfig, SessionRng, SimClock
+from triauth.core import (
+    Env,
+    Field128,
+    ProtocolConfig,
+    RegistrationError,
+    SessionRng,
+    SimClock,
+    encode_text,
+)
 from triauth.files import (
     FileFormatError,
     load_card,
@@ -31,6 +39,7 @@ from triauth.files import (
     write_json_report,
 )
 from triauth.fuzzy import BiometricTemplate
+from triauth.session import SCHEMES
 
 
 RECORDED_FILES = Path(__file__).parent / "recordings" / "files"
@@ -255,6 +264,11 @@ def test_improved_server_record_needs_three_parts(tmp_path):
         load_server(path, Env.from_config(ProtocolConfig(), SimClock()))
 
 
+# the last line of each recorded server state
+_BOB_BASELINE = b"record: 626f6200000000000000000000000000\n"
+_BOB_IMPROVED = b"record: 626f6200000000000000000000000000 1700000000000 1700000000010\n"
+
+
 @pytest.mark.parametrize("recorded, old, new, line, why", [
     ("improved", b"p: ffff", b"p: zzzz", 4, "field p is not valid hex"),
     ("improved", b"X: facf", b"X: xacf", 6, "field X is not valid hex"),
@@ -267,11 +281,23 @@ def test_improved_server_record_needs_three_parts(tmp_path):
     ("baseline", b"record: 616c", b"ercord: 616c", 7, "unknown line 'ercord'"),
     ("baseline", b"6f6200000000000000000000000000", b"6f6200000000000000000000000000 5", 8,
      "record needs 'id'"),
+    ("baseline", _BOB_BASELINE, _BOB_BASELINE * 2, 9, "identity already registered"),
+    ("improved", _BOB_IMPROVED, _BOB_IMPROVED * 2, 9, "identity already registered"),
 ])
 def test_server_parse_errors_name_the_file_and_line(tmp_path, recorded, old, new, line, why):
     path = _edited_copy(tmp_path, recorded + "/server.state", "srv.state", old, new)
     with _raises_at(path, line, why):
         load_server(path, Env.from_config(ProtocolConfig(), SimClock()))
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "improved"])
+def test_enrolling_an_identity_restored_from_a_file_is_refused(scheme):
+    env = Env.from_config(ProtocolConfig(), SimClock())
+    server = load_server(RECORDED_FILES / scheme / "server.state", env)
+    rng = SessionRng(3)
+    template = BiometricTemplate.random(rng, 512)
+    with pytest.raises(RegistrationError, match="identity already registered"):
+        SCHEMES[scheme].register(env, server, encode_text("bob"), "pw", template, rng)
 
 
 def test_loaded_server_still_authenticates(tmp_path):
@@ -434,6 +460,8 @@ def test_config_rejects_unknown_keys(tmp_path):
     (b"seed = 1\ndelta_t_ms = -5\n", 2, "delta_t_ms must be a non-negative integer, got '-5'"),
     (b"seed = 1\nseed = 2\n", 2, "duplicate config key 'seed'"),
     (b"# \xe9t\xe9\nseed = 1\n", 1, "not valid UTF-8"),
+    (b"seed = 1\nhash = shake_128\n", 2, "hash 'shake_128' cannot yield a 16-byte word"),
+    (b"hash = not-a-hash\n", 1, "unsupported hash type not-a-hash"),
 ])
 def test_config_parse_errors_name_the_file_and_line(tmp_path, text, line, why):
     path = tmp_path / "c.conf"

@@ -2,10 +2,12 @@
 
 import pytest
 
-from triauth.core import SessionRng
+from triauth.core import Field128, SessionRng
 from triauth.fuzzy import (
+    KEY_BITS,
     BiometricTemplate,
     HelperData,
+    _expand,
     flip_positions,
     gen,
     perturb,
@@ -139,3 +141,83 @@ def test_gen_draws_fresh_keys():
     key1, _ = gen(template, rng)
     key2, _ = gen(template, rng)
     assert key1 != key2
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the repetition code bit by bit, block by block
+# ---------------------------------------------------------------------------
+
+def _expand_reference(key: Field128, t: int) -> int:
+    key_int = key.to_int()
+    block = (1 << t) - 1
+    word = 0
+    for i in range(KEY_BITS):
+        word <<= t
+        if (key_int >> (KEY_BITS - 1 - i)) & 1:
+            word |= block
+    return word
+
+
+def _rep_reference(template: BiometricTemplate, helper: HelperData) -> Field128:
+    t = template.nbits // KEY_BITS
+    noisy = template.as_int() ^ int.from_bytes(helper.offset, "big")
+    block_mask = (1 << t) - 1
+    key_int = 0
+    for i in range(KEY_BITS):
+        shift = (KEY_BITS - 1 - i) * t
+        weight = ((noisy >> shift) & block_mask).bit_count()
+        key_int <<= 1
+        if weight * 2 > t:  # tie (weight*2 == t) decodes as 0
+            key_int |= 1
+    return Field128.from_int(key_int)
+
+
+def _flips_per_block(template, rng, counts):
+    """Flip counts[b] distinct positions inside repetition block b."""
+    t = template.nbits // KEY_BITS
+    return flip_positions(template, [
+        block * t + pos
+        for block, count in enumerate(counts)
+        for pos in rng.positions(t, count)
+    ])
+
+
+@pytest.mark.parametrize("t", range(1, 9))
+def test_expand_equals_the_reference(t):
+    rng = SessionRng(40 + t)
+    keys = [Field128.zero(), Field128.from_int((1 << 128) - 1)]
+    keys += [rng.field() for _ in range(50)]
+    for key in keys:
+        assert _expand(key, t) == _expand_reference(key, t)
+
+
+@pytest.mark.parametrize("t", range(1, 9))
+def test_rep_equals_the_reference(t):
+    rng = SessionRng(50 + t)
+    nbits = KEY_BITS * t
+    near_half = (0, t // 2, (t + 1) // 2, t)
+    for _ in range(10):
+        template = BiometricTemplate.random(rng, nbits)
+        key, helper = gen(template, rng)
+        random_helper = HelperData(BiometricTemplate.random(rng, nbits).bits, nbits)
+        readings = [
+            template,
+            BiometricTemplate.random(rng, nbits),
+            _flips_per_block(template, rng, [t // 2] * KEY_BITS),
+            _flips_per_block(
+                template, rng, [near_half[rng.below(4)] for _ in range(KEY_BITS)]
+            ),
+        ]
+        assert rep(template, helper) == key
+        for reading in readings:
+            for h in (helper, random_helper):
+                assert rep(reading, h) == _rep_reference(reading, h)
+
+
+@pytest.mark.parametrize("t", [2, 4, 6, 8])
+def test_a_tie_in_every_block_decodes_to_zero(t):
+    rng = SessionRng(60 + t)
+    template = BiometricTemplate.random(rng, KEY_BITS * t)
+    _, helper = gen(template, rng)
+    tied = _flips_per_block(template, rng, [t // 2] * KEY_BITS)
+    assert rep(tied, helper) == Field128.zero()
