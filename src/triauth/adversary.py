@@ -13,16 +13,19 @@ The attack itself is not hard-coded per scheme.  A small derivation
 engine closes the adversary's atoms under per-scheme rewrite rules
 (XORs, hashes, exponentiations — each rule is an executable fact about
 the scheme's public structure).  An atom ends up *known*, *derivable
-per password candidate*, or *unknown*.  A dictionary attack runs iff
-every block of some verifier equation is known or candidate-derivable;
-otherwise the outcome reports, per equation, exactly which atoms stay
-unknown.  Against the baseline the closure reaches C_i and the loop
-recovers the password, identity and session key.  Against the hardened
-scheme T1, T3 and ID lock each other (T1 needs ID, ID needs T1 and T3,
-T3 needs T1) and every equation keeps at least two unknowns — the
-attack cannot start.  Granting (T1, T2) through the explicit
-out-of-model hook unlocks the same pipeline, which is the white-box
-control showing the engine is honest about *why* the attack fails.
+per password candidate*, or *unknown*.  :func:`compile_plan` does that
+closure once per attack and orders the chosen rules into an
+:class:`AttackPlan`: steps run once, per candidate, and on a hit.  A
+dictionary attack runs iff every block of some verifier equation is
+known or candidate-derivable; otherwise the outcome reports, per
+equation, exactly which atoms stay unknown.  Against the baseline the
+closure reaches C_i and the loop recovers the password, identity and
+session key.  Against the hardened scheme T1, T3 and ID lock each
+other (T1 needs ID, ID needs T1 and T3, T3 needs T1) and every equation
+keeps at least two unknowns — the attack cannot start.  Granting
+(T1, T2) through the explicit out-of-model hook unlocks the same
+pipeline, which is the white-box control showing the engine is honest
+about *why* the attack fails.
 """
 
 from __future__ import annotations
@@ -70,7 +73,8 @@ class AdversaryKnowledge:
     ``card_view`` is the adversary's copy of the card contents — for
     the hardened scheme this omits T12 (= T1 xor T2), which the model
     does not grant even though the physical card stores it.  Build via
-    :meth:`assemble` to get the stripping right.
+    :meth:`assemble` to get the stripping right.  The wire words come
+    from ``transcripts[0]``: the session that ``r_u`` and ``r_s`` are from.
     """
 
     scheme: str
@@ -254,9 +258,15 @@ def _improved_rules(ctx: _Ctx) -> list[Derivation]:
     ]
 
 
-_VERIFIERS = {
-    baseline.SCHEME: Verifier("C_i", ("ID", "H", "A1", "A2", "T1w")),
-    improved.SCHEME: Verifier("C_i", ("ID", "H", "A22", "A11", "T1w", "T3w", "T2w")),
+# Per scheme: its rule builder and the published hash the attack tests.
+_MODELS = {
+    baseline.SCHEME: (
+        _baseline_rules, Verifier("C_i", ("ID", "H", "A1", "A2", "T1w")),
+    ),
+    improved.SCHEME: (
+        _improved_rules,
+        Verifier("C_i", ("ID", "H", "A22", "A11", "T1w", "T3w", "T2w")),
+    ),
 }
 
 # What a successful attack must produce besides the password.
@@ -314,15 +324,41 @@ def _ctx_from_knowledge(knowledge: AdversaryKnowledge) -> _Ctx | None:
 
 
 # ---------------------------------------------------------------------------
-# Closure and execution
+# The compiled plan and its execution
 # ---------------------------------------------------------------------------
 
-def _close(
-    initial: set[str], rules: list[Derivation]
-) -> tuple[dict[str, int], dict[str, Derivation]]:
-    """Fixed-point status assignment plus the rule chosen per atom."""
-    level: dict[str, int] = {a: _KNOWN for a in initial}
-    level["PW"] = max(level.get("PW", 0), _CANDIDATE)
+@dataclass(frozen=True)
+class AttackPlan:
+    """One attack, planned once: ``known`` runs once, ``per_word`` per
+    candidate (only what the verifier needs), ``on_hit`` on a match.
+
+    Each tuple is in dependency order, and so is their concatenation.
+    With ``gaps`` the attack cannot start and the tuples are empty.
+    """
+
+    ctx: _Ctx | None
+    atoms: dict[str, object]
+    verifier: Verifier
+    known: tuple[Derivation, ...] = ()
+    per_word: tuple[Derivation, ...] = ()
+    on_hit: tuple[Derivation, ...] = ()
+    gaps: tuple[EquationGap, ...] = ()
+
+
+def compile_plan(
+    knowledge: AdversaryKnowledge, granted: dict[str, Field128] | None = None
+) -> AttackPlan:
+    """Close the atoms under the scheme's rules, then order the steps."""
+    ctx = _ctx_from_knowledge(knowledge)
+    atoms = _initial_atoms(knowledge)
+    if granted:
+        atoms.update(granted)
+    rules_for, verifier = _MODELS[knowledge.scheme]
+    rules = rules_for(ctx) if ctx is not None else []
+
+    # fixed point: an atom's level is the best over the rules reaching it
+    level = dict.fromkeys(atoms, _KNOWN)
+    level["PW"] = _CANDIDATE
     chosen: dict[str, Derivation] = {}
     changed = True
     while changed:
@@ -333,91 +369,54 @@ def _close(
                 level[rule.target] = reachable
                 chosen[rule.target] = rule
                 changed = True
-    return level, chosen
+
+    needed = {*verifier.preimage, verifier.name, *_TARGETS}
+    if ctx is not None:  # without the card's tools, all of them are missing
+        needed = {a for a in needed if level.get(a, _UNKNOWN) == _UNKNOWN}
+    if needed:
+        gap = EquationGap(verifier.name, tuple(sorted(needed)))
+        return AttackPlan(ctx, atoms, verifier, gaps=(gap,))
+
+    # one depth-first walk: the verifier's preimage first, so per_word
+    # holds only what the loop needs, then the targets for on_hit
+    known: list[Derivation] = []
+    per_word: list[Derivation] = []
+    on_hit: list[Derivation] = []
+
+    def visit(atom: str, steps: list[Derivation]) -> None:
+        rule = chosen.pop(atom, None)  # popped, so each rule is placed once
+        if rule is not None:
+            for need in rule.needs:
+                visit(need, steps)
+            (known if level[rule.target] == _KNOWN else steps).append(rule)
+
+    for atom in verifier.preimage:
+        visit(atom, per_word)
+    for atom in _TARGETS:
+        visit(atom, on_hit)
+    return AttackPlan(
+        ctx, atoms, verifier, tuple(known), tuple(per_word), tuple(on_hit)
+    )
 
 
-def _plan(targets: list[str], chosen: dict[str, Derivation]) -> list[Derivation]:
-    """Topological execution order for the chosen rules (DFS)."""
-    order: list[Derivation] = []
-    done: set[str] = set()
-
-    def visit(atom: str) -> None:
-        if atom in done:
-            return
-        done.add(atom)
-        rule = chosen.get(atom)
-        if rule is None:
-            return
-        for need in rule.needs:
-            visit(need)
-        order.append(rule)
-
-    for target in targets:
-        visit(target)
-    return order
-
-
-def _execute(plan: list[Derivation], values: dict[str, object]) -> None:
-    for rule in plan:
-        if rule.target in values:
-            continue
+def _execute(steps: tuple[Derivation, ...], values: dict[str, object]) -> None:
+    for rule in steps:
         values[rule.target] = rule.fn(*(values[a] for a in rule.needs))
 
 
-def _survey(
-    knowledge: AdversaryKnowledge, granted: dict[str, Field128] | None
-):
-    """Shared front half of every attack: atoms, closure, feasibility."""
-    ctx = _ctx_from_knowledge(knowledge)
-    atoms = _initial_atoms(knowledge)
-    if granted:
-        atoms.update(granted)
-    rules = (
-        _baseline_rules(ctx)
-        if knowledge.scheme == baseline.SCHEME
-        else _improved_rules(ctx)
-    ) if ctx is not None else []
-    level, chosen = _close(set(atoms), rules)
-    verifier = _VERIFIERS[knowledge.scheme]
-
-    gaps = []
-    needed = list(verifier.preimage) + [verifier.name] + list(_TARGETS)
-    unknown = tuple(
-        sorted({a for a in needed if level.get(a, _UNKNOWN) == _UNKNOWN})
-    )
-    if ctx is None:
-        unknown = tuple(sorted(set(needed))) or ("card",)
-        gaps.append(EquationGap(verifier.name, unknown))
-    elif unknown:
-        gaps.append(EquationGap(verifier.name, unknown))
-    return ctx, atoms, level, chosen, verifier, tuple(gaps)
-
-
 def _run_dictionary(
-    knowledge: AdversaryKnowledge,
-    granted: dict[str, Field128] | None = None,
+    knowledge: AdversaryKnowledge, granted: dict[str, Field128] | None = None
 ) -> AttackOutcome:
     out_of_model = bool(granted)
-    ctx, atoms, level, chosen, verifier, gaps = _survey(knowledge, granted)
-    if gaps:
+    plan = compile_plan(knowledge, granted)
+    if plan.gaps:
         return AttackOutcome(
-            status=INSUFFICIENT, gaps=gaps, out_of_model=out_of_model
+            status=INSUFFICIENT, gaps=plan.gaps, out_of_model=out_of_model
         )
 
-    full_plan = _plan(list(verifier.preimage) + list(_TARGETS), chosen)
-    loop_plan = _plan(list(verifier.preimage), chosen)
-    known_plan = [r for r in full_plan if level[r.target] == _KNOWN]
-    # inside the loop: only what the verifier itself needs; the rest of
-    # the chain (the forged SK) runs once, on the hit
-    loop_rules = [r for r in loop_plan if level[r.target] == _CANDIDATE]
-    post_rules = [
-        r
-        for r in full_plan
-        if level[r.target] == _CANDIDATE and r not in loop_rules
-    ]
-
-    base_values = dict(atoms)
-    _execute(known_plan, base_values)
+    base_values = dict(plan.atoms)
+    _execute(plan.known, base_values)
+    verifier = plan.verifier
 
     work = 0
     for word in knowledge.dictionary:
@@ -428,10 +427,10 @@ def _run_dictionary(
             continue
         values = dict(base_values)
         values["PW"] = pw
-        _execute(loop_rules, values)
+        _execute(plan.per_word, values)
         work += 1
-        if ctx.h(*(values[a] for a in verifier.preimage)) == values[verifier.name]:
-            _execute(post_rules, values)
+        if plan.ctx.h(*(values[a] for a in verifier.preimage)) == values[verifier.name]:
+            _execute(plan.on_hit, values)
             return AttackOutcome(
                 status=RECOVERED,
                 work=work,
@@ -538,15 +537,15 @@ def forge_improved_session_key(
     if knowledge.scheme != improved.SCHEME:
         raise ValueError("forgery chain is specific to the improved scheme")
     granted = {"T1w": ms_to_field(t1_ms), "T2w": ms_to_field(t2_ms)}
-    ctx, atoms, level, chosen, verifier, gaps = _survey(knowledge, granted)
-    if gaps:
+    plan = compile_plan(knowledge, granted)
+    if plan.gaps:
         return None
-    values = dict(atoms)
+    values = dict(plan.atoms)
     try:
         values["PW"] = encode_text(password_guess)
     except ValueError:
         return None
-    _execute(_plan(list(verifier.preimage) + list(_TARGETS), chosen), values)
+    _execute(plan.known + plan.per_word + plan.on_hit, values)
     return values["SK"]
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .core import (
     Field128,
+    GroupParams,
     HashEngine,
     ProtocolConfig,
     ServerSecret,
@@ -23,7 +24,7 @@ from .core import (
     encode_text,
 )
 from .channel import SERVER_TO_USER, USER_TO_SERVER, Transcript, TranscriptEntry
-from .fuzzy import BiometricTemplate, HelperData
+from .fuzzy import BiometricTemplate, HelperData, _repetition_factor
 from .session import card_fields, card_from_fields, scheme_module, scheme_of
 
 CARD_MAGIC = "triauth-card v1"
@@ -354,7 +355,7 @@ def save_dictionary(words: list[str], path) -> None:
 def load_config(path) -> ProtocolConfig:
     """"key = value" lines; unknown keys are an error, not a surprise."""
     config = ProtocolConfig()
-    seen = set()
+    seen: dict[str, int] = {}  # key -> the line that set it
     for lineno, raw in enumerate(_read_lines(path), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -365,7 +366,7 @@ def load_config(path) -> ProtocolConfig:
         key, value = key.strip(), value.strip()
         if key in seen:
             raise _fail(path, lineno, "duplicate config key %r" % key)
-        seen.add(key)
+        seen[key] = lineno
         if key == "p":
             if not value or not _HEX_DIGITS.issuperset(value):
                 raise _fail(path, lineno, "p must be hex, got %r" % value)
@@ -373,10 +374,16 @@ def load_config(path) -> ProtocolConfig:
         elif key == "hash":
             _checked(path, lineno, HashEngine, value)
             config.hash_name = value
-        elif key in ("g", "delta_t_ms", "template_bits", "seed"):
+        elif key == "template_bits":
+            config.template_bits = _parse_int(path, lineno, value, key)
+            _checked(path, lineno, _repetition_factor, config.template_bits)
+        elif key in ("g", "delta_t_ms", "seed"):
             setattr(config, key, _parse_int(path, lineno, value, key))
         else:
             raise _fail(path, lineno, "unknown config key %r" % key)
+    group_lines = [seen[key] for key in ("p", "g") if key in seen]
+    if group_lines:
+        _checked(path, max(group_lines), GroupParams.from_values, config.p, config.g)
     return config
 
 

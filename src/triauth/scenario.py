@@ -148,7 +148,8 @@ class _Runner:
         self.server = self.mod.Server(self.env, rng=SessionRng(script.seed))
         self.users: dict[str, _User] = {}
         self.sessions: list[_Session] = []
-        self.pool: dict[str, object] = {"transcripts": []}
+        # transcripts by session: a later leak of a session replaces its copy
+        self.pool: dict[str, object] = {"transcripts": {}}
         self.step_reports: list[dict] = []
         self.attack_reports: list[dict] = []
 
@@ -264,10 +265,12 @@ class _Runner:
             self.pool["biometric"] = user.template
         if "r_u" in values:
             self.pool["r_u"] = session.r_u
+            self.pool["r_u_session"] = session.session_id
         if "r_s" in values:
             self.pool["r_s"] = session.r_s
         if "transcript" in values:
-            self.pool["transcripts"].append(session.handshake.channel.transcript())
+            transcript = session.handshake.channel.transcript()
+            self.pool["transcripts"][session.session_id] = transcript
         self.pool["victim"] = session.user
         return {"ok": True, "leaked": sorted(values), "session": session.session_id}
 
@@ -291,10 +294,15 @@ class _Runner:
 
     def _op_attack(self, step) -> dict:
         words, dict_note = self._dictionary(step)
+        # the adversary reads the wire from the first transcript: put the
+        # session whose r_u it holds first, if that transcript leaked
+        held = self.pool.get("r_u_session")
+        leaked = self.pool["transcripts"]
+        order = sorted(leaked, key=lambda sid: sid != held)
         knowledge = adversary.AdversaryKnowledge.assemble(
             self.script.scheme,
             card=self.pool.get("card"),
-            transcripts=tuple(self.pool["transcripts"]),
+            transcripts=tuple(leaked[sid] for sid in order),
             biometric=self.pool.get("biometric"),
             r_u=self.pool.get("r_u"),
             r_s=self.pool.get("r_s"),

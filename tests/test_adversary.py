@@ -21,7 +21,11 @@ from triauth.adversary import (
     wire_layout,
 )
 from triauth.channel import USER_TO_SERVER, SimChannel, Transcript
-from triauth.core import SessionRng, SimClock
+from triauth.core import (
+    Field128, HashEngine, SessionRng, SimClock, encode_text, ms_to_field,
+)
+from triauth.fuzzy import gen
+from triauth.session import SCHEMES
 
 
 def leak_everything(enr, run, dictionary):
@@ -265,6 +269,96 @@ def test_forgery_needs_the_leaked_material():
     rec = enr.server.records[0]
     knowledge = AdversaryKnowledge.assemble("improved", card=enr.card)
     assert forge_improved_session_key(knowledge, rec.t1_ms, rec.t2_ms, "x") is None
+
+
+# ---------------------------------------------------------------------------
+# The compiled plan, and the rules it is built from
+# ---------------------------------------------------------------------------
+
+def test_the_per_word_loop_derives_only_h():
+    enr = enroll("baseline")
+    plan = adversary.compile_plan(leak_everything(enr, run_session(enr), ()))
+    assert plan.gaps == ()
+    assert [r.target for r in plan.per_word] == ["H"]  # + the verifier: 2 hashes
+
+    enr = enroll("improved")
+    knowledge = leak_everything(enr, run_session(enr), ())
+    assert adversary.compile_plan(knowledge).gaps  # in model: no loop at all
+    rec = enr.server.records[0]
+    granted = {"T1w": ms_to_field(rec.t1_ms), "T2w": ms_to_field(rec.t2_ms)}
+    plan = adversary.compile_plan(knowledge, granted)
+    assert plan.gaps == ()
+    assert [r.target for r in plan.per_word] == ["H"]
+
+
+def _honest_atoms(scheme, monkeypatch):
+    """Every atom's true value in one real session, from the honest parties.
+
+    Values no party returns are read from the preimage of a hash that an
+    honest party took, or from the key `gen` made at registration.
+    """
+    mod = SCHEMES[scheme]
+    preimages, made = {}, {}
+    real_hash = HashEngine.__call__
+
+    def recording_hash(self, *parts):
+        digest = real_hash(self, *parts)
+        preimages[digest] = parts
+        return digest
+
+    def recording_gen(template, rng):
+        made["R"], helper = gen(template, rng)
+        return made["R"], helper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(HashEngine, "__call__", recording_hash)
+        patch.setattr(mod, "gen", recording_gen)
+        enr = enroll(scheme)
+        run = run_session(enr)
+    card, msg, reply, pending = enr.card, run.msg, run.reply, run.pending
+    p, g, x = card.params.p, card.params.g, enr.server.secret.x
+    truth = {
+        "B": enr.template, "P_i": card.helper, "R": made["R"],
+        "PW": encode_text(enr.password), "ID": enr.user_id,
+        "L": card.l, "e": card.e, "Y": card.y, "H": pending.h,
+        "r_u": run.r_u, "SK": run.sk_user, "NID": msg.nid, "C_i": msg.c_i,
+        "A2": Field128.from_int(pow(g, run.r_u * x, p)),  # the server's A1^X
+    }
+    sk_preimage = preimages[run.sk_user]
+    if scheme == "baseline":
+        truth.update(
+            N=preimages[card.v][2],  # V = h(ID||PW||N)
+            A1=msg.a1, T1w=msg.t1, A4=reply.a4, T3w=reply.t3,
+            A6=sk_preimage[2],  # SK = h(ID||A2||A6||H||T1||T3)
+        )
+    else:
+        rec = enr.server.records[0]
+        truth.update(
+            N=preimages[card.v][4],  # V = h(ID||T1||PW||T2||N)
+            T1w=ms_to_field(rec.t1_ms), T2w=ms_to_field(rec.t2_ms),
+            M=card.m, Nmask=card.nmask, Q=msg.q, A11=msg.a11,
+            T3w=pending.t3, A22=pending.a22,
+            Q2=reply.q2, P=reply.p, A44=reply.a44,
+            T4w=preimages[reply.cs][4],  # Cs = h(ID||SK||H||T2||T4)
+            T5w=sk_preimage[6],  # SK = h(ID||A22||A55||H||T1||T3||T5)
+            A55=sk_preimage[2],
+            A4=Field128.from_int(pow(g, run.r_s, p)),
+            A5=Field128.from_int(pow(g, run.r_u * run.r_s, p)),
+        )
+    return card, truth
+
+
+@pytest.mark.parametrize("scheme, count", [("baseline", 7), ("improved", 15)])
+def test_every_rule_maps_true_inputs_to_the_true_output(monkeypatch, scheme, count):
+    card, truth = _honest_atoms(scheme, monkeypatch)
+    ctx = adversary._Ctx(card.hash_name, card.params)
+    rules_for, verifier = adversary._MODELS[scheme]
+    rules = rules_for(ctx)
+    assert len(rules) == count
+    for rule in rules:
+        derived = rule.fn(*(truth[a] for a in rule.needs))
+        assert derived == truth[rule.target], rule.how
+    assert ctx.h(*(truth[a] for a in verifier.preimage)) == truth[verifier.name]
 
 
 # ---------------------------------------------------------------------------

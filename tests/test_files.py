@@ -462,6 +462,10 @@ def test_config_rejects_unknown_keys(tmp_path):
     (b"# \xe9t\xe9\nseed = 1\n", 1, "not valid UTF-8"),
     (b"seed = 1\nhash = shake_128\n", 2, "hash 'shake_128' cannot yield a 16-byte word"),
     (b"hash = not-a-hash\n", 1, "unsupported hash type not-a-hash"),
+    (b"template_bits = 136\n", 1, "template bits must be a multiple of 128"),
+    (b"seed = 1\ntemplate_bits = 0\n", 2, "template too short for a 128-bit key"),
+    (b"g = 1\n", 1, "g out of range"),
+    (b"p = 17\nseed = 1\ng = 5\n", 3, "subgroup order must exceed 2**64"),
 ])
 def test_config_parse_errors_name_the_file_and_line(tmp_path, text, line, why):
     path = tmp_path / "c.conf"

@@ -209,6 +209,50 @@ def test_generated_dictionary_plants_the_victim_password():
     assert attack["dictionary"] == {"size": 20, "seed": 14, "plant_at": 6}
 
 
+@pytest.mark.parametrize("second_leak", [
+    ["r_u", "r_s", "transcript"],  # the attack must read session 2's wire
+    ["transcript"],  # it still holds session 1's exponents and wire
+])
+def test_an_attack_after_two_leaks_reads_the_wire_of_its_exponents(second_leak):
+    steps = [
+        {"op": "register", "user": "u", "password": "pw-twice", "seed": 11},
+        {"op": "login", "user": "u", "seed": 12},
+        {"op": "respond", "seed": 13},
+        {"op": "finish"},
+        {"op": "leak"},
+        {"op": "advance-clock", "ms": 60_000},
+        {"op": "login", "user": "u", "seed": 14},
+        {"op": "respond", "seed": 15},
+        {"op": "finish"},
+        {"op": "leak", "values": second_leak},
+        {"op": "attack", "dictionary": {"size": 100, "plant_at": 41}},
+    ]
+    result = run_scenario(_script("baseline", steps))
+    (attack,) = result.report["attacks"]
+    assert attack["status"] == "recovered"
+    assert attack["work"] == 42
+    assert attack["password"] == "pw-twice"
+    session = "s002" if "r_u" in second_leak else "s001"
+    assert attack["session_key"] == result.report["sessions"][session]["sk_user"]
+
+
+def test_a_transcript_leaked_again_is_read_in_full():
+    steps = [
+        {"op": "register", "user": "u", "password": "pw-again", "seed": 11},
+        {"op": "login", "user": "u", "seed": 12},
+        {"op": "leak"},  # the login is on the wire, the reply is not yet
+        {"op": "respond", "seed": 13},
+        {"op": "finish"},
+        {"op": "leak", "values": ["transcript"]},
+        {"op": "attack", "dictionary": {"size": 20, "plant_at": 6}},
+    ]
+    result = run_scenario(_script("baseline", steps))
+    (attack,) = result.report["attacks"]
+    assert attack["status"] == "recovered"
+    assert attack["work"] == 7
+    assert attack["session_key"] == result.report["sessions"]["s001"]["sk_user"]
+
+
 def test_attack_step_can_read_a_dictionary_file(tmp_path):
     words = tmp_path / "words.txt"
     words.write_text("alpha\npw-filed\nomega\n")
