@@ -569,6 +569,16 @@ def wire_layout(scheme: str, label: str) -> tuple[str, ...]:
     raise ValueError("no %s message in the %s scheme" % (label, scheme))
 
 
+def field_offset(scheme: str, label: str, fieldname: str, mask: bytes) -> int:
+    """Where `mask` starts in the `label` message to flip bits of `fieldname`."""
+    names = wire_layout(scheme, label)
+    if fieldname not in names:
+        raise ValueError("message %r has no field %r" % (label, fieldname))
+    if len(mask) > 16:
+        raise ValueError("mask longer than a field")
+    return 16 * names.index(fieldname)
+
+
 def tamper(
     transcript: Transcript, scheme: str, label: str, fieldname: str, mask: bytes
 ) -> Transcript:
@@ -577,12 +587,7 @@ def tamper(
     A zero mask returns an identical transcript — tampering is exactly
     the bits you flip, nothing implicit.
     """
-    names = wire_layout(scheme, label)
-    if fieldname not in names:
-        raise ValueError("message %r has no field %r" % (label, fieldname))
-    if len(mask) > 16:
-        raise ValueError("mask longer than a field")
-    offset = 16 * names.index(fieldname)
+    offset = field_offset(scheme, label, fieldname, mask)
     out = transcript.copy()
     for i, entry in enumerate(out.entries):
         if entry.label != label:

@@ -32,18 +32,16 @@ from dataclasses import dataclass
 
 from .core import (
     AuthFailure,
+    BaseServer,
     Env,
     Field128,
     FreshnessFailure,
     GroupParams,
     LocalAuthFailure,
-    RegistrationError,
-    ServerSecret,
     SessionRng,
     UnknownUser,
     WireMessage,
     encode_text,
-    field_to_ms,
 )
 from .fuzzy import BiometricTemplate, HelperData, gen, rep
 
@@ -105,43 +103,17 @@ class PendingLogin:
     t1: Field128
 
 
-class BaselineServer:
-    """Holds the long-term secret X and the registered-identity set."""
-
-    def __init__(
-        self,
-        env: Env,
-        secret: ServerSecret | None = None,
-        rng: SessionRng | None = None,
-    ):
-        if secret is None:
-            if rng is None:
-                raise ValueError("need a secret or an rng to generate one")
-            secret = ServerSecret.generate(env.params, rng)
-        self.env = env
-        self.secret = secret
-        self.registered: set[Field128] = set()
+class BaselineServer(BaseServer):
+    """Holds the long-term secret X and the registered identities."""
 
     def enroll(self, user_id: Field128, w: Field128) -> Field128:
         """Registration step at the server: returns e = h(ID||X) xor W."""
-        if user_id in self.registered:
-            raise RegistrationError("identity already registered")
-        x_word = Field128.from_int(self.secret.x)
-        h_val = self.env.h(user_id, x_word)
-        self.registered.add(user_id)
-        return h_val ^ w
+        self._add(user_id)
+        return self.env.h(user_id, self.x_word) ^ w
 
     def state_records(self) -> list[tuple]:
         """The state file's records, one (ID,) per user, sorted."""
-        return [(uid,) for uid in sorted(self.registered)]
-
-    def restore_record(self, user_id: Field128, *ints: int) -> None:
-        """Re-enroll a user from one of `state_records`' records."""
-        if ints:
-            raise ValueError("record needs 'id'")
-        if user_id in self.registered:
-            raise ValueError("identity already registered")
-        self.registered.add(user_id)
+        return sorted(self.records)
 
     def respond(
         self, msg: LoginMessage, r_s: int, processing_ms: int = 0
@@ -154,31 +126,24 @@ class BaselineServer:
         login and stamping the reply.
         """
         env = self.env
-        t2 = env.clock.now()
-        try:
-            t1_ms = field_to_ms(msg.t1)
-        except ValueError as exc:
-            raise FreshnessFailure("malformed timestamp") from exc
-        if t2 - t1_ms > env.delta_t_ms:
-            raise FreshnessFailure("login timestamp outside the window")
+        if fault := env.freshness_fault(msg.t1, env.clock.now(), "login"):
+            raise FreshnessFailure(fault)
 
         try:
             a3 = env.mod_exp(msg.a1, self.secret.x)
         except ValueError as exc:
             raise AuthFailure("A1 is not a group element") from exc
         user_id = msg.nid ^ a3
-        if user_id not in self.registered:
+        if user_id not in self.user_ids:
             raise UnknownUser("recovered identity is not enrolled")
-        x_word = Field128.from_int(self.secret.x)
-        h_val = self.env.h(user_id, x_word)
+        h_val = env.h(user_id, self.x_word)
         expected = env.h(user_id, h_val, msg.a1, a3, msg.t1)
         if expected != msg.c_i:
             raise AuthFailure("login verifier mismatch")
 
         a4 = env.mod_exp(env.params.g, r_s)
         a5 = env.mod_exp(msg.a1, r_s)
-        if processing_ms:
-            env.clock.advance(processing_ms)
+        env.clock.advance(processing_ms)
         _, t3 = env.now_field()
         sk = env.h(user_id, a3, a5, h_val, msg.t1, t3)
         cs = env.h(user_id, sk, h_val, t3)
@@ -258,13 +223,8 @@ def login(
 
 def finish(env: Env, pending: PendingLogin, reply: ReplyMessage) -> Field128:
     """User-side completion: checks the reply, returns the session key."""
-    t4 = env.clock.now()
-    try:
-        t3_ms = field_to_ms(reply.t3)
-    except ValueError as exc:
-        raise FreshnessFailure("malformed timestamp") from exc
-    if t4 - t3_ms > env.delta_t_ms:
-        raise FreshnessFailure("reply timestamp outside the window")
+    if fault := env.freshness_fault(reply.t3, env.clock.now(), "reply"):
+        raise FreshnessFailure(fault)
 
     try:
         a6 = env.mod_exp(reply.a4, pending.r_u)

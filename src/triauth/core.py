@@ -8,8 +8,8 @@ equations are written.
 
 The module also owns the instrumented hash engine and modular
 exponentiation (both count into an active :class:`CostLedger`), the
-deterministic per-session RNG, and the simulated clock used by every
-test and scenario.
+deterministic per-session RNG, the simulated clock with its freshness
+window, and the server role both schemes share (:class:`BaseServer`).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from operator import attrgetter
 
 FIELD_BYTES = 16
 DEFAULT_DELTA_T_MS = 2000
+MALFORMED_TIMESTAMP = "malformed timestamp"
 
 # Largest 128-bit safe prime: p = 2q + 1 with q prime.  g = 4 is a
 # quadratic residue, so its order is exactly q (~2**127).
@@ -530,7 +531,7 @@ class SessionRng:
 
 
 # ---------------------------------------------------------------------------
-# Configuration
+# Configuration, the execution context and the server role
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -587,3 +588,56 @@ class Env:
     def now_field(self) -> tuple[int, Field128]:
         ms = self.clock.now()
         return ms, ms_to_field(ms)
+
+    def freshness_fault(self, stamp: Field128, now_ms: int, label: str) -> str | None:
+        """None if the timestamp word `stamp` is at most delta_t_ms old at `now_ms`,
+        else MALFORMED_TIMESTAMP or "<label> timestamp outside the window"."""
+        if any(stamp[:8]):  # field_to_ms would refuse it; raising costs more
+            return MALFORMED_TIMESTAMP
+        if now_ms - field_to_ms(stamp) > self.delta_t_ms:
+            return "%s timestamp outside the window" % label
+        return None
+
+
+class BaseServer:
+    """The server role both schemes share: the long-term secret X
+    (``x_word`` is X as a protocol word, for h(ID || X)) and one record
+    per registered identity, in enrollment order.  A subclass defines
+    ``enroll`` and ``respond``; one that stores more than the identity
+    sets ``RECORD_FIELDS`` (the state file's names for a record's
+    values) and ``Record`` (builds a record from (ID, ints...)).
+    """
+
+    RECORD_FIELDS: tuple[str, ...] = ("id",)
+    Record = tuple
+
+    def __init__(self, env: Env, secret: ServerSecret | None = None,
+                 rng: SessionRng | None = None):
+        if secret is None:
+            if rng is None:
+                raise ValueError("need a secret or an rng to generate one")
+            secret = ServerSecret.generate(env.params, rng)
+        self.env = env
+        self.secret = secret
+        self.x_word = Field128.from_int(secret.x)
+        self.user_ids: set[Field128] = set()
+        self.records: list = []  # in enrollment order
+
+    def state_records(self) -> list[tuple]:
+        """The state file's records, in enrollment order."""
+        return list(self.records)
+
+    def restore_record(self, user_id: Field128, *ints: int) -> None:
+        """Re-enroll a user from one of `state_records`' records."""
+        if len(ints) != len(self.RECORD_FIELDS) - 1:
+            raise ValueError("record needs '%s'" % " ".join(self.RECORD_FIELDS))
+        if user_id in self.user_ids:
+            raise ValueError("identity already registered")
+        self._add(user_id, *ints)
+
+    def _add(self, user_id: Field128, *ints: int) -> None:
+        """Store a new identity's record; RegistrationError if it is known."""
+        if user_id in self.user_ids:
+            raise RegistrationError("identity already registered")
+        self.user_ids.add(user_id)
+        self.records.append(self.Record((user_id, *ints)))

@@ -203,7 +203,7 @@ def save_server(server, path) -> None:
         "hash: %s" % env.hasher.name,
         "p: %s" % Field128.from_int(env.params.p).hex(),
         "g: %s" % Field128.from_int(env.params.g).hex(),
-        "X: %s" % Field128.from_int(server.secret.x).hex(),
+        "X: %s" % server.x_word.hex(),
     ]
     for uid, *ints in server.state_records():
         lines.append(" ".join(["record:", uid.hex(), *map(str, ints)]))

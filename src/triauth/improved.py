@@ -49,21 +49,21 @@ User finish (no freshness check is defined at this step):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     AuthFailure,
+    BaseServer,
     Env,
     Field128,
     FreshnessFailure,
     GroupParams,
     LocalAuthFailure,
-    RegistrationError,
-    ServerSecret,
+    MALFORMED_TIMESTAMP,
     SessionRng,
     UnknownUser,
     WireMessage,
     encode_text,
-    field_to_ms,
     ms_to_field,
 )
 from .fuzzy import BiometricTemplate, HelperData, gen, rep
@@ -142,8 +142,7 @@ class PendingLogin:
     t3: Field128
 
 
-@dataclass(frozen=True)
-class ServerRecord:
+class ServerRecord(NamedTuple):
     """Per-user registration state: the two long-term timestamps."""
 
     user_id: Field128
@@ -151,7 +150,7 @@ class ServerRecord:
     t2_ms: int
 
 
-class ImprovedServer:
+class ImprovedServer(BaseServer):
     """Long-term secret X plus the (ID, T1, T2) registry.
 
     Login messages carry no cleartext identity, so the server finds
@@ -160,70 +159,35 @@ class ImprovedServer:
     whose C_i verifies.  Trial cost is visible in the ledger.
     """
 
-    def __init__(
-        self,
-        env: Env,
-        secret: ServerSecret | None = None,
-        rng: SessionRng | None = None,
-    ):
-        if secret is None:
-            if rng is None:
-                raise ValueError("need a secret or an rng to generate one")
-            secret = ServerSecret.generate(env.params, rng)
-        self.env = env
-        self.secret = secret
-        self.records: list[ServerRecord] = []  # in enrollment order
-        self._user_ids: set[Field128] = set()  # the records' identities
+    RECORD_FIELDS = ("id", "t1", "t2")
+    Record = ServerRecord._make
 
     def enroll(
         self, user_id: Field128, w: Field128, t1_ms: int, t2_ms: int
     ) -> Field128:
         """Registration at the server: returns e; stores (ID, T1, T2)."""
-        if user_id in self._user_ids:
-            raise RegistrationError("identity already registered")
-        x_word = Field128.from_int(self.secret.x)
-        g_val = self.env.h(user_id, x_word)
+        self._add(user_id, t1_ms, t2_ms)
+        g_val = self.env.h(user_id, self.x_word)
         h_val = g_val ^ ms_to_field(t2_ms)
-        self._add(ServerRecord(user_id, t1_ms, t2_ms))
         return h_val ^ w
-
-    def _add(self, rec: ServerRecord) -> None:
-        self.records.append(rec)
-        self._user_ids.add(rec.user_id)
-
-    def state_records(self) -> list[tuple]:
-        """The state file's records, one (ID, T1, T2) per user, in order."""
-        return [(rec.user_id, rec.t1_ms, rec.t2_ms) for rec in self.records]
-
-    def restore_record(self, user_id: Field128, *ints: int) -> None:
-        """Re-enroll a user from one of `state_records`' records."""
-        if len(ints) != 2:
-            raise ValueError("record needs 'id t1 t2'")
-        if user_id in self._user_ids:
-            raise ValueError("identity already registered")
-        self._add(ServerRecord(user_id, *ints))
 
     def respond(
         self, msg: LoginMessage, r_s: int, processing_ms: int = 0
     ) -> tuple[ReplyMessage, Field128]:
         env = self.env
         t4_ms = env.clock.now()
-        x_word = Field128.from_int(self.secret.x)
-
-        matched = None
-        saw_stale = False
+        saw_stale = None  # the freshness fault of a stale record
         saw_mismatch = False
         for rec in self.records:
             t1 = ms_to_field(rec.t1_ms)
             t2 = ms_to_field(rec.t2_ms)
             t3 = msg.q ^ env.h(t1)
-            try:
-                t3_ms = field_to_ms(t3)
-            except ValueError:
+            fault = env.freshness_fault(t3, t4_ms, "login")
+            if fault == MALFORMED_TIMESTAMP:
                 continue  # unmasking garbage: not this user's message
-            if t4_ms - t3_ms > env.delta_t_ms:
+            if fault:
                 # stale under this record's T1; no group work was spent
-                saw_stale = True
+                saw_stale = fault
                 continue
             a1 = msg.a11 ^ t2 ^ t3
             try:
@@ -232,27 +196,23 @@ class ImprovedServer:
                 continue  # unmasked value is not a group element
             a22 = a2 ^ t3
             user_id = msg.nid ^ a22 ^ env.h(t1, t3, t2)
-            h_val = env.h(user_id, x_word) ^ t2
+            h_val = env.h(user_id, self.x_word) ^ t2
             expected = env.h(user_id, h_val, a22, msg.a11, t1, t3, t2)
             if expected == msg.c_i:
-                matched = (rec, t1, t2, t3, a1, a22, user_id, h_val)
-                break
+                break  # this record's values carry on below
             saw_mismatch = True
-
-        if matched is None:
+        else:
             if saw_stale:
-                raise FreshnessFailure("login timestamp outside the window")
+                raise FreshnessFailure(saw_stale)
             if saw_mismatch:
                 raise AuthFailure("login verifier mismatch")
             raise UnknownUser("no registered identity matches this login")
 
-        rec, t1, t2, t3, a1, a22, user_id, h_val = matched
         t4 = ms_to_field(t4_ms)
         a4 = env.mod_exp(env.params.g, r_s)
         a44 = a4 ^ t3 ^ t4
         a5 = env.mod_exp(a1, r_s)
-        if processing_ms:
-            env.clock.advance(processing_ms)
+        env.clock.advance(processing_ms)
         _, t5 = env.now_field()
         a55 = a5 ^ t3 ^ t5
         sk = env.h(user_id, a22, a55, h_val, t1, t3, t5)

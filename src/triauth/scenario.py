@@ -30,10 +30,10 @@ documented out-of-model control alongside the in-model attack.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import adversary, improved
+from . import adversary
 from .channel import SERVER_TO_USER, USER_TO_SERVER, SimChannel, Transcript
 from .core import (
     Env,
@@ -139,7 +139,7 @@ class _Session:
 class _Runner:
     def __init__(self, script: ScenarioScript, config: ProtocolConfig | None):
         self.script = script
-        config = config or ProtocolConfig()
+        config = replace(config or ProtocolConfig())  # the caller's stays as it is
         if script.delta_t_ms is not None:
             config.delta_t_ms = script.delta_t_ms
         self.config = config
@@ -152,11 +152,13 @@ class _Runner:
         self.pool: dict[str, object] = {"transcripts": {}}
         self.step_reports: list[dict] = []
         self.attack_reports: list[dict] = []
+        self.at = ""  # "step N (op)" of the step being run, for error messages
 
     # -- step handlers --------------------------------------------------
 
     def run(self) -> ScenarioResult:
         for i, step in enumerate(self.script.steps, 1):
+            self.at = "step %d (%s)" % (i, step["op"])
             handler = getattr(self, "_op_" + step["op"].replace("-", "_"))
             outcome = {"step": i, "op": step["op"]}
             outcome.update(handler(step))
@@ -164,13 +166,13 @@ class _Runner:
         return self._result()
 
     def _op_register(self, step) -> dict:
-        rng = SessionRng(step["seed"])
-        name = step["user"]
+        rng = SessionRng(self._need(step, "seed"))
+        name = self._need(step, "user")
         if name in self.users:
             return {"ok": False, "error": "user already defined"}
         user = _User(
             user_id=encode_text(step.get("id", name)),
-            password=step["password"],
+            password=self._need(step, "password"),
             template=BiometricTemplate.random(rng, self.config.template_bits),
         )
         try:
@@ -184,12 +186,12 @@ class _Runner:
         return {"ok": True, "user": name}
 
     def _op_advance_clock(self, step) -> dict:
-        self.env.clock.advance(step["ms"])
+        self.env.clock.advance(self._need(step, "ms"))
         return {"ok": True, "now_ms": self.env.clock.now()}
 
     def _op_login(self, step) -> dict:
-        user = self.users[step["user"]]
-        seed = step["seed"]
+        user = self._user(self._need(step, "user"))
+        seed = self._need(step, "seed")
         rng = SessionRng(seed)
         channel = SimChannel(
             self.env.clock,
@@ -219,7 +221,7 @@ class _Runner:
 
     def _op_respond(self, step) -> dict:
         session = self._current()
-        rng = SessionRng(step["seed"])
+        rng = SessionRng(self._need(step, "seed"))
         session.r_s = rng.exponent(self.env.params)
         try:
             _, session.sk_server = session.handshake.respond(
@@ -276,17 +278,16 @@ class _Runner:
 
     def _op_tamper(self, step) -> dict:
         session = self._current()
-        label = step["message"]
+        label = self._need(step, "message")
         direction = USER_TO_SERVER if label == "login" else SERVER_TO_USER
-        names = adversary.wire_layout(self.script.scheme, label)
-        fieldname = step["field"]
-        if fieldname not in names:
-            return {"ok": False, "error": "no field %r in %s" % (fieldname, label)}
-        mask = bytes.fromhex(step["mask"])
+        fieldname = self._need(step, "field")
+        mask = bytes.fromhex(self._need(step, "mask"))
         try:
-            session.handshake.channel.corrupt_in_flight(
-                direction, 16 * names.index(fieldname), mask
-            )
+            offset = adversary.field_offset(self.script.scheme, label, fieldname, mask)
+        except ValueError as exc:
+            return {"ok": False, "error": str(exc)}
+        try:
+            session.handshake.channel.corrupt_in_flight(direction, offset, mask)
         except LookupError:
             return {"ok": False, "error": "nothing in flight"}
         return {"ok": True, "message": label, "field": fieldname,
@@ -294,29 +295,30 @@ class _Runner:
 
     def _op_attack(self, step) -> dict:
         words, dict_note = self._dictionary(step)
-        # the adversary reads the wire from the first transcript: put the
-        # session whose r_u it holds first, if that transcript leaked
+        # the adversary reads the wire from the first transcript: with an
+        # r_u held, only the wire of its own session can match it
         held = self.pool.get("r_u_session")
-        leaked = self.pool["transcripts"]
-        order = sorted(leaked, key=lambda sid: sid != held)
+        transcripts = tuple(t for sid, t in self.pool["transcripts"].items()
+                            if held in (None, sid))
         knowledge = adversary.AdversaryKnowledge.assemble(
             self.script.scheme,
             card=self.pool.get("card"),
-            transcripts=tuple(leaked[sid] for sid in order),
+            transcripts=transcripts,
             biometric=self.pool.get("biometric"),
             r_u=self.pool.get("r_u"),
             r_s=self.pool.get("r_s"),
             dictionary=words,
         )
         granted = None
-        # the grant is the improved scheme's white-box control; a
-        # baseline script that asks for it runs the plain attack
-        if step.get("grant_timestamps") and self.script.scheme == improved.SCHEME:
-            victim = self.users[self.pool["victim"]]
-            rec = next(
-                r for r in self.server.records if r.user_id == victim.user_id
+        # the grant is the improved scheme's white-box control, the victim's
+        # (T1, T2); a baseline record has none, so the plain attack runs
+        if step.get("grant_timestamps"):
+            victim = self._victim(step)
+            granted = next(
+                (tuple(ints) for uid, *ints in self.server.state_records()
+                 if uid == victim.user_id and ints),
+                None,
             )
-            granted = (rec.t1_ms, rec.t2_ms)
         outcome = adversary.attack(knowledge, granted)
         entry = adversary.outcome_report(self.script.scheme, outcome)
         entry["dictionary"] = dict_note
@@ -326,9 +328,25 @@ class _Runner:
 
     # -- helpers ---------------------------------------------------------
 
+    def _need(self, step, key):
+        """step[key]; ValueError naming the step if the script omits it."""
+        if key not in step:
+            raise ValueError("%s: missing %r" % (self.at, key))
+        return step[key]
+
+    def _user(self, name) -> _User:
+        if name not in self.users:
+            raise ValueError("%s: no user %r is defined" % (self.at, name))
+        return self.users[name]
+
+    def _victim(self, step) -> _User:
+        """The user of the last leaked session, else the step's "user"."""
+        name = self.pool["victim"] if "victim" in self.pool else self._need(step, "user")
+        return self._user(name)
+
     def _current(self) -> _Session:
         if not self.sessions:
-            raise ValueError("no session yet: login must come first")
+            raise ValueError("%s: no session yet: login must come first" % self.at)
         return self.sessions[-1]
 
     def _dictionary(self, step) -> tuple[list[str], dict]:
@@ -341,8 +359,7 @@ class _Runner:
         plant_at = spec.get("plant_at")
         note = {"size": size, "seed": spec.get("seed", self.script.seed)}
         if plant_at is not None:
-            victim = self.users[self.pool.get("victim", step.get("user", ""))]
-            words.insert(plant_at, victim.password)
+            words.insert(plant_at, self._victim(step).password)
             note["plant_at"] = plant_at
         return words, note
 

@@ -3,8 +3,9 @@
 Each scheme module provides ``SCHEME``, ``LOGIN_WIRE``/``REPLY_WIRE``,
 ``LoginMessage``/``ReplyMessage``, ``Card``, ``Server``, ``register``,
 ``login`` and ``finish``.  A ``Card`` lists its stored fields in
-``FIELD_NAMES``; a ``Server`` saves and restores its per-user state
-through ``state_records``/``restore_record``.
+``FIELD_NAMES``.  A ``Server`` subclasses ``core.BaseServer`` and
+supplies ``enroll``, ``respond`` and, if it stores more than the
+identity per user, ``Record`` and ``RECORD_FIELDS``.
 """
 
 from __future__ import annotations

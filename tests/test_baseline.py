@@ -148,6 +148,24 @@ def test_malformed_timestamp_is_a_freshness_failure():
     assert enr.env.ledger.modexp_total() == modexps_before
 
 
+def test_each_freshness_rejection_says_why():
+    enr = enroll("baseline")
+    run = run_session(enr)
+    garbage = Field128.from_int(1 << 127)
+    bad_t1 = dataclasses.replace(run.msg, t1=garbage)
+    bad_t3 = dataclasses.replace(run.reply, t3=garbage)
+    r_s = enr.rng.exponent(enr.env.params)
+    with pytest.raises(FreshnessFailure, match="^malformed timestamp$"):
+        enr.server.respond(bad_t1, r_s)
+    with pytest.raises(FreshnessFailure, match="^malformed timestamp$"):
+        baseline.finish(enr.env, run.pending, bad_t3)
+    enr.env.clock.advance(enr.env.delta_t_ms + 1)
+    with pytest.raises(FreshnessFailure, match="^login timestamp outside the window$"):
+        enr.server.respond(run.msg, r_s)
+    with pytest.raises(FreshnessFailure, match="^reply timestamp outside the window$"):
+        baseline.finish(enr.env, run.pending, run.reply)
+
+
 def test_unregistered_identity_is_unknown():
     enr = enroll("baseline")
     enr.env.clock.advance(10)

@@ -13,6 +13,7 @@ from triauth.core import (
     Field128,
     GroupParams,
     HashEngine,
+    MALFORMED_TIMESTAMP,
     ProtocolConfig,
     ServerSecret,
     SessionRng,
@@ -440,3 +441,14 @@ def test_now_field_matches_clock():
     ms, word = env.now_field()
     assert ms == 5000
     assert field_to_ms(word) == 5000
+
+
+def test_freshness_fault_is_the_window_check():
+    env = Env.from_config(ProtocolConfig(), SimClock())
+    now = env.clock.now()
+    edge = now - env.delta_t_ms
+    assert env.freshness_fault(ms_to_field(edge), now, "login") is None
+    assert (env.freshness_fault(ms_to_field(edge - 1), now, "reply")
+            == "reply timestamp outside the window")
+    malformed = Field128.from_int(1 << 64 | now)  # a high bit set
+    assert env.freshness_fault(malformed, now, "login") == MALFORMED_TIMESTAMP

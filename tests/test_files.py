@@ -220,7 +220,7 @@ def test_baseline_server_round_trips(tmp_path):
     loaded = load_server(path, env)
     assert loaded.secret.x == enr.server.secret.x
     assert loaded.secret.y == enr.server.secret.y  # recomputed, must agree
-    assert loaded.registered == enr.server.registered
+    assert loaded.user_ids == enr.server.user_ids
 
 
 def test_improved_server_round_trips(tmp_path):

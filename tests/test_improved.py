@@ -140,6 +140,14 @@ def test_replay_of_a_recorded_login_is_rejected_after_the_window():
         enr.server.respond(run.msg, enr.rng.exponent(enr.env.params))
 
 
+def test_a_stale_login_names_the_window():
+    enr = enroll("improved")
+    run = run_session(enr)
+    enr.env.clock.advance(enr.env.delta_t_ms + 1)
+    with pytest.raises(FreshnessFailure, match="^login timestamp outside the window$"):
+        enr.server.respond(run.msg, enr.rng.exponent(enr.env.params))
+
+
 def test_single_bit_tamper_on_each_login_field_is_rejected():
     enr = enroll("improved")
     enr.env.clock.advance(60_000)

@@ -1,11 +1,14 @@
 """Scenario runner: scripted sessions, determinism, recording, replay."""
 
 import json
+import re
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from triauth.cli import main
+from triauth.core import ProtocolConfig
 from triauth.files import load_transcript, transcript_bytes
 from triauth.scenario import (
     ScenarioScript,
@@ -236,6 +239,29 @@ def test_an_attack_after_two_leaks_reads_the_wire_of_its_exponents(second_leak):
     assert attack["session_key"] == result.report["sessions"][session]["sk_user"]
 
 
+def test_an_attack_without_the_wire_of_its_exponents_names_the_gap():
+    steps = [
+        {"op": "register", "user": "u", "password": "pw-twice", "seed": 11},
+        {"op": "login", "user": "u", "seed": 12},
+        {"op": "respond", "seed": 13},
+        {"op": "finish"},
+        {"op": "leak"},
+        {"op": "advance-clock", "ms": 60_000},
+        {"op": "login", "user": "u", "seed": 14},
+        {"op": "respond", "seed": 15},
+        {"op": "finish"},
+        {"op": "leak", "values": ["r_u", "r_s"]},  # session 2's wire never leaks
+        {"op": "attack", "dictionary": {"size": 100, "plant_at": 41}},
+    ]
+    result = run_scenario(_script("baseline", steps))
+    (attack,) = result.report["attacks"]
+    assert attack["status"] == "insufficient_knowledge"
+    assert attack["work"] == 0
+    assert attack["gaps"] == [
+        {"equation": "C_i", "unknown": ["A1", "C_i", "ID", "SK", "T1w"]}
+    ]
+
+
 def test_a_transcript_leaked_again_is_read_in_full():
     steps = [
         {"op": "register", "user": "u", "password": "pw-again", "seed": 11},
@@ -282,3 +308,52 @@ def test_final_clock_accounts_for_latency_and_processing():
     # registration hop 10, login hop 10, processing 7, reply hop 10
     epoch = 1_700_000_000_000
     assert result.report["final_clock_ms"] == epoch + 10 + 10 + 7 + 10
+
+
+_REGISTER_U = {"op": "register", "user": "u", "password": "pw-1", "seed": 11}
+
+
+@pytest.mark.parametrize("steps, message", [
+    ([_REGISTER_U, {"op": "login", "user": "nobody", "seed": 12}],
+     "step 2 (login): no user 'nobody' is defined"),
+    ([{"op": "register", "user": "u", "password": "pw-1"}],
+     "step 1 (register): missing 'seed'"),
+    ([_REGISTER_U, {"op": "attack", "dictionary": {"size": 5, "plant_at": 2}}],
+     "step 2 (attack): missing 'user'"),
+], ids=["undefined-user", "missing-seed", "plant-before-leak"])
+def test_bad_scenario_input_names_its_step_and_replay_exits_2(
+    tmp_path, capsys, steps, message
+):
+    path = tmp_path / "bad.scenario"
+    path.write_text(json.dumps(
+        {"name": "bad", "scheme": "baseline", "seed": 5, "steps": steps}
+    ))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_scenario(load_scenario(path))
+    assert main(["replay", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_a_tamper_mask_longer_than_a_field_is_refused():
+    steps = [
+        _REGISTER_U,
+        {"op": "login", "user": "u", "seed": 12},
+        {"op": "tamper", "message": "login", "field": "NID", "mask": "01" * 17},
+        {"op": "respond", "seed": 13},
+    ]
+    result = run_scenario(_script("baseline", steps))
+    tamper_step, respond_step = result.report["steps"][2:]
+    assert tamper_step == {"step": 3, "op": "tamper", "ok": False,
+                           "error": "mask longer than a field"}
+    assert respond_step["ok"] is True  # A1, next to NID, was left alone
+
+
+def test_a_scenario_window_leaves_the_callers_config_alone():
+    config = ProtocolConfig()
+    steps = [_REGISTER_U, {"op": "login", "user": "u", "seed": 12},
+             {"op": "respond", "seed": 13}]
+    script = _script("baseline", steps)
+    script.delta_t_ms = 5  # shorter than the 10 ms hop: the login goes stale
+    result = run_scenario(script, config)
+    assert result.report["steps"][2]["error"] == "freshness"
+    assert config.delta_t_ms == 2000
