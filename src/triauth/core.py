@@ -436,6 +436,30 @@ class GroupParams:
 _DEFAULT_GROUP = GroupParams(DEFAULT_P, DEFAULT_G)
 _DEFAULT_GROUP.verify()
 
+# Fixed-base comb for g: one row per byte of a 128-bit exponent, row i
+# holding g**(d * 2**(8*i)) mod p for every byte value d, so g**e is one
+# multiplication per byte of e.  The tables are keyed by (g, p) at module
+# level, not kept on GroupParams, because every Env builds its own
+# GroupParams; a table depends on (g, p) alone, so sharing it is safe.
+_COMB_ROWS = FIELD_BYTES
+_COMB_LIMIT = 1 << (8 * _COMB_ROWS)  # exponents below this use the table
+_COMB_TABLES: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+
+
+def _comb_table(g: int, p: int) -> tuple[tuple[int, ...], ...]:
+    table = _COMB_TABLES.get((g, p))
+    if table is None:
+        rows = []
+        base = g  # g**(2**(8*i)) for the row being built
+        for _ in range(_COMB_ROWS):
+            row = [1]
+            for _ in range(255):
+                row.append(row[-1] * base % p)
+            rows.append(tuple(row))
+            base = row[-1] * base % p
+        table = _COMB_TABLES[(g, p)] = tuple(rows)
+    return table
+
 
 def mod_exp(
     base: int | bytes,
@@ -447,16 +471,23 @@ def mod_exp(
 
     ``base`` may be an int or a Field128/bytes wire word.  Bases outside
     (0, p) are a domain error: they cannot be honest group elements and
-    rejecting them is how garbage unmaskings surface.
+    rejecting them is how garbage unmaskings surface.  Powers of g with
+    an exponent below 2**128 come from the fixed-base comb table.
     """
     b = int.from_bytes(base, "big") if isinstance(base, bytes) else base
-    if not 0 < b < params.p:
+    p = params.p
+    if not 0 < b < p:
         raise ValueError("modexp base outside (0, p)")
     if exponent < 0:
         raise ValueError("negative exponent")
     if ledger is not None:
         ledger.count_modexp()
-    return Field128.from_int(pow(b, exponent, params.p))
+    if b != params.g or exponent >= _COMB_LIMIT:
+        return Field128.from_int(pow(b, exponent, p))
+    r = 1
+    for row, digit in zip(_comb_table(b, p), exponent.to_bytes(_COMB_ROWS, "little")):
+        r = r * row[digit] % p
+    return Field128.from_int(r)
 
 
 @dataclass(frozen=True)
@@ -633,6 +664,9 @@ class BaseServer:
             raise ValueError("record needs '%s'" % " ".join(self.RECORD_FIELDS))
         if user_id in self.user_ids:
             raise ValueError("identity already registered")
+        for ms in ints:  # a record's values are millisecond times
+            if not 0 <= ms < (1 << 64):
+                raise ValueError("record time out of 64-bit range: %d" % ms)
         self._add(user_id, *ints)
 
     def _add(self, user_id: Field128, *ints: int) -> None:

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from triauth import core
 from triauth.core import (
     DEFAULT_G,
     DEFAULT_P,
@@ -331,21 +332,51 @@ def test_mod_exp_accepts_ints_and_wire_words():
     assert from_int == from_word == Field128.from_int(pow(params.g, 12345, params.p))
 
 
-def test_mod_exp_rejects_out_of_group_bases():
-    params = GroupParams.default()
-    with pytest.raises(ValueError):
-        mod_exp(0, 3, params)
-    with pytest.raises(ValueError):
-        mod_exp(params.p, 3, params)
-    with pytest.raises(ValueError):
-        mod_exp(3, -1, params)
-
-
-def test_mod_exp_counts_into_ledger():
+def test_mod_exp_rejects_out_of_group_bases(monkeypatch):
+    monkeypatch.setattr(core, "_COMB_TABLES", {})
     params = GroupParams.default()
     ledger = CostLedger()
-    mod_exp(params.g, 2, params, ledger)
+    for base, exponent in ((0, 3), (params.p, 3), (3, -1), (params.g, -1)):
+        with pytest.raises(ValueError):
+            mod_exp(base, exponent, params, ledger)
+    # a refused call counts no modexp and builds no table
+    assert ledger.modexp_total() == 0
+    assert core._COMB_TABLES == {}
+
+
+def test_mod_exp_counts_into_ledger(monkeypatch):
+    monkeypatch.setattr(core, "_COMB_TABLES", {})
+    params = GroupParams.default()
+    ledger = CostLedger()
+    mod_exp(params.g, (1 << 128) - 1, params, ledger)  # from the comb table
     assert ledger.modexp_total() == 1
+    assert list(core._COMB_TABLES) == [(params.g, params.p)]
+    mod_exp(3, 2, params, ledger)  # from pow
+    assert ledger.modexp_total() == 2
+
+
+# the default group and a 96-bit safe-prime group with its own comb table
+_COMB_GROUPS = [GroupParams.default(), GroupParams.from_values(0xA43A4BB686FF60C85D07F37F, 4)]
+
+
+@pytest.mark.parametrize("params", _COMB_GROUPS, ids=["default", "p96"])
+def test_fixed_base_comb_agrees_with_pow(params, monkeypatch):
+    monkeypatch.setattr(core, "_COMB_TABLES", {})
+    rng = SessionRng(2024)
+    exponents = [rng.below(1 << 128) for _ in range(1000)]
+    exponents += [0, 1, params.p - 2, params.p - 1, (1 << 128) - 1]
+    for g in (params.g, Field128.from_int(params.g)):
+        for e in exponents:
+            assert mod_exp(g, e, params) == Field128.from_int(pow(params.g, e, params.p))
+    assert list(core._COMB_TABLES) == [(params.g, params.p)]
+
+
+@pytest.mark.parametrize("params", _COMB_GROUPS, ids=["default", "p96"])
+def test_exponents_of_2_to_the_128_or_more_fall_back_to_pow(params, monkeypatch):
+    monkeypatch.setattr(core, "_COMB_TABLES", {})
+    for e in (1 << 128, 1 << 200):
+        assert mod_exp(params.g, e, params) == Field128.from_int(pow(params.g, e, params.p))
+    assert core._COMB_TABLES == {}
 
 
 def test_diffie_hellman_commutes_over_random_exponents():

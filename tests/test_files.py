@@ -283,6 +283,10 @@ _BOB_IMPROVED = b"record: 626f6200000000000000000000000000 1700000000000 1700000
      "record needs 'id'"),
     ("baseline", _BOB_BASELINE, _BOB_BASELINE * 2, 9, "identity already registered"),
     ("improved", _BOB_IMPROVED, _BOB_IMPROVED * 2, 9, "identity already registered"),
+    ("improved", b" 1700000000000 ", b" 99999999999999999999999 ", 7,
+     "record time out of 64-bit range: 99999999999999999999999"),
+    ("improved", b" 1700000000010\n", b" 18446744073709551616\n", 7,
+     "record time out of 64-bit range: 18446744073709551616"),
 ])
 def test_server_parse_errors_name_the_file_and_line(tmp_path, recorded, old, new, line, why):
     path = _edited_copy(tmp_path, recorded + "/server.state", "srv.state", old, new)
