@@ -46,7 +46,7 @@ from .core import (
 )
 from .channel import SimChannel, Transcript, TranscriptEntry
 from .fuzzy import BiometricTemplate, rep
-from .session import card_fields, card_from_fields, scheme_module
+from .session import Handshake, card_fields, card_from_fields, scheme_module
 
 # Atoms the model says the adversary never holds.  Checked
 # case-insensitively against every externally supplied mapping key.
@@ -317,8 +317,7 @@ def _ctx_from_knowledge(knowledge: AdversaryKnowledge) -> _Ctx | None:
     if not view:
         return None
     try:
-        params = GroupParams.from_values(view["p"], view["g"], trust_unchecked=True)
-        return _Ctx(view["h"], params)
+        return _Ctx(view["h"], GroupParams(view["p"], view["g"]))
     except (KeyError, ValueError, TypeError):
         return None
 
@@ -555,8 +554,6 @@ def forge_improved_session_key(
 
 def intercept(channel: SimChannel) -> Transcript:
     """The eavesdropper's copy of everything the channel carried."""
-    if not channel.recording:
-        raise ValueError("channel is not recording; nothing to intercept")
     return channel.transcript()
 
 
@@ -611,16 +608,22 @@ def impersonate(
 ) -> str:
     """Try to open a fresh session as the victim; "accept" or "reject".
 
-    After a baseline recovery this rebuilds the card from the captured
-    view and runs the honest login and finish on it with the recovered
-    password and identity and a fresh exponent, in the adversary's own
-    Env (its own ledger, the card's hash, the victim's clock).  Anything
-    less (notably the hardened scheme, where the attack ends
-    insufficient) falls back to a best-effort forgery under random
-    guesses, which the server should throw out.
+    A ``session.Handshake`` in the adversary's own Env, with a fresh
+    exponent.  After a baseline recovery it uses the card rebuilt from
+    the captured view and the recovered password and identity.  Anything
+    less (notably the hardened scheme) falls back to a card the adversary
+    issues itself under guesses, pointed at the victim's Y, which the
+    server should throw out.  ValueError if the knowledge holds no card.
     """
-    view = knowledge.card_view or {}
     ctx = _ctx_from_knowledge(knowledge)
+    if ctx is None:
+        raise ValueError("impersonation needs the captured card")
+    view = knowledge.card_view
+    mod = scheme_module(knowledge.scheme)
+    ledger = CostLedger()
+    own = replace(  # the victim's clock and window, the card's tools
+        env, params=ctx.params, ledger=ledger, hasher=HashEngine(view["h"], ledger)
+    )
     r_fresh = rng.exponent(env.params)
 
     if (
@@ -628,40 +631,22 @@ def impersonate(
         and outcome.status == RECOVERED
         and knowledge.biometric is not None
     ):
-        ledger = CostLedger()
-        own = replace(  # the victim's clock and window, the card's tools
-            env, params=ctx.params, ledger=ledger, hasher=HashEngine(view["h"], ledger)
+        card = card_from_fields(knowledge.scheme, view)
+        user_id, password = outcome.identity, outcome.password
+        reading = knowledge.biometric
+    else:  # a card of its own, under guesses for what the model withholds
+        user_id, password = rng.field(), "%016x" % rng.below(1 << 64)
+        reading = BiometricTemplate.random(rng, view["P_i"].nbits)
+        card = mod.register(
+            own, mod.Server(own, rng=rng), user_id, password, reading, rng
         )
-        try:
-            msg, pending = baseline.login(
-                own, card_from_fields(knowledge.scheme, view), outcome.identity,
-                outcome.password, knowledge.biometric, r_fresh,
-            )
-            reply, _sk = server.respond(msg, rng.exponent(env.params))
-            baseline.finish(own, pending, reply)
-        except ProtocolError:
-            return REJECT
-        return ACCEPT
+        card = replace(card, y=view["Y"])
 
-    # best-effort forgery: guess the values the model withholds
-    guess_id, guess_h = rng.field(), rng.field()
-    a1 = ctx.exp(Field128.from_int(env.params.g), r_fresh)
-    a2 = ctx.exp(view["Y"], r_fresh)
-    if knowledge.scheme == baseline.SCHEME:
-        _, t1 = env.now_field()
-        msg = baseline.LoginMessage(
-            guess_id ^ a2, a1, ctx.h(guess_id, guess_h, a1, a2, t1), t1
-        )
-    else:
-        t1_guess, t2_guess = rng.field(), rng.field()
-        _, t3 = env.now_field()
-        a11 = a1 ^ t2_guess ^ t3
-        a22 = a2 ^ t3
-        nid = guess_id ^ a22 ^ ctx.h(t1_guess, t3, t2_guess)
-        c_i = ctx.h(guess_id, guess_h, a22, a11, t1_guess, t3, t2_guess)
-        msg = improved.LoginMessage(nid, a11, c_i, t3 ^ ctx.h(t1_guess))
+    handshake = Handshake(mod, own, server, SimChannel(env.clock))
     try:
-        server.respond(msg, rng.exponent(env.params))
+        _, pending = handshake.login(card, user_id, password, reading, r_fresh)
+        handshake.respond(rng.exponent(env.params))
+        handshake.finish(pending)
     except ProtocolError:
         return REJECT
     return ACCEPT

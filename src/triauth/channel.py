@@ -1,4 +1,4 @@
-"""Simulated wire between card and server, with recording.
+"""Simulated wire between card and server, which keeps a transcript.
 
 The channel is a pair of FIFO queues driven by the simulated clock.
 Sending stamps the message with a delivery time (send time + latency);
@@ -6,11 +6,11 @@ receiving advances the clock to that time if it has not passed yet.
 Delivered bytes are identical to sent bytes unless something corrupts
 the message in flight.
 
-Every message that crosses the wire is recorded into a transcript —
+Every channel records every message that crosses it into a transcript —
 this is the eavesdropper's view, and the adversary engine works from
 these records alone.  Rejections never cross the wire with their local
 error code; the server's visible answer is always the same
-terminating notice.
+terminating notice, which ``session.Handshake`` sends.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class Transcript:
 
 
 class SimChannel:
-    """FIFO message pipe with per-direction latency and recording."""
+    """FIFO message pipe with per-direction latency; records every message."""
 
     def __init__(
         self,
@@ -63,11 +63,9 @@ class SimChannel:
         latency_ms: int = 0,
         session_id: str = "s000",
         rng_seed: int | None = None,
-        recording: bool = True,
     ):
         self.clock = clock
         self.latency_ms = latency_ms
-        self.recording = recording
         self._queues: dict[str, deque] = {
             USER_TO_SERVER: deque(),
             SERVER_TO_USER: deque(),
@@ -79,8 +77,7 @@ class SimChannel:
         sent_at = self.clock.now()
         entry = TranscriptEntry(direction, label, bytes(data), sent_at)
         queue.append([entry, sent_at + self.latency_ms])
-        if self.recording:
-            self._transcript.entries.append(entry)
+        self._transcript.entries.append(entry)
 
     def recv(self, direction: str) -> bytes:
         queue = self._queue(direction)
@@ -109,21 +106,19 @@ class SimChannel:
             data[offset + i] ^= b
         tampered = replace(entry, data=bytes(data))
         queue[0][0] = tampered
-        if self.recording and entry in self._transcript.entries:
-            idx = self._transcript.entries.index(entry)
-            self._transcript.entries[idx] = tampered
+        idx = self._transcript.entries.index(entry)
+        self._transcript.entries[idx] = tampered
 
     def terminate(self, direction: str) -> None:
         """Record the uniform rejection notice (no local code leaks)."""
-        if self.recording:
-            self._transcript.entries.append(
-                TranscriptEntry(
-                    direction,
-                    "termination",
-                    WIRE_TERMINATION.encode("ascii"),
-                    self.clock.now(),
-                )
+        self._transcript.entries.append(
+            TranscriptEntry(
+                direction,
+                "termination",
+                WIRE_TERMINATION.encode("ascii"),
+                self.clock.now(),
             )
+        )
 
     def transcript(self) -> Transcript:
         return self._transcript.copy()

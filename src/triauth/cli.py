@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import adversary
-from .channel import SERVER_TO_USER, SimChannel
+from .channel import SimChannel
 from .core import (
     AuthFailure,
     Env,
@@ -164,7 +164,6 @@ def _cmd_login_run(args) -> int:
         _, sk_server = handshake.respond(r_s, processing_ms=3)
         sk_user = handshake.finish(pending)
     except ProtocolError as exc:
-        channel.terminate(SERVER_TO_USER)
         _print("session rejected locally: %s (%s)" % (exc, exc.code))
         _print("wire view: session terminated")
         return _exit_code_for(exc)

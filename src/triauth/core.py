@@ -273,9 +273,6 @@ class CostLedger:
     def hashes_in(self, phase: str | None = None, principal: str | None = None) -> int:
         return self._select(self.hash_calls, phase, principal)
 
-    def modexps_in(self, phase: str | None = None, principal: str | None = None) -> int:
-        return self._select(self.modexp_calls, phase, principal)
-
     @staticmethod
     def _select(counts: dict[tuple[str, str], int], phase, principal) -> int:
         total = 0
@@ -397,17 +394,15 @@ class GroupParams:
         return _DEFAULT_GROUP
 
     @classmethod
-    def from_values(cls, p: int, g: int, trust_unchecked: bool = False) -> "GroupParams":
+    def from_values(cls, p: int, g: int) -> "GroupParams":
         """Build params from user-supplied values.
 
         Verifies that p is a 128-bit-or-smaller safe prime and that g
         generates a subgroup of order > 2**64 (the default group was
-        verified once, at import).  Pass ``trust_unchecked=True`` to
-        skip the (documented) check — the caller then owns the
-        consequences.
+        verified once, at import).
         """
         params = cls(p, g)
-        if not trust_unchecked and params != _DEFAULT_GROUP:
+        if params != _DEFAULT_GROUP:
             params.verify()
         return params
 

@@ -67,6 +67,11 @@ KNOWN_OPS = (
 DEFAULT_EPOCH_MS = 1_700_000_000_000
 LEAKABLE = ("card", "biometric", "r_u", "r_s", "transcript")
 
+# The type of each top-level key of a scenario file, checked on load.
+_HEADER_TYPES = {"name": str, "scheme": str, "seed": int, "steps": list,
+                 "latency_ms": int, "epoch_ms": int, "delta_t_ms": int}
+_KIND_NAMES = {str: "a string", int: "an integer", list: "a list of steps"}
+
 
 @dataclass
 class ScenarioScript:
@@ -91,9 +96,18 @@ def load_scenario(path) -> ScenarioScript:
         doc = json.loads(Path(path).read_text("utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError("%s: not valid JSON (%s)" % (path, exc)) from None
+    if not isinstance(doc, dict):
+        raise ValueError("%s: not a JSON object" % path)
     for need in ("name", "scheme", "seed", "steps"):
         if need not in doc:
             raise ValueError("%s: missing %r" % (path, need))
+    for key, kind in _HEADER_TYPES.items():
+        # bool is an int subclass, but true is no seed or latency
+        if key in doc and (type(doc[key]) is bool or not isinstance(doc[key], kind)):
+            raise ValueError("%s: %r must be %s" % (path, key, _KIND_NAMES[kind]))
+    for i, step in enumerate(doc["steps"], 1):
+        if not isinstance(step, dict):
+            raise ValueError("%s: step %d is not an object" % (path, i))
     script = ScenarioScript(
         name=doc["name"],
         scheme=doc["scheme"],
@@ -232,7 +246,6 @@ class _Runner:
                     "error": "nothing in flight"}
         except ProtocolError as exc:
             session.error = exc.code
-            session.handshake.channel.terminate(SERVER_TO_USER)
             return {"ok": False, "session": session.session_id, "error": exc.code}
         return {"ok": True, "session": session.session_id}
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import baseline, improved
 from .channel import SERVER_TO_USER, USER_TO_SERVER, SimChannel
-from .core import Env, Field128, GroupParams, WireMessage
+from .core import Env, Field128, GroupParams, ProtocolError, WireMessage
 
 SCHEMES = {m.SCHEME: m for m in (baseline, improved)}
 
@@ -58,10 +58,11 @@ class Handshake:
     """One login -> respond -> finish session over `channel`, step by step.
 
     It owns the ledger scopes, the wire accounting, the codec and the
-    channel hops.  It draws no randomness (callers pass r_u and r_s, so
-    their RNG streams keep their order) and catches no errors.  Scheme
-    functions are looked up on `mod` at each call, so a wrapper
-    installed on the module or the server class sees every step.
+    channel hops, and it is what answers a server rejection on the
+    wire.  It draws no randomness (callers pass r_u and r_s, so their
+    RNG streams keep their order).  Scheme functions are looked up on
+    `mod` at each call, so a wrapper installed on the module or the
+    server class sees every step.
     """
 
     def __init__(self, mod, env: Env, server, channel: SimChannel):
@@ -81,12 +82,18 @@ class Handshake:
 
     def respond(self, r_s: int, processing_ms: int = 0):
         """Server step on the login in flight; sends the reply and
-        returns (reply, server key).  LookupError if nothing is in flight."""
+        returns (reply, server key).  LookupError if nothing is in flight.
+        A rejection puts the termination notice on the channel, then
+        re-raises the server's ProtocolError."""
         msg = self.mod.LoginMessage.decode(self.channel.recv(USER_TO_SERVER))
-        with self.env.ledger.scope("authentication", "server"):
-            reply, sk_server = self.server.respond(
-                msg, r_s, processing_ms=processing_ms
-            )
+        try:
+            with self.env.ledger.scope("authentication", "server"):
+                reply, sk_server = self.server.respond(
+                    msg, r_s, processing_ms=processing_ms
+                )
+        except ProtocolError:
+            self.channel.terminate(SERVER_TO_USER)
+            raise
         self._send(SERVER_TO_USER, "reply", reply)
         return reply, sk_server
 

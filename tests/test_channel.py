@@ -2,6 +2,7 @@
 
 import pytest
 
+from support import enroll
 from triauth.channel import (
     SERVER_TO_USER,
     USER_TO_SERVER,
@@ -10,7 +11,8 @@ from triauth.channel import (
     Transcript,
     TranscriptEntry,
 )
-from triauth.core import SimClock
+from triauth.core import FreshnessFailure, ProtocolError, SimClock
+from triauth.session import SCHEMES, Handshake
 
 
 def make_channel(latency=0):
@@ -113,12 +115,31 @@ def test_termination_notice_is_uniform():
     assert entry.data == WIRE_TERMINATION.encode("ascii")
 
 
-def test_recording_can_be_disabled():
-    clock = SimClock(0)
-    ch = SimChannel(clock, recording=False)
-    ch.send(USER_TO_SERVER, "login", b"x")
-    ch.terminate(SERVER_TO_USER)
-    assert ch.transcript().entries == []
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_server_rejection_leaves_the_login_then_the_termination_notice(scheme):
+    enr = enroll(scheme)
+    raised = []
+    respond = enr.server.respond
+
+    def respond_and_keep_the_error(*args, **kwargs):
+        try:
+            return respond(*args, **kwargs)
+        except ProtocolError as exc:
+            raised.append(exc)
+            raise
+
+    enr.server.respond = respond_and_keep_the_error
+    channel = SimChannel(enr.env.clock)
+    handshake = Handshake(SCHEMES[scheme], enr.env, enr.server, channel)
+    r_u, r_s = enr.rng.exponent(enr.env.params), enr.rng.exponent(enr.env.params)
+    handshake.login(enr.card, enr.user_id, enr.password, enr.template, r_u)
+    enr.env.clock.advance(enr.env.delta_t_ms + 1)  # the login goes stale
+    with pytest.raises(FreshnessFailure) as exc_info:
+        handshake.respond(r_s)
+    assert raised == [exc_info.value]  # the server's own error, by identity
+    assert [(e.direction, e.label) for e in channel.transcript().entries] == [
+        (USER_TO_SERVER, "login"), (SERVER_TO_USER, "termination"),
+    ]
 
 
 def test_transcript_find():

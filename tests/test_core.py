@@ -307,13 +307,6 @@ def test_from_values_rejects_bad_groups():
         GroupParams.from_values(23, 4)
 
 
-def test_trust_unchecked_skips_verification():
-    bogus = GroupParams.from_values(15, 4, trust_unchecked=True)
-    assert bogus.p == 15
-    with pytest.raises(ValueError):
-        bogus.verify()
-
-
 def test_group_encode_bounds():
     params = GroupParams.default()
     assert params.encode(1).to_int() == 1

@@ -334,6 +334,30 @@ def test_bad_scenario_input_names_its_step_and_replay_exits_2(
     assert message in capsys.readouterr().err
 
 
+_GOOD_HEADER = {"name": "bad", "scheme": "baseline", "seed": 5, "steps": []}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ("name scheme seed steps", "not a JSON object"),
+    ({**_GOOD_HEADER, "steps": ["register"]}, "step 1 is not an object"),
+    ({**_GOOD_HEADER, "steps": {"op": "login"}}, "'steps' must be a list of steps"),
+    ({**_GOOD_HEADER, "seed": "1"}, "'seed' must be an integer"),
+    ({**_GOOD_HEADER, "seed": True}, "'seed' must be an integer"),
+    ({**_GOOD_HEADER, "scheme": ["baseline"]}, "'scheme' must be a string"),
+    ({**_GOOD_HEADER, "latency_ms": "10"}, "'latency_ms' must be an integer"),
+], ids=["string-document", "string-step", "steps-object", "string-seed",
+        "bool-seed", "list-scheme", "string-latency"])
+def test_malformed_scenario_documents_name_the_file_and_replay_exits_2(
+    tmp_path, capsys, doc, message
+):
+    path = tmp_path / "bad.scenario"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape("%s: %s" % (path, message))):
+        load_scenario(path)
+    assert main(["replay", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_a_tamper_mask_longer_than_a_field_is_refused():
     steps = [
         _REGISTER_U,
