@@ -44,9 +44,10 @@ from .core import (
     encode_text,
     ms_to_field,
 )
-from .channel import SimChannel, Transcript, TranscriptEntry
+from .channel import SimChannel, Transcript
 from .fuzzy import BiometricTemplate, rep
-from .session import Handshake, card_fields, card_from_fields, scheme_module
+from .session import (Handshake, card_fields, card_from_fields, scheme_module,
+                      wire_message)
 
 # Atoms the model says the adversary never holds.  Checked
 # case-insensitively against every externally supplied mapping key.
@@ -278,19 +279,18 @@ _TARGETS = ("ID", "SK")
 # ---------------------------------------------------------------------------
 
 def _wire_atoms(scheme: str, transcript: Transcript) -> dict[str, Field128]:
+    mod = scheme_module(scheme)
     atoms: dict[str, Field128] = {}
     for entry in transcript.entries:
         try:
-            names = wire_layout(scheme, entry.label)
+            words = wire_message(mod, entry.label)[1].words(entry.data)
         except ValueError:
-            continue  # a termination notice carries no fields
-        if len(entry.data) != 16 * len(names):
-            continue
-        for i, name in enumerate(names):
+            continue  # a termination notice, or bytes of another length
+        for name, word in words.items():
             # timestamps captured off the wire are words, not clock
             # readings the adversary can trust; keep the 'w' marker
             atom = name + "w" if name in ("T1", "T3") else name
-            atoms.setdefault(atom, Field128(entry.data[16 * i : 16 * i + 16]))
+            atoms.setdefault(atom, word)
     return atoms
 
 
@@ -549,54 +549,14 @@ def forge_improved_session_key(
 
 
 # ---------------------------------------------------------------------------
-# Active operations: interception, tampering, impersonation
+# Active operations: interception and impersonation.  Tampering happens
+# in flight, through SimChannel.corrupt_in_flight at an offset the codec
+# gives (the scenario "tamper" step).
 # ---------------------------------------------------------------------------
 
 def intercept(channel: SimChannel) -> Transcript:
     """The eavesdropper's copy of everything the channel carried."""
     return channel.transcript()
-
-
-def wire_layout(scheme: str, label: str) -> tuple[str, ...]:
-    mod = scheme_module(scheme)
-    if label == "login":
-        return mod.LOGIN_WIRE
-    if label == "reply":
-        return mod.REPLY_WIRE
-    raise ValueError("no %s message in the %s scheme" % (label, scheme))
-
-
-def field_offset(scheme: str, label: str, fieldname: str, mask: bytes) -> int:
-    """Where `mask` starts in the `label` message to flip bits of `fieldname`."""
-    names = wire_layout(scheme, label)
-    if fieldname not in names:
-        raise ValueError("message %r has no field %r" % (label, fieldname))
-    if len(mask) > 16:
-        raise ValueError("mask longer than a field")
-    return 16 * names.index(fieldname)
-
-
-def tamper(
-    transcript: Transcript, scheme: str, label: str, fieldname: str, mask: bytes
-) -> Transcript:
-    """Copy of the transcript with `mask` XORed into one named field.
-
-    A zero mask returns an identical transcript — tampering is exactly
-    the bits you flip, nothing implicit.
-    """
-    offset = field_offset(scheme, label, fieldname, mask)
-    out = transcript.copy()
-    for i, entry in enumerate(out.entries):
-        if entry.label != label:
-            continue
-        data = bytearray(entry.data)
-        for j, b in enumerate(mask):
-            data[offset + j] ^= b
-        out.entries[i] = TranscriptEntry(
-            entry.direction, entry.label, bytes(data), entry.captured_at
-        )
-        return out
-    raise ValueError("transcript has no %r entry" % label)
 
 
 def impersonate(

@@ -8,8 +8,10 @@ the message in flight.
 
 Every channel records every message that crosses it into a transcript —
 this is the eavesdropper's view, and the adversary engine works from
-these records alone.  Rejections never cross the wire with their local
-error code; the server's visible answer is always the same
+these records alone.  The transcript holds the one copy of each
+message; a queue holds only its index and delivery time, so what is
+delivered is what is recorded.  Rejections never cross the wire with
+their local error code; the server's visible answer is always the same
 terminating notice, which ``session.Handshake`` sends.
 """
 
@@ -44,15 +46,6 @@ class Transcript:
     rng_seed: int | None = None
     entries: list[TranscriptEntry] = field(default_factory=list)
 
-    def find(self, label: str) -> TranscriptEntry:
-        for entry in self.entries:
-            if entry.label == label:
-                return entry
-        raise KeyError("transcript has no %r entry" % label)
-
-    def copy(self) -> "Transcript":
-        return Transcript(self.session_id, self.rng_seed, list(self.entries))
-
 
 class SimChannel:
     """FIFO message pipe with per-direction latency; records every message."""
@@ -75,18 +68,18 @@ class SimChannel:
     def send(self, direction: str, label: str, data: bytes) -> None:
         queue = self._queue(direction)
         sent_at = self.clock.now()
-        entry = TranscriptEntry(direction, label, bytes(data), sent_at)
-        queue.append([entry, sent_at + self.latency_ms])
-        self._transcript.entries.append(entry)
+        entries = self._transcript.entries
+        queue.append((len(entries), sent_at + self.latency_ms))
+        entries.append(TranscriptEntry(direction, label, bytes(data), sent_at))
 
     def recv(self, direction: str) -> bytes:
         queue = self._queue(direction)
         if not queue:
             raise LookupError("no message in flight on %s" % direction)
-        entry, deliver_at = queue.popleft()
+        index, deliver_at = queue.popleft()
         if self.clock.now() < deliver_at:
             self.clock.advance(deliver_at - self.clock.now())
-        return entry.data
+        return self._transcript.entries[index].data
 
     def corrupt_in_flight(self, direction: str, offset: int, mask: bytes) -> None:
         """XOR `mask` into the oldest undelivered message.
@@ -98,16 +91,14 @@ class SimChannel:
         queue = self._queue(direction)
         if not queue:
             raise LookupError("no message in flight to corrupt on %s" % direction)
-        entry, deliver_at = queue[0]
-        data = bytearray(entry.data)
+        entries = self._transcript.entries
+        index = queue[0][0]
+        data = bytearray(entries[index].data)
         if offset < 0 or offset + len(mask) > len(data):
             raise ValueError("corruption mask falls outside the message")
         for i, b in enumerate(mask):
             data[offset + i] ^= b
-        tampered = replace(entry, data=bytes(data))
-        queue[0][0] = tampered
-        idx = self._transcript.entries.index(entry)
-        self._transcript.entries[idx] = tampered
+        entries[index] = replace(entries[index], data=bytes(data))
 
     def terminate(self, direction: str) -> None:
         """Record the uniform rejection notice (no local code leaks)."""
@@ -121,7 +112,8 @@ class SimChannel:
         )
 
     def transcript(self) -> Transcript:
-        return self._transcript.copy()
+        """A copy of the transcript so far; the channel keeps its own."""
+        return replace(self._transcript, entries=list(self._transcript.entries))
 
     def _queue(self, direction: str) -> deque:
         try:

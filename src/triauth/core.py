@@ -127,7 +127,10 @@ class WireMessage:
     """A protocol message: one 128-bit word per name of its wire layout.
 
     Subclasses are frozen dataclasses, ``class M(WireMessage, wire=...)``,
-    with one field per layout name, lowercased, in layout order.
+    with one field per layout name, lowercased, in layout order.  Only
+    the codec knows where a word sits in the bytes: ``WIRE`` is the
+    layout, ``OFFSETS`` maps each name to its byte offset, and
+    :meth:`words` gives an encoded message's words by name.
     """
 
     def __init_subclass__(cls, wire: tuple[str, ...], **kwargs):
@@ -135,21 +138,29 @@ class WireMessage:
         attrs = tuple(name.lower() for name in wire)
         if tuple(cls.__dict__.get("__annotations__", ())) != attrs:
             raise TypeError("%s fields must be %s" % (cls.__name__, ", ".join(attrs)))
+        cls.WIRE = tuple(wire)
         cls._words = attrgetter(*attrs)
+        cls.OFFSETS = {name: FIELD_BYTES * i for i, name in enumerate(wire)}
         cls._nbytes = FIELD_BYTES * len(wire)
 
     def encode(self) -> bytes:
         return b"".join(self._words(self))
 
     @classmethod
-    def decode(cls, raw: bytes):
+    def words(cls, raw: bytes) -> dict[str, Field128]:
+        """The words of an encoded message by layout name, without
+        building the message; ValueError if `raw` has the wrong length."""
         if len(raw) != cls._nbytes:
             raise ValueError("%s.%s must be %d bytes" % (
                 cls.__module__, cls.__name__, cls._nbytes))
-        return cls(*[
-            Field128(raw[i : i + FIELD_BYTES])
-            for i in range(0, cls._nbytes, FIELD_BYTES)
-        ])
+        return {  # every slice is a whole word, so Field128's check is skipped
+            name: _new_bytes(Field128, raw[i : i + FIELD_BYTES])
+            for name, i in cls.OFFSETS.items()
+        }
+
+    @classmethod
+    def decode(cls, raw: bytes):
+        return cls(*cls.words(raw).values())
 
 
 def encode_text(text: str) -> Field128:

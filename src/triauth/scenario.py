@@ -34,8 +34,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import adversary
-from .channel import SERVER_TO_USER, USER_TO_SERVER, SimChannel, Transcript
+from .channel import SimChannel, Transcript
 from .core import (
+    FIELD_BYTES,
     Env,
     ProtocolConfig,
     ProtocolError,
@@ -51,7 +52,7 @@ from .files import (
     write_json_report,
 )
 from .fuzzy import BiometricTemplate, perturb_within_tolerance
-from .session import Handshake, scheme_module
+from .session import Handshake, scheme_module, wire_message
 
 KNOWN_OPS = (
     "register",
@@ -67,10 +68,8 @@ KNOWN_OPS = (
 DEFAULT_EPOCH_MS = 1_700_000_000_000
 LEAKABLE = ("card", "biometric", "r_u", "r_s", "transcript")
 
-# The type of each top-level key of a scenario file, checked on load.
-_HEADER_TYPES = {"name": str, "scheme": str, "seed": int, "steps": list,
-                 "latency_ms": int, "epoch_ms": int, "delta_t_ms": int}
-_KIND_NAMES = {str: "a string", int: "an integer", list: "a list of steps"}
+_KIND_NAMES = {str: "a string", int: "an integer", list: "a list",
+               dict: "an object", bool: "true or false"}
 
 
 @dataclass
@@ -86,9 +85,10 @@ class ScenarioScript:
     def validate(self) -> None:
         scheme_module(self.scheme)
         for i, step in enumerate(self.steps, 1):
-            op = step.get("op")
-            if op not in KNOWN_OPS:
-                raise ValueError("step %d: unknown op %r" % (i, op))
+            if not isinstance(step, dict):
+                raise ValueError("step %d is not an object" % i)
+            if step.get("op") not in KNOWN_OPS:
+                raise ValueError("step %d: unknown op %r" % (i, step.get("op")))
 
 
 def load_scenario(path) -> ScenarioScript:
@@ -98,26 +98,21 @@ def load_scenario(path) -> ScenarioScript:
         raise ValueError("%s: not valid JSON (%s)" % (path, exc)) from None
     if not isinstance(doc, dict):
         raise ValueError("%s: not a JSON object" % path)
-    for need in ("name", "scheme", "seed", "steps"):
-        if need not in doc:
-            raise ValueError("%s: missing %r" % (path, need))
-    for key, kind in _HEADER_TYPES.items():
-        # bool is an int subclass, but true is no seed or latency
-        if key in doc and (type(doc[key]) is bool or not isinstance(doc[key], kind)):
-            raise ValueError("%s: %r must be %s" % (path, key, _KIND_NAMES[kind]))
-    for i, step in enumerate(doc["steps"], 1):
-        if not isinstance(step, dict):
-            raise ValueError("%s: step %d is not an object" % (path, i))
-    script = ScenarioScript(
-        name=doc["name"],
-        scheme=doc["scheme"],
-        seed=doc["seed"],
-        steps=doc["steps"],
-        latency_ms=doc.get("latency_ms", 10),
-        epoch_ms=doc.get("epoch_ms", DEFAULT_EPOCH_MS),
-        delta_t_ms=doc.get("delta_t_ms"),
-    )
-    script.validate()
+    if not isinstance(doc.get("steps", []), list):
+        raise ValueError("%s: 'steps' must be a list of steps" % path)
+    try:
+        script = ScenarioScript(
+            name=_need(doc, "name", str),
+            scheme=_need(doc, "scheme", str),
+            seed=_need(doc, "seed", int),
+            steps=_need(doc, "steps", list),
+            latency_ms=_get(doc, "latency_ms", int, 10),
+            epoch_ms=_get(doc, "epoch_ms", int, DEFAULT_EPOCH_MS),
+            delta_t_ms=_get(doc, "delta_t_ms", int, None),
+        )
+        script.validate()
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
     return script
 
 
@@ -166,27 +161,28 @@ class _Runner:
         self.pool: dict[str, object] = {"transcripts": {}}
         self.step_reports: list[dict] = []
         self.attack_reports: list[dict] = []
-        self.at = ""  # "step N (op)" of the step being run, for error messages
 
     # -- step handlers --------------------------------------------------
 
     def run(self) -> ScenarioResult:
         for i, step in enumerate(self.script.steps, 1):
-            self.at = "step %d (%s)" % (i, step["op"])
             handler = getattr(self, "_op_" + step["op"].replace("-", "_"))
             outcome = {"step": i, "op": step["op"]}
-            outcome.update(handler(step))
+            try:
+                outcome.update(handler(step))
+            except ValueError as exc:  # a fault of the script: name its step
+                raise ValueError("step %d (%s): %s" % (i, step["op"], exc)) from None
             self.step_reports.append(outcome)
         return self._result()
 
     def _op_register(self, step) -> dict:
-        rng = SessionRng(self._need(step, "seed"))
-        name = self._need(step, "user")
+        rng = SessionRng(_need(step, "seed", int))
+        name = _need(step, "user", str)
         if name in self.users:
             return {"ok": False, "error": "user already defined"}
         user = _User(
-            user_id=encode_text(step.get("id", name)),
-            password=self._need(step, "password"),
+            user_id=encode_text(_get(step, "id", str, name)),
+            password=_need(step, "password", str),
             template=BiometricTemplate.random(rng, self.config.template_bits),
         )
         try:
@@ -200,12 +196,12 @@ class _Runner:
         return {"ok": True, "user": name}
 
     def _op_advance_clock(self, step) -> dict:
-        self.env.clock.advance(self._need(step, "ms"))
+        self.env.clock.advance(_need(step, "ms", int))
         return {"ok": True, "now_ms": self.env.clock.now()}
 
     def _op_login(self, step) -> dict:
-        user = self._user(self._need(step, "user"))
-        seed = self._need(step, "seed")
+        user = self._user(_need(step, "user", str))
+        seed = _need(step, "seed", int)
         rng = SessionRng(seed)
         channel = SimChannel(
             self.env.clock,
@@ -221,7 +217,7 @@ class _Runner:
         )
         self.sessions.append(session)
         reading = perturb_within_tolerance(
-            user.template, rng, step.get("noise_blocks", 16)
+            user.template, rng, _get(step, "noise_blocks", int, 16)
         )
         session.r_u = rng.exponent(self.env.params)
         try:
@@ -235,11 +231,11 @@ class _Runner:
 
     def _op_respond(self, step) -> dict:
         session = self._current()
-        rng = SessionRng(self._need(step, "seed"))
+        rng = SessionRng(_need(step, "seed", int))
         session.r_s = rng.exponent(self.env.params)
         try:
             _, session.sk_server = session.handshake.respond(
-                session.r_s, processing_ms=step.get("processing_ms", 3)
+                session.r_s, processing_ms=_get(step, "processing_ms", int, 3)
             )
         except LookupError:
             return {"ok": False, "session": session.session_id,
@@ -268,9 +264,9 @@ class _Runner:
         return {"ok": True, "session": session.session_id, "keys_match": match}
 
     def _op_leak(self, step) -> dict:
+        values = _get(step, "values", list, list(LEAKABLE))
         session = self._current()
         user = self.users[session.user]
-        values = step.get("values", list(LEAKABLE))
         for value in values:
             if value not in LEAKABLE:
                 return {"ok": False, "error": "cannot leak %r" % value}
@@ -290,15 +286,20 @@ class _Runner:
         return {"ok": True, "leaked": sorted(values), "session": session.session_id}
 
     def _op_tamper(self, step) -> dict:
+        label = _need(step, "message", str)
+        fieldname = _need(step, "field", str)
+        mask = bytes.fromhex(_need(step, "mask", str))
         session = self._current()
-        label = self._need(step, "message")
-        direction = USER_TO_SERVER if label == "login" else SERVER_TO_USER
-        fieldname = self._need(step, "field")
-        mask = bytes.fromhex(self._need(step, "mask"))
         try:
-            offset = adversary.field_offset(self.script.scheme, label, fieldname, mask)
+            direction, message = wire_message(self.mod, label)
         except ValueError as exc:
             return {"ok": False, "error": str(exc)}
+        offset = message.OFFSETS.get(fieldname)
+        if offset is None:
+            return {"ok": False,
+                    "error": "message %r has no field %r" % (label, fieldname)}
+        if len(mask) > FIELD_BYTES:
+            return {"ok": False, "error": "mask longer than a field"}
         try:
             session.handshake.channel.corrupt_in_flight(direction, offset, mask)
         except LookupError:
@@ -325,7 +326,7 @@ class _Runner:
         granted = None
         # the grant is the improved scheme's white-box control, the victim's
         # (T1, T2); a baseline record has none, so the plain attack runs
-        if step.get("grant_timestamps"):
+        if _get(step, "grant_timestamps", bool, False):
             victim = self._victim(step)
             granted = next(
                 (tuple(ints) for uid, *ints in self.server.state_records()
@@ -341,36 +342,32 @@ class _Runner:
 
     # -- helpers ---------------------------------------------------------
 
-    def _need(self, step, key):
-        """step[key]; ValueError naming the step if the script omits it."""
-        if key not in step:
-            raise ValueError("%s: missing %r" % (self.at, key))
-        return step[key]
-
     def _user(self, name) -> _User:
         if name not in self.users:
-            raise ValueError("%s: no user %r is defined" % (self.at, name))
+            raise ValueError("no user %r is defined" % name)
         return self.users[name]
 
     def _victim(self, step) -> _User:
         """The user of the last leaked session, else the step's "user"."""
-        name = self.pool["victim"] if "victim" in self.pool else self._need(step, "user")
+        name = self.pool["victim"] if "victim" in self.pool else _need(step, "user", str)
         return self._user(name)
 
     def _current(self) -> _Session:
         if not self.sessions:
-            raise ValueError("%s: no session yet: login must come first" % self.at)
+            raise ValueError("no session yet: login must come first")
         return self.sessions[-1]
 
     def _dictionary(self, step) -> tuple[list[str], dict]:
-        spec = step.get("dictionary", {})
+        spec = _get(step, "dictionary", dict, {})
         if "file" in spec:
-            return load_dictionary(spec["file"]), {"file": spec["file"]}
-        size = spec.get("size", 1000)
-        rng = SessionRng(spec.get("seed", self.script.seed))
+            path = _need(spec, "file", str)
+            return load_dictionary(path), {"file": path}
+        size = _get(spec, "size", int, 1000)
+        seed = _get(spec, "seed", int, self.script.seed)
+        plant_at = _get(spec, "plant_at", int, None)
+        rng = SessionRng(seed)
         words = ["w%05d%04x" % (i, rng.below(1 << 16)) for i in range(size)]
-        plant_at = spec.get("plant_at")
-        note = {"size": size, "seed": spec.get("seed", self.script.seed)}
+        note = {"size": size, "seed": seed}
         if plant_at is not None:
             words.insert(plant_at, self._victim(step).password)
             note["plant_at"] = plant_at
@@ -408,6 +405,24 @@ class _Runner:
             "final_clock_ms": self.env.clock.now(),
         }
         return ScenarioResult(report, _render_text(report, transcripts), transcripts)
+
+
+def _need(doc: dict, key: str, kind: type):
+    """doc[key], checked as `_get` does; ValueError if it is missing."""
+    if key not in doc:
+        raise ValueError("missing %r" % key)
+    return _get(doc, key, kind, None)
+
+
+def _get(doc: dict, key: str, kind: type, default):
+    """doc[key], or `default` if it is absent; ValueError if it is
+    not a `kind` (bool is no integer, though Python makes it one)."""
+    if key not in doc:
+        return default
+    value = doc[key]
+    if (type(value) is bool and kind is not bool) or not isinstance(value, kind):
+        raise ValueError("%r must be %s" % (key, _KIND_NAMES[kind]))
+    return value
 
 
 def _render_text(report: dict, transcripts: dict[str, Transcript]) -> str:

@@ -1,4 +1,5 @@
-"""The scheme registry and step-wise login -> respond -> finish sessions.
+"""The scheme registry, the wire-label table and step-wise
+login -> respond -> finish sessions.
 
 Each scheme module provides ``SCHEME``, ``LOGIN_WIRE``/``REPLY_WIRE``,
 ``LoginMessage``/``ReplyMessage``, ``Card``, ``Server``, ``register``,
@@ -16,12 +17,28 @@ from .core import Env, Field128, GroupParams, ProtocolError, WireMessage
 
 SCHEMES = {m.SCHEME: m for m in (baseline, improved)}
 
+# The one place a message label is paired with the direction it travels
+# and the name of its WireMessage class in a scheme module.
+WIRE_LABELS = {
+    "login": (USER_TO_SERVER, "LoginMessage"),
+    "reply": (SERVER_TO_USER, "ReplyMessage"),
+}
+
 
 def scheme_module(name: str):
     """The module of scheme `name`; ValueError for an unknown name."""
     if name not in SCHEMES:
         raise ValueError("unknown scheme %r: expected %s" % (name, " or ".join(SCHEMES)))
     return SCHEMES[name]
+
+
+def wire_message(mod, label: str) -> tuple[str, type[WireMessage]]:
+    """(direction, message class) of the `label` message of scheme module
+    `mod`; ValueError if the scheme sends no such message."""
+    if label not in WIRE_LABELS:
+        raise ValueError("no %s message in the %s scheme" % (label, mod.SCHEME))
+    direction, cls_name = WIRE_LABELS[label]
+    return direction, getattr(mod, cls_name)
 
 
 def scheme_of(card_or_server) -> str:
@@ -77,33 +94,37 @@ class Handshake:
             msg, pending = self.mod.login(
                 self.env, card, user_id, password, reading, r_u
             )
-        self._send(USER_TO_SERVER, "login", msg)
+        self._send("login", msg)
         return msg, pending
 
     def respond(self, r_s: int, processing_ms: int = 0):
         """Server step on the login in flight; sends the reply and
         returns (reply, server key).  LookupError if nothing is in flight.
-        A rejection puts the termination notice on the channel, then
-        re-raises the server's ProtocolError."""
-        msg = self.mod.LoginMessage.decode(self.channel.recv(USER_TO_SERVER))
+        A rejection puts the termination notice where the reply would
+        go, then re-raises the server's ProtocolError."""
+        msg = self._recv("login")
         try:
             with self.env.ledger.scope("authentication", "server"):
                 reply, sk_server = self.server.respond(
                     msg, r_s, processing_ms=processing_ms
                 )
         except ProtocolError:
-            self.channel.terminate(SERVER_TO_USER)
+            self.channel.terminate(wire_message(self.mod, "reply")[0])
             raise
-        self._send(SERVER_TO_USER, "reply", reply)
+        self._send("reply", reply)
         return reply, sk_server
 
     def finish(self, pending) -> Field128:
         """Card-side completion on the reply in flight; the user's key."""
-        reply = self.mod.ReplyMessage.decode(self.channel.recv(SERVER_TO_USER))
+        reply = self._recv("reply")
         with self.env.ledger.scope("authentication", "user"):
             return self.mod.finish(self.env, pending, reply)
 
-    def _send(self, direction: str, label: str, msg: WireMessage) -> None:
+    def _send(self, label: str, msg: WireMessage) -> None:
         raw = msg.encode()
         self.env.ledger.record_wire(label, len(raw))
-        self.channel.send(direction, label, raw)
+        self.channel.send(wire_message(self.mod, label)[0], label, raw)
+
+    def _recv(self, label: str) -> WireMessage:
+        direction, cls = wire_message(self.mod, label)
+        return cls.decode(self.channel.recv(direction))

@@ -21,7 +21,7 @@ from triauth.costs import cost_report
 from triauth.files import transcript_bytes
 from triauth.fuzzy import BiometricTemplate, gen, perturb_within_tolerance, rep
 from triauth.scenario import compare_with_recording, load_scenario, run_scenario
-from triauth.session import SCHEMES
+from triauth.session import SCHEMES, wire_message
 
 SCENARIO_DIR = Path(str(resources.files("triauth"))) / "scenarios"
 EPOCH_MS = 1_700_000_000_000
@@ -296,7 +296,7 @@ def test_criterion_7_tampering_replay_and_staleness_are_all_rejected():
         }
         for _ in range(1_000):
             which = rnd.choice(("login", "reply"))
-            names = adversary.wire_layout(scheme, which)
+            names = wire_message(mod, which)[1].WIRE
             bit = rnd.randrange(128 * len(names))
             raw = bytearray(raws[which])
             raw[bit // 8] ^= 0x80 >> (bit % 8)

@@ -17,10 +17,8 @@ from triauth.adversary import (
     forge_improved_session_key,
     impersonate,
     intercept,
-    tamper,
-    wire_layout,
 )
-from triauth.channel import USER_TO_SERVER, SimChannel, Transcript
+from triauth.channel import USER_TO_SERVER, SimChannel
 from triauth.core import (
     Field128, HashEngine, SessionRng, SimClock, encode_text, ms_to_field,
 )
@@ -370,53 +368,6 @@ def test_intercept_returns_the_channel_transcript():
     channel = SimChannel(clock, session_id="x")
     channel.send(USER_TO_SERVER, "login", b"\x01" * 64)
     assert len(intercept(channel).entries) == 1
-
-
-def test_wire_layout_lookup():
-    assert wire_layout("baseline", "login") == ("NID", "A1", "C_i", "T1")
-    assert wire_layout("improved", "reply") == ("Cs", "A44", "P", "Q2")
-    with pytest.raises(ValueError):
-        wire_layout("baseline", "greeting")
-
-
-def test_tamper_flips_exactly_the_named_field():
-    enr = enroll("baseline")
-    run = run_session(enr)
-    transcript = run.transcript
-    tampered = tamper(transcript, "baseline", "login", "C_i", b"\x80")
-    original = transcript.find("login").data
-    altered = tampered.find("login").data
-    assert altered != original
-    offset = 16 * list(wire_layout("baseline", "login")).index("C_i")
-    assert altered[offset] == original[offset] ^ 0x80
-    # everything outside the named field is untouched
-    assert altered[:offset] == original[:offset]
-    assert altered[offset + 1 :] == original[offset + 1 :]
-    # and the source transcript was not modified
-    assert transcript.find("login").data == original
-
-
-def test_tamper_with_a_zero_mask_is_the_identity():
-    enr = enroll("baseline")
-    run = run_session(enr)
-    transcript = run.transcript
-    tampered = tamper(transcript, "baseline", "login", "NID", bytes(16))
-    assert tampered.find("login").data == transcript.find("login").data
-
-
-def test_tamper_validates_its_arguments():
-    enr = enroll("baseline")
-    run = run_session(enr)
-    transcript = run.transcript
-    with pytest.raises(ValueError, match="no field"):
-        tamper(transcript, "baseline", "login", "Q", b"\x01")
-    with pytest.raises(ValueError, match="longer than a field"):
-        tamper(transcript, "baseline", "login", "NID", bytes(17))
-    with pytest.raises(ValueError, match="no 'reply' entry"):
-        tamper(
-            Transcript("empty"),
-            "baseline", "reply", "Cs", b"\x01",
-        )
 
 
 def test_impersonation_succeeds_after_a_baseline_recovery():

@@ -8,11 +8,9 @@ from triauth.channel import (
     USER_TO_SERVER,
     WIRE_TERMINATION,
     SimChannel,
-    Transcript,
-    TranscriptEntry,
 )
 from triauth.core import FreshnessFailure, ProtocolError, SimClock
-from triauth.session import SCHEMES, Handshake
+from triauth.session import SCHEMES, Handshake, wire_message
 
 
 def make_channel(latency=0):
@@ -91,6 +89,16 @@ def test_corruption_applies_to_wire_and_record_alike():
     assert ch.transcript().entries[0].data == delivered
 
 
+def test_corruption_hits_the_message_in_flight_not_an_equal_delivered_one():
+    _, ch = make_channel()
+    ch.send(USER_TO_SERVER, "login", bytes(4))
+    ch.send(USER_TO_SERVER, "login", bytes(4))  # same bytes, same clock reading
+    assert ch.recv(USER_TO_SERVER) == bytes(4)
+    ch.corrupt_in_flight(USER_TO_SERVER, 0, b"\x01")
+    assert ch.recv(USER_TO_SERVER) == b"\x01" + bytes(3)
+    assert [e.data.hex() for e in ch.transcript().entries] == ["00000000", "01000000"]
+
+
 def test_zero_mask_corruption_changes_nothing():
     _, ch = make_channel()
     ch.send(USER_TO_SERVER, "login", b"payload")
@@ -142,8 +150,12 @@ def test_a_server_rejection_leaves_the_login_then_the_termination_notice(scheme)
     ]
 
 
-def test_transcript_find():
-    t = Transcript("s", entries=[TranscriptEntry(USER_TO_SERVER, "login", b"x", 0)])
-    assert t.find("login").data == b"x"
-    with pytest.raises(KeyError):
-        t.find("reply")
+def test_wire_label_table_lookup():
+    baseline, improved = SCHEMES["baseline"], SCHEMES["improved"]
+    assert wire_message(baseline, "login") == (USER_TO_SERVER, baseline.LoginMessage)
+    assert wire_message(improved, "reply") == (SERVER_TO_USER, improved.ReplyMessage)
+    assert wire_message(baseline, "login")[1].WIRE == ("NID", "A1", "C_i", "T1")
+    assert wire_message(improved, "reply")[1].WIRE == ("Cs", "A44", "P", "Q2")
+    assert wire_message(baseline, "login")[1].OFFSETS["C_i"] == 32
+    with pytest.raises(ValueError, match="no greeting message in the baseline scheme"):
+        wire_message(baseline, "greeting")

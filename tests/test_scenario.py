@@ -7,16 +7,19 @@ from pathlib import Path
 
 import pytest
 
+from triauth.channel import SERVER_TO_USER, USER_TO_SERVER
 from triauth.cli import main
 from triauth.core import ProtocolConfig
 from triauth.files import load_transcript, transcript_bytes
 from triauth.scenario import (
     ScenarioScript,
+    _Runner,
     compare_with_recording,
     load_scenario,
     run_scenario,
     write_result,
 )
+from triauth.session import SCHEMES
 
 SCENARIO_DIR = Path(str(resources.files("triauth"))) / "scenarios"
 BASELINE_ATTACK = SCENARIO_DIR / "baseline-attack.scenario"
@@ -311,6 +314,7 @@ def test_final_clock_accounts_for_latency_and_processing():
 
 
 _REGISTER_U = {"op": "register", "user": "u", "password": "pw-1", "seed": 11}
+_LOGIN_U = {"op": "login", "user": "u", "seed": 12}
 
 
 @pytest.mark.parametrize("steps, message", [
@@ -320,7 +324,27 @@ _REGISTER_U = {"op": "register", "user": "u", "password": "pw-1", "seed": 11}
      "step 1 (register): missing 'seed'"),
     ([_REGISTER_U, {"op": "attack", "dictionary": {"size": 5, "plant_at": 2}}],
      "step 2 (attack): missing 'user'"),
-], ids=["undefined-user", "missing-seed", "plant-before-leak"])
+    ([{"op": "advance-clock", "ms": "10"}],
+     "step 1 (advance-clock): 'ms' must be an integer"),
+    ([{"op": "advance-clock", "ms": -5}],
+     "step 1 (advance-clock): clock cannot move backwards"),
+    ([_REGISTER_U, dict(_LOGIN_U, noise_blocks="4")],
+     "step 2 (login): 'noise_blocks' must be an integer"),
+    ([_REGISTER_U, _LOGIN_U,
+      {"op": "tamper", "message": "login", "field": "C_i", "mask": 1}],
+     "step 3 (tamper): 'mask' must be a string"),
+    ([_REGISTER_U, _LOGIN_U,
+      {"op": "tamper", "message": "login", "field": "C_i", "mask": "zz"}],
+     "step 3 (tamper): non-hexadecimal number found in fromhex()"),
+    ([_REGISTER_U, {"op": "attack", "dictionary": "x"}],
+     "step 2 (attack): 'dictionary' must be an object"),
+    ([dict(_REGISTER_U, seed="5")], "step 1 (register): 'seed' must be an integer"),
+    ([dict(_REGISTER_U, seed=True)], "step 1 (register): 'seed' must be an integer"),
+    ([_REGISTER_U, _LOGIN_U, {"op": "leak", "values": "card"}],
+     "step 3 (leak): 'values' must be a list"),
+], ids=["undefined-user", "missing-seed", "plant-before-leak", "string-ms",
+        "negative-ms", "string-noise-blocks", "int-mask", "non-hex-mask",
+        "string-dictionary", "string-seed", "bool-seed", "string-values"])
 def test_bad_scenario_input_names_its_step_and_replay_exits_2(
     tmp_path, capsys, steps, message
 ):
@@ -370,6 +394,55 @@ def test_a_tamper_mask_longer_than_a_field_is_refused():
     assert tamper_step == {"step": 3, "op": "tamper", "ok": False,
                            "error": "mask longer than a field"}
     assert respond_step["ok"] is True  # A1, next to NID, was left alone
+
+
+@pytest.mark.parametrize("message, field, error", [
+    ("login", "Q", "message 'login' has no field 'Q'"),
+    ("greeting", "NID", "no greeting message in the baseline scheme"),
+], ids=["unknown-field", "unknown-message"])
+def test_a_tamper_step_naming_no_such_word_fails_with_the_reason(message, field, error):
+    steps = [_REGISTER_U, _LOGIN_U,
+             {"op": "tamper", "message": message, "field": field, "mask": "01"}]
+    result = run_scenario(_script("baseline", steps))
+    assert result.report["steps"][2] == {"step": 3, "op": "tamper", "ok": False,
+                                         "error": error}
+
+
+def _in_flight(scheme, steps, direction):
+    """Run `steps`, then deliver the message left in flight on `direction`:
+    (the bytes delivered, the bytes the transcript records for it)."""
+    runner = _Runner(_script(scheme, steps), None)
+    runner.run()
+    channel = runner.sessions[-1].handshake.channel
+    delivered = channel.recv(direction)
+    return delivered, channel.transcript().entries[-1].data
+
+
+_LAYOUTS = {  # label -> (its layout attribute on a scheme module, direction)
+    "login": ("LOGIN_WIRE", USER_TO_SERVER),
+    "reply": ("REPLY_WIRE", SERVER_TO_USER),
+}
+
+
+@pytest.mark.parametrize("scheme, label, name", [
+    (scheme, label, name)
+    for scheme, mod in SCHEMES.items()
+    for label, (layout, _) in _LAYOUTS.items()
+    for name in getattr(mod, layout)
+])
+def test_a_tamper_step_flips_exactly_the_named_field(scheme, label, name):
+    layout, direction = _LAYOUTS[label]
+    steps = [_REGISTER_U, _LOGIN_U]
+    if label == "reply":
+        steps.append({"op": "respond", "seed": 13})
+    original, recorded = _in_flight(scheme, steps, direction)
+    assert recorded == original
+    start = 16 * getattr(SCHEMES[scheme], layout).index(name)
+    flipped = (original[:start] + bytes(b ^ 0xFF for b in original[start:start + 16])
+               + original[start + 16:])
+    for mask, expected in (("ff" * 16, flipped), ("00" * 16, original)):
+        tamper = {"op": "tamper", "message": label, "field": name, "mask": mask}
+        assert _in_flight(scheme, steps + [tamper], direction) == (expected, expected)
 
 
 def test_a_scenario_window_leaves_the_callers_config_alone():
