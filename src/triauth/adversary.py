@@ -10,15 +10,15 @@ server secret X, or any raw protocol timestamp — and the
 :class:`AdversaryKnowledge` constructor refuses to smuggle those in.
 
 The attack itself is not hard-coded per scheme.  A small derivation
-engine closes the adversary's atoms under per-scheme rewrite rules
-(XORs, hashes, exponentiations — each rule is an executable fact about
-the scheme's public structure).  An atom ends up *known*, *derivable
+engine closes the adversary's atoms under rules derived from each
+scheme's ``EQUATIONS`` table: every row run forward, and every XOR row
+solved for each atom it XORs in.  An atom ends up *known*, *derivable
 per password candidate*, or *unknown*.  :func:`compile_plan` does that
 closure once per attack and orders the chosen rules into an
 :class:`AttackPlan`: steps run once, per candidate, and on a hit.  A
-dictionary attack runs iff every block of some verifier equation is
-known or candidate-derivable; otherwise the outcome reports, per
-equation, exactly which atoms stay unknown.  Against the baseline the
+dictionary attack runs iff every block of the verifier equation is
+known or candidate-derivable; otherwise the outcome reports which
+atoms stay unknown under that closure.  Against the baseline the
 closure reaches C_i and the loop recovers the password, identity and
 session key.  Against the hardened scheme T1, T3 and ID lock each
 other (T1 needs ID, ID needs T1 and T3, T3 needs T1) and every equation
@@ -30,8 +30,9 @@ about *why* the attack fails.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from . import baseline, improved
 from .core import (
@@ -150,23 +151,26 @@ class AttackOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Derivation rules: executable facts about each scheme's public shape
+# Derivation rules: each scheme's EQUATIONS, run forward and solved
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Derivation:
+    """``target`` follows from ``needs`` by the equation ``how``;
+    ``bind(h, exp)`` makes the step function over the card's tools."""
+
     target: str
     needs: tuple[str, ...]
     how: str
+    bind: Callable
+
+
+class Step(NamedTuple):
+    """A derivation bound to one attack's tools."""
+
+    target: str
+    needs: tuple[str, ...]
     fn: Callable
-
-
-@dataclass(frozen=True)
-class Verifier:
-    """A published hash whose preimage blocks the adversary may test."""
-
-    name: str
-    preimage: tuple[str, ...]
 
 
 class _Ctx:
@@ -182,93 +186,45 @@ class _Ctx:
         return Field128.from_int(pow(base.to_int(), exponent, self.params.p))
 
 
-def _baseline_rules(ctx: _Ctx) -> list[Derivation]:
-    return [
-        Derivation("R", ("B", "P_i"), "R = Rep(B, P_i)", lambda b, p: rep(b, p)),
-        Derivation("N", ("L", "R"), "N = L xor R", lambda l, r: l ^ r),
-        Derivation("A2", ("Y", "r_u"), "A2 = Y^r_u", ctx.exp),
-        Derivation("ID", ("NID", "A2"), "ID = NID xor A2", lambda nid, a2: nid ^ a2),
-        Derivation(
-            "H", ("e", "PW", "N"), "H = e xor h(PW||N)",
-            lambda e, pw, n: e ^ ctx.h(pw, n),
-        ),
-        Derivation("A6", ("A4", "r_u"), "A6 = A4^r_u", ctx.exp),
-        Derivation(
-            "SK",
-            ("ID", "A2", "A6", "H", "T1w", "T3w"),
-            "SK = h(ID||A2||A6||H||T1||T3)",
-            lambda *blocks: ctx.h(*blocks),
-        ),
-    ]
+def _rule(target: str, expression: str) -> Derivation:
+    names = re.findall(r"[A-Za-z_]\w*", expression)
+    needs = tuple(dict.fromkeys(n for n in names if n not in ("h", "exp", "rep")))
+    # `rep` stays a global, looked up at call time like any other call
+    bind = eval(
+        "lambda h, exp: lambda %s: %s" % (", ".join(needs), expression),
+        globals(),
+    )
+    return Derivation(target, needs, "%s = %s" % (target, expression), bind)
 
 
-def _improved_rules(ctx: _Ctx) -> list[Derivation]:
-    return [
-        Derivation("R", ("B", "P_i"), "R = Rep(B, P_i)", lambda b, p: rep(b, p)),
-        Derivation(
-            "T2w", ("Nmask", "PW", "R"), "T2 = Nmask xor h(PW||R)",
-            lambda nm, pw, r: nm ^ ctx.h(pw, r),
-        ),
-        Derivation(
-            "T1w", ("M", "ID", "T2w"), "T1 = M xor h(ID xor T2)",
-            lambda m, uid, t2: m ^ ctx.h(uid ^ t2),
-        ),
-        Derivation(
-            "T3w", ("Q", "T1w"), "T3 = Q xor h(T1)",
-            lambda q, t1: q ^ ctx.h(t1),
-        ),
-        Derivation("A2", ("Y", "r_u"), "A2 = Y^r_u", ctx.exp),
-        Derivation("A22", ("A2", "T3w"), "A22 = A2 xor T3", lambda a2, t3: a2 ^ t3),
-        Derivation(
-            "ID",
-            ("NID", "A22", "T1w", "T3w", "T2w"),
-            "ID = NID xor A22 xor h(T1||T3||T2)",
-            lambda nid, a22, t1, t3, t2: nid ^ a22 ^ ctx.h(t1, t3, t2),
-        ),
-        Derivation(
-            "N", ("R", "L", "T1w"), "N = R xor L xor T1",
-            lambda r, l, t1: r ^ l ^ t1,
-        ),
-        Derivation(
-            "H", ("e", "PW", "N", "T1w"), "H = e xor h(PW||N||T1)",
-            lambda e, pw, n, t1: e ^ ctx.h(pw, n, t1),
-        ),
-        Derivation(
-            "T4w", ("P", "T1w", "ID", "T3w"), "T4 = P xor h(T1||ID||T3)",
-            lambda p, t1, uid, t3: p ^ ctx.h(t1, uid, t3),
-        ),
-        Derivation(
-            "T5w", ("Q2", "T2w", "ID", "T3w"), "T5 = Q2 xor h(T2||ID||T3)",
-            lambda q2, t2, uid, t3: q2 ^ ctx.h(t2, uid, t3),
-        ),
-        Derivation(
-            "A4", ("A44", "T3w", "T4w"), "A4 = A44 xor T3 xor T4",
-            lambda a44, t3, t4: a44 ^ t3 ^ t4,
-        ),
-        Derivation("A5", ("A4", "r_u"), "A5 = A4^r_u", ctx.exp),
-        Derivation(
-            "A55", ("A5", "T3w", "T5w"), "A55 = A5 xor T3 xor T5",
-            lambda a5, t3, t5: a5 ^ t3 ^ t5,
-        ),
-        Derivation(
-            "SK",
-            ("ID", "A22", "A55", "H", "T1w", "T3w", "T5w"),
-            "SK = h(ID||A22||A55||H||T1||T3||T5)",
-            lambda *blocks: ctx.h(*blocks),
-        ),
-    ]
+def _derive(equations) -> tuple[tuple[Derivation, ...], Derivation]:
+    """A scheme's rules and verifier, from its EQUATIONS table.
+
+    Every row runs forward, and each XOR row is also solved for every
+    atom it XORs in.  Timestamps become their wire atoms (T1 -> T1w):
+    the adversary only ever holds them as words.  The C_i row is the
+    verifier: a published hash whose preimage the adversary may test.
+    """
+    rules = []
+    for line in equations:
+        value, expression = re.sub(r"\bT([1-5])\b", r"T\1w", line).split(" = ")
+        if value == "C_i":
+            verifier = _rule(value, expression)
+            continue
+        rules.append(_rule(value, expression))
+        terms = re.split(r" \^ (?![^(]*\))", expression)  # outside h(...)
+        for i, term in enumerate(terms):
+            if term.isidentifier():
+                rest = terms[:i] + terms[i + 1:]
+                rules.append(_rule(term, " ^ ".join([value, *rest])))
+    return tuple(rules), verifier
 
 
-# Per scheme: its rule builder and the published hash the attack tests.
-_MODELS = {
-    baseline.SCHEME: (
-        _baseline_rules, Verifier("C_i", ("ID", "H", "A1", "A2", "T1w")),
-    ),
-    improved.SCHEME: (
-        _improved_rules,
-        Verifier("C_i", ("ID", "H", "A22", "A11", "T1w", "T3w", "T2w")),
-    ),
-}
+# Per scheme, compiled once: the rules and the verifier the attack tests.
+RULES: dict[str, tuple[Derivation, ...]] = {}
+VERIFIERS: dict[str, Derivation] = {}
+for _mod in (baseline, improved):
+    RULES[_mod.SCHEME], VERIFIERS[_mod.SCHEME] = _derive(_mod.EQUATIONS)
 
 # What a successful attack must produce besides the password.
 _TARGETS = ("ID", "SK")
@@ -337,10 +293,10 @@ class AttackPlan:
 
     ctx: _Ctx | None
     atoms: dict[str, object]
-    verifier: Verifier
-    known: tuple[Derivation, ...] = ()
-    per_word: tuple[Derivation, ...] = ()
-    on_hit: tuple[Derivation, ...] = ()
+    verifier: Derivation
+    known: tuple[Step, ...] = ()
+    per_word: tuple[Step, ...] = ()
+    on_hit: tuple[Step, ...] = ()
     gaps: tuple[EquationGap, ...] = ()
 
 
@@ -352,8 +308,8 @@ def compile_plan(
     atoms = _initial_atoms(knowledge)
     if granted:
         atoms.update(granted)
-    rules_for, verifier = _MODELS[knowledge.scheme]
-    rules = rules_for(ctx) if ctx is not None else []
+    verifier = VERIFIERS[knowledge.scheme]
+    rules = RULES[knowledge.scheme] if ctx is not None else ()
 
     # fixed point: an atom's level is the best over the rules reaching it
     level = dict.fromkeys(atoms, _KNOWN)
@@ -363,33 +319,38 @@ def compile_plan(
     while changed:
         changed = False
         for rule in rules:
-            reachable = min(level.get(a, _UNKNOWN) for a in rule.needs)
-            if reachable > level.get(rule.target, _UNKNOWN):
+            best = level.get(rule.target, _UNKNOWN)
+            if best == _KNOWN:
+                continue
+            reachable = min([level.get(a, _UNKNOWN) for a in rule.needs])
+            if reachable > best:
                 level[rule.target] = reachable
                 chosen[rule.target] = rule
                 changed = True
 
-    needed = {*verifier.preimage, verifier.name, *_TARGETS}
+    needed = {*verifier.needs, verifier.target, *_TARGETS}
     if ctx is not None:  # without the card's tools, all of them are missing
         needed = {a for a in needed if level.get(a, _UNKNOWN) == _UNKNOWN}
     if needed:
-        gap = EquationGap(verifier.name, tuple(sorted(needed)))
+        gap = EquationGap(verifier.target, tuple(sorted(needed)))
         return AttackPlan(ctx, atoms, verifier, gaps=(gap,))
 
     # one depth-first walk: the verifier's preimage first, so per_word
-    # holds only what the loop needs, then the targets for on_hit
-    known: list[Derivation] = []
-    per_word: list[Derivation] = []
-    on_hit: list[Derivation] = []
+    # holds only what the loop needs, then the targets for on_hit; only
+    # the rules placed are bound to the card's tools
+    known: list[Step] = []
+    per_word: list[Step] = []
+    on_hit: list[Step] = []
 
-    def visit(atom: str, steps: list[Derivation]) -> None:
+    def visit(atom: str, steps: list[Step]) -> None:
         rule = chosen.pop(atom, None)  # popped, so each rule is placed once
         if rule is not None:
             for need in rule.needs:
                 visit(need, steps)
-            (known if level[rule.target] == _KNOWN else steps).append(rule)
+            step = Step(rule.target, rule.needs, rule.bind(ctx.h, ctx.exp))
+            (known if level[rule.target] == _KNOWN else steps).append(step)
 
-    for atom in verifier.preimage:
+    for atom in verifier.needs:
         visit(atom, per_word)
     for atom in _TARGETS:
         visit(atom, on_hit)
@@ -398,9 +359,9 @@ def compile_plan(
     )
 
 
-def _execute(steps: tuple[Derivation, ...], values: dict[str, object]) -> None:
-    for rule in steps:
-        values[rule.target] = rule.fn(*(values[a] for a in rule.needs))
+def _execute(steps: tuple[Step, ...], values: dict[str, object]) -> None:
+    for step in steps:
+        values[step.target] = step.fn(*(values[a] for a in step.needs))
 
 
 def _run_dictionary(
@@ -428,7 +389,7 @@ def _run_dictionary(
         values["PW"] = pw
         _execute(plan.per_word, values)
         work += 1
-        if plan.ctx.h(*(values[a] for a in verifier.preimage)) == values[verifier.name]:
+        if plan.ctx.h(*(values[a] for a in verifier.needs)) == values[verifier.target]:
             _execute(plan.on_hit, values)
             return AttackOutcome(
                 status=RECOVERED,

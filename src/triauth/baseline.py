@@ -51,6 +51,22 @@ SCHEME = "baseline"
 LOGIN_WIRE = ("NID", "A1", "C_i", "T1")
 REPLY_WIRE = ("Cs", "A4", "T3")
 
+# The equations the adversary model reasons with, one `value = expression`
+# each, written as the functions below compute them.  An expression is
+# built from atoms, ^, h(...), exp(base, exponent) and rep(B, P_i); a
+# value no party keeps (W) is written out where it is used.  C_i is the
+# verifier a dictionary attack tests.
+EQUATIONS = (
+    "R = rep(B, P_i)",
+    "L = N ^ R",
+    "e = H ^ h(PW, N)",
+    "A2 = exp(Y, r_u)",
+    "NID = ID ^ A2",
+    "C_i = h(ID, H, A1, A2, T1)",
+    "A6 = exp(A4, r_u)",
+    "SK = h(ID, A2, A6, H, T1, T3)",
+)
+
 
 @dataclass(frozen=True)
 class BaselineCard:

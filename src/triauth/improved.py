@@ -73,21 +73,29 @@ SCHEME = "improved"
 LOGIN_WIRE = ("NID", "A11", "C_i", "Q")
 REPLY_WIRE = ("Cs", "A44", "P", "Q2")
 
-# Each value `login` and `respond` mask or key -> the values it combines,
-# so tests can walk the construction dataflow.
-CONSTRUCTION = {
-    "A11": ("A1", "T2", "T3"),
-    "A22": ("A2", "T3"),
-    "NID": ("ID", "A22", "T1", "T3", "T2"),
-    "C_i": ("ID", "H", "A22", "A11", "T1", "T3", "T2"),
-    "Q": ("T3", "T1"),
-    "A44": ("A4", "T3", "T4"),
-    "A55": ("A5", "T3", "T5"),
-    "SK": ("ID", "A22", "A55", "H", "T1", "T3", "T5"),
-    "Cs": ("ID", "SK", "H", "T2", "T4"),
-    "P": ("T1", "ID", "T3", "T4"),
-    "Q2": ("T2", "ID", "T3", "T5"),
-}
+# The equations the adversary model reasons with, in the form of
+# baseline.EQUATIONS; every wire word has its row, so tests can walk the
+# construction dataflow.  C_i is the verifier a dictionary attack tests.
+EQUATIONS = (
+    "R = rep(B, P_i)",
+    "Nmask = h(PW, R) ^ T2",
+    "M = h(ID ^ T2) ^ T1",
+    "L = N ^ R ^ T1",
+    "e = H ^ h(PW, N, T1)",
+    "Q = T3 ^ h(T1)",
+    "A11 = A1 ^ T2 ^ T3",
+    "A2 = exp(Y, r_u)",
+    "A22 = A2 ^ T3",
+    "NID = ID ^ A22 ^ h(T1, T3, T2)",
+    "C_i = h(ID, H, A22, A11, T1, T3, T2)",
+    "A44 = A4 ^ T3 ^ T4",
+    "A5 = exp(A4, r_u)",
+    "A55 = A5 ^ T3 ^ T5",
+    "SK = h(ID, A22, A55, H, T1, T3, T5)",
+    "Cs = h(ID, SK, H, T2, T4)",
+    "P = h(T1, ID, T3) ^ T4",
+    "Q2 = h(T2, ID, T3) ^ T5",
+)
 
 
 @dataclass(frozen=True)

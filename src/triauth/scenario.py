@@ -47,9 +47,7 @@ from .core import (
 from .files import (
     json_report_bytes,
     load_dictionary,
-    save_transcript,
     transcript_bytes,
-    write_json_report,
 )
 from .fuzzy import BiometricTemplate, perturb_within_tolerance
 from .session import Handshake, scheme_module, wire_message
@@ -361,10 +359,17 @@ class _Runner:
         spec = _get(step, "dictionary", dict, {})
         if "file" in spec:
             path = _need(spec, "file", str)
-            return load_dictionary(path), {"file": path}
+            try:
+                return load_dictionary(path), {"file": path}
+            except OSError as exc:  # a file the script names is its fault too
+                raise ValueError(str(exc)) from None
         size = _get(spec, "size", int, 1000)
         seed = _get(spec, "seed", int, self.script.seed)
         plant_at = _get(spec, "plant_at", int, None)
+        if size < 0:
+            raise ValueError("'size' must not be negative")
+        if plant_at is not None and not 0 <= plant_at <= size:
+            raise ValueError("'plant_at' must be in 0..%d" % size)
         rng = SessionRng(seed)
         words = ["w%05d%04x" % (i, rng.below(1 << 16)) for i in range(size)]
         note = {"size": size, "seed": seed}
@@ -486,29 +491,32 @@ def run_scenario(
     return _Runner(script, config).run()
 
 
+def _artifacts(result: ScenarioResult) -> list[tuple[str, bytes]]:
+    """What a recording holds: (path relative to its directory, bytes)."""
+    return [
+        ("report.json", json_report_bytes(result.report)),
+        ("report.txt", result.text.encode("utf-8")),
+        *(("transcripts/%s.bin" % sid, transcript_bytes(t))
+          for sid, t in result.transcripts.items()),
+    ]
+
+
 def write_result(result: ScenarioResult, out_dir) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json_report(result.report, out / "report.json")
-    (out / "report.txt").write_text(result.text, "utf-8")
-    tdir = out / "transcripts"
-    tdir.mkdir(exist_ok=True)
-    for sid, transcript in result.transcripts.items():
-        save_transcript(transcript, tdir / ("%s.bin" % sid))
+    files = [(Path(out_dir) / name, data) for name, data in _artifacts(result)]
+    for folder in {path.parent for path, _ in files}:
+        folder.mkdir(parents=True, exist_ok=True)
+    for path, data in files:
+        path.write_bytes(data)
 
 
 def compare_with_recording(result: ScenarioResult, out_dir) -> list[str]:
     """Byte-compare a fresh run against a recorded one; [] means identical."""
     out = Path(out_dir)
     mismatches = []
-    if (out / "report.json").read_bytes() != json_report_bytes(result.report):
-        mismatches.append("report.json differs")
-    if (out / "report.txt").read_bytes() != result.text.encode("utf-8"):
-        mismatches.append("report.txt differs")
-    for sid, transcript in result.transcripts.items():
-        path = out / "transcripts" / ("%s.bin" % sid)
+    for name, data in _artifacts(result):
+        path = out / name
         if not path.exists():
-            mismatches.append("transcripts/%s.bin missing" % sid)
-        elif path.read_bytes() != transcript_bytes(transcript):
-            mismatches.append("transcripts/%s.bin differs" % sid)
+            mismatches.append("%s missing" % name)
+        elif path.read_bytes() != data:
+            mismatches.append("%s differs" % name)
     return mismatches

@@ -22,7 +22,7 @@ from triauth.channel import USER_TO_SERVER, SimChannel
 from triauth.core import (
     Field128, HashEngine, SessionRng, SimClock, encode_text, ms_to_field,
 )
-from triauth.fuzzy import gen
+from triauth.fuzzy import gen, rep
 from triauth.session import SCHEMES
 
 
@@ -209,6 +209,36 @@ def test_improved_attack_is_insufficient_in_model():
     assert gap.unknown == ("A22", "H", "ID", "SK", "T1w", "T3w")
 
 
+def test_each_password_guess_unmasks_t3_which_the_gaps_call_unknown():
+    """A gap in the model, tracked as ROADMAP item 2.  Under the modelled
+    leak, A11 ^ g^r_u ^ Nmask ^ h(PW||R) is the session's T3 for the true
+    password, so T3w and A22 = A2 ^ T3 follow for each password guess.
+    The equations hold no A1 = g^r_u, so the gap list names both unknown.
+    The verdict stands: T1, ID and H stay locked."""
+    enr = enroll("improved", seed=9)
+    run = run_session(enr)
+    knowledge = AdversaryKnowledge.assemble(
+        "improved", card=enr.card, transcripts=(run.transcript,),
+        biometric=enr.template, r_u=run.r_u,
+    )
+    atoms = adversary._initial_atoms(knowledge)
+    view = knowledge.card_view
+    h = HashEngine(view["h"])
+    a1 = Field128.from_int(pow(view["g"], atoms["r_u"], view["p"]))
+    r = rep(atoms["B"], atoms["P_i"])
+
+    def t3_under(guess):
+        return atoms["A11"] ^ a1 ^ atoms["Nmask"] ^ h(encode_text(guess), r)
+
+    assert t3_under(enr.password) == run.pending.t3
+    assert t3_under("wrong-horse") != run.pending.t3
+    outcome = attack_improved(knowledge)
+    assert outcome.status == INSUFFICIENT
+    (gap,) = outcome.gaps
+    assert {"T3w", "A22"} <= set(gap.unknown)
+    assert {"T1w", "ID", "H"} <= set(gap.unknown)
+
+
 def test_granting_the_registration_instants_unlocks_the_attack():
     enr = enroll("improved")
     run = run_session(enr)
@@ -340,23 +370,24 @@ def _honest_atoms(scheme, monkeypatch):
             T4w=preimages[reply.cs][4],  # Cs = h(ID||SK||H||T2||T4)
             T5w=sk_preimage[6],  # SK = h(ID||A22||A55||H||T1||T3||T5)
             A55=sk_preimage[2],
+            A1=Field128.from_int(pow(g, run.r_u, p)), Cs=reply.cs,
             A4=Field128.from_int(pow(g, run.r_s, p)),
             A5=Field128.from_int(pow(g, run.r_u * run.r_s, p)),
         )
     return card, truth
 
 
-@pytest.mark.parametrize("scheme, count", [("baseline", 7), ("improved", 15)])
+@pytest.mark.parametrize("scheme, count", [("baseline", 12), ("improved", 39)])
 def test_every_rule_maps_true_inputs_to_the_true_output(monkeypatch, scheme, count):
     card, truth = _honest_atoms(scheme, monkeypatch)
     ctx = adversary._Ctx(card.hash_name, card.params)
-    rules_for, verifier = adversary._MODELS[scheme]
-    rules = rules_for(ctx)
+    rules, verifier = adversary.RULES[scheme], adversary.VERIFIERS[scheme]
     assert len(rules) == count
     for rule in rules:
-        derived = rule.fn(*(truth[a] for a in rule.needs))
+        derived = rule.bind(ctx.h, ctx.exp)(*(truth[a] for a in rule.needs))
         assert derived == truth[rule.target], rule.how
-    assert ctx.h(*(truth[a] for a in verifier.preimage)) == truth[verifier.name]
+    check = verifier.bind(ctx.h, ctx.exp)
+    assert check(*(truth[a] for a in verifier.needs)) == truth[verifier.target]
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,17 @@ def test_replay_records_then_verifies_then_detects_drift(tmp_path, capsys):
     assert "replay drift: report.txt differs" in capsys.readouterr().out
 
 
+def test_replay_against_a_recording_without_its_text_report_is_drift(tmp_path, capsys):
+    scenario = SCENARIO_DIR / "baseline-attack.scenario"
+    out = tmp_path / "recording"
+    assert run_cli("replay", "--scenario", scenario, "--out", out) == 0
+    capsys.readouterr()
+
+    (out / "report.txt").unlink()
+    assert run_cli("replay", "--scenario", scenario, "--out", out) == 5
+    assert capsys.readouterr().out == "replay drift: report.txt missing\n"
+
+
 def test_verify_card_describes_a_good_card(tmp_path, capsys):
     paths = register(tmp_path, "improved")
     assert run_cli("verify-card", "--card", paths["card"]) == 0

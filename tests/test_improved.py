@@ -2,11 +2,12 @@
 structural property that timestamps protect every wire field."""
 
 import dataclasses
+import re
 
 import pytest
 
 from support import enroll, run_session
-from triauth import improved
+from triauth import baseline, improved
 from triauth.core import (
     AuthFailure,
     Field128,
@@ -200,6 +201,16 @@ def test_wire_encoding_round_trips():
 TIMESTAMPS = frozenset({"T1", "T2", "T3", "T4", "T5"})
 
 
+def _ingredients(equations) -> dict:
+    """A scheme's EQUATIONS as value -> the atoms its row combines."""
+    notes = {}
+    for line in equations:
+        value, expression = line.split(" = ")
+        names = re.findall(r"[A-Za-z_]\w*", expression)
+        notes[value] = tuple(n for n in names if n not in ("h", "exp", "rep"))
+    return notes
+
+
 def _protected_timestamps(notes: dict, wire_fields: list) -> set:
     """Greatest fixed point: which timestamps never leak raw on the wire.
 
@@ -228,10 +239,10 @@ def _protected_timestamps(notes: dict, wire_fields: list) -> set:
 
 
 def test_every_wire_field_is_protected_by_a_registration_timestamp():
-    """Walks the scheme's construction table: each of the eight wire
-    fields must carry T1/T2 directly or be masked by timestamps that
-    themselves never travel unprotected."""
-    notes = improved.CONSTRUCTION
+    """Walks the scheme's equations: each of the eight wire fields must
+    carry T1/T2 directly or be masked by timestamps that themselves never
+    travel unprotected."""
+    notes = _ingredients(improved.EQUATIONS)
     wire_fields = list(improved.LOGIN_WIRE) + list(improved.REPLY_WIRE)
 
     for field in wire_fields:
@@ -251,23 +262,17 @@ def test_every_wire_field_is_protected_by_a_registration_timestamp():
 
 
 def test_taint_checker_flags_the_unprotected_construction():
-    """Control: the same checker run over a construction in the baseline
-    scheme's shape (raw T1/T3 on the wire, unmasked group elements)
-    must reject it — otherwise the structural test proves nothing."""
-    notes = {
-        "NID": ("ID", "A2"),
-        "A1": (),
-        "C_i": ("ID", "H", "A1", "A2", "T1"),
-        "T1": (),
-        "Cs": ("ID", "SK", "H", "T3"),
-        "A4": (),
-        "T3": (),
-    }
-    wire_fields = ["NID", "A1", "C_i", "T1", "Cs", "A4", "T3"]
+    """Control: the same checker run over the baseline scheme's equations
+    (raw T1/T3 on the wire, unmasked group elements) must reject them —
+    otherwise the structural test proves nothing."""
+    notes = _ingredients(baseline.EQUATIONS)
+    wire_fields = list(baseline.LOGIN_WIRE) + list(baseline.REPLY_WIRE)
     protected = _protected_timestamps(notes, wire_fields)
     assert "T3" not in protected  # sent bare
     assert "T1" not in protected  # likewise
-    unprotected_fields = [f for f in wire_fields if not set(notes[f]) & protected]
+    unprotected_fields = [
+        f for f in wire_fields if not set(notes.get(f, ())) & protected
+    ]
     assert "NID" in unprotected_fields
     assert "A1" in unprotected_fields
     assert "C_i" in unprotected_fields  # the attack's password oracle

@@ -342,9 +342,18 @@ _LOGIN_U = {"op": "login", "user": "u", "seed": 12}
     ([dict(_REGISTER_U, seed=True)], "step 1 (register): 'seed' must be an integer"),
     ([_REGISTER_U, _LOGIN_U, {"op": "leak", "values": "card"}],
      "step 3 (leak): 'values' must be a list"),
+    ([_REGISTER_U, {"op": "attack", "dictionary": {"size": -1}}],
+     "step 2 (attack): 'size' must not be negative"),
+    ([_REGISTER_U, {"op": "attack", "dictionary": {"size": 5, "plant_at": 9}}],
+     "step 2 (attack): 'plant_at' must be in 0..5"),
+    ([_REGISTER_U, {"op": "attack", "dictionary": {"size": 5, "plant_at": -1}}],
+     "step 2 (attack): 'plant_at' must be in 0..5"),
+    ([_REGISTER_U, {"op": "attack", "dictionary": {"file": "no-such-words.txt"}}],
+     "step 2 (attack): [Errno 2] No such file or directory: 'no-such-words.txt'"),
 ], ids=["undefined-user", "missing-seed", "plant-before-leak", "string-ms",
         "negative-ms", "string-noise-blocks", "int-mask", "non-hex-mask",
-        "string-dictionary", "string-seed", "bool-seed", "string-values"])
+        "string-dictionary", "string-seed", "bool-seed", "string-values",
+        "negative-size", "plant-past-the-end", "negative-plant", "missing-file"])
 def test_bad_scenario_input_names_its_step_and_replay_exits_2(
     tmp_path, capsys, steps, message
 ):
