@@ -10,12 +10,13 @@ server secret X, or any raw protocol timestamp — and the
 :class:`AdversaryKnowledge` constructor refuses to smuggle those in.
 
 The attack itself is not hard-coded per scheme.  A small derivation
-engine closes the adversary's atoms under rules derived from each
-scheme's ``EQUATIONS`` table: every row run forward, and every XOR row
-solved for each atom it XORs in.  An atom ends up *known*, *derivable
-per password candidate*, or *unknown*.  :func:`compile_plan` does that
-closure once per attack and orders the chosen rules into an
-:class:`AttackPlan`: steps run once, per candidate, and on a hit.  A
+engine closes the adversary's atoms, the leaked values named as each
+scheme's ``EQUATIONS`` table names them, under rules derived from that
+table: every row run forward, and every XOR row solved for each atom
+it XORs in.  An atom ends up *known*, *derivable per password
+candidate*, or *unknown*.  :func:`compile_plan` does that closure once
+per attack and orders the chosen rules into an :class:`AttackPlan`:
+steps run once, per candidate, and on a hit.  A
 dictionary attack runs iff every block of the verifier equation is
 known or candidate-derivable; otherwise the outcome reports which
 atoms stay unknown under that closure.  Against the baseline the
@@ -31,7 +32,8 @@ about *why* the attack fails.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
 from . import baseline, improved
@@ -51,7 +53,7 @@ from .session import (Handshake, card_fields, card_from_fields, scheme_module,
                       wire_message)
 
 # Atoms the model says the adversary never holds.  Checked
-# case-insensitively against every externally supplied mapping key.
+# case-insensitively against every atom a knowledge holds.
 FORBIDDEN_ATOMS = frozenset(
     {"id", "pw", "password", "x", "t1", "t2", "t3", "t4", "t5", "t12"}
 )
@@ -70,32 +72,23 @@ _UNKNOWN, _CANDIDATE, _KNOWN = 0, 1, 2
 
 @dataclass(frozen=True)
 class AdversaryKnowledge:
-    """Exactly the assumed-leak set, nothing more.
-
-    ``card_view`` is the adversary's copy of the card contents — for
-    the hardened scheme this omits T12 (= T1 xor T2), which the model
-    does not grant even though the physical card stores it.  Build via
-    :meth:`assemble` to get the stripping right.  The wire words come
-    from ``transcripts[0]``: the session that ``r_u`` and ``r_s`` are from.
+    """Exactly the assumed-leak set, nothing more: ``atoms`` maps each
+    leaked value to its name in the scheme's ``EQUATIONS`` table, and
+    the card's tools ``h``, ``p`` and ``g`` sit beside them, read by no
+    rule.  The atoms are a read-only copy; every name is checked
+    against :data:`FORBIDDEN_ATOMS`.  Build via :meth:`assemble`.
     """
 
     scheme: str
-    card_view: Mapping[str, object] | None = None
-    transcripts: tuple[Transcript, ...] = ()
-    biometric: BiometricTemplate | None = None
-    r_u: int | None = None
-    r_s: int | None = None
+    atoms: Mapping[str, object] = field(default_factory=dict)
     dictionary: tuple[str, ...] = ()
 
     def __post_init__(self):
         scheme_module(self.scheme)
-        if self.card_view is not None:
-            for key in self.card_view:
-                if key.lower() in FORBIDDEN_ATOMS:
-                    raise ValueError(
-                        "knowledge model forbids atom %r" % key
-                    )
-        object.__setattr__(self, "transcripts", tuple(self.transcripts))
+        for name in self.atoms:
+            if name.lower() in FORBIDDEN_ATOMS:
+                raise ValueError("knowledge model forbids atom %r" % name)
+        object.__setattr__(self, "atoms", MappingProxyType(dict(self.atoms)))
         object.__setattr__(self, "dictionary", tuple(self.dictionary))
 
     @classmethod
@@ -109,19 +102,22 @@ class AdversaryKnowledge:
         r_s: int | None = None,
         dictionary=(),
     ) -> "AdversaryKnowledge":
-        view = None
+        """The atoms of the leaks given: the card's fields and its hash
+        ``h``, less those the model withholds (the hardened card's T12
+        = T1 xor T2); the wire words of ``transcripts[0]``, the session
+        that ``r_u`` and ``r_s`` are from; and ``B``, ``r_u``, ``r_s``."""
+        atoms: dict[str, object] = {}
         if card is not None:
-            view = {"h": card.hash_name, **card_fields(card)}
-            view.pop("T12", None)  # on the card, but outside the model
-        return cls(
-            scheme=scheme,
-            card_view=view,
-            transcripts=tuple(transcripts),
-            biometric=biometric,
-            r_u=r_u,
-            r_s=r_s,
-            dictionary=tuple(dictionary),
-        )
+            fields = {"h": card.hash_name, **card_fields(card)}
+            atoms.update((name, value) for name, value in fields.items()
+                         if name.lower() not in FORBIDDEN_ATOMS)
+        transcripts = tuple(transcripts)
+        if transcripts:
+            atoms.update(_wire_atoms(scheme, transcripts[0]))
+        leaked = {"B": biometric, "r_u": r_u, "r_s": r_s}
+        atoms.update((name, value) for name, value in leaked.items()
+                     if value is not None)
+        return cls(scheme, atoms, dictionary)
 
 
 @dataclass(frozen=True)
@@ -197,6 +193,14 @@ def _rule(target: str, expression: str) -> Derivation:
     return Derivation(target, needs, "%s = %s" % (target, expression), bind)
 
 
+_TIMESTAMP = re.compile(r"\bT([1-5])\b")
+
+
+def _as_wire(text: str) -> str:
+    """Timestamps as the adversary holds them, as wire words: T1 -> T1w."""
+    return _TIMESTAMP.sub(r"T\1w", text)
+
+
 def _derive(equations) -> tuple[tuple[Derivation, ...], Derivation]:
     """A scheme's rules and verifier, from its EQUATIONS table.
 
@@ -207,7 +211,7 @@ def _derive(equations) -> tuple[tuple[Derivation, ...], Derivation]:
     """
     rules = []
     for line in equations:
-        value, expression = re.sub(r"\bT([1-5])\b", r"T\1w", line).split(" = ")
+        value, expression = _as_wire(line).split(" = ")
         if value == "C_i":
             verifier = _rule(value, expression)
             continue
@@ -231,7 +235,7 @@ _TARGETS = ("ID", "SK")
 
 
 # ---------------------------------------------------------------------------
-# Assembling the adversary's initial atoms
+# From leaks to atoms, and the card's tools
 # ---------------------------------------------------------------------------
 
 def _wire_atoms(scheme: str, transcript: Transcript) -> dict[str, Field128]:
@@ -244,38 +248,22 @@ def _wire_atoms(scheme: str, transcript: Transcript) -> dict[str, Field128]:
             continue  # a termination notice, or bytes of another length
         for name, word in words.items():
             # timestamps captured off the wire are words, not clock
-            # readings the adversary can trust; keep the 'w' marker
-            atom = name + "w" if name in ("T1", "T3") else name
-            atoms.setdefault(atom, word)
+            # readings the adversary can trust
+            atoms.setdefault(_as_wire(name), word)
     return atoms
 
 
-def _initial_atoms(knowledge: AdversaryKnowledge) -> dict[str, object]:
-    atoms: dict[str, object] = {}
-    if knowledge.card_view:
-        for key, value in knowledge.card_view.items():
-            if key in ("h", "p", "g"):
-                continue  # tooling, not equation material
-            atoms[key] = value
-    if knowledge.transcripts:
-        atoms.update(_wire_atoms(knowledge.scheme, knowledge.transcripts[0]))
-    if knowledge.biometric is not None:
-        atoms["B"] = knowledge.biometric
-    if knowledge.r_u is not None:
-        atoms["r_u"] = knowledge.r_u
-    if knowledge.r_s is not None:
-        atoms["r_s"] = knowledge.r_s
-    return atoms
-
-
-def _ctx_from_knowledge(knowledge: AdversaryKnowledge) -> _Ctx | None:
-    view = knowledge.card_view
-    if not view:
-        return None
+def _ctx(atoms: Mapping[str, object]) -> _Ctx | None:
+    """The card's tools, or None without a well-formed card."""
     try:
-        return _Ctx(view["h"], GroupParams(view["p"], view["g"]))
+        return _Ctx(atoms["h"], GroupParams(atoms["p"], atoms["g"]))
     except (KeyError, ValueError, TypeError):
         return None
+
+
+def _granted(t1_ms: int, t2_ms: int) -> dict[str, Field128]:
+    """The out-of-model grant: the registration instants as wire atoms."""
+    return {"T1w": ms_to_field(t1_ms), "T2w": ms_to_field(t2_ms)}
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +292,8 @@ def compile_plan(
     knowledge: AdversaryKnowledge, granted: dict[str, Field128] | None = None
 ) -> AttackPlan:
     """Close the atoms under the scheme's rules, then order the steps."""
-    ctx = _ctx_from_knowledge(knowledge)
-    atoms = _initial_atoms(knowledge)
+    ctx = _ctx(knowledge.atoms)
+    atoms = dict(knowledge.atoms)  # a grant never enters the knowledge
     if granted:
         atoms.update(granted)
     verifier = VERIFIERS[knowledge.scheme]
@@ -435,8 +423,7 @@ def attack_improved(
         raise ValueError("knowledge is not about the improved scheme")
     granted = None
     if out_of_model_timestamps is not None:
-        t1_ms, t2_ms = out_of_model_timestamps
-        granted = {"T1w": ms_to_field(t1_ms), "T2w": ms_to_field(t2_ms)}
+        granted = _granted(*out_of_model_timestamps)
     return _run_dictionary(knowledge, granted)
 
 
@@ -496,8 +483,7 @@ def forge_improved_session_key(
     """
     if knowledge.scheme != improved.SCHEME:
         raise ValueError("forgery chain is specific to the improved scheme")
-    granted = {"T1w": ms_to_field(t1_ms), "T2w": ms_to_field(t2_ms)}
-    plan = compile_plan(knowledge, granted)
+    plan = compile_plan(knowledge, _granted(t1_ms, t2_ms))
     if plan.gaps:
         return None
     values = dict(plan.atoms)
@@ -531,37 +517,37 @@ def impersonate(
 
     A ``session.Handshake`` in the adversary's own Env, with a fresh
     exponent.  After a baseline recovery it uses the card rebuilt from
-    the captured view and the recovered password and identity.  Anything
+    the captured atoms and the recovered password and identity.  Anything
     less (notably the hardened scheme) falls back to a card the adversary
     issues itself under guesses, pointed at the victim's Y, which the
     server should throw out.  ValueError if the knowledge holds no card.
     """
-    ctx = _ctx_from_knowledge(knowledge)
+    atoms = knowledge.atoms
+    ctx = _ctx(atoms)
     if ctx is None:
         raise ValueError("impersonation needs the captured card")
-    view = knowledge.card_view
     mod = scheme_module(knowledge.scheme)
     ledger = CostLedger()
     own = replace(  # the victim's clock and window, the card's tools
-        env, params=ctx.params, ledger=ledger, hasher=HashEngine(view["h"], ledger)
+        env, params=ctx.params, ledger=ledger, hasher=HashEngine(atoms["h"], ledger)
     )
     r_fresh = rng.exponent(env.params)
 
     if (
         knowledge.scheme == baseline.SCHEME
         and outcome.status == RECOVERED
-        and knowledge.biometric is not None
+        and "B" in atoms
     ):
-        card = card_from_fields(knowledge.scheme, view)
+        card = card_from_fields(knowledge.scheme, atoms)
         user_id, password = outcome.identity, outcome.password
-        reading = knowledge.biometric
+        reading = atoms["B"]
     else:  # a card of its own, under guesses for what the model withholds
         user_id, password = rng.field(), "%016x" % rng.below(1 << 64)
-        reading = BiometricTemplate.random(rng, view["P_i"].nbits)
+        reading = BiometricTemplate.random(rng, atoms["P_i"].nbits)
         card = mod.register(
             own, mod.Server(own, rng=rng), user_id, password, reading, rng
         )
-        card = replace(card, y=view["Y"])
+        card = replace(card, y=atoms["Y"])
 
     handshake = Handshake(mod, own, server, SimChannel(env.clock))
     try:

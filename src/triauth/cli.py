@@ -245,8 +245,7 @@ def _cmd_cost_report(args) -> int:
 
 def _cmd_replay(args) -> int:
     script = load_scenario(args.scenario)
-    config = load_config(args.config) if args.config else None
-    result = run_scenario(script, config)
+    result = run_scenario(script)
     out = Path(args.out)
     if (out / "report.json").exists():
         mismatches = compare_with_recording(result, out)
@@ -290,11 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="which scheme variant",
         )
 
-    def config_option(p):
-        p.add_argument("--config", help="config file (key = value lines)")
-
     def common(p):
-        config_option(p)
+        p.add_argument("--config", help="config file (key = value lines)")
         p.add_argument("--seed", type=int,
                        help="deterministic seed (default: the config's, else 1)")
 
@@ -347,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cost_report)
 
     p = sub.add_parser("replay", help="record or verify a scenario")
-    config_option(p)
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True,
                    help="recording directory (created on first run)")

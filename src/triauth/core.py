@@ -532,10 +532,14 @@ class SessionRng:
     getrandbits is the one Random primitive whose output stream is
     stable across Python versions and platforms, which is what makes
     recorded scenarios replayable byte-for-byte.  The seed is kept on
-    the object so transcripts can reference it.
+    the object so transcripts can reference it, which is why it must
+    fit in 64 bits (Random would also fold a negative seed onto its
+    absolute value).
     """
 
     def __init__(self, seed: int):
+        if not 0 <= seed < (1 << 64):
+            raise ValueError("seed must be in [0, 2**64), got %d" % seed)
         self.seed = seed
         self._rng = random.Random(seed)
 

@@ -30,12 +30,13 @@ documented out-of-model control alongside the in-model attack.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import adversary
 from .channel import SimChannel, Transcript
 from .core import (
+    DEFAULT_DELTA_T_MS,
     FIELD_BYTES,
     Env,
     ProtocolConfig,
@@ -78,10 +79,16 @@ class ScenarioScript:
     steps: list[dict]
     latency_ms: int = 10
     epoch_ms: int = DEFAULT_EPOCH_MS
-    delta_t_ms: int | None = None
+    delta_t_ms: int = DEFAULT_DELTA_T_MS
 
     def validate(self) -> None:
         scheme_module(self.scheme)
+        for key in ("seed", "epoch_ms"):
+            if not 0 <= getattr(self, key) < (1 << 64):
+                raise ValueError("%r must be in [0, 2**64)" % key)
+        for key in ("latency_ms", "delta_t_ms"):
+            if getattr(self, key) < 0:
+                raise ValueError("%r must not be negative" % key)
         for i, step in enumerate(self.steps, 1):
             if not isinstance(step, dict):
                 raise ValueError("step %d is not an object" % i)
@@ -106,7 +113,7 @@ def load_scenario(path) -> ScenarioScript:
             steps=_need(doc, "steps", list),
             latency_ms=_get(doc, "latency_ms", int, 10),
             epoch_ms=_get(doc, "epoch_ms", int, DEFAULT_EPOCH_MS),
-            delta_t_ms=_get(doc, "delta_t_ms", int, None),
+            delta_t_ms=_get(doc, "delta_t_ms", int, DEFAULT_DELTA_T_MS),
         )
         script.validate()
     except ValueError as exc:
@@ -144,13 +151,10 @@ class _Session:
 
 
 class _Runner:
-    def __init__(self, script: ScenarioScript, config: ProtocolConfig | None):
+    def __init__(self, script: ScenarioScript):
         self.script = script
-        config = replace(config or ProtocolConfig())  # the caller's stays as it is
-        if script.delta_t_ms is not None:
-            config.delta_t_ms = script.delta_t_ms
-        self.config = config
-        self.env = Env.from_config(config, SimClock(script.epoch_ms))
+        self.config = ProtocolConfig(delta_t_ms=script.delta_t_ms)
+        self.env = Env.from_config(self.config, SimClock(script.epoch_ms))
         self.mod = scheme_module(script.scheme)
         self.server = self.mod.Server(self.env, rng=SessionRng(script.seed))
         self.users: dict[str, _User] = {}
@@ -485,10 +489,10 @@ def _render_text(report: dict, transcripts: dict[str, Transcript]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_scenario(
-    script: ScenarioScript, config: ProtocolConfig | None = None
-) -> ScenarioResult:
-    return _Runner(script, config).run()
+def run_scenario(script: ScenarioScript) -> ScenarioResult:
+    """Run `script` under the default protocol settings and its header's
+    freshness window: the file is the whole input."""
+    return _Runner(script).run()
 
 
 def _artifacts(result: ScenarioResult) -> list[tuple[str, bytes]]:

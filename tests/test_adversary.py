@@ -51,22 +51,22 @@ def words_with(password, position, size=500):
 def test_forbidden_atoms_cannot_be_smuggled_in():
     for name in ("ID", "pw", "Password", "X", "T1", "t3", "T12"):
         with pytest.raises(ValueError, match="forbids"):
-            AdversaryKnowledge("baseline", card_view={name: b"x"})
+            AdversaryKnowledge("baseline", atoms={name: b"x"})
     assert "t12" in FORBIDDEN_ATOMS
 
 
 def test_assemble_strips_t12_from_the_improved_card():
     enr = enroll("improved")
     knowledge = AdversaryKnowledge.assemble("improved", card=enr.card)
-    assert "T12" not in knowledge.card_view
-    assert "M" in knowledge.card_view
-    assert "Nmask" in knowledge.card_view
+    assert "T12" not in knowledge.atoms
+    assert "M" in knowledge.atoms
+    assert "Nmask" in knowledge.atoms
 
 
 def test_assemble_baseline_card_view_has_the_declared_fields():
     enr = enroll("baseline")
     knowledge = AdversaryKnowledge.assemble("baseline", card=enr.card)
-    assert set(knowledge.card_view) == {"e", "h", "p", "g", "Y", "P_i", "L", "V"}
+    assert set(knowledge.atoms) == {"e", "h", "p", "g", "Y", "P_i", "L", "V"}
 
 
 def test_unknown_scheme_is_rejected():
@@ -221,10 +221,9 @@ def test_each_password_guess_unmasks_t3_which_the_gaps_call_unknown():
         "improved", card=enr.card, transcripts=(run.transcript,),
         biometric=enr.template, r_u=run.r_u,
     )
-    atoms = adversary._initial_atoms(knowledge)
-    view = knowledge.card_view
-    h = HashEngine(view["h"])
-    a1 = Field128.from_int(pow(view["g"], atoms["r_u"], view["p"]))
+    atoms = knowledge.atoms
+    h = HashEngine(atoms["h"])
+    a1 = Field128.from_int(pow(atoms["g"], atoms["r_u"], atoms["p"]))
     r = rep(atoms["B"], atoms["P_i"])
 
     def t3_under(guess):
@@ -292,6 +291,21 @@ def test_forged_keys_under_guessed_instants_never_match():
     assert hits == 0
 
 
+def test_a_grant_never_enters_the_knowledge():
+    enr = enroll("improved")
+    run = run_session(enr)
+    rec = enr.server.records[0]
+    knowledge = leak_everything(enr, run, words_with(enr.password, 4))
+    assert attack_improved(knowledge, (rec.t1_ms, rec.t2_ms)).status == RECOVERED
+    assert forge_improved_session_key(
+        knowledge, rec.t1_ms, rec.t2_ms, enr.password
+    ) == run.sk_user
+    outcome = attack_improved(knowledge)
+    assert outcome.status == INSUFFICIENT
+    assert outcome.gaps[0].unknown == ("A22", "H", "ID", "SK", "T1w", "T3w")
+    assert not {"T1w", "T2w"} & set(knowledge.atoms)
+
+
 def test_forgery_needs_the_leaked_material():
     enr = enroll("improved")
     rec = enr.server.records[0]
@@ -348,8 +362,9 @@ def _honest_atoms(scheme, monkeypatch):
     truth = {
         "B": enr.template, "P_i": card.helper, "R": made["R"],
         "PW": encode_text(enr.password), "ID": enr.user_id,
-        "L": card.l, "e": card.e, "Y": card.y, "H": pending.h,
-        "r_u": run.r_u, "SK": run.sk_user, "NID": msg.nid, "C_i": msg.c_i,
+        "L": card.l, "e": card.e, "Y": card.y, "V": card.v, "H": pending.h,
+        "r_u": run.r_u, "r_s": run.r_s, "SK": run.sk_user, "NID": msg.nid,
+        "C_i": msg.c_i, "Cs": reply.cs,
         "A2": Field128.from_int(pow(g, run.r_u * x, p)),  # the server's A1^X
     }
     sk_preimage = preimages[run.sk_user]
@@ -370,17 +385,17 @@ def _honest_atoms(scheme, monkeypatch):
             T4w=preimages[reply.cs][4],  # Cs = h(ID||SK||H||T2||T4)
             T5w=sk_preimage[6],  # SK = h(ID||A22||A55||H||T1||T3||T5)
             A55=sk_preimage[2],
-            A1=Field128.from_int(pow(g, run.r_u, p)), Cs=reply.cs,
+            A1=Field128.from_int(pow(g, run.r_u, p)),
             A4=Field128.from_int(pow(g, run.r_s, p)),
             A5=Field128.from_int(pow(g, run.r_u * run.r_s, p)),
         )
-    return card, truth
+    return enr, run, truth
 
 
 @pytest.mark.parametrize("scheme, count", [("baseline", 12), ("improved", 39)])
 def test_every_rule_maps_true_inputs_to_the_true_output(monkeypatch, scheme, count):
-    card, truth = _honest_atoms(scheme, monkeypatch)
-    ctx = adversary._Ctx(card.hash_name, card.params)
+    enr, _, truth = _honest_atoms(scheme, monkeypatch)
+    ctx = adversary._Ctx(enr.card.hash_name, enr.card.params)
     rules, verifier = adversary.RULES[scheme], adversary.VERIFIERS[scheme]
     assert len(rules) == count
     for rule in rules:
@@ -388,6 +403,16 @@ def test_every_rule_maps_true_inputs_to_the_true_output(monkeypatch, scheme, cou
         assert derived == truth[rule.target], rule.how
     check = verifier.bind(ctx.h, ctx.exp)
     assert check(*(truth[a] for a in verifier.needs)) == truth[verifier.target]
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "improved"])
+def test_every_leaked_atom_is_named_as_the_equations_name_it(monkeypatch, scheme):
+    enr, run, truth = _honest_atoms(scheme, monkeypatch)
+    atoms = dict(leak_everything(enr, run, ()).atoms)
+    tools = {name: atoms.pop(name) for name in ("h", "p", "g")}
+    assert tools == {"h": enr.card.hash_name, "p": enr.card.params.p,
+                     "g": enr.card.params.g}
+    assert {name: truth.get(name) for name in atoms} == atoms
 
 
 # ---------------------------------------------------------------------------

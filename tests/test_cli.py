@@ -159,6 +159,18 @@ def test_excessive_latency_exits_with_the_freshness_code(tmp_path, capsys):
     assert "freshness" in capsys.readouterr().out
 
 
+def test_login_run_with_a_negative_seed_runs_nothing(tmp_path, capsys):
+    paths = register(tmp_path, "baseline")
+    capsys.readouterr()
+    out = tmp_path / "cap"
+    code = login(tmp_path, paths, seed=-3, extra=("--out", out, "--leak"))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "complete" not in captured.out
+    assert "seed must be in [0, 2**64)" in captured.err
+    assert not out.exists()
+
+
 def test_wrong_card_for_the_identity_is_rejected(tmp_path, capsys):
     paths = register(tmp_path, "baseline")
     code = login(tmp_path, paths, user="mallory")

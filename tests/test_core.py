@@ -403,6 +403,15 @@ def test_session_rng_streams_are_reproducible():
     assert a.below(1000) == b.below(1000)
 
 
+@pytest.mark.parametrize("seed", [-5, -1, 1 << 64])
+def test_session_rng_refuses_seeds_outside_64_bits(seed):
+    # Random folds -5 onto 5: the two streams would be one
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        SessionRng(seed)
+    assert SessionRng(0).seed == 0
+    assert SessionRng((1 << 64) - 1).seed == (1 << 64) - 1
+
+
 def test_session_rng_below_stays_in_range():
     rng = SessionRng(3)
     for bound in (1, 2, 17, 1000):

@@ -9,7 +9,6 @@ import pytest
 
 from triauth.channel import SERVER_TO_USER, USER_TO_SERVER
 from triauth.cli import main
-from triauth.core import ProtocolConfig
 from triauth.files import load_transcript, transcript_bytes
 from triauth.scenario import (
     ScenarioScript,
@@ -350,10 +349,22 @@ _LOGIN_U = {"op": "login", "user": "u", "seed": 12}
      "step 2 (attack): 'plant_at' must be in 0..5"),
     ([_REGISTER_U, {"op": "attack", "dictionary": {"file": "no-such-words.txt"}}],
      "step 2 (attack): [Errno 2] No such file or directory: 'no-such-words.txt'"),
+    ([_REGISTER_U, dict(_LOGIN_U, seed=-5)],
+     "step 2 (login): seed must be in [0, 2**64), got -5"),
+    ([_REGISTER_U, dict(_LOGIN_U, seed=1 << 64)],
+     "step 2 (login): seed must be in [0, 2**64), got 18446744073709551616"),
+    ([dict(_REGISTER_U, seed=-1)],
+     "step 1 (register): seed must be in [0, 2**64), got -1"),
+    ([_REGISTER_U, _LOGIN_U, {"op": "respond", "seed": -13}],
+     "step 3 (respond): seed must be in [0, 2**64), got -13"),
+    ([_REGISTER_U, {"op": "attack", "dictionary": {"size": 5, "seed": -9}}],
+     "step 2 (attack): seed must be in [0, 2**64), got -9"),
 ], ids=["undefined-user", "missing-seed", "plant-before-leak", "string-ms",
         "negative-ms", "string-noise-blocks", "int-mask", "non-hex-mask",
         "string-dictionary", "string-seed", "bool-seed", "string-values",
-        "negative-size", "plant-past-the-end", "negative-plant", "missing-file"])
+        "negative-size", "plant-past-the-end", "negative-plant", "missing-file",
+        "negative-login-seed", "login-seed-past-64-bits", "negative-register-seed",
+        "negative-respond-seed", "negative-dictionary-seed"])
 def test_bad_scenario_input_names_its_step_and_replay_exits_2(
     tmp_path, capsys, steps, message
 ):
@@ -378,8 +389,16 @@ _GOOD_HEADER = {"name": "bad", "scheme": "baseline", "seed": 5, "steps": []}
     ({**_GOOD_HEADER, "seed": True}, "'seed' must be an integer"),
     ({**_GOOD_HEADER, "scheme": ["baseline"]}, "'scheme' must be a string"),
     ({**_GOOD_HEADER, "latency_ms": "10"}, "'latency_ms' must be an integer"),
+    ({**_GOOD_HEADER, "delta_t_ms": -5}, "'delta_t_ms' must not be negative"),
+    ({**_GOOD_HEADER, "latency_ms": -1}, "'latency_ms' must not be negative"),
+    ({**_GOOD_HEADER, "epoch_ms": -1}, "'epoch_ms' must be in [0, 2**64)"),
+    ({**_GOOD_HEADER, "epoch_ms": 1 << 64}, "'epoch_ms' must be in [0, 2**64)"),
+    ({**_GOOD_HEADER, "seed": -5}, "'seed' must be in [0, 2**64)"),
+    ({**_GOOD_HEADER, "seed": 1 << 64}, "'seed' must be in [0, 2**64)"),
 ], ids=["string-document", "string-step", "steps-object", "string-seed",
-        "bool-seed", "list-scheme", "string-latency"])
+        "bool-seed", "list-scheme", "string-latency", "negative-window",
+        "negative-latency", "negative-epoch", "epoch-past-64-bits",
+        "negative-seed", "seed-past-64-bits"])
 def test_malformed_scenario_documents_name_the_file_and_replay_exits_2(
     tmp_path, capsys, doc, message
 ):
@@ -420,7 +439,7 @@ def test_a_tamper_step_naming_no_such_word_fails_with_the_reason(message, field,
 def _in_flight(scheme, steps, direction):
     """Run `steps`, then deliver the message left in flight on `direction`:
     (the bytes delivered, the bytes the transcript records for it)."""
-    runner = _Runner(_script(scheme, steps), None)
+    runner = _Runner(_script(scheme, steps))
     runner.run()
     channel = runner.sessions[-1].handshake.channel
     delivered = channel.recv(direction)
@@ -454,12 +473,11 @@ def test_a_tamper_step_flips_exactly_the_named_field(scheme, label, name):
         assert _in_flight(scheme, steps + [tamper], direction) == (expected, expected)
 
 
-def test_a_scenario_window_leaves_the_callers_config_alone():
-    config = ProtocolConfig()
+def test_the_scenario_header_sets_the_freshness_window():
     steps = [_REGISTER_U, {"op": "login", "user": "u", "seed": 12},
              {"op": "respond", "seed": 13}]
     script = _script("baseline", steps)
+    assert run_scenario(script).report["steps"][2]["ok"] is True
     script.delta_t_ms = 5  # shorter than the 10 ms hop: the login goes stale
-    result = run_scenario(script, config)
+    result = run_scenario(script)
     assert result.report["steps"][2]["error"] == "freshness"
-    assert config.delta_t_ms == 2000
