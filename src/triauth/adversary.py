@@ -13,20 +13,22 @@ The attack itself is not hard-coded per scheme.  A small derivation
 engine closes the adversary's atoms, the leaked values named as each
 scheme's ``EQUATIONS`` table names them, under rules derived from that
 table: every row run forward, and every XOR row solved for each atom
-it XORs in.  An atom ends up *known*, *derivable per password
-candidate*, or *unknown*.  :func:`compile_plan` does that closure once
-per attack and orders the chosen rules into an :class:`AttackPlan`:
-steps run once, per candidate, and on a hit.  A
-dictionary attack runs iff every block of the verifier equation is
-known or candidate-derivable; otherwise the outcome reports which
-atoms stay unknown under that closure.  Against the baseline the
-closure reaches C_i and the loop recovers the password, identity and
-session key.  Against the hardened scheme T1, T3 and ID lock each
-other (T1 needs ID, ID needs T1 and T3, T3 needs T1) and every equation
-keeps at least two unknowns — the attack cannot start.  Granting
-(T1, T2) through the explicit out-of-model hook unlocks the same
-pipeline, which is the white-box control showing the engine is honest
-about *why* the attack fails.
+it XORs in.  The card's hash ``h`` and modexp ``exp`` are atoms like
+any other, which only a captured card supplies.  An atom ends up
+*known*, *derivable per password candidate*, or *unknown*.
+:func:`compile_plan` does that closure once per attack and orders the
+chosen rules into an :class:`AttackPlan`: rules run once, per
+candidate, and on a hit.  A dictionary attack runs iff every block of
+the verifier equation is known or candidate-derivable; otherwise the
+outcome names the atoms that closure cannot reach (without a card,
+``h`` among them).  Against the baseline the closure reaches C_i and
+the loop recovers the password, identity and session key.  Against the
+hardened scheme T1, T3 and ID lock each other (T1 needs ID, ID needs
+T1 and T3, T3 needs T1) and every equation keeps at least two
+unknowns — the attack cannot start.  Granting (T1, T2) through the
+explicit out-of-model hook unlocks the same pipeline, which is the
+white-box control showing the engine is honest about *why* the attack
+fails.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 from . import baseline, improved
 from .core import (
@@ -73,10 +75,11 @@ _UNKNOWN, _CANDIDATE, _KNOWN = 0, 1, 2
 @dataclass(frozen=True)
 class AdversaryKnowledge:
     """Exactly the assumed-leak set, nothing more: ``atoms`` maps each
-    leaked value to its name in the scheme's ``EQUATIONS`` table, and
-    the card's tools ``h``, ``p`` and ``g`` sit beside them, read by no
-    rule.  The atoms are a read-only copy; every name is checked
-    against :data:`FORBIDDEN_ATOMS`.  Build via :meth:`assemble`.
+    leaked value to its name in the scheme's ``EQUATIONS`` table.  A
+    card adds its group ``p``, ``g`` and the name of its hash ``h``,
+    which :func:`compile_plan` turns into the tools ``h`` and ``exp``.
+    The atoms are a read-only copy; every name is checked against
+    :data:`FORBIDDEN_ATOMS`.  Build via :meth:`assemble`.
     """
 
     scheme: str
@@ -152,45 +155,21 @@ class AttackOutcome:
 
 @dataclass(frozen=True)
 class Derivation:
-    """``target`` follows from ``needs`` by the equation ``how``;
-    ``bind(h, exp)`` makes the step function over the card's tools."""
+    """``target`` is ``fn(*needs)``, by the equation ``how``.  The card's
+    tools ``h`` and ``exp`` are needs like any other atom."""
 
     target: str
     needs: tuple[str, ...]
     how: str
-    bind: Callable
-
-
-class Step(NamedTuple):
-    """A derivation bound to one attack's tools."""
-
-    target: str
-    needs: tuple[str, ...]
     fn: Callable
-
-
-class _Ctx:
-    """The adversary's own tools: the card's hash and group, no ledger."""
-
-    def __init__(self, hash_name: str, params: GroupParams):
-        self.h = HashEngine(hash_name)
-        self.params = params
-
-    def exp(self, base: Field128, exponent: int) -> Field128:
-        # the attacker is not bound by protocol domain checks; pow's
-        # implicit reduction is what an attacker would compute anyway
-        return Field128.from_int(pow(base.to_int(), exponent, self.params.p))
 
 
 def _rule(target: str, expression: str) -> Derivation:
     names = re.findall(r"[A-Za-z_]\w*", expression)
-    needs = tuple(dict.fromkeys(n for n in names if n not in ("h", "exp", "rep")))
-    # `rep` stays a global, looked up at call time like any other call
-    bind = eval(
-        "lambda h, exp: lambda %s: %s" % (", ".join(needs), expression),
-        globals(),
-    )
-    return Derivation(target, needs, "%s = %s" % (target, expression), bind)
+    needs = tuple(dict.fromkeys(n for n in names if n != "rep"))
+    # `rep`, the public extractor, stays a global looked up at call time
+    fn = eval("lambda %s: %s" % (", ".join(needs), expression), globals())
+    return Derivation(target, needs, "%s = %s" % (target, expression), fn)
 
 
 _TIMESTAMP = re.compile(r"\bT([1-5])\b")
@@ -235,7 +214,7 @@ _TARGETS = ("ID", "SK")
 
 
 # ---------------------------------------------------------------------------
-# From leaks to atoms, and the card's tools
+# From leaks to atoms
 # ---------------------------------------------------------------------------
 
 def _wire_atoms(scheme: str, transcript: Transcript) -> dict[str, Field128]:
@@ -253,12 +232,21 @@ def _wire_atoms(scheme: str, transcript: Transcript) -> dict[str, Field128]:
     return atoms
 
 
-def _ctx(atoms: Mapping[str, object]) -> _Ctx | None:
-    """The card's tools, or None without a well-formed card."""
+def _tools(atoms: Mapping[str, object]) -> dict[str, Callable]:
+    """The card's tools as the rules call them: ``h``, the hash the card
+    names, and ``exp``, pow modulo the card's p.  Without a well-formed
+    card, neither exists."""
     try:
-        return _Ctx(atoms["h"], GroupParams(atoms["p"], atoms["g"]))
+        h, group = HashEngine(atoms["h"]), GroupParams(atoms["p"], atoms["g"])
     except (KeyError, ValueError, TypeError):
-        return None
+        return {}
+
+    def exp(base: Field128, exponent: int) -> Field128:
+        # the attacker is not bound by protocol domain checks; pow's
+        # implicit reduction is what an attacker would compute anyway
+        return Field128.from_int(pow(base.to_int(), exponent, group.p))
+
+    return {"h": h, "exp": exp}
 
 
 def _granted(t1_ms: int, t2_ms: int) -> dict[str, Field128]:
@@ -279,25 +267,26 @@ class AttackPlan:
     With ``gaps`` the attack cannot start and the tuples are empty.
     """
 
-    ctx: _Ctx | None
     atoms: dict[str, object]
     verifier: Derivation
-    known: tuple[Step, ...] = ()
-    per_word: tuple[Step, ...] = ()
-    on_hit: tuple[Step, ...] = ()
+    known: tuple[Derivation, ...] = ()
+    per_word: tuple[Derivation, ...] = ()
+    on_hit: tuple[Derivation, ...] = ()
     gaps: tuple[EquationGap, ...] = ()
 
 
 def compile_plan(
     knowledge: AdversaryKnowledge, granted: dict[str, Field128] | None = None
 ) -> AttackPlan:
-    """Close the atoms under the scheme's rules, then order the steps."""
-    ctx = _ctx(knowledge.atoms)
-    atoms = dict(knowledge.atoms)  # a grant never enters the knowledge
-    if granted:
-        atoms.update(granted)
+    """Close a copy of the atoms (a grant never enters the knowledge)
+    under the scheme's rules, then order the steps.  In the copy the
+    card's tools replace its hash name; without a card they are unknown.
+    """
+    atoms = {name: v for name, v in knowledge.atoms.items() if name != "h"}
+    atoms.update(granted or {})
+    atoms.update(_tools(knowledge.atoms))
     verifier = VERIFIERS[knowledge.scheme]
-    rules = RULES[knowledge.scheme] if ctx is not None else ()
+    rules = RULES[knowledge.scheme]
 
     # fixed point: an atom's level is the best over the rules reaching it
     level = dict.fromkeys(atoms, _KNOWN)
@@ -317,39 +306,34 @@ def compile_plan(
                 changed = True
 
     needed = {*verifier.needs, verifier.target, *_TARGETS}
-    if ctx is not None:  # without the card's tools, all of them are missing
-        needed = {a for a in needed if level.get(a, _UNKNOWN) == _UNKNOWN}
-    if needed:
-        gap = EquationGap(verifier.target, tuple(sorted(needed)))
-        return AttackPlan(ctx, atoms, verifier, gaps=(gap,))
+    unknown = sorted(a for a in needed if level.get(a, _UNKNOWN) == _UNKNOWN)
+    if unknown:
+        gap = EquationGap(verifier.target, tuple(unknown))
+        return AttackPlan(atoms, verifier, gaps=(gap,))
 
     # one depth-first walk: the verifier's preimage first, so per_word
-    # holds only what the loop needs, then the targets for on_hit; only
-    # the rules placed are bound to the card's tools
-    known: list[Step] = []
-    per_word: list[Step] = []
-    on_hit: list[Step] = []
+    # holds only what the loop needs, then the targets for on_hit
+    known: list[Derivation] = []
+    per_word: list[Derivation] = []
+    on_hit: list[Derivation] = []
 
-    def visit(atom: str, steps: list[Step]) -> None:
+    def visit(atom: str, steps: list[Derivation]) -> None:
         rule = chosen.pop(atom, None)  # popped, so each rule is placed once
         if rule is not None:
             for need in rule.needs:
                 visit(need, steps)
-            step = Step(rule.target, rule.needs, rule.bind(ctx.h, ctx.exp))
-            (known if level[rule.target] == _KNOWN else steps).append(step)
+            (known if level[rule.target] == _KNOWN else steps).append(rule)
 
     for atom in verifier.needs:
         visit(atom, per_word)
     for atom in _TARGETS:
         visit(atom, on_hit)
-    return AttackPlan(
-        ctx, atoms, verifier, tuple(known), tuple(per_word), tuple(on_hit)
-    )
+    return AttackPlan(atoms, verifier, tuple(known), tuple(per_word), tuple(on_hit))
 
 
-def _execute(steps: tuple[Step, ...], values: dict[str, object]) -> None:
-    for step in steps:
-        values[step.target] = step.fn(*(values[a] for a in step.needs))
+def _execute(rules: tuple[Derivation, ...], values: dict[str, object]) -> None:
+    for rule in rules:
+        values[rule.target] = rule.fn(*(values[a] for a in rule.needs))
 
 
 def _run_dictionary(
@@ -358,9 +342,7 @@ def _run_dictionary(
     out_of_model = bool(granted)
     plan = compile_plan(knowledge, granted)
     if plan.gaps:
-        return AttackOutcome(
-            status=INSUFFICIENT, gaps=plan.gaps, out_of_model=out_of_model
-        )
+        return AttackOutcome(INSUFFICIENT, gaps=plan.gaps, out_of_model=out_of_model)
 
     base_values = dict(plan.atoms)
     _execute(plan.known, base_values)
@@ -377,7 +359,7 @@ def _run_dictionary(
         values["PW"] = pw
         _execute(plan.per_word, values)
         work += 1
-        if plan.ctx.h(*(values[a] for a in verifier.needs)) == values[verifier.target]:
+        if verifier.fn(*(values[a] for a in verifier.needs)) == values[verifier.target]:
             _execute(plan.on_hit, values)
             return AttackOutcome(
                 status=RECOVERED,
@@ -421,10 +403,9 @@ def attack_improved(
     """
     if knowledge.scheme != improved.SCHEME:
         raise ValueError("knowledge is not about the improved scheme")
-    granted = None
-    if out_of_model_timestamps is not None:
-        granted = _granted(*out_of_model_timestamps)
-    return _run_dictionary(knowledge, granted)
+    if out_of_model_timestamps is None:
+        return _run_dictionary(knowledge)
+    return _run_dictionary(knowledge, _granted(*out_of_model_timestamps))
 
 
 def attack(
@@ -458,13 +439,8 @@ def outcome_report(scheme: str, outcome: AttackOutcome) -> dict:
 
 def explain_gaps(outcome: AttackOutcome) -> list[str]:
     """Human-readable lines for why an attack could not start."""
-    lines = []
-    for gap in outcome.gaps:
-        lines.append(
-            "equation %s blocked; unknown: %s"
-            % (gap.equation, ", ".join(gap.unknown))
-        )
-    return lines
+    return ["equation %s blocked; unknown: %s" % (gap.equation, ", ".join(gap.unknown))
+            for gap in outcome.gaps]
 
 
 def forge_improved_session_key(
@@ -523,14 +499,15 @@ def impersonate(
     server should throw out.  ValueError if the knowledge holds no card.
     """
     atoms = knowledge.atoms
-    ctx = _ctx(atoms)
-    if ctx is None:
-        raise ValueError("impersonation needs the captured card")
-    mod = scheme_module(knowledge.scheme)
     ledger = CostLedger()
-    own = replace(  # the victim's clock and window, the card's tools
-        env, params=ctx.params, ledger=ledger, hasher=HashEngine(atoms["h"], ledger)
-    )
+    try:
+        own = replace(  # the victim's clock and window, the card's tools
+            env, params=GroupParams(atoms["p"], atoms["g"]), ledger=ledger,
+            hasher=HashEngine(atoms["h"], ledger),
+        )
+    except (KeyError, ValueError, TypeError):
+        raise ValueError("impersonation needs the captured card") from None
+    mod = scheme_module(knowledge.scheme)
     r_fresh = rng.exponent(env.params)
 
     if (

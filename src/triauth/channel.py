@@ -57,6 +57,8 @@ class SimChannel:
         session_id: str = "s000",
         rng_seed: int | None = None,
     ):
+        if latency_ms < 0:  # a message cannot arrive before it was sent
+            raise ValueError("latency must not be negative, got %d ms" % latency_ms)
         self.clock = clock
         self.latency_ms = latency_ms
         self._queues: dict[str, deque] = {

@@ -206,10 +206,13 @@ def field_to_ms(word: Field128) -> int:
 class SimClock:
     """Deterministic millisecond clock for tests and scenarios.
 
-    Time only moves when something calls :meth:`advance`.
+    Time only moves when something calls :meth:`advance`, and it stays
+    in [0, 2**64) ms, the range a protocol timestamp can carry.
     """
 
     def __init__(self, start_ms: int = 1_700_000_000_000):
+        if not 0 <= start_ms < (1 << 64):
+            raise ValueError("clock start must be in [0, 2**64) ms, got %d" % start_ms)
         self._now = start_ms
 
     def now(self) -> int:
@@ -218,6 +221,8 @@ class SimClock:
     def advance(self, ms: int) -> None:
         if ms < 0:
             raise ValueError("clock cannot move backwards")
+        if self._now + ms >= (1 << 64):
+            raise ValueError("clock would reach 2**64 ms: %d + %d" % (self._now, ms))
         self._now += ms
 
 

@@ -182,6 +182,51 @@ def test_baseline_attack_without_the_biometric_cannot_finish_h():
     assert "H" in gap.unknown
 
 
+@pytest.mark.parametrize("scheme, unknown", [
+    ("baseline", ("A2", "H", "ID", "SK", "h")),
+    ("improved", ("A22", "H", "ID", "SK", "T1w", "T2w", "T3w", "h")),
+])
+def test_without_the_card_the_gap_names_what_the_closure_cannot_reach(
+    scheme, unknown
+):
+    # the wire atoms (A1, C_i, T1w on the baseline wire) are held, so
+    # they are no gap; the card's hash is, and so is all it would unlock
+    enr = enroll(scheme)
+    run = run_session(enr)
+    knowledge = AdversaryKnowledge.assemble(
+        scheme, transcripts=(run.transcript,),
+        biometric=enr.template, r_u=run.r_u, r_s=run.r_s,
+    )
+    (gap,) = adversary.compile_plan(knowledge).gaps
+    assert gap == adversary.EquationGap("C_i", unknown)
+
+
+_LEAKS = ("card", "transcripts", "biometric", "r_u", "r_s")
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "improved"])
+def test_across_all_leak_subsets_gaps_are_unreached_and_leaks_never_add_one(scheme):
+    enr = enroll(scheme)
+    run = run_session(enr)
+    leaks = {"card": enr.card, "transcripts": (run.transcript,),
+             "biometric": enr.template, "r_u": run.r_u, "r_s": run.r_s}
+    gapless = set()
+    for subset in range(1 << len(_LEAKS)):  # each after all its subsets
+        given = {name: leaks[name]
+                 for bit, name in enumerate(_LEAKS) if subset >> bit & 1}
+        knowledge = AdversaryKnowledge.assemble(scheme, **given)
+        plan = adversary.compile_plan(knowledge)
+        for gap in plan.gaps:
+            assert not set(gap.unknown) & set(knowledge.atoms), sorted(given)
+        one_less = {subset & ~(1 << bit) for bit in range(len(_LEAKS))} - {subset}
+        if one_less & gapless:
+            assert plan.gaps == (), sorted(given)
+        if not plan.gaps:
+            gapless.add(subset)
+    # the baseline breaks with card, wire, biometric and r_u; r_s is spare
+    assert len(gapless) == (2 if scheme == "baseline" else 0)
+
+
 def test_wrong_scheme_knowledge_is_refused():
     enr = enroll("baseline")
     knowledge = AdversaryKnowledge.assemble("baseline", card=enr.card)
@@ -395,14 +440,17 @@ def _honest_atoms(scheme, monkeypatch):
 @pytest.mark.parametrize("scheme, count", [("baseline", 12), ("improved", 39)])
 def test_every_rule_maps_true_inputs_to_the_true_output(monkeypatch, scheme, count):
     enr, _, truth = _honest_atoms(scheme, monkeypatch)
-    ctx = adversary._Ctx(enr.card.hash_name, enr.card.params)
+    p = enr.card.params.p
+    truth.update(  # the card's tools are inputs like any atom
+        h=HashEngine(enr.card.hash_name),
+        exp=lambda base, e: Field128.from_int(pow(base.to_int(), e, p)),
+    )
     rules, verifier = adversary.RULES[scheme], adversary.VERIFIERS[scheme]
     assert len(rules) == count
     for rule in rules:
-        derived = rule.bind(ctx.h, ctx.exp)(*(truth[a] for a in rule.needs))
+        derived = rule.fn(*(truth[a] for a in rule.needs))
         assert derived == truth[rule.target], rule.how
-    check = verifier.bind(ctx.h, ctx.exp)
-    assert check(*(truth[a] for a in verifier.needs)) == truth[verifier.target]
+    assert verifier.fn(*(truth[a] for a in verifier.needs)) == truth[verifier.target]
 
 
 @pytest.mark.parametrize("scheme", ["baseline", "improved"])

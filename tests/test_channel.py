@@ -47,6 +47,12 @@ def test_latency_advances_the_clock_on_delivery():
     assert clock.now() == 1125
 
 
+def test_negative_latency_is_refused():
+    # a message cannot be delivered before it was sent
+    with pytest.raises(ValueError, match="latency must not be negative"):
+        make_channel(latency=-1)
+
+
 def test_recv_on_an_empty_queue_is_an_error():
     _, ch = make_channel()
     with pytest.raises(LookupError):

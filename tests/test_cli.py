@@ -171,6 +171,30 @@ def test_login_run_with_a_negative_seed_runs_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_login_run_with_a_negative_latency_runs_nothing(tmp_path, capsys):
+    paths = register(tmp_path, "baseline")
+    capsys.readouterr()
+    out = tmp_path / "cap"
+    code = login(tmp_path, paths, extra=("--latency", "-5000", "--out", out))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "complete" not in captured.out
+    assert "latency must not be negative, got -5000 ms" in captured.err
+    assert not out.exists()
+
+
+def test_login_run_advancing_the_clock_past_64_bits_names_the_clock(
+    tmp_path, capsys
+):
+    paths = register(tmp_path, "baseline")
+    capsys.readouterr()
+    code = login(tmp_path, paths, extra=("--advance-ms", str(1 << 64)))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "clock would reach 2**64 ms" in err
+    assert "timestamp" not in err
+
+
 def test_wrong_card_for_the_identity_is_rejected(tmp_path, capsys):
     paths = register(tmp_path, "baseline")
     code = login(tmp_path, paths, user="mallory")

@@ -144,6 +144,20 @@ def test_sim_clock_only_moves_forward():
         clock.advance(-1)
 
 
+def test_sim_clock_stays_within_64_bits():
+    # a clock reading must stay a protocol timestamp
+    clock = SimClock((1 << 64) - 1000)
+    clock.advance(999)
+    assert clock.now() == (1 << 64) - 1
+    with pytest.raises(ValueError, match=r"clock would reach 2\*\*64 ms"):
+        clock.advance(1)
+    assert clock.now() == (1 << 64) - 1
+    clock.advance(0)
+    for start in (-1, 1 << 64):
+        with pytest.raises(ValueError, match=r"clock start must be in \[0, 2\*\*64\)"):
+            SimClock(start)
+
+
 # ---------------------------------------------------------------------------
 # Cost ledger
 # ---------------------------------------------------------------------------

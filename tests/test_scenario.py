@@ -11,6 +11,7 @@ from triauth.channel import SERVER_TO_USER, USER_TO_SERVER
 from triauth.cli import main
 from triauth.files import load_transcript, transcript_bytes
 from triauth.scenario import (
+    DEFAULT_EPOCH_MS,
     ScenarioScript,
     _Runner,
     compare_with_recording,
@@ -359,12 +360,17 @@ _LOGIN_U = {"op": "login", "user": "u", "seed": 12}
      "step 3 (respond): seed must be in [0, 2**64), got -13"),
     ([_REGISTER_U, {"op": "attack", "dictionary": {"size": 5, "seed": -9}}],
      "step 2 (attack): seed must be in [0, 2**64), got -9"),
+    ([_REGISTER_U, {"op": "advance-clock", "ms": 1 << 64}, _LOGIN_U],
+     "step 2 (advance-clock): clock would reach 2**64 ms"),
+    ([{"op": "advance-clock", "ms": (1 << 64) - DEFAULT_EPOCH_MS}],
+     "step 1 (advance-clock): clock would reach 2**64 ms"),
 ], ids=["undefined-user", "missing-seed", "plant-before-leak", "string-ms",
         "negative-ms", "string-noise-blocks", "int-mask", "non-hex-mask",
         "string-dictionary", "string-seed", "bool-seed", "string-values",
         "negative-size", "plant-past-the-end", "negative-plant", "missing-file",
         "negative-login-seed", "login-seed-past-64-bits", "negative-register-seed",
-        "negative-respond-seed", "negative-dictionary-seed"])
+        "negative-respond-seed", "negative-dictionary-seed",
+        "clock-past-64-bits-before-a-login", "clock-reaching-2^64"])
 def test_bad_scenario_input_names_its_step_and_replay_exits_2(
     tmp_path, capsys, steps, message
 ):
