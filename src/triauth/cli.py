@@ -194,6 +194,14 @@ def _cmd_login_run(args) -> int:
 
 
 def _cmd_attack(args) -> int:
+    granted = None
+    if args.grant_timestamps is not None:  # checked before anything runs
+        try:
+            t1_ms, t2_ms = map(int, args.grant_timestamps.split(","))
+        except ValueError:
+            raise ValueError("--grant-timestamps must be T1,T2 (two integers "
+                             "in ms), got %r" % args.grant_timestamps) from None
+        granted = (t1_ms, t2_ms)
     card = load_card(args.card)
     scheme = scheme_of(card)
     transcript = load_transcript(args.transcript)
@@ -210,10 +218,6 @@ def _cmd_attack(args) -> int:
         r_s=leak.get("r_s"),
         dictionary=words,
     )
-    granted = None
-    if args.grant_timestamps:
-        t1_ms, t2_ms = (int(x) for x in args.grant_timestamps.split(","))
-        granted = (t1_ms, t2_ms)
     outcome = adversary.attack(knowledge, granted)
 
     _print("attack outcome: %s" % outcome.status)
@@ -235,7 +239,7 @@ def _cmd_attack(args) -> int:
 
 def _cmd_cost_report(args) -> int:
     config = _load_config(args)
-    report = cost_report(args.scheme, config, seed=config.seed)
+    report = cost_report(args.scheme, config)
     _print(format_cost_report(report))
     if args.out:
         write_json_report(report, args.out)

@@ -231,7 +231,7 @@ class SimClock:
 # ---------------------------------------------------------------------------
 
 class CostLedger:
-    """Counts hash calls, modular exponentiations, wire bytes and storage.
+    """Counts hash calls and modular exponentiations.
 
     Counters are attributed to a (phase, principal) scope, e.g.
     ("login", "user"), managed as a stack so harness code can wrap
@@ -246,8 +246,6 @@ class CostLedger:
     def __init__(self) -> None:
         self.hash_calls: dict[tuple[str, str], int] = {}
         self.modexp_calls: dict[tuple[str, str], int] = {}
-        self.wire: list[tuple[str, int]] = []  # (label, bits)
-        self.storage: dict[str, int] = {}  # label -> 128-bit units
         self._stack: list[tuple[str, str]] = []
 
     @contextmanager
@@ -269,12 +267,6 @@ class CostLedger:
         key = self._where()
         self.modexp_calls[key] = self.modexp_calls.get(key, 0) + 1
 
-    def record_wire(self, label: str, nbytes: int) -> None:
-        self.wire.append((label, nbytes * 8))
-
-    def record_storage(self, label: str, units: int) -> None:
-        self.storage[label] = units
-
     # -- rollups ------------------------------------------------------
 
     def hash_total(self) -> int:
@@ -282,23 +274,6 @@ class CostLedger:
 
     def modexp_total(self) -> int:
         return sum(self.modexp_calls.values())
-
-    def wire_bits_total(self) -> int:
-        return sum(bits for _, bits in self.wire)
-
-    def hashes_in(self, phase: str | None = None, principal: str | None = None) -> int:
-        return self._select(self.hash_calls, phase, principal)
-
-    @staticmethod
-    def _select(counts: dict[tuple[str, str], int], phase, principal) -> int:
-        total = 0
-        for (ph, pr), n in counts.items():
-            if phase is not None and ph != phase:
-                continue
-            if principal is not None and pr != principal:
-                continue
-            total += n
-        return total
 
     def phase_table(self) -> dict[str, int]:
         """Hash counts keyed "phase/principal", sorted for stable reports."""

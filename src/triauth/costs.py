@@ -3,12 +3,13 @@
 Each scheme is specified against nominal efficiency numbers: total
 hash invocations for one authentication, wire traffic in 128-bit
 units, and card storage in 128-bit units.  This module runs one fully
-instrumented honest session, collects the ledger, and reports every
-cell side by side with its nominal value.  Wire and storage match
-exactly.  The measured hash totals do not reproduce the nominal ones
-under either natural reading (with or without the registration phase),
-so the report prints the per-phase breakdown and flags the difference
-rather than massaging it.
+instrumented honest session and reports every cell side by side with
+its nominal value: hashes and modexps from the ledger, wire traffic
+from the channel transcript, storage from the card's declared fields.
+Wire and storage match exactly.  The measured hash totals do not
+reproduce the nominal ones under either natural reading (with or
+without the registration phase), so the report prints the per-phase
+breakdown and flags the difference rather than massaging it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import baseline, improved
 from .channel import SimChannel
 from .core import Env, ProtocolConfig, SessionRng, SimClock, encode_text
 from .fuzzy import BiometricTemplate, perturb_within_tolerance
-from .session import Handshake, scheme_module
+from .session import Handshake, scheme_module, wire_traffic
 
 NOMINAL = {
     baseline.SCHEME: {"hash_total": 11, "wire_units": 7, "storage_units": 8},
@@ -25,18 +26,18 @@ NOMINAL = {
 }
 
 
-def run_instrumented_session(
-    scheme: str, config: ProtocolConfig | None = None, seed: int = 1
-):
-    """One honest registration + authentication with full accounting.
+def run_instrumented_session(scheme: str, config: ProtocolConfig | None = None):
+    """One honest registration + authentication with full accounting,
+    seeded by ``config.seed``.
 
-    Returns (env, session_keys) where both keys are equal if the run
-    was healthy; the env's ledger carries every counter.
+    Returns (env, session_keys, transcript): both keys are equal if the
+    run was healthy, the env's ledger carries the operation counts and
+    the transcript the authentication's wire traffic.
     """
     mod = scheme_module(scheme)
     config = config or ProtocolConfig()
     env = Env.from_config(config, SimClock())
-    rng = SessionRng(seed)
+    rng = SessionRng(config.seed)
     server = mod.Server(env, rng=rng)
     user_id = encode_text("cost-probe")
     template = BiometricTemplate.random(rng, config.template_bits)
@@ -45,31 +46,31 @@ def run_instrumented_session(
     card = mod.register(
         env, server, user_id, "probe-password", template, rng, exchange_ms=10
     )
-    env.ledger.record_storage("card", len(card.FIELD_NAMES))
 
     env.clock.advance(60_000)
     noisy = perturb_within_tolerance(template, rng, 16)
     # 25 ms each way between card and server
-    handshake = Handshake(mod, env, server, SimChannel(env.clock, latency_ms=25))
+    channel = SimChannel(env.clock, latency_ms=25)
+    handshake = Handshake(mod, env, server, channel)
     _, pending = handshake.login(
         card, user_id, "probe-password", noisy, rng.exponent(env.params)
     )
     _, sk_server = handshake.respond(rng.exponent(env.params), processing_ms=3)
     sk_user = handshake.finish(pending)
-    return env, (sk_user, sk_server)
+    return env, (sk_user, sk_server), channel.transcript()
 
 
-def cost_report(
-    scheme: str, config: ProtocolConfig | None = None, seed: int = 1
-) -> dict:
-    env, (sk_user, sk_server) = run_instrumented_session(scheme, config, seed)
+def cost_report(scheme: str, config: ProtocolConfig | None = None) -> dict:
+    env, (sk_user, sk_server), transcript = run_instrumented_session(scheme, config)
     ledger = env.ledger
     nominal = NOMINAL[scheme]
 
     total = ledger.hash_total()
-    reg = ledger.hashes_in(phase="registration")
-    wire_bits = ledger.wire_bits_total()
-    storage_units = ledger.storage["card"]
+    reg = sum(n for (phase, _), n in ledger.hash_calls.items()
+              if phase == "registration")
+    messages = wire_traffic(transcript)
+    wire_bits = sum(bits for _, bits in messages)
+    storage_units = len(scheme_module(scheme).Card.FIELD_NAMES)
 
     report = {
         "scheme": scheme,
@@ -89,7 +90,7 @@ def cost_report(
             "total": ledger.modexp_total(),
         },
         "wire": {
-            "messages": [[label, bits] for label, bits in ledger.wire],
+            "messages": [[label, bits] for label, bits in messages],
             "total_bits": wire_bits,
             "nominal_bits": 128 * nominal["wire_units"],
             "matches_nominal": wire_bits == 128 * nominal["wire_units"],

@@ -173,7 +173,8 @@ def load_card(path):
     if count != len(expected_order):
         raise _fail(path, 1, "field count %d, expected %d" % (count, len(expected_order)))
     helper_bits = _parse_int(path, *header["helper_bits"], "helper_bits")
-    hash_name = header["hash"][1]
+    lineno, hash_name = header["hash"]
+    _checked(path, lineno, HashEngine, hash_name)
     fields = {"h": hash_name}
     lines: dict[str, int] = {}
     for lineno, key, value in body:

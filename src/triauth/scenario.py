@@ -51,7 +51,7 @@ from .files import (
     transcript_bytes,
 )
 from .fuzzy import BiometricTemplate, perturb_within_tolerance
-from .session import Handshake, scheme_module, wire_message
+from .session import Handshake, scheme_module, wire_message, wire_traffic
 
 KNOWN_OPS = (
     "register",
@@ -89,6 +89,8 @@ class ScenarioScript:
         for key in ("latency_ms", "delta_t_ms"):
             if getattr(self, key) < 0:
                 raise ValueError("%r must not be negative" % key)
+        if self.latency_ms >= 1 << 64:  # no hop fits the clock's range
+            raise ValueError("'latency_ms' must be below 2**64")
         for i, step in enumerate(self.steps, 1):
             if not isinstance(step, dict):
                 raise ValueError("step %d is not an object" % i)
@@ -409,7 +411,8 @@ class _Runner:
                 "hash_by_phase": ledger.phase_table(),
                 "hash_total": ledger.hash_total(),
                 "modexp_total": ledger.modexp_total(),
-                "wire_bits": ledger.wire_bits_total(),
+                "wire_bits": sum(bits for t in transcripts.values()
+                                 for _, bits in wire_traffic(t)),
             },
             "final_clock_ms": self.env.clock.now(),
         }

@@ -25,6 +25,13 @@ WIRE_LABELS = {
 }
 
 
+def wire_traffic(transcript) -> list[tuple[str, int]]:
+    """(label, bits) of each protocol message in `transcript`, in order;
+    a termination notice is no protocol message."""
+    return [(e.label, 8 * len(e.data)) for e in transcript.entries
+            if e.label in WIRE_LABELS]
+
+
 def scheme_module(name: str):
     """The module of scheme `name`; ValueError for an unknown name."""
     if name not in SCHEMES:
@@ -74,12 +81,12 @@ def card_from_fields(scheme: str, fields):
 class Handshake:
     """One login -> respond -> finish session over `channel`, step by step.
 
-    It owns the ledger scopes, the wire accounting, the codec and the
-    channel hops, and it is what answers a server rejection on the
-    wire.  It draws no randomness (callers pass r_u and r_s, so their
-    RNG streams keep their order).  Scheme functions are looked up on
-    `mod` at each call, so a wrapper installed on the module or the
-    server class sees every step.
+    It owns the ledger scopes, the codec and the channel hops, and it
+    is what answers a server rejection on the wire.  It draws no
+    randomness (callers pass r_u and r_s, so their RNG streams keep
+    their order).  Scheme functions are looked up on `mod` at each
+    call, so a wrapper installed on the module or the server class
+    sees every step.
     """
 
     def __init__(self, mod, env: Env, server, channel: SimChannel):
@@ -121,9 +128,7 @@ class Handshake:
             return self.mod.finish(self.env, pending, reply)
 
     def _send(self, label: str, msg: WireMessage) -> None:
-        raw = msg.encode()
-        self.env.ledger.record_wire(label, len(raw))
-        self.channel.send(wire_message(self.mod, label)[0], label, raw)
+        self.channel.send(wire_message(self.mod, label)[0], label, msg.encode())
 
     def _recv(self, label: str) -> WireMessage:
         direction, cls = wire_message(self.mod, label)

@@ -10,7 +10,7 @@ from triauth.channel import (
     SimChannel,
 )
 from triauth.core import FreshnessFailure, ProtocolError, SimClock
-from triauth.session import SCHEMES, Handshake, wire_message
+from triauth.session import SCHEMES, Handshake, wire_message, wire_traffic
 
 
 def make_channel(latency=0):
@@ -165,3 +165,11 @@ def test_wire_label_table_lookup():
     assert wire_message(baseline, "login")[1].OFFSETS["C_i"] == 32
     with pytest.raises(ValueError, match="no greeting message in the baseline scheme"):
         wire_message(baseline, "greeting")
+
+
+def test_wire_traffic_is_the_protocol_messages_in_bits():
+    _, ch = make_channel()
+    ch.send(USER_TO_SERVER, "login", bytes(64))
+    ch.terminate(SERVER_TO_USER)  # the uniform notice is no protocol message
+    ch.send(SERVER_TO_USER, "reply", bytes(48))
+    assert wire_traffic(ch.transcript()) == [("login", 512), ("reply", 384)]

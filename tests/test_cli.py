@@ -297,6 +297,26 @@ def test_grant_timestamps_is_refused_for_the_baseline_scheme(tmp_path, capsys):
     assert "improved scheme" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grant", ["", "5", "1,2,3", "a,b"])
+def test_a_malformed_grant_is_refused_before_the_attack_runs(tmp_path, capsys, grant):
+    paths = register(tmp_path, "improved")
+    capture = tmp_path / "capture"
+    assert login(tmp_path, paths,
+                 extra=("--out", str(capture), "--leak")) == 0
+    words, _ = write_words(tmp_path, "hunter-glacier")
+    capsys.readouterr()
+    code = run_cli(
+        "attack",
+        "--card", paths["card"],
+        "--transcript", capture / "transcript.bin",
+        "--dict", words, "--grant-timestamps", grant,
+    )
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--grant-timestamps must be T1,T2" in err
+
+
 @pytest.mark.parametrize("scheme", ["baseline", "improved"])
 def test_cost_report_prints_the_comparison_table(tmp_path, capsys, scheme):
     report = tmp_path / "costs.json"
@@ -353,6 +373,23 @@ def test_verify_card_rejects_a_non_card_file(tmp_path, capsys):
     bogus.write_text("not a card at all\n")
     assert run_cli("verify-card", "--card", bogus) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hash_name, why", [
+    ("nonsense", "unsupported hash type nonsense"),
+    ("shake_128", "hash 'shake_128' cannot yield a 16-byte word"),
+])
+def test_verify_card_rejects_a_card_whose_hash_is_unusable(
+    tmp_path, capsys, hash_name, why
+):
+    paths = register(tmp_path, "improved")  # its card stores no h field
+    card = paths["card"]
+    card.write_text(card.read_text().replace("hash: sha256", "hash: " + hash_name))
+    capsys.readouterr()
+    assert run_cli("verify-card", "--card", card) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "%s, line 3: %s" % (card, why) in err
 
 
 def test_missing_input_file_is_a_precondition_failure(tmp_path, capsys):

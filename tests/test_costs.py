@@ -1,16 +1,24 @@
 """Cost instrumentation against the nominal comparison figures."""
 
+from pathlib import Path
+
+import pytest
+
+from triauth.core import ProtocolConfig
 from triauth.costs import (
     NOMINAL,
     cost_report,
     format_cost_report,
     run_instrumented_session,
 )
+from triauth.files import json_report_bytes
+
+RECORDED_COSTS = Path(__file__).parent / "recordings" / "costs"
 
 
 def test_instrumented_sessions_are_healthy():
     for scheme in ("baseline", "improved"):
-        env, (sk_user, sk_server) = run_instrumented_session(scheme)
+        env, (sk_user, sk_server), transcript = run_instrumented_session(scheme)
         assert sk_user == sk_server
 
 
@@ -83,7 +91,8 @@ def test_modexp_counts_per_phase():
 
 
 def test_report_is_reproducible_for_a_seed():
-    assert cost_report("baseline", seed=5) == cost_report("baseline", seed=5)
+    config = ProtocolConfig(seed=5)
+    assert cost_report("baseline", config) == cost_report("baseline", config)
 
 
 def test_nominal_table_contents():
@@ -102,3 +111,11 @@ def test_text_rendering_carries_the_verdicts():
     assert "DISCREPANCY" in text  # hash totals
     assert "nominal 1024 -> match" in text  # wire
     assert "10 units of 128 bits, nominal 10 -> match" in text
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "improved"])
+def test_report_matches_its_committed_recording(scheme):
+    """The committed `cost-report --out` files pin every byte of the
+    JSON report; CI compares the installed command's output with them."""
+    recorded = (RECORDED_COSTS / ("%s.json" % scheme)).read_bytes()
+    assert json_report_bytes(cost_report(scheme)) == recorded

@@ -193,6 +193,9 @@ def _raises_at(path, line, why):
     (b"fields: 8", b"fields: x", 5, "fields must be a non-negative integer, got 'x'"),
     (b"fields: 8", b"fields: -8", 5, "fields must be a non-negative integer, got '-8'"),
     (b"hash: sha256", b"hash: sha\xff256", 3, "not valid UTF-8"),
+    (b"hash: sha256", b"hash: nonsense", 3, "unsupported hash type nonsense"),
+    (b"hash: sha256", b"hash: shake_128", 3,
+     "hash 'shake_128' cannot yield a 16-byte word"),
     (b"fields: 8\n", b"fields: 8\nhash: sha256\n", 6, "duplicate header line 'hash'"),
     (b"scheme: baseline", b"scheme: other", 2,
      "unknown scheme 'other': expected baseline or improved"),

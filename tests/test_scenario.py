@@ -397,14 +397,15 @@ _GOOD_HEADER = {"name": "bad", "scheme": "baseline", "seed": 5, "steps": []}
     ({**_GOOD_HEADER, "latency_ms": "10"}, "'latency_ms' must be an integer"),
     ({**_GOOD_HEADER, "delta_t_ms": -5}, "'delta_t_ms' must not be negative"),
     ({**_GOOD_HEADER, "latency_ms": -1}, "'latency_ms' must not be negative"),
+    ({**_GOOD_HEADER, "latency_ms": 1 << 64}, "'latency_ms' must be below 2**64"),
     ({**_GOOD_HEADER, "epoch_ms": -1}, "'epoch_ms' must be in [0, 2**64)"),
     ({**_GOOD_HEADER, "epoch_ms": 1 << 64}, "'epoch_ms' must be in [0, 2**64)"),
     ({**_GOOD_HEADER, "seed": -5}, "'seed' must be in [0, 2**64)"),
     ({**_GOOD_HEADER, "seed": 1 << 64}, "'seed' must be in [0, 2**64)"),
 ], ids=["string-document", "string-step", "steps-object", "string-seed",
         "bool-seed", "list-scheme", "string-latency", "negative-window",
-        "negative-latency", "negative-epoch", "epoch-past-64-bits",
-        "negative-seed", "seed-past-64-bits"])
+        "negative-latency", "latency-past-64-bits", "negative-epoch",
+        "epoch-past-64-bits", "negative-seed", "seed-past-64-bits"])
 def test_malformed_scenario_documents_name_the_file_and_replay_exits_2(
     tmp_path, capsys, doc, message
 ):
