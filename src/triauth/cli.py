@@ -74,7 +74,7 @@ def _exit_code_for(exc: Exception) -> int:
         return EXIT_FRESHNESS
     if isinstance(exc, (AuthFailure, LocalAuthFailure, UnknownUser)):
         return EXIT_AUTH
-    if isinstance(exc, (RegistrationError, FileFormatError, ValueError, OSError)):
+    if isinstance(exc, RegistrationError):
         return EXIT_PRECONDITION
     return EXIT_UNEXPECTED
 
@@ -198,9 +198,12 @@ def _cmd_attack(args) -> int:
     if args.grant_timestamps is not None:  # checked before anything runs
         try:
             t1_ms, t2_ms = map(int, args.grant_timestamps.split(","))
+            in_range = 0 <= t1_ms < 1 << 64 and 0 <= t2_ms < 1 << 64
         except ValueError:
+            in_range = False
+        if not in_range:
             raise ValueError("--grant-timestamps must be T1,T2 (two integers "
-                             "in ms), got %r" % args.grant_timestamps) from None
+                             "in [0, 2**64) ms), got %r" % args.grant_timestamps)
         granted = (t1_ms, t2_ms)
     card = load_card(args.card)
     scheme = scheme_of(card)

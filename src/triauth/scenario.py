@@ -25,6 +25,11 @@ Step vocabulary::
 An attack step may instead reference {"file": "words.txt"}, and for
 the improved scheme may set "grant_timestamps": true to run the
 documented out-of-model control alongside the in-model attack.
+
+The ops are the runner's ``_op_*`` handlers (``advance-clock`` runs
+``_op_advance_clock``), and ``KNOWN_OPS`` is read from them.  Leaks are
+held as ``AdversaryKnowledge.assemble``'s keyword arguments, plus the
+leaked transcripts by session.
 """
 
 from __future__ import annotations
@@ -52,17 +57,6 @@ from .files import (
 )
 from .fuzzy import BiometricTemplate, perturb_within_tolerance
 from .session import Handshake, scheme_module, wire_message, wire_traffic
-
-KNOWN_OPS = (
-    "register",
-    "login",
-    "respond",
-    "finish",
-    "leak",
-    "attack",
-    "tamper",
-    "advance-clock",
-)
 
 DEFAULT_EPOCH_MS = 1_700_000_000_000
 LEAKABLE = ("card", "biometric", "r_u", "r_s", "transcript")
@@ -151,6 +145,9 @@ class _Session:
     sk_server: bytes | None = None
     error: str | None = None
 
+    def keys_match(self) -> bool:
+        return self.sk_user is not None and self.sk_user == self.sk_server
+
 
 class _Runner:
     def __init__(self, script: ScenarioScript):
@@ -161,8 +158,12 @@ class _Runner:
         self.server = self.mod.Server(self.env, rng=SessionRng(script.seed))
         self.users: dict[str, _User] = {}
         self.sessions: list[_Session] = []
-        # transcripts by session: a later leak of a session replaces its copy
-        self.pool: dict[str, object] = {"transcripts": {}}
+        # what the leaks gave the adversary: `assemble`'s keyword arguments,
+        # and transcripts by session (a later leak of one replaces its copy)
+        self.leaked: dict[str, object] = {}
+        self.transcripts: dict[str, Transcript] = {}
+        self.r_u_session: str | None = None  # the session r_u is from
+        self.victim: str | None = None  # the user of the last leaked session
         self.step_reports: list[dict] = []
         self.attack_reports: list[dict] = []
 
@@ -224,30 +225,29 @@ class _Runner:
             user.template, rng, _get(step, "noise_blocks", int, 16)
         )
         session.r_u = rng.exponent(self.env.params)
-        try:
-            _, session.pending = session.handshake.login(
-                user.card, user.user_id, user.password, reading, session.r_u
-            )
-        except ProtocolError as exc:
-            session.error = exc.code
-            return {"ok": False, "session": session.session_id, "error": exc.code}
+        # the user's own password, card and a correctable reading: the card
+        # always accepts its holder
+        _, session.pending = session.handshake.login(
+            user.card, user.user_id, user.password, reading, session.r_u
+        )
         return {"ok": True, "session": session.session_id}
 
     def _op_respond(self, step) -> dict:
         session = self._current()
-        rng = SessionRng(_need(step, "seed", int))
-        session.r_s = rng.exponent(self.env.params)
+        r_s = SessionRng(_need(step, "seed", int)).exponent(self.env.params)
+        outcome = {"ok": True, "session": session.session_id}
         try:
             _, session.sk_server = session.handshake.respond(
-                session.r_s, processing_ms=_get(step, "processing_ms", int, 3)
+                r_s, processing_ms=_get(step, "processing_ms", int, 3)
             )
-        except LookupError:
+        except LookupError:  # no server step ran, so no r_s entered the session
             return {"ok": False, "session": session.session_id,
                     "error": "nothing in flight"}
         except ProtocolError as exc:
             session.error = exc.code
-            return {"ok": False, "session": session.session_id, "error": exc.code}
-        return {"ok": True, "session": session.session_id}
+            outcome = {"ok": False, "session": session.session_id, "error": exc.code}
+        session.r_s = r_s
+        return outcome
 
     def _op_finish(self, step) -> dict:
         session = self._current()
@@ -262,31 +262,24 @@ class _Runner:
             session.pending = None  # session secrets destroyed either way
             return {"ok": False, "session": session.session_id, "error": exc.code}
         session.pending = None
-        match = (
-            session.sk_server is not None and session.sk_user == session.sk_server
-        )
-        return {"ok": True, "session": session.session_id, "keys_match": match}
+        return {"ok": True, "session": session.session_id,
+                "keys_match": session.keys_match()}
 
     def _op_leak(self, step) -> dict:
         values = _get(step, "values", list, list(LEAKABLE))
         session = self._current()
-        user = self.users[session.user]
         for value in values:
             if value not in LEAKABLE:
                 return {"ok": False, "error": "cannot leak %r" % value}
-        if "card" in values:
-            self.pool["card"] = user.card
-        if "biometric" in values:
-            self.pool["biometric"] = user.template
+        user = self.users[session.user]
+        table = {"card": user.card, "biometric": user.template,
+                 "r_u": session.r_u, "r_s": session.r_s}
+        self.leaked.update((name, table[name]) for name in values if name in table)
         if "r_u" in values:
-            self.pool["r_u"] = session.r_u
-            self.pool["r_u_session"] = session.session_id
-        if "r_s" in values:
-            self.pool["r_s"] = session.r_s
+            self.r_u_session = session.session_id
         if "transcript" in values:
-            transcript = session.handshake.channel.transcript()
-            self.pool["transcripts"][session.session_id] = transcript
-        self.pool["victim"] = session.user
+            self.transcripts[session.session_id] = session.handshake.channel.transcript()
+        self.victim = session.user
         return {"ok": True, "leaked": sorted(values), "session": session.session_id}
 
     def _op_tamper(self, step) -> dict:
@@ -315,17 +308,11 @@ class _Runner:
         words, dict_note = self._dictionary(step)
         # the adversary reads the wire from the first transcript: with an
         # r_u held, only the wire of its own session can match it
-        held = self.pool.get("r_u_session")
-        transcripts = tuple(t for sid, t in self.pool["transcripts"].items()
-                            if held in (None, sid))
+        transcripts = tuple(t for sid, t in self.transcripts.items()
+                            if self.r_u_session in (None, sid))
         knowledge = adversary.AdversaryKnowledge.assemble(
-            self.script.scheme,
-            card=self.pool.get("card"),
-            transcripts=transcripts,
-            biometric=self.pool.get("biometric"),
-            r_u=self.pool.get("r_u"),
-            r_s=self.pool.get("r_s"),
-            dictionary=words,
+            self.script.scheme, transcripts=transcripts, dictionary=words,
+            **self.leaked,
         )
         granted = None
         # the grant is the improved scheme's white-box control, the victim's
@@ -353,8 +340,8 @@ class _Runner:
 
     def _victim(self, step) -> _User:
         """The user of the last leaked session, else the step's "user"."""
-        name = self.pool["victim"] if "victim" in self.pool else _need(step, "user", str)
-        return self._user(name)
+        return self._user(self.victim if self.victim is not None
+                          else _need(step, "user", str))
 
     def _current(self) -> _Session:
         if not self.sessions:
@@ -394,9 +381,7 @@ class _Runner:
                 "seed": s.seed,
                 "sk_user": s.sk_user.hex() if s.sk_user else None,
                 "sk_server": s.sk_server.hex() if s.sk_server else None,
-                "keys_match": bool(
-                    s.sk_user and s.sk_server and s.sk_user == s.sk_server
-                ),
+                "keys_match": s.keys_match(),
                 "error": s.error,
             }
             transcripts[s.session_id] = s.handshake.channel.transcript()
@@ -417,6 +402,10 @@ class _Runner:
             "final_clock_ms": self.env.clock.now(),
         }
         return ScenarioResult(report, _render_text(report, transcripts), transcripts)
+
+
+KNOWN_OPS = tuple(name[len("_op_"):].replace("_", "-")
+                  for name in vars(_Runner) if name.startswith("_op_"))
 
 
 def _need(doc: dict, key: str, kind: type):

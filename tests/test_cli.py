@@ -297,7 +297,8 @@ def test_grant_timestamps_is_refused_for_the_baseline_scheme(tmp_path, capsys):
     assert "improved scheme" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("grant", ["", "5", "1,2,3", "a,b"])
+@pytest.mark.parametrize("grant", ["", "5", "1,2,3", "a,b", "-5,3", "3,-5",
+                                   "99999999999999999999999,3"])
 def test_a_malformed_grant_is_refused_before_the_attack_runs(tmp_path, capsys, grant):
     paths = register(tmp_path, "improved")
     capture = tmp_path / "capture"
@@ -309,12 +310,13 @@ def test_a_malformed_grant_is_refused_before_the_attack_runs(tmp_path, capsys, g
         "attack",
         "--card", paths["card"],
         "--transcript", capture / "transcript.bin",
-        "--dict", words, "--grant-timestamps", grant,
+        "--dict", words, "--grant-timestamps=" + grant,  # "=": "-5,3" is no flag
     )
     assert code == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "--grant-timestamps must be T1,T2" in err
+    assert "[0, 2**64)" in err
 
 
 @pytest.mark.parametrize("scheme", ["baseline", "improved"])

@@ -9,6 +9,7 @@ import pytest
 
 from triauth.channel import SERVER_TO_USER, USER_TO_SERVER
 from triauth.cli import main
+from triauth.core import SessionRng
 from triauth.files import load_transcript, transcript_bytes
 from triauth.scenario import (
     DEFAULT_EPOCH_MS,
@@ -35,9 +36,10 @@ def test_shipped_scenarios_parse():
 
 
 def test_scenario_validation_catches_unknown_ops():
-    script = ScenarioScript("x", "baseline", 1, [{"op": "teleport"}])
-    with pytest.raises(ValueError, match="unknown op"):
-        script.validate()
+    for op in ("teleport", "advance_clock"):
+        script = ScenarioScript("x", "baseline", 1, [{"op": op}])
+        with pytest.raises(ValueError, match="unknown op %r" % op):
+            script.validate()
     with pytest.raises(ValueError, match="baseline or improved"):
         ScenarioScript("x", "quantum", 1, []).validate()
 
@@ -364,13 +366,20 @@ _LOGIN_U = {"op": "login", "user": "u", "seed": 12}
      "step 2 (advance-clock): clock would reach 2**64 ms"),
     ([{"op": "advance-clock", "ms": (1 << 64) - DEFAULT_EPOCH_MS}],
      "step 1 (advance-clock): clock would reach 2**64 ms"),
+    ([_REGISTER_U, {"op": "respond", "seed": 13}],
+     "step 2 (respond): no session yet: login must come first"),
+    ([_REGISTER_U, {"op": "finish"}],
+     "step 2 (finish): no session yet: login must come first"),
+    ([_REGISTER_U, {"op": "leak"}],
+     "step 2 (leak): no session yet: login must come first"),
 ], ids=["undefined-user", "missing-seed", "plant-before-leak", "string-ms",
         "negative-ms", "string-noise-blocks", "int-mask", "non-hex-mask",
         "string-dictionary", "string-seed", "bool-seed", "string-values",
         "negative-size", "plant-past-the-end", "negative-plant", "missing-file",
         "negative-login-seed", "login-seed-past-64-bits", "negative-register-seed",
         "negative-respond-seed", "negative-dictionary-seed",
-        "clock-past-64-bits-before-a-login", "clock-reaching-2^64"])
+        "clock-past-64-bits-before-a-login", "clock-reaching-2^64",
+        "respond-before-login", "finish-before-login", "leak-before-login"])
 def test_bad_scenario_input_names_its_step_and_replay_exits_2(
     tmp_path, capsys, steps, message
 ):
@@ -382,6 +391,46 @@ def test_bad_scenario_input_names_its_step_and_replay_exits_2(
         run_scenario(load_scenario(path))
     assert main(["replay", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+_RESPOND = {"op": "respond", "seed": 13}
+_TAMPER_REPLY = {"op": "tamper", "message": "reply", "field": "Cs", "mask": "01"}
+
+
+@pytest.mark.parametrize("steps, lines", [
+    ([_REGISTER_U, dict(_REGISTER_U, seed=21)],
+     ["step 02 register       FAILED error=user already defined"]),
+    ([_REGISTER_U, {"op": "register", "user": "v", "id": "u", "password": "pw-2",
+                    "seed": 21}],
+     ["step 02 register       FAILED error=registration"]),
+    ([_REGISTER_U, _LOGIN_U, _RESPOND, {"op": "respond", "seed": 14}],
+     ["step 04 respond        FAILED session=s001 error=nothing in flight",
+      "session s001 user=u keys_match=False error=None"]),
+    ([_REGISTER_U, _LOGIN_U, _RESPOND, _TAMPER_REPLY, {"op": "finish"}],
+     ["step 04 tamper         ok message=reply field=Cs mask=01",
+      "step 05 finish         FAILED session=s001 error=bad-auth",
+      "session s001 user=u keys_match=False error=bad-auth"]),
+    ([_REGISTER_U, _LOGIN_U, _RESPOND, {"op": "finish"}, _TAMPER_REPLY],
+     ["step 04 finish         ok session=s001 keys_match=True",
+      "step 05 tamper         FAILED error=nothing in flight"]),
+], ids=["user-defined-twice", "id-registered-twice", "second-respond",
+        "tampered-reply", "tamper-after-delivery"])
+def test_a_failed_step_reports_its_reason_in_report_txt(tmp_path, steps, lines):
+    result = run_scenario(_script("baseline", steps))
+    write_result(result, tmp_path)
+    text = (tmp_path / "report.txt").read_text().splitlines()
+    for line in lines:
+        assert line in text
+
+
+def test_a_respond_with_nothing_in_flight_keeps_the_server_exponent():
+    steps = [_REGISTER_U, _LOGIN_U, _RESPOND, {"op": "respond", "seed": 14},
+             {"op": "leak", "values": ["r_s"]}]
+    runner = _Runner(_script("baseline", steps))
+    runner.run()
+    r_s = SessionRng(13).exponent(runner.env.params)
+    assert runner.sessions[-1].r_s == r_s
+    assert runner.leaked == {"r_s": r_s}
 
 
 _GOOD_HEADER = {"name": "bad", "scheme": "baseline", "seed": 5, "steps": []}
