@@ -46,7 +46,6 @@ from .files import (
     load_template,
     load_transcript,
     save_card,
-    save_leak,
     save_server,
     save_template,
     save_transcript,
@@ -96,6 +95,8 @@ def _print(line: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_register(args) -> int:
+    if args.latency < 0:  # checked before anything runs
+        raise ValueError("--latency must not be negative, got %d ms" % args.latency)
     config = _load_config(args)
     env = Env.from_config(config)
     mod = SCHEMES[args.scheme]
@@ -188,7 +189,7 @@ def _cmd_login_run(args) -> int:
                 "r_u": r_u,
                 "r_s": r_s,
             }
-            save_leak(leak, out / "leak.json")
+            write_json_report(leak, out / "leak.json")
             _print("leaked session randomness -> %s" % (out / "leak.json"))
     return EXIT_OK if match else EXIT_UNEXPECTED
 

@@ -5,6 +5,10 @@ Text formats are line-oriented with a versioned first line so a wrong
 or truncated file fails with a pointed message instead of garbage
 downstream.  The transcript format is binary (length-prefixed records)
 because byte-exactness is the whole point of a transcript.
+
+Every keyed text format (card, server state, config, golden vectors)
+is read through `_entries` and every JSON input through `read_json`,
+so a malformed file is refused with a FileFormatError that names it.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .core import (
     HashEngine,
     ProtocolConfig,
     ServerSecret,
+    SessionRng,
     decode_text,
     encode_text,
 )
@@ -59,23 +64,31 @@ def _write_lines(path, lines: list[str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", "utf-8")
 
 
+def _entries(path, sep: str, form: str, magic: str | None = None):
+    """Check the magic first line, if one is given; then yield
+    (lineno, key, value) for each line that is not blank or a "#"
+    comment, split at its first `sep`.  A line without `sep` is
+    refused as not `form`."""
+    lines = iter(_read_lines(path))
+    if magic is not None and next(lines, "").strip() != magic:
+        raise _fail(path, 1, "bad magic, expected %r" % magic)
+    for lineno, raw in enumerate(lines, 1 if magic is None else 2):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, found, value = line.partition(sep)
+        if not found:
+            raise _fail(path, lineno, "expected '%s'" % form)
+        yield lineno, key.strip(), value.strip()
+
+
 def _read_tagged(path, magic: str, header_keys: tuple[str, ...]):
     """Check the magic line; return the header {key: (lineno, value)},
     each of `header_keys` once, and the other "key: value" lines as
     (lineno, key, value) in file order."""
-    lines = _read_lines(path)
-    if not lines or lines[0].strip() != magic:
-        raise _fail(path, 1, "bad magic, expected %r" % magic)
     header: dict[str, tuple[int, str]] = {}
     body: list[tuple[int, str, str]] = []
-    for lineno, raw in enumerate(lines[1:], 2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" not in line:
-            raise _fail(path, lineno, "expected 'key: value'")
-        key, _, value = line.partition(":")
-        key, value = key.strip(), value.strip()
+    for lineno, key, value in _entries(path, ":", "key: value", magic):
         if key not in header_keys:
             body.append((lineno, key, value))
         elif key in header:
@@ -86,6 +99,15 @@ def _read_tagged(path, magic: str, header_keys: tuple[str, ...]):
         if need not in header:
             raise _fail(path, 1, "missing header line %r" % need)
     return header, body
+
+
+def read_json(path, what: str):
+    """The JSON document in `path`, which should be `what`.  Bytes that
+    are not UTF-8 JSON are refused naming the file."""
+    try:
+        return json.loads(Path(path).read_text("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or too deep
+        raise FileFormatError("%s: not %s (%s)" % (path, what, exc)) from None
 
 
 def _parse_int(path, lineno: int, value: str, name: str) -> int:
@@ -323,9 +345,7 @@ def load_transcript(path) -> Transcript:
 # ---------------------------------------------------------------------------
 
 def save_template(template, path) -> None:
-    Path(path).write_text(
-        "%d %s\n" % (template.nbits, template.bits.hex()), "utf-8"
-    )
+    _write_lines(path, ["%d %s" % (template.nbits, template.bits.hex())])
 
 
 def load_template(path):
@@ -350,21 +370,14 @@ def load_dictionary(path) -> list[str]:
 
 
 def save_dictionary(words: list[str], path) -> None:
-    Path(path).write_text("\n".join(words) + "\n", "utf-8")
+    _write_lines(path, words)
 
 
 def load_config(path) -> ProtocolConfig:
     """"key = value" lines; unknown keys are an error, not a surprise."""
     config = ProtocolConfig()
     seen: dict[str, int] = {}  # key -> the line that set it
-    for lineno, raw in enumerate(_read_lines(path), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise _fail(path, lineno, "expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+    for lineno, key, value in _entries(path, "=", "key = value"):
         if key in seen:
             raise _fail(path, lineno, "duplicate config key %r" % key)
         seen[key] = lineno
@@ -378,7 +391,10 @@ def load_config(path) -> ProtocolConfig:
         elif key == "template_bits":
             config.template_bits = _parse_int(path, lineno, value, key)
             _checked(path, lineno, _repetition_factor, config.template_bits)
-        elif key in ("g", "delta_t_ms", "seed"):
+        elif key == "seed":
+            config.seed = _parse_int(path, lineno, value, key)
+            _checked(path, lineno, SessionRng, config.seed)
+        elif key in ("g", "delta_t_ms"):
             setattr(config, key, _parse_int(path, lineno, value, key))
         else:
             raise _fail(path, lineno, "unknown config key %r" % key)
@@ -398,7 +414,7 @@ def save_config(config: ProtocolConfig, path) -> None:
         "template_bits = %d" % config.template_bits,
         "seed = %d" % config.seed,
     ]
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+    _write_lines(path, lines)
 
 
 def load_golden_vectors(path=None) -> list[tuple[list[bytes], bytes]]:
@@ -406,15 +422,9 @@ def load_golden_vectors(path=None) -> list[tuple[list[bytes], bytes]]:
     if path is None:
         path = resources.files("triauth") / "data" / "golden-hashes.txt"
     vectors = []
-    for lineno, raw in enumerate(_read_lines(path), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "->" not in line:
-            raise _fail(path, lineno, "expected 'blocks -> digest'")
-        left, _, right = line.partition("->")
+    for lineno, left, right in _entries(path, "->", "blocks -> digest"):
         blocks = [_parse_hex(path, lineno, tok, "block") for tok in left.split()]
-        vectors.append((blocks, _parse_hex(path, lineno, right.strip(), "digest")))
+        vectors.append((blocks, _parse_hex(path, lineno, right, "digest")))
     if not vectors:
         raise FileFormatError("%s: no vectors" % path)
     return vectors
@@ -435,16 +445,9 @@ def write_json_report(obj, path) -> None:
 # This models the adversary's assumed knowledge; nothing in the package
 # reads one of these except the attack entry points.
 
-def save_leak(leak: dict, path) -> None:
-    write_json_report(leak, path)
-
-
 def load_leak(path) -> dict:
     """A leak file: a JSON object with non-negative integers r_u and r_s."""
-    try:
-        leak = json.loads(Path(path).read_text("utf-8"))
-    except ValueError as exc:
-        raise FileFormatError("%s: not a JSON leak file (%s)" % (path, exc)) from None
+    leak = read_json(path, "a JSON leak file")
     if not isinstance(leak, dict) or not all(
         type(leak.get(name)) is int and leak[name] >= 0 for name in ("r_u", "r_s")
     ):

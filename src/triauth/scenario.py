@@ -34,7 +34,6 @@ leaked transcripts by session.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,8 +50,10 @@ from .core import (
     encode_text,
 )
 from .files import (
+    FileFormatError,
     json_report_bytes,
     load_dictionary,
+    read_json,
     transcript_bytes,
 )
 from .fuzzy import BiometricTemplate, perturb_within_tolerance
@@ -93,14 +94,11 @@ class ScenarioScript:
 
 
 def load_scenario(path) -> ScenarioScript:
-    try:
-        doc = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError("%s: not valid JSON (%s)" % (path, exc)) from None
+    doc = read_json(path, "valid JSON")
     if not isinstance(doc, dict):
-        raise ValueError("%s: not a JSON object" % path)
+        raise FileFormatError("%s: not a JSON object" % path)
     if not isinstance(doc.get("steps", []), list):
-        raise ValueError("%s: 'steps' must be a list of steps" % path)
+        raise FileFormatError("%s: 'steps' must be a list of steps" % path)
     try:
         script = ScenarioScript(
             name=_need(doc, "name", str),
@@ -113,7 +111,7 @@ def load_scenario(path) -> ScenarioScript:
         )
         script.validate()
     except ValueError as exc:
-        raise ValueError("%s: %s" % (path, exc)) from None
+        raise FileFormatError("%s: %s" % (path, exc)) from None
     return script
 
 

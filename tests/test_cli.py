@@ -97,6 +97,40 @@ def test_register_rejects_an_overlong_identity(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_register_with_a_negative_latency_runs_nothing(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_load_config", lambda args: calls.append(args))
+    code = run_cli(
+        "register", "--scheme", "baseline", "--latency", "-5",
+        "--id", "alice", "--password", "pw",
+        "--card-out", tmp_path / "alice.card",
+        "--server-state", tmp_path / "server.state",
+    )
+    assert code == 2
+    assert "--latency must not be negative, got -5 ms" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "improved"])
+def test_register_enrolls_a_template_file(tmp_path, capsys, scheme):
+    (tmp_path / "first").mkdir()
+    template = register(tmp_path / "first", scheme)["template"]
+    before = template.read_bytes()
+    paths = {"card": tmp_path / "alice.card", "server": tmp_path / "server.state",
+             "template": template}
+    assert run_cli(
+        "register", "--scheme", scheme, "--seed", 8,
+        "--id", "alice", "--password", "hunter-glacier",
+        "--card-out", paths["card"], "--server-state", paths["server"],
+        "--template", template,
+    ) == 0
+    assert template.read_bytes() == before
+    capsys.readouterr()
+    assert login(tmp_path, paths, seed=8) == 0
+    assert "keys match: yes" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("scheme", ["baseline", "improved"])
 def test_full_login_run_succeeds(tmp_path, capsys, scheme):
     paths = register(tmp_path, scheme)

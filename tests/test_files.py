@@ -31,7 +31,6 @@ from triauth.files import (
     save_card,
     save_config,
     save_dictionary,
-    save_leak,
     save_server,
     save_template,
     save_transcript,
@@ -204,6 +203,10 @@ def _raises_at(path, line, why):
     (b"e: f260", b"e: f2 60", 6, "field e is not valid hex"),
     (b"g: 00000000000000000000000000000004", b"g: 00000000000000000000000000000001", 8,
      "g out of range"),
+    (b"e: f260", b"e f260", 6, "expected 'key: value'"),
+    (b"fields: 8\n", b"", 1, "missing header line 'fields'"),
+    (b"e: f260b0365f9a77bb2ee940d34ca57ab1", b"e: f260", 6, "field e must be 16 bytes, got 2"),
+    (b"fields: 8", b"fields: 9", 1, "field count 9, expected 8"),
 ])
 def test_card_parse_errors_name_the_file_and_line(tmp_path, old, new, line, why):
     path = _edited_copy(tmp_path, "baseline/alice.card", "u.card", old, new)
@@ -290,11 +293,34 @@ _BOB_IMPROVED = b"record: 626f6200000000000000000000000000 1700000000000 1700000
      "record time out of 64-bit range: 99999999999999999999999"),
     ("improved", b" 1700000000010\n", b" 18446744073709551616\n", 7,
      "record time out of 64-bit range: 18446744073709551616"),
+    ("improved", b"X: facf", b"X: ", 6, "field X must be 16 bytes, got 14"),
+    ("baseline", b"record: 616c", b"record 616c", 7, "expected 'key: value'"),
+    ("improved", b"X: facf01ff2c00f0c97be4beaa4d5c3fba\n", b"", 1, "missing header line 'X'"),
 ])
 def test_server_parse_errors_name_the_file_and_line(tmp_path, recorded, old, new, line, why):
     path = _edited_copy(tmp_path, recorded + "/server.state", "srv.state", old, new)
     with _raises_at(path, line, why):
         load_server(path, Env.from_config(ProtocolConfig(), SimClock()))
+
+
+def _load_server(path):
+    return load_server(path, Env.from_config(ProtocolConfig(), SimClock()))
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "improved"])
+@pytest.mark.parametrize("name, load, save", [
+    ("alice.card", load_card, save_card),
+    ("server.state", _load_server, save_server),
+], ids=["card", "server-state"])
+def test_blank_and_comment_lines_are_skipped(tmp_path, scheme, name, load, save):
+    recorded = RECORDED_FILES / scheme / name
+    lines = recorded.read_bytes().split(b"\n")
+    lines[1:1] = [b"# a comment", b""]
+    lines[-2:-2] = [b"   ", b"  # another: comment"]
+    path = tmp_path / name
+    path.write_bytes(b"\n".join(lines))
+    save(load(path), tmp_path / "resaved")
+    assert (tmp_path / "resaved").read_bytes() == recorded.read_bytes()
 
 
 @pytest.mark.parametrize("scheme", ["baseline", "improved"])
@@ -382,6 +408,12 @@ def test_transcript_parse_errors_name_the_file(tmp_path, edit, why):
     path.write_bytes(edit(transcript_bytes(sample_transcript())))
     with pytest.raises(FileFormatError, match="^%s$" % re.escape("%s: %s" % (path, why))):
         load_transcript(path)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_transcript_seed_reference_must_fit_in_64_bits(seed):
+    with pytest.raises(ValueError, match="^transcript seed reference must fit in 64 bits$"):
+        transcript_bytes(Transcript("sess-1", rng_seed=seed, entries=[]))
 
 
 def test_transcript_trailing_bytes_are_detected(tmp_path):
@@ -473,6 +505,10 @@ def test_config_rejects_unknown_keys(tmp_path):
     (b"seed = 1\ntemplate_bits = 0\n", 2, "template too short for a 128-bit key"),
     (b"g = 1\n", 1, "g out of range"),
     (b"p = 17\nseed = 1\ng = 5\n", 3, "subgroup order must exceed 2**64"),
+    (b"# protocol configuration\nseed = 99999999999999999999999\n", 2,
+     "seed must be in [0, 2**64), got 99999999999999999999999"),
+    (b"seed = 18446744073709551616\n", 1,
+     "seed must be in [0, 2**64), got 18446744073709551616"),
 ])
 def test_config_parse_errors_name_the_file_and_line(tmp_path, text, line, why):
     path = tmp_path / "c.conf"
@@ -493,6 +529,19 @@ def test_packaged_golden_vectors_parse_and_verify():
         assert hashlib.sha256(b"".join(blocks)).digest()[:16] == digest
 
 
+@pytest.mark.parametrize("text, where", [
+    (b"# algorithm: sha256\n\n", ": no vectors"),
+    (b"00 -> 11\n0011 2233\n", ", line 2: expected 'blocks -> digest'"),
+    (b"\n00 -> 1\n", ", line 2: field digest is not valid hex"),
+    (b"00 -> 11\n# \xff\n", ", line 2: not valid UTF-8"),
+])
+def test_golden_vector_parse_errors_name_the_file(tmp_path, text, where):
+    path = tmp_path / "golden.txt"
+    path.write_bytes(text)
+    with pytest.raises(FileFormatError, match="^%s$" % re.escape(str(path) + where)):
+        load_golden_vectors(path)
+
+
 def test_json_report_bytes_are_stable(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     write_json_report({"z": 1, "a": [2, 3]}, a)
@@ -504,7 +553,7 @@ def test_json_report_bytes_are_stable(tmp_path):
 def test_leak_round_trips(tmp_path):
     leak = {"session": "s001", "r_u": 123456789, "r_s": 987654321, "seed": 7}
     path = tmp_path / "leak.json"
-    save_leak(leak, path)
+    write_json_report(leak, path)
     assert load_leak(path) == leak
 
 
@@ -524,7 +573,8 @@ def test_leak_must_be_an_object_of_non_negative_ints(tmp_path, text):
         load_leak(path)
 
 
-@pytest.mark.parametrize("text", [b"not json", b'{"r_u": 1, "r_s": 2', b'{"r_u": "\xff"}'])
+@pytest.mark.parametrize("text", [b"not json", b'{"r_u": 1, "r_s": 2', b'{"r_u": "\xff"}',
+                                  pytest.param(b"[" * 100000, id="nested-too-deep")])
 def test_leak_that_is_not_json_names_the_file(tmp_path, text):
     path = tmp_path / "leak.json"
     path.write_bytes(text)

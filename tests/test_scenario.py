@@ -10,7 +10,7 @@ import pytest
 from triauth.channel import SERVER_TO_USER, USER_TO_SERVER
 from triauth.cli import main
 from triauth.core import SessionRng
-from triauth.files import load_transcript, transcript_bytes
+from triauth.files import FileFormatError, load_transcript, transcript_bytes
 from triauth.scenario import (
     DEFAULT_EPOCH_MS,
     ScenarioScript,
@@ -460,10 +460,24 @@ def test_malformed_scenario_documents_name_the_file_and_replay_exits_2(
 ):
     path = tmp_path / "bad.scenario"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=re.escape("%s: %s" % (path, message))):
+    with pytest.raises(FileFormatError, match=re.escape("%s: %s" % (path, message))):
         load_scenario(path)
     assert main(["replay", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [b'{"name": "\xff"}', b"{nope", b"[" * 100000],
+                         ids=["not-utf-8", "not-json", "nested-too-deep"])
+def test_a_scenario_that_is_not_utf8_json_names_the_file_and_replay_exits_2(
+    tmp_path, capsys, text
+):
+    path = tmp_path / "bad.scenario"
+    path.write_bytes(text)
+    why = "%s: not valid JSON (" % path
+    with pytest.raises(FileFormatError, match="^" + re.escape(why)):
+        load_scenario(path)
+    assert main(["replay", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "error: " + why in capsys.readouterr().err
 
 
 def test_a_tamper_mask_longer_than_a_field_is_refused():
