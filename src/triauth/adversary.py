@@ -34,7 +34,7 @@ fails.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -51,8 +51,7 @@ from .core import (
 )
 from .channel import SimChannel, Transcript
 from .fuzzy import BiometricTemplate, rep
-from .session import (Handshake, card_fields, card_from_fields, scheme_module,
-                      wire_message)
+from .session import Handshake, card_from_fields, scheme_module, wire_message
 
 # Atoms the model says the adversary never holds.  Checked
 # case-insensitively against every atom a knowledge holds.
@@ -105,15 +104,15 @@ class AdversaryKnowledge:
         r_s: int | None = None,
         dictionary=(),
     ) -> "AdversaryKnowledge":
-        """The atoms of the leaks given: the card's fields and its hash
-        ``h``, less those the model withholds (the hardened card's T12
-        = T1 xor T2); the wire words of ``transcripts[0]``, the session
-        that ``r_u`` and ``r_s`` are from; and ``B``, ``r_u``, ``r_s``."""
+        """The atoms of the leaks given: the card's attributes, its hash
+        ``h`` among them, less those the model withholds (the hardened
+        card's T12 = T1 xor T2); the wire words of ``transcripts[0]``,
+        the session that ``r_u`` and ``r_s`` are from; and ``B``,
+        ``r_u``, ``r_s``."""
         atoms: dict[str, object] = {}
         if card is not None:
-            fields = {"h": card.hash_name, **card_fields(card)}
-            atoms.update((name, value) for name, value in fields.items()
-                         if name.lower() not in FORBIDDEN_ATOMS)
+            atoms.update((f.name, getattr(card, f.name)) for f in fields(card)
+                         if f.name.lower() not in FORBIDDEN_ATOMS)
         transcripts = tuple(transcripts)
         if transcripts:
             atoms.update(_wire_atoms(scheme, transcripts[0]))
@@ -524,7 +523,7 @@ def impersonate(
         card = mod.register(
             own, mod.Server(own, rng=rng), user_id, password, reading, rng
         )
-        card = replace(card, y=atoms["Y"])
+        card = replace(card, Y=atoms["Y"])
 
     handshake = Handshake(mod, own, server, SimChannel(env.clock))
     try:

@@ -36,7 +36,6 @@ from .core import (
     Env,
     Field128,
     FreshnessFailure,
-    GroupParams,
     LocalAuthFailure,
     SessionRng,
     UnknownUser,
@@ -46,10 +45,6 @@ from .core import (
 from .fuzzy import BiometricTemplate, HelperData, gen, rep
 
 SCHEME = "baseline"
-
-# Wire layouts: one 128-bit word per name, in transmission order.
-LOGIN_WIRE = ("NID", "A1", "C_i", "T1")
-REPLY_WIRE = ("Cs", "A4", "T3")
 
 # The equations the adversary model reasons with, one `value = expression`
 # each, written as the functions below compute them.  An expression is
@@ -72,36 +67,43 @@ EQUATIONS = (
 class BaselineCard:
     """Smart card contents after registration completes.
 
-    Protocol names: e, h(), p, g, Y come from the issuer; P_i (helper),
-    L (masked N) and V (local verifier) are written by the holder.
+    e, h (the hash's name), p, g, Y come from the issuer; P_i (the
+    helper data), L (masked N) and V (local verifier) are written by
+    the holder.
     """
 
     e: Field128
-    hash_name: str
-    params: GroupParams
-    y: Field128
-    helper: HelperData
-    l: Field128
-    v: Field128
+    h: str
+    p: int
+    g: int
+    Y: Field128
+    P_i: HelperData
+    L: Field128
+    V: Field128
 
     # The stored fields, one 128-bit unit each; the helper string is
     # one declared field although it is template-length.
     FIELD_NAMES = ("e", "h", "p", "g", "Y", "P_i", "L", "V")
 
 
+# Wire layouts: one 128-bit word per field, in transmission order.
 @dataclass(frozen=True)
-class LoginMessage(WireMessage, wire=LOGIN_WIRE):
-    nid: Field128
-    a1: Field128
-    c_i: Field128
-    t1: Field128
+class LoginMessage(WireMessage):
+    NID: Field128
+    A1: Field128
+    C_i: Field128
+    T1: Field128
 
 
 @dataclass(frozen=True)
-class ReplyMessage(WireMessage, wire=REPLY_WIRE):
-    cs: Field128
-    a4: Field128
-    t3: Field128
+class ReplyMessage(WireMessage):
+    Cs: Field128
+    A4: Field128
+    T3: Field128
+
+
+LOGIN_WIRE = LoginMessage.WIRE
+REPLY_WIRE = ReplyMessage.WIRE
 
 
 @dataclass
@@ -112,11 +114,11 @@ class PendingLogin:
     the session completes unless a leak step exported it first.
     """
 
-    user_id: Field128
-    h: Field128
-    a2: Field128
+    ID: Field128
+    H: Field128
+    A2: Field128
     r_u: int
-    t1: Field128
+    T1: Field128
 
 
 class BaselineServer(BaseServer):
@@ -142,26 +144,26 @@ class BaselineServer(BaseServer):
         login and stamping the reply.
         """
         env = self.env
-        if fault := env.freshness_fault(msg.t1, env.clock.now(), "login"):
+        if fault := env.freshness_fault(msg.T1, env.clock.now(), "login"):
             raise FreshnessFailure(fault)
 
         try:
-            a3 = env.mod_exp(msg.a1, self.secret.x)
+            a3 = env.mod_exp(msg.A1, self.secret.x)
         except ValueError as exc:
             raise AuthFailure("A1 is not a group element") from exc
-        user_id = msg.nid ^ a3
+        user_id = msg.NID ^ a3
         if user_id not in self.user_ids:
             raise UnknownUser("recovered identity is not enrolled")
         h_val = env.h(user_id, self.x_word)
-        expected = env.h(user_id, h_val, msg.a1, a3, msg.t1)
-        if expected != msg.c_i:
+        expected = env.h(user_id, h_val, msg.A1, a3, msg.T1)
+        if expected != msg.C_i:
             raise AuthFailure("login verifier mismatch")
 
         a4 = env.mod_exp(env.params.g, r_s)
-        a5 = env.mod_exp(msg.a1, r_s)
+        a5 = env.mod_exp(msg.A1, r_s)
         env.clock.advance(processing_ms)
         _, t3 = env.now_field()
-        sk = env.h(user_id, a3, a5, h_val, msg.t1, t3)
+        sk = env.h(user_id, a3, a5, h_val, msg.T1, t3)
         cs = env.h(user_id, sk, h_val, t3)
         return ReplyMessage(cs, a4, t3), sk
 
@@ -195,12 +197,13 @@ def register(
         v = env.h(user_id, pw, n)
     return BaselineCard(
         e=e,
-        hash_name=env.hasher.name,
-        params=env.params,
-        y=server.secret.y,
-        helper=helper,
-        l=l_val,
-        v=v,
+        h=env.hasher.name,
+        p=env.params.p,
+        g=env.params.g,
+        Y=server.secret.y,
+        P_i=helper,
+        L=l_val,
+        V=v,
     )
 
 
@@ -218,37 +221,37 @@ def login(
     wire; a wrong password or a far-off biometric never produces a
     message.
     """
-    if card.hash_name != env.hasher.name:
+    if card.h != env.hasher.name:
         raise ValueError("card was issued under a different hash function")
     pw = encode_text(password)
-    r = rep(template, card.helper)
-    n = card.l ^ r
-    if env.h(user_id, pw, n) != card.v:
+    r = rep(template, card.P_i)
+    n = card.L ^ r
+    if env.h(user_id, pw, n) != card.V:
         raise LocalAuthFailure("card rejected holder")
     h_val = card.e ^ env.h(pw, n)
 
     _, t1 = env.now_field()
-    a1 = env.mod_exp(card.params.g, r_u)
-    a2 = env.mod_exp(card.y, r_u)
+    a1 = env.mod_exp(card.g, r_u)
+    a2 = env.mod_exp(card.Y, r_u)
     nid = user_id ^ a2
     c_i = env.h(user_id, h_val, a1, a2, t1)
     msg = LoginMessage(nid, a1, c_i, t1)
-    pending = PendingLogin(user_id=user_id, h=h_val, a2=a2, r_u=r_u, t1=t1)
+    pending = PendingLogin(ID=user_id, H=h_val, A2=a2, r_u=r_u, T1=t1)
     return msg, pending
 
 
 def finish(env: Env, pending: PendingLogin, reply: ReplyMessage) -> Field128:
     """User-side completion: checks the reply, returns the session key."""
-    if fault := env.freshness_fault(reply.t3, env.clock.now(), "reply"):
+    if fault := env.freshness_fault(reply.T3, env.clock.now(), "reply"):
         raise FreshnessFailure(fault)
 
     try:
-        a6 = env.mod_exp(reply.a4, pending.r_u)
+        a6 = env.mod_exp(reply.A4, pending.r_u)
     except ValueError as exc:
         raise AuthFailure("A4 is not a group element") from exc
-    sk = env.h(pending.user_id, pending.a2, a6, pending.h, pending.t1, reply.t3)
-    expected = env.h(pending.user_id, sk, pending.h, reply.t3)
-    if expected != reply.cs:
+    sk = env.h(pending.ID, pending.A2, a6, pending.H, pending.T1, reply.T3)
+    expected = env.h(pending.ID, sk, pending.H, reply.T3)
+    if expected != reply.Cs:
         raise AuthFailure("reply verifier mismatch")
     return sk
 

@@ -51,7 +51,7 @@ from .files import (
     save_transcript,
     write_json_report,
 )
-from .fuzzy import BiometricTemplate, perturb_within_tolerance
+from .fuzzy import KEY_BITS, BiometricTemplate, perturb_within_tolerance
 from .scenario import (
     compare_with_recording,
     load_scenario,
@@ -79,7 +79,10 @@ def _exit_code_for(exc: Exception) -> int:
 
 
 def _load_config(args) -> ProtocolConfig:
-    """The --config file (or the defaults), its seed overridden by --seed."""
+    """The --config file (or the defaults), its seed overridden by --seed;
+    a --seed outside [0, 2**64) is refused before the file is read."""
+    if args.seed is not None and not 0 <= args.seed < 1 << 64:
+        raise ValueError("--seed must be in [0, 2**64), got %d" % args.seed)
     config = load_config(args.config) if args.config else ProtocolConfig()
     if args.seed is not None:
         config.seed = args.seed
@@ -94,9 +97,13 @@ def _print(line: str) -> None:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
+def _refuse_negative(option: str, ms: int) -> None:
+    if ms < 0:
+        raise ValueError("%s must not be negative, got %d ms" % (option, ms))
+
+
 def _cmd_register(args) -> int:
-    if args.latency < 0:  # checked before anything runs
-        raise ValueError("--latency must not be negative, got %d ms" % args.latency)
+    _refuse_negative("--latency", args.latency)  # checked before anything runs
     config = _load_config(args)
     env = Env.from_config(config)
     mod = SCHEMES[args.scheme]
@@ -135,6 +142,11 @@ def _cmd_register(args) -> int:
 
 
 def _cmd_login_run(args) -> int:
+    _refuse_negative("--latency", args.latency)  # checked before any file is read
+    _refuse_negative("--advance-ms", args.advance_ms)
+    if not 0 <= args.noise_blocks <= KEY_BITS:
+        raise ValueError("--noise-blocks must be in 0..%d, got %d"
+                         % (KEY_BITS, args.noise_blocks))
     config = _load_config(args)
     env = Env.from_config(config)
     server = load_server(args.server_state, env)
@@ -273,9 +285,9 @@ def _cmd_replay(args) -> int:
 def _cmd_verify_card(args) -> int:
     card = load_card(args.card)
     _print("card OK: %s scheme" % scheme_of(card))
-    _print("hash: %s" % card.hash_name)
-    _print("group: p=%032x g=%d (verified safe prime)" % (card.params.p, card.params.g))
-    _print("helper bits: %d" % card.helper.nbits)
+    _print("hash: %s" % card.h)
+    _print("group: p=%032x g=%d (verified safe prime)" % (card.p, card.g))
+    _print("helper bits: %d" % card.P_i.nbits)
     _print("declared fields: %d" % len(card.FIELD_NAMES))
     return EXIT_OK
 

@@ -124,24 +124,21 @@ class Field128(bytes):
 
 
 class WireMessage:
-    """A protocol message: one 128-bit word per name of its wire layout.
+    """A protocol message: one 128-bit word per field.
 
-    Subclasses are frozen dataclasses, ``class M(WireMessage, wire=...)``,
-    with one field per layout name, lowercased, in layout order.  Only
+    Subclasses are frozen dataclasses whose fields, in order, are the
+    wire layout, each named as its scheme's equations name it.  Only
     the codec knows where a word sits in the bytes: ``WIRE`` is the
     layout, ``OFFSETS`` maps each name to its byte offset, and
     :meth:`words` gives an encoded message's words by name.
     """
 
-    def __init_subclass__(cls, wire: tuple[str, ...], **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        attrs = tuple(name.lower() for name in wire)
-        if tuple(cls.__dict__.get("__annotations__", ())) != attrs:
-            raise TypeError("%s fields must be %s" % (cls.__name__, ", ".join(attrs)))
-        cls.WIRE = tuple(wire)
-        cls._words = attrgetter(*attrs)
-        cls.OFFSETS = {name: FIELD_BYTES * i for i, name in enumerate(wire)}
-        cls._nbytes = FIELD_BYTES * len(wire)
+        cls.WIRE = tuple(cls.__dict__["__annotations__"])
+        cls._words = attrgetter(*cls.WIRE)
+        cls.OFFSETS = {name: FIELD_BYTES * i for i, name in enumerate(cls.WIRE)}
+        cls._nbytes = FIELD_BYTES * len(cls.WIRE)
 
     def encode(self) -> bytes:
         return b"".join(self._words(self))

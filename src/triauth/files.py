@@ -30,11 +30,12 @@ from .core import (
 )
 from .channel import SERVER_TO_USER, USER_TO_SERVER, Transcript, TranscriptEntry
 from .fuzzy import BiometricTemplate, HelperData, _repetition_factor
-from .session import card_fields, card_from_fields, scheme_module, scheme_of
+from .session import card_from_fields, scheme_module, scheme_of
 
 CARD_MAGIC = "triauth-card v1"
 SERVER_MAGIC = "triauth-server v1"
 TRANSCRIPT_MAGIC = b"TRIAUTH\x01"
+MAX_SESSION_ID_BYTES = 0xFFFF  # a transcript writes the length in 2 bytes
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
@@ -172,16 +173,16 @@ def _card_field_value(path, lineno: int, value: str, name: str, helper_bits: int
 
 def save_card(card, path) -> None:
     """Write a card file: versioned header, then fixed-order hex fields."""
-    fields = card_fields(card)
     lines = [
         CARD_MAGIC,
         "scheme: %s" % scheme_of(card),
-        "hash: %s" % card.hash_name,
-        "helper_bits: %d" % card.helper.nbits,
-        "fields: %d" % len(fields),
+        "hash: %s" % card.h,
+        "helper_bits: %d" % card.P_i.nbits,
+        "fields: %d" % len(card.FIELD_NAMES),
     ]
     lines.extend(
-        "%s: %s" % (name, _card_field_hex(name, value)) for name, value in fields.items()
+        "%s: %s" % (name, _card_field_hex(name, getattr(card, name)))
+        for name in card.FIELD_NAMES
     )
     _write_lines(path, lines)
 
@@ -272,6 +273,9 @@ _DIRECTIONS = (USER_TO_SERVER, SERVER_TO_USER)
 def transcript_bytes(transcript: Transcript) -> bytes:
     out = bytearray(TRANSCRIPT_MAGIC)
     sid = transcript.session_id.encode("utf-8")
+    if len(sid) > MAX_SESSION_ID_BYTES:
+        raise ValueError("session id of %d bytes: a transcript holds at most %d"
+                         % (len(sid), MAX_SESSION_ID_BYTES))
     out += struct.pack(">H", len(sid)) + sid
     if transcript.rng_seed is None:
         out += struct.pack(">BQ", 0, 0)

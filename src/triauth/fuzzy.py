@@ -175,10 +175,17 @@ def perturb_within_tolerance(
     """Reading noise the decoder is guaranteed to correct.
 
     Flips exactly one bit in `nblocks` distinct repetition blocks —
-    always within the majority decoder's radius, so Rep recovers the
-    enrolled key exactly.  This is what honest sessions use.
+    within the majority decoder's radius once a block holds at least 3
+    bits, so Rep recovers the enrolled key exactly.  This is what honest
+    sessions use.  ValueError for noise in blocks of 1 or 2 bits (a 128-
+    or 256-bit template), where one flip is not corrected.
     """
     t = _repetition_factor(template.nbits)
+    if nblocks > 0 and t < 3:
+        raise ValueError(
+            "noise in a %d-bit template cannot be corrected: its blocks hold "
+            "%d bit(s), and correcting one flip needs 3" % (template.nbits, t)
+        )
     positions = [
         block * t + rng.below(t)
         for block in rng.positions(KEY_BITS, nblocks)

@@ -57,7 +57,6 @@ from .core import (
     Env,
     Field128,
     FreshnessFailure,
-    GroupParams,
     LocalAuthFailure,
     MALFORMED_TIMESTAMP,
     SessionRng,
@@ -69,9 +68,6 @@ from .core import (
 from .fuzzy import BiometricTemplate, HelperData, gen, rep
 
 SCHEME = "improved"
-
-LOGIN_WIRE = ("NID", "A11", "C_i", "Q")
-REPLY_WIRE = ("Cs", "A44", "P", "Q2")
 
 # The equations the adversary model reasons with, in the form of
 # baseline.EQUATIONS; every wire word has its row, so tests can walk the
@@ -104,50 +100,56 @@ class ImprovedCard:
 
     T12 = T1 xor T2 is delivered with the card and kept on it; after
     the holder has split it during registration it is never read
-    again, but it is a declared field and counts toward storage.
+    again, but it is a declared field and counts toward storage.  The
+    hash's name h is held but, unlike the baseline card's, not declared.
     """
 
     e: Field128
-    hash_name: str
-    params: GroupParams
-    y: Field128
-    helper: HelperData
-    l: Field128
-    v: Field128
-    m: Field128
-    nmask: Field128
-    t12: Field128
+    h: str
+    p: int
+    g: int
+    Y: Field128
+    P_i: HelperData
+    L: Field128
+    V: Field128
+    M: Field128
+    Nmask: Field128
+    T12: Field128
 
     FIELD_NAMES = ("e", "p", "g", "Y", "P_i", "L", "V", "M", "Nmask", "T12")
 
 
 @dataclass(frozen=True)
-class LoginMessage(WireMessage, wire=LOGIN_WIRE):
-    nid: Field128
-    a11: Field128
-    c_i: Field128
-    q: Field128
+class LoginMessage(WireMessage):
+    NID: Field128
+    A11: Field128
+    C_i: Field128
+    Q: Field128
 
 
 @dataclass(frozen=True)
-class ReplyMessage(WireMessage, wire=REPLY_WIRE):
-    cs: Field128
-    a44: Field128
-    p: Field128
-    q2: Field128
+class ReplyMessage(WireMessage):
+    Cs: Field128
+    A44: Field128
+    P: Field128
+    Q2: Field128
+
+
+LOGIN_WIRE = LoginMessage.WIRE
+REPLY_WIRE = ReplyMessage.WIRE
 
 
 @dataclass
 class PendingLogin:
     """Session secrets retained by the card between login and finish."""
 
-    user_id: Field128
-    h: Field128
-    a22: Field128
+    ID: Field128
+    H: Field128
+    A22: Field128
     r_u: int
-    t1: Field128
-    t2: Field128
-    t3: Field128
+    T1: Field128
+    T2: Field128
+    T3: Field128
 
 
 class ServerRecord(NamedTuple):
@@ -189,7 +191,7 @@ class ImprovedServer(BaseServer):
         for rec in self.records:
             t1 = ms_to_field(rec.t1_ms)
             t2 = ms_to_field(rec.t2_ms)
-            t3 = msg.q ^ env.h(t1)
+            t3 = msg.Q ^ env.h(t1)
             fault = env.freshness_fault(t3, t4_ms, "login")
             if fault == MALFORMED_TIMESTAMP:
                 continue  # unmasking garbage: not this user's message
@@ -197,16 +199,16 @@ class ImprovedServer(BaseServer):
                 # stale under this record's T1; no group work was spent
                 saw_stale = fault
                 continue
-            a1 = msg.a11 ^ t2 ^ t3
+            a1 = msg.A11 ^ t2 ^ t3
             try:
                 a2 = env.mod_exp(a1, self.secret.x)
             except ValueError:
                 continue  # unmasked value is not a group element
             a22 = a2 ^ t3
-            user_id = msg.nid ^ a22 ^ env.h(t1, t3, t2)
+            user_id = msg.NID ^ a22 ^ env.h(t1, t3, t2)
             h_val = env.h(user_id, self.x_word) ^ t2
-            expected = env.h(user_id, h_val, a22, msg.a11, t1, t3, t2)
-            if expected == msg.c_i:
+            expected = env.h(user_id, h_val, a22, msg.A11, t1, t3, t2)
+            if expected == msg.C_i:
                 break  # this record's values carry on below
             saw_mismatch = True
         else:
@@ -266,15 +268,16 @@ def register(
         nmask = env.h(pw, r) ^ t2_user
     return ImprovedCard(
         e=e,
-        hash_name=env.hasher.name,
-        params=env.params,
-        y=server.secret.y,
-        helper=helper,
-        l=l_val,
-        v=v,
-        m=m,
-        nmask=nmask,
-        t12=t12,
+        h=env.hasher.name,
+        p=env.params.p,
+        g=env.params.g,
+        Y=server.secret.y,
+        P_i=helper,
+        L=l_val,
+        V=v,
+        M=m,
+        Nmask=nmask,
+        T12=t12,
     )
 
 
@@ -287,28 +290,28 @@ def login(
     r_u: int,
 ) -> tuple[LoginMessage, PendingLogin]:
     """Card-side login: unmask T2, T1, N; verify V; mask the wire."""
-    if card.hash_name != env.hasher.name:
+    if card.h != env.hasher.name:
         raise ValueError("card was issued under a different hash function")
     pw = encode_text(password)
-    r = rep(template, card.helper)
-    t2 = card.nmask ^ env.h(pw, r)
-    t1 = card.m ^ env.h(user_id ^ t2)
-    n = r ^ card.l ^ t1
-    if env.h(user_id, t1, pw, t2, n) != card.v:
+    r = rep(template, card.P_i)
+    t2 = card.Nmask ^ env.h(pw, r)
+    t1 = card.M ^ env.h(user_id ^ t2)
+    n = r ^ card.L ^ t1
+    if env.h(user_id, t1, pw, t2, n) != card.V:
         raise LocalAuthFailure("card rejected holder")
     h_val = card.e ^ env.h(pw, n, t1)
 
     _, t3 = env.now_field()
-    a1 = env.mod_exp(card.params.g, r_u)
+    a1 = env.mod_exp(card.g, r_u)
     a11 = a1 ^ t2 ^ t3
-    a2 = env.mod_exp(card.y, r_u)
+    a2 = env.mod_exp(card.Y, r_u)
     a22 = a2 ^ t3
     nid = user_id ^ a22 ^ env.h(t1, t3, t2)
     c_i = env.h(user_id, h_val, a22, a11, t1, t3, t2)
     q = t3 ^ env.h(t1)
     msg = LoginMessage(nid, a11, c_i, q)
     pending = PendingLogin(
-        user_id=user_id, h=h_val, a22=a22, r_u=r_u, t1=t1, t2=t2, t3=t3
+        ID=user_id, H=h_val, A22=a22, r_u=r_u, T1=t1, T2=t2, T3=t3
     )
     return msg, pending
 
@@ -320,19 +323,17 @@ def finish(env: Env, pending: PendingLogin, reply: ReplyMessage) -> Field128:
     recovered values, trusted only through the Cs verifier; env's
     delta_t is deliberately unused.
     """
-    t4 = reply.p ^ env.h(pending.t1, pending.user_id, pending.t3)
-    t5 = reply.q2 ^ env.h(pending.t2, pending.user_id, pending.t3)
-    a4 = reply.a44 ^ pending.t3 ^ t4
+    t4 = reply.P ^ env.h(pending.T1, pending.ID, pending.T3)
+    t5 = reply.Q2 ^ env.h(pending.T2, pending.ID, pending.T3)
+    a4 = reply.A44 ^ pending.T3 ^ t4
     try:
         a5 = env.mod_exp(a4, pending.r_u)
     except ValueError as exc:
         raise AuthFailure("reply unmasked to a non-group element") from exc
-    a55 = a5 ^ pending.t3 ^ t5
-    sk = env.h(
-        pending.user_id, pending.a22, a55, pending.h, pending.t1, pending.t3, t5
-    )
-    expected = env.h(pending.user_id, sk, pending.h, pending.t2, t4)
-    if expected != reply.cs:
+    a55 = a5 ^ pending.T3 ^ t5
+    sk = env.h(pending.ID, pending.A22, a55, pending.H, pending.T1, pending.T3, t5)
+    expected = env.h(pending.ID, sk, pending.H, pending.T2, t4)
+    if expected != reply.Cs:
         raise AuthFailure("reply verifier mismatch")
     return sk
 

@@ -50,6 +50,7 @@ from .core import (
     encode_text,
 )
 from .files import (
+    MAX_SESSION_ID_BYTES,
     FileFormatError,
     json_report_bytes,
     load_dictionary,
@@ -86,11 +87,21 @@ class ScenarioScript:
                 raise ValueError("%r must not be negative" % key)
         if self.latency_ms >= 1 << 64:  # no hop fits the clock's range
             raise ValueError("'latency_ms' must be below 2**64")
+        longest = len(_channel_session_id(self.name, len(self.steps)).encode("utf-8"))
+        if longest > MAX_SESSION_ID_BYTES:
+            raise ValueError("'name' is too long: its session ids reach %d bytes, "
+                             "a transcript holds at most %d"
+                             % (longest, MAX_SESSION_ID_BYTES))
         for i, step in enumerate(self.steps, 1):
             if not isinstance(step, dict):
                 raise ValueError("step %d is not an object" % i)
             if step.get("op") not in KNOWN_OPS:
                 raise ValueError("step %d: unknown op %r" % (i, step.get("op")))
+
+
+def _channel_session_id(name: str, number: int) -> str:
+    """The transcript's session id of the scenario's `number`th login."""
+    return "%s-s%03d" % (name, number)
 
 
 def load_scenario(path) -> ScenarioScript:
@@ -209,7 +220,7 @@ class _Runner:
         channel = SimChannel(
             self.env.clock,
             latency_ms=self.script.latency_ms,
-            session_id="%s-s%03d" % (self.script.name, len(self.sessions) + 1),
+            session_id=_channel_session_id(self.script.name, len(self.sessions) + 1),
             rng_seed=seed,
         )
         session = _Session(

@@ -1,15 +1,22 @@
 """The scheme registry, the wire-label table and step-wise
 login -> respond -> finish sessions.
 
-Each scheme module provides ``SCHEME``, ``LOGIN_WIRE``/``REPLY_WIRE``,
-``LoginMessage``/``ReplyMessage``, ``Card``, ``Server``, ``register``,
-``login`` and ``finish``.  A ``Card`` lists its stored fields in
-``FIELD_NAMES``.  A ``Server`` subclasses ``core.BaseServer`` and
-supplies ``enroll``, ``respond`` and, if it stores more than the
-identity per user, ``Record`` and ``RECORD_FIELDS``.
+Each scheme module provides ``SCHEME``, ``LoginMessage``/``ReplyMessage``
+(with ``LOGIN_WIRE``/``REPLY_WIRE``, their layouts), ``Card``,
+``PendingLogin``, ``Server``, ``register``, ``login`` and ``finish``.
+Every protocol value is named as the scheme's ``EQUATIONS`` name it: a
+message's fields, in order, are its wire layout; a card holds each
+name of ``Card.FIELD_NAMES``, its stored fields, as an attribute, plus
+its hash's name ``h``; a pending login holds the session values the
+card keeps until ``finish``.  A ``Server`` subclasses
+``core.BaseServer`` and supplies ``enroll``, ``respond`` and, if it
+stores more than the identity per user, ``Record`` and
+``RECORD_FIELDS``.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields as dataclass_fields
 
 from . import baseline, improved
 from .channel import SERVER_TO_USER, USER_TO_SERVER, SimChannel
@@ -56,26 +63,12 @@ def scheme_of(card_or_server) -> str:
     raise TypeError("not a card or server: %r" % (card_or_server,))
 
 
-def card_fields(card) -> dict:
-    """The card's fields as {name: value}, in ``Card.FIELD_NAMES`` order:
-    ``h`` is the hash name, ``p`` and ``g`` the group's ints, ``P_i``
-    the HelperData, and any other name the attribute ``name.lower()``."""
-    derived = {"h": card.hash_name, "p": card.params.p, "g": card.params.g,
-               "P_i": card.helper}
-    return {
-        name: derived[name] if name in derived else getattr(card, name.lower())
-        for name in card.FIELD_NAMES
-    }
-
-
 def card_from_fields(scheme: str, fields):
-    """The inverse of `card_fields`, the group verified; `fields` must
-    also carry ``h`` where the scheme's card does not store it."""
+    """The `scheme` card whose attributes are `fields`' values, once its
+    group ``p``, ``g`` is verified; `fields` may hold other names too."""
     card = scheme_module(scheme).Card
-    plain = {name.lower(): fields[name] for name in card.FIELD_NAMES
-             if name not in ("h", "p", "g", "P_i")}
-    params = GroupParams.from_values(fields["p"], fields["g"])
-    return card(hash_name=fields["h"], params=params, helper=fields["P_i"], **plain)
+    GroupParams.from_values(fields["p"], fields["g"])
+    return card(**{f.name: fields[f.name] for f in dataclass_fields(card)})
 
 
 class Handshake:

@@ -274,8 +274,8 @@ def test_each_password_guess_unmasks_t3_which_the_gaps_call_unknown():
     def t3_under(guess):
         return atoms["A11"] ^ a1 ^ atoms["Nmask"] ^ h(encode_text(guess), r)
 
-    assert t3_under(enr.password) == run.pending.t3
-    assert t3_under("wrong-horse") != run.pending.t3
+    assert t3_under(enr.password) == run.pending.T3
+    assert t3_under("wrong-horse") != run.pending.T3
     outcome = attack_improved(knowledge)
     assert outcome.status == INSUFFICIENT
     (gap,) = outcome.gaps
@@ -403,31 +403,31 @@ def _honest_atoms(scheme, monkeypatch):
         enr = enroll(scheme)
         run = run_session(enr)
     card, msg, reply, pending = enr.card, run.msg, run.reply, run.pending
-    p, g, x = card.params.p, card.params.g, enr.server.secret.x
+    p, g, x = card.p, card.g, enr.server.secret.x
     truth = {
-        "B": enr.template, "P_i": card.helper, "R": made["R"],
+        "B": enr.template, "P_i": card.P_i, "R": made["R"],
         "PW": encode_text(enr.password), "ID": enr.user_id,
-        "L": card.l, "e": card.e, "Y": card.y, "V": card.v, "H": pending.h,
-        "r_u": run.r_u, "r_s": run.r_s, "SK": run.sk_user, "NID": msg.nid,
-        "C_i": msg.c_i, "Cs": reply.cs,
+        "L": card.L, "e": card.e, "Y": card.Y, "V": card.V, "H": pending.H,
+        "r_u": run.r_u, "r_s": run.r_s, "SK": run.sk_user, "NID": msg.NID,
+        "C_i": msg.C_i, "Cs": reply.Cs,
         "A2": Field128.from_int(pow(g, run.r_u * x, p)),  # the server's A1^X
     }
     sk_preimage = preimages[run.sk_user]
     if scheme == "baseline":
         truth.update(
-            N=preimages[card.v][2],  # V = h(ID||PW||N)
-            A1=msg.a1, T1w=msg.t1, A4=reply.a4, T3w=reply.t3,
+            N=preimages[card.V][2],  # V = h(ID||PW||N)
+            A1=msg.A1, T1w=msg.T1, A4=reply.A4, T3w=reply.T3,
             A6=sk_preimage[2],  # SK = h(ID||A2||A6||H||T1||T3)
         )
     else:
         rec = enr.server.records[0]
         truth.update(
-            N=preimages[card.v][4],  # V = h(ID||T1||PW||T2||N)
+            N=preimages[card.V][4],  # V = h(ID||T1||PW||T2||N)
             T1w=ms_to_field(rec.t1_ms), T2w=ms_to_field(rec.t2_ms),
-            M=card.m, Nmask=card.nmask, Q=msg.q, A11=msg.a11,
-            T3w=pending.t3, A22=pending.a22,
-            Q2=reply.q2, P=reply.p, A44=reply.a44,
-            T4w=preimages[reply.cs][4],  # Cs = h(ID||SK||H||T2||T4)
+            M=card.M, Nmask=card.Nmask, Q=msg.Q, A11=msg.A11,
+            T3w=pending.T3, A22=pending.A22,
+            Q2=reply.Q2, P=reply.P, A44=reply.A44,
+            T4w=preimages[reply.Cs][4],  # Cs = h(ID||SK||H||T2||T4)
             T5w=sk_preimage[6],  # SK = h(ID||A22||A55||H||T1||T3||T5)
             A55=sk_preimage[2],
             A1=Field128.from_int(pow(g, run.r_u, p)),
@@ -440,9 +440,9 @@ def _honest_atoms(scheme, monkeypatch):
 @pytest.mark.parametrize("scheme, count", [("baseline", 12), ("improved", 39)])
 def test_every_rule_maps_true_inputs_to_the_true_output(monkeypatch, scheme, count):
     enr, _, truth = _honest_atoms(scheme, monkeypatch)
-    p = enr.card.params.p
+    p = enr.card.p
     truth.update(  # the card's tools are inputs like any atom
-        h=HashEngine(enr.card.hash_name),
+        h=HashEngine(enr.card.h),
         exp=lambda base, e: Field128.from_int(pow(base.to_int(), e, p)),
     )
     rules, verifier = adversary.RULES[scheme], adversary.VERIFIERS[scheme]
@@ -458,8 +458,7 @@ def test_every_leaked_atom_is_named_as_the_equations_name_it(monkeypatch, scheme
     enr, run, truth = _honest_atoms(scheme, monkeypatch)
     atoms = dict(leak_everything(enr, run, ()).atoms)
     tools = {name: atoms.pop(name) for name in ("h", "p", "g")}
-    assert tools == {"h": enr.card.hash_name, "p": enr.card.params.p,
-                     "g": enr.card.params.g}
+    assert tools == {"h": enr.card.h, "p": enr.card.p, "g": enr.card.g}
     assert {name: truth.get(name) for name in atoms} == atoms
 
 

@@ -37,8 +37,8 @@ def test_sessions_with_fresh_exponents_get_fresh_keys():
 
 def test_card_contents_never_store_the_raw_password_or_identity():
     enr = enroll("baseline")
-    stored = {bytes(enr.card.e), bytes(enr.card.l), bytes(enr.card.v),
-              bytes(enr.card.y)}
+    stored = {bytes(enr.card.e), bytes(enr.card.L), bytes(enr.card.V),
+              bytes(enr.card.Y)}
     from triauth.core import encode_text
 
     assert bytes(encode_text(enr.password)) not in stored
@@ -100,7 +100,7 @@ def test_rejected_holder_never_reaches_the_wire():
 
 def test_card_issued_under_other_hash_is_refused():
     enr = enroll("baseline")
-    other = dataclasses.replace(enr.card, hash_name="sha512")
+    other = dataclasses.replace(enr.card, h="sha512")
     with pytest.raises(ValueError):
         baseline.login(
             enr.env, other, enr.user_id, enr.password, enr.template,
@@ -140,7 +140,7 @@ def test_malformed_timestamp_is_a_freshness_failure():
     enr = enroll("baseline")
     run = run_session(enr)
     garbled = baseline.LoginMessage(
-        run.msg.nid, run.msg.a1, run.msg.c_i, Field128.from_int(1 << 127)
+        run.msg.NID, run.msg.A1, run.msg.C_i, Field128.from_int(1 << 127)
     )
     modexps_before = enr.env.ledger.modexp_total()
     with pytest.raises(FreshnessFailure):
@@ -152,8 +152,8 @@ def test_each_freshness_rejection_says_why():
     enr = enroll("baseline")
     run = run_session(enr)
     garbage = Field128.from_int(1 << 127)
-    bad_t1 = dataclasses.replace(run.msg, t1=garbage)
-    bad_t3 = dataclasses.replace(run.reply, t3=garbage)
+    bad_t1 = dataclasses.replace(run.msg, T1=garbage)
+    bad_t3 = dataclasses.replace(run.reply, T3=garbage)
     r_s = enr.rng.exponent(enr.env.params)
     with pytest.raises(FreshnessFailure, match="^malformed timestamp$"):
         enr.server.respond(bad_t1, r_s)
@@ -176,7 +176,7 @@ def test_unregistered_identity_is_unknown():
     )
     # flip NID so the server unmasks a different identity
     altered = baseline.LoginMessage(
-        msg.nid ^ Field128.from_int(1), msg.a1, msg.c_i, msg.t1
+        msg.NID ^ Field128.from_int(1), msg.A1, msg.C_i, msg.T1
     )
     with pytest.raises(UnknownUser):
         enr.server.respond(altered, enr.rng.exponent(enr.env.params))
@@ -239,14 +239,14 @@ def test_group_elements_outside_the_group_are_auth_failures(bad):
     modexps = enr.env.ledger.modexp_total()
     with pytest.raises(AuthFailure, match="A1 is not a group element"):
         enr.server.respond(
-            dataclasses.replace(msg, a1=value), enr.rng.exponent(enr.env.params)
+            dataclasses.replace(msg, A1=value), enr.rng.exponent(enr.env.params)
         )
     assert enr.env.ledger.modexp_total() == modexps
 
     reply, _ = enr.server.respond(msg, enr.rng.exponent(enr.env.params))
     modexps = enr.env.ledger.modexp_total()
     with pytest.raises(AuthFailure, match="A4 is not a group element"):
-        baseline.finish(enr.env, pending, dataclasses.replace(reply, a4=value))
+        baseline.finish(enr.env, pending, dataclasses.replace(reply, A4=value))
     assert enr.env.ledger.modexp_total() == modexps
 
 
@@ -285,11 +285,11 @@ def test_login_timestamps_are_clock_readings():
         enr.env, enr.card, enr.user_id, enr.password, reading,
         enr.rng.exponent(enr.env.params),
     )
-    assert msg.t1 == ms_to_field(1_700_000_000_000 + 10 + 1234)
+    assert msg.T1 == ms_to_field(1_700_000_000_000 + 10 + 1234)
 
 
 def test_reply_timestamp_is_later_than_login_timestamp():
     """processing_ms must separate T3 from T1 or transpositions hide."""
     enr = enroll("baseline")
     run = run_session(enr)
-    assert run.reply.t3 != run.msg.t1
+    assert run.reply.T3 != run.msg.T1

@@ -1,5 +1,7 @@
 """Simulated wire: delivery, latency, recording, in-flight corruption."""
 
+from dataclasses import fields
+
 import pytest
 
 from support import enroll
@@ -165,6 +167,20 @@ def test_wire_label_table_lookup():
     assert wire_message(baseline, "login")[1].OFFSETS["C_i"] == 32
     with pytest.raises(ValueError, match="no greeting message in the baseline scheme"):
         wire_message(baseline, "greeting")
+
+
+@pytest.mark.parametrize("scheme, card, pending", [
+    ("baseline", "e h p g Y P_i L V", "ID H A2 r_u T1"),
+    ("improved", "e h p g Y P_i L V M Nmask T12", "ID H A22 r_u T1 T2 T3"),
+], ids=["baseline", "improved"])
+def test_protocol_records_are_named_as_the_equations_name_them(scheme, card, pending):
+    mod = SCHEMES[scheme]
+    names = lambda cls: tuple(f.name for f in fields(cls))
+    assert names(mod.Card) == tuple(card.split())
+    assert set(names(mod.Card)) == {"h", *mod.Card.FIELD_NAMES}
+    assert names(mod.PendingLogin) == tuple(pending.split())
+    assert names(mod.LoginMessage) == mod.LoginMessage.WIRE == mod.LOGIN_WIRE
+    assert names(mod.ReplyMessage) == mod.ReplyMessage.WIRE == mod.REPLY_WIRE
 
 
 def test_wire_traffic_is_the_protocol_messages_in_bits():

@@ -217,6 +217,69 @@ def test_login_run_with_a_negative_latency_runs_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def _absent_files(tmp_path):
+    return ("--card", tmp_path / "absent.card", "--template", tmp_path / "absent.template",
+            "--server-state", tmp_path / "absent.state")
+
+
+@pytest.mark.parametrize("command", ["register", "login-run", "cost-report"])
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_a_seed_outside_64_bits_is_refused_naming_the_option(
+    tmp_path, capsys, command, seed
+):
+    options = {
+        "register": ("--scheme", "baseline", "--id", "alice", "--password", "pw",
+                     "--card-out", tmp_path / "alice.card",
+                     "--server-state", tmp_path / "server.state"),
+        "login-run": ("--id", "alice", "--password", "pw", *_absent_files(tmp_path)),
+        "cost-report": ("--scheme", "baseline", "--out", tmp_path / "cost.json"),
+    }[command]
+    assert run_cli(command, *options, "--seed", seed) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: --seed must be in [0, 2**64), got %d" % seed in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("option, value, why", [
+    ("--latency", -5, "--latency must not be negative, got -5 ms"),
+    ("--advance-ms", -1, "--advance-ms must not be negative, got -1 ms"),
+    ("--noise-blocks", 129, "--noise-blocks must be in 0..128, got 129"),
+    ("--noise-blocks", -1, "--noise-blocks must be in 0..128, got -1"),
+], ids=["negative-latency", "negative-advance", "noise-past-128", "negative-noise"])
+def test_login_run_refuses_a_bad_option_before_reading_any_file(
+    tmp_path, capsys, option, value, why
+):
+    code = run_cli("login-run", "--id", "alice", "--password", "pw",
+                   *_absent_files(tmp_path), option, value)
+    assert code == 2
+    assert "error: %s\n" % why == capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise_blocks", [0, 128])
+def test_login_run_takes_noise_in_no_block_or_every_block(tmp_path, capsys, noise_blocks):
+    paths = register(tmp_path, "improved")
+    assert login(tmp_path, paths, extra=("--noise-blocks", noise_blocks)) == 0
+    assert "keys match: yes" in capsys.readouterr().out
+
+
+def test_a_256_bit_template_logs_in_only_without_noise(tmp_path, capsys):
+    config = tmp_path / "t256.cfg"
+    config.write_text("template_bits = 256\n")
+    paths = {"card": tmp_path / "alice.card", "template": tmp_path / "alice.template",
+             "server": tmp_path / "server.state"}
+    assert run_cli(
+        "register", "--scheme", "baseline", "--config", config,
+        "--id", "alice", "--password", "hunter-glacier", "--card-out", paths["card"],
+        "--server-state", paths["server"], "--template-out", paths["template"],
+    ) == 0
+    capsys.readouterr()
+    assert login(tmp_path, paths, extra=("--config", config)) == 2
+    assert "noise in a 256-bit template cannot be corrected" in capsys.readouterr().err
+    assert login(tmp_path, paths, extra=("--config", config, "--noise-blocks", 0)) == 0
+    assert "keys match: yes" in capsys.readouterr().out
+
+
 def test_login_run_advancing_the_clock_past_64_bits_names_the_clock(
     tmp_path, capsys
 ):

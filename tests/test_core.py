@@ -1,7 +1,6 @@
 """Primitives: words, clocks, ledger, hash engine, group math, RNG."""
 
 import hashlib
-from dataclasses import dataclass
 
 import pytest
 
@@ -19,7 +18,6 @@ from triauth.core import (
     ServerSecret,
     SessionRng,
     SimClock,
-    WireMessage,
     decode_text,
     derive_seed,
     encode_text,
@@ -83,14 +81,6 @@ def test_field_repr_is_hex():
 # ---------------------------------------------------------------------------
 # Text encoding
 # ---------------------------------------------------------------------------
-
-def test_wire_message_fields_must_follow_the_layout():
-    with pytest.raises(TypeError, match="fields must be a, b"):
-        @dataclass(frozen=True)
-        class Swapped(WireMessage, wire=("A", "B")):
-            b: Field128
-            a: Field128
-
 
 def test_encode_text_pads_and_round_trips():
     word = encode_text("alice")

@@ -125,7 +125,7 @@ def test_card_bad_hex_reports_the_line(tmp_path):
     enr = enroll("baseline")
     path = tmp_path / "u.card"
     save_card(enr.card, path)
-    text = path.read_text().replace(enr.card.v.hex(), "zz" * 16)
+    text = path.read_text().replace(enr.card.V.hex(), "zz" * 16)
     path.write_text(text)
     with pytest.raises(FileFormatError, match="line \\d+: field V is not valid hex"):
         load_card(path)
@@ -155,7 +155,7 @@ def test_card_group_is_verified_on_load(tmp_path):
     enr = enroll("baseline")
     path = tmp_path / "u.card"
     save_card(enr.card, path)
-    good_p = Field128.from_int(enr.card.params.p).hex()
+    good_p = Field128.from_int(enr.card.p).hex()
     bad_p = Field128.from_int(15).hex()
     path.write_text(path.read_text().replace(good_p, bad_p))
     with pytest.raises(ValueError):
@@ -414,6 +414,15 @@ def test_transcript_parse_errors_name_the_file(tmp_path, edit, why):
 def test_transcript_seed_reference_must_fit_in_64_bits(seed):
     with pytest.raises(ValueError, match="^transcript seed reference must fit in 64 bits$"):
         transcript_bytes(Transcript("sess-1", rng_seed=seed, entries=[]))
+
+
+def test_transcript_session_id_must_fit_its_two_length_bytes(tmp_path):
+    path = tmp_path / "t.bin"
+    save_transcript(Transcript("s" * 0xFFFF, rng_seed=None, entries=[]), path)
+    assert load_transcript(path).session_id == "s" * 0xFFFF
+    with pytest.raises(ValueError, match="^session id of 65536 bytes: "
+                                         "a transcript holds at most 65535$"):
+        transcript_bytes(Transcript("s" * 0x10000, rng_seed=None, entries=[]))
 
 
 def test_transcript_trailing_bytes_are_detected(tmp_path):

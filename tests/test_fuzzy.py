@@ -85,6 +85,23 @@ def test_perturb_within_tolerance_always_recovers():
             assert rep(noisy, helper) == key
 
 
+@pytest.mark.parametrize("nbits", [128, 256, 384, 512, 640])
+def test_perturb_within_tolerance_decodes_or_refuses(nbits):
+    rng = SessionRng(nbits)
+    for trial in range(10):
+        template = BiometricTemplate.random(rng, nbits)
+        key, helper = gen(template, rng)
+        for nblocks in (0, 1, 16, 128):
+            try:
+                noisy = perturb_within_tolerance(template, rng, nblocks)
+            except ValueError as exc:
+                # one flip is corrected in blocks of 3 or more bits only
+                assert nblocks > 0 and nbits < 3 * KEY_BITS
+                assert "cannot be corrected" in str(exc)
+                continue
+            assert rep(noisy, helper) == key
+
+
 def test_unrelated_template_decodes_to_a_different_key():
     rng = SessionRng(15)
     misses = 0

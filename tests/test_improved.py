@@ -35,7 +35,7 @@ def test_registration_timestamps_are_distinct_secrets():
     # the card holds only the XOR of the two instants
     from triauth.core import ms_to_field
 
-    assert enr.card.t12 == ms_to_field(rec.t1_ms) ^ ms_to_field(rec.t2_ms)
+    assert enr.card.T12 == ms_to_field(rec.t1_ms) ^ ms_to_field(rec.t2_ms)
 
 
 def test_duplicate_registration_is_refused():
@@ -48,7 +48,7 @@ def test_login_never_reads_the_stored_t12():
     """T12 is spent during registration; login must not depend on it."""
     enr = enroll("improved")
     enr.env.clock.advance(1000)
-    scrubbed = dataclasses.replace(enr.card, t12=Field128.from_int(0xDEAD))
+    scrubbed = dataclasses.replace(enr.card, T12=Field128.from_int(0xDEAD))
     reading = perturb_within_tolerance(enr.template, enr.rng, 8)
     r_u = enr.rng.exponent(enr.env.params)
     msg, pending = improved.login(
@@ -82,8 +82,8 @@ def test_no_raw_timestamp_travels_on_the_wire():
     enr = enroll("improved")
     run = run_session(enr)
     words = [
-        run.msg.nid, run.msg.a11, run.msg.c_i, run.msg.q,
-        run.reply.cs, run.reply.a44, run.reply.p, run.reply.q2,
+        run.msg.NID, run.msg.A11, run.msg.C_i, run.msg.Q,
+        run.reply.Cs, run.reply.A44, run.reply.P, run.reply.Q2,
     ]
     for word in words:
         with pytest.raises(ValueError):

@@ -451,10 +451,13 @@ _GOOD_HEADER = {"name": "bad", "scheme": "baseline", "seed": 5, "steps": []}
     ({**_GOOD_HEADER, "epoch_ms": 1 << 64}, "'epoch_ms' must be in [0, 2**64)"),
     ({**_GOOD_HEADER, "seed": -5}, "'seed' must be in [0, 2**64)"),
     ({**_GOOD_HEADER, "seed": 1 << 64}, "'seed' must be in [0, 2**64)"),
+    ({**_GOOD_HEADER, "name": "n" * 70000},
+     "'name' is too long: its session ids reach 70005 bytes"),
 ], ids=["string-document", "string-step", "steps-object", "string-seed",
         "bool-seed", "list-scheme", "string-latency", "negative-window",
         "negative-latency", "latency-past-64-bits", "negative-epoch",
-        "epoch-past-64-bits", "negative-seed", "seed-past-64-bits"])
+        "epoch-past-64-bits", "negative-seed", "seed-past-64-bits",
+        "name-too-long"])
 def test_malformed_scenario_documents_name_the_file_and_replay_exits_2(
     tmp_path, capsys, doc, message
 ):
@@ -464,6 +467,24 @@ def test_malformed_scenario_documents_name_the_file_and_replay_exits_2(
         load_scenario(path)
     assert main(["replay", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, status", [
+    ("n" * 65530, 0), ("n" * 65531, 2), ("\u00e9" * 32765, 0), ("\u00e9" * 32766, 2),
+], ids=["longest", "one-byte-over", "longest-in-two-byte-letters", "two-bytes-over"])
+def test_a_scenario_name_is_refused_unless_its_session_ids_fit_a_transcript(
+    tmp_path, capsys, name, status
+):
+    steps = [{"op": "register", "user": "u", "password": "pw-1", "seed": 11},
+             {"op": "login", "user": "u", "seed": 12}]
+    path = tmp_path / "long.scenario"
+    path.write_text(json.dumps({**_GOOD_HEADER, "name": name, "steps": steps}))
+    assert main(["replay", "--scenario", str(path), "--out", str(tmp_path / "o")]) == status
+    if status:
+        assert "%s: 'name' is too long" % path in capsys.readouterr().err
+    else:
+        transcript = load_transcript(tmp_path / "o" / "transcripts" / "s001.bin")
+        assert transcript.session_id == name + "-s001"
 
 
 @pytest.mark.parametrize("text", [b'{"name": "\xff"}', b"{nope", b"[" * 100000],
