@@ -16,9 +16,11 @@ table: every row run forward, and every XOR row solved for each atom
 it XORs in.  The card's hash ``h`` and modexp ``exp`` are atoms like
 any other, which only a captured card supplies.  An atom ends up
 *known*, *derivable per password candidate*, or *unknown*.
-:func:`compile_plan` does that closure once per attack and orders the
-chosen rules into an :class:`AttackPlan`: rules run once, per
-candidate, and on a hit.  A dictionary attack runs iff every block of
+:func:`compile_plan` does that closure once per set of names held (the
+values never change it) and orders the chosen rules into an
+:class:`AttackPlan`: rules run once, per candidate, and on a hit, all
+compiled into one Python function that tests a word with plain
+statements.  A dictionary attack runs iff every block of
 the verifier equation is known or candidate-derivable; otherwise the
 outcome names the atoms that closure cannot reach (without a card,
 ``h`` among them).  Against the baseline the closure reaches C_i and
@@ -260,41 +262,72 @@ def _granted(t1_ms: int, t2_ms: int) -> dict[str, Field128]:
 @dataclass(frozen=True)
 class AttackPlan:
     """One attack, planned once: ``known`` runs once, ``per_word`` per
-    candidate (only what the verifier needs), ``on_hit`` on a match.
+    candidate (only what the verifier needs), ``on_hit`` on a match
+    (what only ID and SK need).
 
     Each tuple is in dependency order, and so is their concatenation.
     With ``gaps`` the attack cannot start and the tuples are empty.
+    ``source`` is the steps as one Python function, ``bind``: given the
+    atoms, it runs ``known`` once and returns ``test(PW, verify=True)``,
+    which runs ``per_word``, compares the verifier and on a match runs
+    ``on_hit`` and returns (ID, SK), else None; without ``verify`` it
+    runs every step.  The steps depend only on the names held, never
+    on the values; ``atoms`` holds this attack's values.
     """
 
     atoms: dict[str, object]
-    verifier: Derivation
     known: tuple[Derivation, ...] = ()
     per_word: tuple[Derivation, ...] = ()
     on_hit: tuple[Derivation, ...] = ()
     gaps: tuple[EquationGap, ...] = ()
+    source: str = ""
+    bind: Callable | None = field(default=None, compare=False, repr=False)
+
+
+# Every name a scheme's rules, verifier and targets mention.  No other
+# atom held can change a plan, so the memo below is keyed on these
+# alone and holds at most one plan per subset of them.
+_NAMES = {
+    scheme: frozenset({verifier.target, *verifier.needs, *_TARGETS}.union(
+        *({rule.target, *rule.needs} for rule in RULES[scheme])))
+    for scheme, verifier in VERIFIERS.items()
+}
+
+# The plans already made, without values, by (scheme, names held).
+_SHAPES: dict[tuple[str, frozenset[str]], AttackPlan] = {}
 
 
 def compile_plan(
     knowledge: AdversaryKnowledge, granted: dict[str, Field128] | None = None
 ) -> AttackPlan:
-    """Close a copy of the atoms (a grant never enters the knowledge)
-    under the scheme's rules, then order the steps.  In the copy the
-    card's tools replace its hash name; without a card they are unknown.
+    """The plan for a copy of the atoms (a grant never enters the
+    knowledge), in which the card's tools replace its hash name; without
+    a card they are unknown.  Each set of names held is planned once, by
+    :func:`_plan_shape`; the plan returned holds this attack's atoms.
     """
     atoms = {name: v for name, v in knowledge.atoms.items() if name != "h"}
     atoms.update(granted or {})
     atoms.update(_tools(knowledge.atoms))
-    verifier = VERIFIERS[knowledge.scheme]
-    rules = RULES[knowledge.scheme]
+    key = (knowledge.scheme, _NAMES[knowledge.scheme].intersection(atoms))
+    shape = _SHAPES.get(key)
+    if shape is None:
+        shape = _SHAPES[key] = _plan_shape(*key)
+    return replace(shape, atoms=atoms)
+
+
+def _plan_shape(scheme: str, names: frozenset[str]) -> AttackPlan:
+    """The plan, without values, of an attack holding ``names``: close
+    them under the scheme's rules, order the steps, compile them."""
+    verifier = VERIFIERS[scheme]
 
     # fixed point: an atom's level is the best over the rules reaching it
-    level = dict.fromkeys(atoms, _KNOWN)
+    level = dict.fromkeys(names, _KNOWN)
     level["PW"] = _CANDIDATE
     chosen: dict[str, Derivation] = {}
     changed = True
     while changed:
         changed = False
-        for rule in rules:
+        for rule in RULES[scheme]:
             best = level.get(rule.target, _UNKNOWN)
             if best == _KNOWN:
                 continue
@@ -307,32 +340,54 @@ def compile_plan(
     needed = {*verifier.needs, verifier.target, *_TARGETS}
     unknown = sorted(a for a in needed if level.get(a, _UNKNOWN) == _UNKNOWN)
     if unknown:
-        gap = EquationGap(verifier.target, tuple(unknown))
-        return AttackPlan(atoms, verifier, gaps=(gap,))
+        return AttackPlan({}, gaps=(EquationGap(verifier.target, tuple(unknown)),))
 
     # one depth-first walk: the verifier's preimage first, so per_word
-    # holds only what the loop needs, then the targets for on_hit
+    # holds only what the loop needs; what only the targets need, known
+    # or not, waits for a hit
     known: list[Derivation] = []
     per_word: list[Derivation] = []
     on_hit: list[Derivation] = []
 
-    def visit(atom: str, steps: list[Derivation]) -> None:
+    def visit(atom: str, steps: list[Derivation], fixed: list[Derivation]) -> None:
         rule = chosen.pop(atom, None)  # popped, so each rule is placed once
         if rule is not None:
             for need in rule.needs:
-                visit(need, steps)
-            (known if level[rule.target] == _KNOWN else steps).append(rule)
+                visit(need, steps, fixed)
+            (fixed if level[rule.target] == _KNOWN else steps).append(rule)
 
     for atom in verifier.needs:
-        visit(atom, per_word)
+        visit(atom, per_word, known)
     for atom in _TARGETS:
-        visit(atom, on_hit)
-    return AttackPlan(atoms, verifier, tuple(known), tuple(per_word), tuple(on_hit))
+        visit(atom, on_hit, on_hit)
+    steps = (tuple(known), tuple(per_word), tuple(on_hit))
+    source = _test_source(verifier, *steps)
+    namespace: dict[str, Callable] = {}
+    # `rep`, the public extractor, stays a global as in every rule
+    exec(source, globals(), namespace)
+    return AttackPlan({}, *steps, source=source, bind=namespace["bind"])
 
 
-def _execute(rules: tuple[Derivation, ...], values: dict[str, object]) -> None:
-    for rule in rules:
-        values[rule.target] = rule.fn(*(values[a] for a in rule.needs))
+def _test_source(verifier: Derivation, known, per_word, on_hit) -> str:
+    """The steps as the text of ``bind(atoms)``: each rule's ``how`` is
+    a plain statement, and every held atom a step reads is a local."""
+    made = {rule.target for rule in (*known, *per_word, *on_hit)} | {"PW"}
+    reads = [*(a for rule in (*known, *per_word, *on_hit, verifier) for a in rule.needs),
+             verifier.target, *_TARGETS]
+    check = verifier.how.split(" = ", 1)[1]
+    return "\n".join([
+        "def bind(atoms):",
+        *("    %s = atoms[%r]" % (a, a) for a in dict.fromkeys(reads) if a not in made),
+        *("    " + rule.how for rule in known),
+        "    def test(PW, verify=True):",
+        *("        " + rule.how for rule in per_word),
+        "        if verify and %s != %s:" % (check, verifier.target),
+        "            return None",
+        *("        " + rule.how for rule in on_hit),
+        "        return %s" % ", ".join(_TARGETS),
+        "    return test",
+        "",
+    ])
 
 
 def _run_dictionary(
@@ -343,29 +398,23 @@ def _run_dictionary(
     if plan.gaps:
         return AttackOutcome(INSUFFICIENT, gaps=plan.gaps, out_of_model=out_of_model)
 
-    base_values = dict(plan.atoms)
-    _execute(plan.known, base_values)
-    verifier = plan.verifier
-
+    test = plan.bind(plan.atoms)
     work = 0
     for word in knowledge.dictionary:
+        work += 1  # an unencodable word counts as tested and rejected
         try:
             pw = encode_text(word)
         except ValueError:
-            work += 1  # tested and rejected: cannot encode to a block
             continue
-        values = dict(base_values)
-        values["PW"] = pw
-        _execute(plan.per_word, values)
-        work += 1
-        if verifier.fn(*(values[a] for a in verifier.needs)) == values[verifier.target]:
-            _execute(plan.on_hit, values)
+        hit = test(pw)
+        if hit is not None:
+            identity, session_key = hit
             return AttackOutcome(
                 status=RECOVERED,
                 work=work,
                 password=word,
-                identity=values["ID"],
-                session_key=values["SK"],
+                identity=identity,
+                session_key=session_key,
                 out_of_model=out_of_model,
             )
     return AttackOutcome(status=EXHAUSTED, work=work, out_of_model=out_of_model)
@@ -461,13 +510,12 @@ def forge_improved_session_key(
     plan = compile_plan(knowledge, _granted(t1_ms, t2_ms))
     if plan.gaps:
         return None
-    values = dict(plan.atoms)
     try:
-        values["PW"] = encode_text(password_guess)
+        pw = encode_text(password_guess)
     except ValueError:
         return None
-    _execute(plan.known + plan.per_word + plan.on_hit, values)
-    return values["SK"]
+    _, session_key = plan.bind(plan.atoms)(pw, verify=False)
+    return session_key
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from . import baseline, improved
 from .channel import SimChannel
 from .core import Env, ProtocolConfig, SessionRng, SimClock, encode_text
-from .fuzzy import BiometricTemplate, perturb_within_tolerance
+from .fuzzy import KEY_BITS, BiometricTemplate, perturb_within_tolerance
 from .session import Handshake, scheme_module, wire_traffic
 
 NOMINAL = {
@@ -48,7 +48,10 @@ def run_instrumented_session(scheme: str, config: ProtocolConfig | None = None):
     )
 
     env.clock.advance(60_000)
-    noisy = perturb_within_tolerance(template, rng, 16)
+    # one flip in each of 16 blocks, which a block corrects once it holds
+    # 3 bits; a template of 1- or 2-bit blocks is read clean
+    noise_blocks = 16 if config.template_bits >= 3 * KEY_BITS else 0
+    noisy = perturb_within_tolerance(template, rng, noise_blocks)
     # 25 ms each way between card and server
     channel = SimChannel(env.clock, latency_ms=25)
     handshake = Handshake(mod, env, server, channel)

@@ -87,7 +87,11 @@ class ScenarioScript:
                 raise ValueError("%r must not be negative" % key)
         if self.latency_ms >= 1 << 64:  # no hop fits the clock's range
             raise ValueError("'latency_ms' must be below 2**64")
-        longest = len(_channel_session_id(self.name, len(self.steps)).encode("utf-8"))
+        try:
+            longest = len(_channel_session_id(self.name, len(self.steps)).encode("utf-8"))
+        except UnicodeEncodeError:  # a lone surrogate, which JSON can spell
+            raise ValueError("'name' is not text a transcript can hold: "
+                             "it has no UTF-8 encoding") from None
         if longest > MAX_SESSION_ID_BYTES:
             raise ValueError("'name' is too long: its session ids reach %d bytes, "
                              "a transcript holds at most %d"

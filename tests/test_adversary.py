@@ -1,5 +1,7 @@
 """Adversary engine: knowledge boundary, derivation closure, the attack."""
 
+from dataclasses import replace
+
 import pytest
 
 from support import enroll, run_session
@@ -204,16 +206,22 @@ def test_without_the_card_the_gap_names_what_the_closure_cannot_reach(
 _LEAKS = ("card", "transcripts", "biometric", "r_u", "r_s")
 
 
+def _leak_subsets(enr, run):
+    """(subset, leaks) for all 2**5 subsets of the leaks, each after all
+    its subsets; the leaks are keyword arguments of `assemble`."""
+    leaks = {"card": enr.card, "transcripts": (run.transcript,),
+             "biometric": enr.template, "r_u": run.r_u, "r_s": run.r_s}
+    for subset in range(1 << len(_LEAKS)):
+        yield subset, {name: leaks[name]
+                       for bit, name in enumerate(_LEAKS) if subset >> bit & 1}
+
+
 @pytest.mark.parametrize("scheme", ["baseline", "improved"])
 def test_across_all_leak_subsets_gaps_are_unreached_and_leaks_never_add_one(scheme):
     enr = enroll(scheme)
     run = run_session(enr)
-    leaks = {"card": enr.card, "transcripts": (run.transcript,),
-             "biometric": enr.template, "r_u": run.r_u, "r_s": run.r_s}
     gapless = set()
-    for subset in range(1 << len(_LEAKS)):  # each after all its subsets
-        given = {name: leaks[name]
-                 for bit, name in enumerate(_LEAKS) if subset >> bit & 1}
+    for subset, given in _leak_subsets(enr, run):
         knowledge = AdversaryKnowledge.assemble(scheme, **given)
         plan = adversary.compile_plan(knowledge)
         for gap in plan.gaps:
@@ -367,6 +375,8 @@ def test_the_per_word_loop_derives_only_h():
     plan = adversary.compile_plan(leak_everything(enr, run_session(enr), ()))
     assert plan.gaps == ()
     assert [r.target for r in plan.per_word] == ["H"]  # + the verifier: 2 hashes
+    assert [r.target for r in plan.known] == ["A2", "ID", "R", "N"]
+    assert [r.target for r in plan.on_hit] == ["A6", "SK"]  # A6 only SK needs
 
     enr = enroll("improved")
     knowledge = leak_everything(enr, run_session(enr), ())
@@ -376,6 +386,116 @@ def test_the_per_word_loop_derives_only_h():
     plan = adversary.compile_plan(knowledge, granted)
     assert plan.gaps == ()
     assert [r.target for r in plan.per_word] == ["H"]
+
+
+def _reference_attack(knowledge, granted=None):
+    """The attack run rule by rule: each word runs the plan's known,
+    per_word and on_hit steps through each rule's fn, then the verifier."""
+    out_of_model = bool(granted)
+    plan = adversary.compile_plan(knowledge, granted)
+    if plan.gaps:
+        return AttackOutcome(INSUFFICIENT, gaps=plan.gaps, out_of_model=out_of_model)
+    verifier = adversary.VERIFIERS[knowledge.scheme]
+    for work, word in enumerate(knowledge.dictionary, 1):
+        try:
+            values = dict(plan.atoms, PW=encode_text(word))
+        except ValueError:
+            continue
+        for rule in plan.known + plan.per_word + plan.on_hit:
+            values[rule.target] = rule.fn(*(values[a] for a in rule.needs))
+        if verifier.fn(*(values[a] for a in verifier.needs)) == values[verifier.target]:
+            return AttackOutcome(RECOVERED, work, word, values["ID"], values["SK"],
+                                 out_of_model=out_of_model)
+    return AttackOutcome(EXHAUSTED, len(knowledge.dictionary), out_of_model=out_of_model)
+
+
+def _victim(scheme, grant):
+    """An enrolled user, one leaked session, and the registration instants
+    as `attack_improved` and `compile_plan` take them (None: no grant)."""
+    enr = enroll(scheme)
+    run = run_session(enr)
+    if not grant:
+        return enr, run, None, None
+    rec = enr.server.records[0]
+    return enr, run, (rec.t1_ms, rec.t2_ms), {
+        "T1w": ms_to_field(rec.t1_ms), "T2w": ms_to_field(rec.t2_ms)}
+
+
+_ATTACK_CASES = [("baseline", False, 4), ("improved", False, 0), ("improved", True, 4)]
+
+
+@pytest.mark.parametrize("scheme, grant, recoveries", _ATTACK_CASES)
+def test_the_compiled_attack_equals_the_rules_run_one_by_one(scheme, grant, recoveries):
+    enr, run, instants, granted = _victim(scheme, grant)
+    pw, long, lone = enr.password, "x" * 17, "\ud800"  # encode_text refuses both
+    dictionaries = (
+        (pw, long, "w0", lone, "w1"),
+        (lone, "w0", long, "w1", pw),
+        ("w0", long, lone, "w1", long),
+    )
+    recovered = 0
+    for _, given in _leak_subsets(enr, run):
+        for words in dictionaries:
+            knowledge = AdversaryKnowledge.assemble(scheme, dictionary=words, **given)
+            outcome = adversary.attack(knowledge, instants)
+            assert outcome == _reference_attack(knowledge, granted), (sorted(given), words)
+            recovered += outcome.status == RECOVERED
+    assert recovered == recoveries  # per gapless subset, the two holding PW
+
+
+@pytest.mark.parametrize("scheme, grant", [case[:2] for case in _ATTACK_CASES])
+def test_every_memoised_plan_equals_one_planned_afresh(scheme, grant):
+    enr, run, _, granted = _victim(scheme, grant)
+    for _, given in _leak_subsets(enr, run):
+        plan = adversary.compile_plan(AdversaryKnowledge.assemble(scheme, **given), granted)
+        key = (scheme, adversary._NAMES[scheme].intersection(plan.atoms))
+        fresh = adversary._plan_shape(*key)
+        assert adversary._SHAPES[key] == fresh == replace(plan, atoms={}), sorted(given)
+
+
+def test_an_exhausted_baseline_attack_hashes_twice_per_word(monkeypatch):
+    enr = enroll("baseline")
+    run = run_session(enr)
+    calls = []
+    real_hash = HashEngine.__call__
+
+    def counting_hash(self, *parts):
+        calls.append(parts)
+        return real_hash(self, *parts)
+
+    monkeypatch.setattr(HashEngine, "__call__", counting_hash)
+
+    def hashes(words):
+        calls.clear()
+        outcome = attack_baseline(leak_everything(enr, run, words))
+        assert (outcome.status, outcome.work) == (EXHAUSTED, len(words))
+        return len(calls)
+
+    words = ["nope-%d" % i for i in range(40)]
+    assert hashes(words) - hashes(()) == 2 * len(words)
+
+
+def test_victims_sharing_a_plan_keep_their_own_values():
+    victims = []
+    for seed, identity, password in ((1, "alice", "correct-horse"),
+                                     (2, "bob", "battery-staple")):
+        enr = enroll("baseline", seed=seed, identity=identity, password=password)
+        victims.append((enr, run_session(enr)))
+    plans = [adversary.compile_plan(leak_everything(enr, run, ()))
+             for enr, run in victims]
+    assert plans[0].bind is plans[1].bind  # one memoised shape
+    tests = [plan.bind(plan.atoms) for plan in plans]  # both bound first
+    (a, run_a), (b, run_b) = victims
+    assert tests[0](encode_text(b.password)) is None
+    assert tests[1](encode_text(a.password)) is None
+    assert tests[0](encode_text(a.password)) == (a.user_id, run_a.sk_user)
+    assert tests[1](encode_text(b.password)) == (b.user_id, run_b.sk_user)
+    # each dictionary offers the other victim's password first
+    for (enr, run), (other, _) in zip(victims, victims[::-1]):
+        outcome = attack_baseline(
+            leak_everything(enr, run, [other.password, enr.password]))
+        assert (outcome.work, outcome.password, outcome.identity, outcome.session_key) \
+            == (2, enr.password, enr.user_id, run.sk_user)
 
 
 def _honest_atoms(scheme, monkeypatch):

@@ -119,3 +119,11 @@ def test_report_matches_its_committed_recording(scheme):
     JSON report; CI compares the installed command's output with them."""
     recorded = (RECORDED_COSTS / ("%s.json" % scheme)).read_bytes()
     assert json_report_bytes(cost_report(scheme)) == recorded
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "improved"])
+@pytest.mark.parametrize("bits", [128, 256])
+def test_a_report_runs_where_template_blocks_cannot_correct_a_flip(scheme, bits):
+    # blocks of 1 or 2 bits: the probe reads the template clean
+    report = cost_report(scheme, ProtocolConfig(template_bits=bits))
+    assert report["session_healthy"] is True

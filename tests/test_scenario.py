@@ -453,11 +453,13 @@ _GOOD_HEADER = {"name": "bad", "scheme": "baseline", "seed": 5, "steps": []}
     ({**_GOOD_HEADER, "seed": 1 << 64}, "'seed' must be in [0, 2**64)"),
     ({**_GOOD_HEADER, "name": "n" * 70000},
      "'name' is too long: its session ids reach 70005 bytes"),
+    ({**_GOOD_HEADER, "name": "a\ud800"},
+     "'name' is not text a transcript can hold: it has no UTF-8 encoding"),
 ], ids=["string-document", "string-step", "steps-object", "string-seed",
         "bool-seed", "list-scheme", "string-latency", "negative-window",
         "negative-latency", "latency-past-64-bits", "negative-epoch",
         "epoch-past-64-bits", "negative-seed", "seed-past-64-bits",
-        "name-too-long"])
+        "name-too-long", "name-with-a-lone-surrogate"])
 def test_malformed_scenario_documents_name_the_file_and_replay_exits_2(
     tmp_path, capsys, doc, message
 ):
