@@ -546,11 +546,10 @@ def impersonate(
     server should throw out.  ValueError if the knowledge holds no card.
     """
     atoms = knowledge.atoms
-    ledger = CostLedger()
     try:
         own = replace(  # the victim's clock and window, the card's tools
-            env, params=GroupParams(atoms["p"], atoms["g"]), ledger=ledger,
-            hasher=HashEngine(atoms["h"], ledger),
+            env, params=GroupParams(atoms["p"], atoms["g"]),
+            hasher=HashEngine(atoms["h"]), ledger=CostLedger(),
         )
     except (KeyError, ValueError, TypeError):
         raise ValueError("impersonation needs the captured card") from None

@@ -142,7 +142,9 @@ def _cmd_register(args) -> int:
 
 
 def _cmd_login_run(args) -> int:
-    _refuse_negative("--latency", args.latency)  # checked before any file is read
+    if args.leak and not args.out:  # checked before any file is read
+        raise ValueError("--leak needs --out: the leak is written there")
+    _refuse_negative("--latency", args.latency)
     _refuse_negative("--advance-ms", args.advance_ms)
     if not 0 <= args.noise_blocks <= KEY_BITS:
         raise ValueError("--noise-blocks must be in 0..%d, got %d"

@@ -6,10 +6,11 @@ group elements in masked/wire form.  Keeping a single word type is what
 lets the schemes XOR heterogeneous values together the way their
 equations are written.
 
-The module also owns the instrumented hash engine and modular
-exponentiation (both count into an active :class:`CostLedger`), the
-deterministic per-session RNG, the simulated clock with its freshness
-window, and the server role both schemes share (:class:`BaseServer`).
+The module also owns the hash engine and modular exponentiation (both
+pure: :class:`Env` is the one place that counts them into its
+:class:`CostLedger`), the deterministic per-session RNG, the simulated
+clock with its freshness window, and the server role both schemes
+share (:class:`BaseServer`).
 """
 
 from __future__ import annotations
@@ -280,18 +281,18 @@ class CostLedger:
 
 
 # ---------------------------------------------------------------------------
-# Instrumented hash
+# Hash engine
 # ---------------------------------------------------------------------------
 
 class HashEngine:
-    """h(x1 || x2 || ...) truncated to 128 bits, with call counting.
+    """h(x1 || x2 || ...) truncated to 128 bits.
 
     Every input block must be a full 16-byte word: fixed-width
     concatenation is what makes h(a||b) unambiguous.  The digest is the
     configured algorithm's output truncated to the first 16 bytes.
     """
 
-    def __init__(self, name: str = "sha256", ledger: CostLedger | None = None):
+    def __init__(self, name: str):
         # fail fast on unknown algorithms and on those that cannot yield
         # a 16-byte word (shake_* has digest_size 0: its digest needs a length)
         self._empty = hashlib.new(name)
@@ -300,7 +301,6 @@ class HashEngine:
                 "hash %r cannot yield a %d-byte word" % (name, FIELD_BYTES)
             )
         self.name = name
-        self.ledger = ledger
 
     def __call__(self, *parts: bytes) -> Field128:
         if not parts:
@@ -310,11 +310,8 @@ class HashEngine:
                 raise ValueError(
                     "hash input block must be 16 bytes, got %d" % len(part)
                 )
-        data = b"".join(parts)
-        if self.ledger is not None:
-            self.ledger.count_hash()
         h = self._empty.copy()
-        h.update(data)
+        h.update(b"".join(parts))
         return _new_bytes(Field128, h.digest()[:FIELD_BYTES])
 
 
@@ -406,14 +403,9 @@ class GroupParams:
             raise ValueError("subgroup order must exceed 2**64")
         if not 2 <= self.g <= self.p - 2:
             raise ValueError("g out of range")
-        # order of g divides 2q; excluding 1, p-1 leaves order q or 2q
-        if pow(self.g, 2, self.p) == 1:
-            raise ValueError("g has trivial order")
-
-    def encode(self, x: int) -> Field128:
-        if not 0 <= x < self.p:
-            raise ValueError("element out of group range")
-        return Field128.from_int(x)
+        # the order of g divides 2q and is not 1 or 2: modulo a prime the
+        # only square roots of 1 are 1 and p-1, both excluded above, so g
+        # has order q or 2q
 
 
 _DEFAULT_GROUP = GroupParams(DEFAULT_P, DEFAULT_G)
@@ -444,13 +436,8 @@ def _comb_table(g: int, p: int) -> tuple[tuple[int, ...], ...]:
     return table
 
 
-def mod_exp(
-    base: int | bytes,
-    exponent: int,
-    params: GroupParams,
-    ledger: CostLedger | None = None,
-) -> Field128:
-    """base**exponent mod p as a protocol word, counted in the ledger.
+def mod_exp(base: int | bytes, exponent: int, params: GroupParams) -> Field128:
+    """base**exponent mod p as a protocol word.
 
     ``base`` may be an int or a Field128/bytes wire word.  Bases outside
     (0, p) are a domain error: they cannot be honest group elements and
@@ -463,8 +450,6 @@ def mod_exp(
         raise ValueError("modexp base outside (0, p)")
     if exponent < 0:
         raise ValueError("negative exponent")
-    if ledger is not None:
-        ledger.count_modexp()
     if b != params.g or exponent >= _COMB_LIMIT:
         return Field128.from_int(pow(b, exponent, p))
     r = 1
@@ -571,15 +556,18 @@ class ProtocolConfig:
 class Env:
     """Execution context for one protocol run.
 
-    Bundles the group, the instrumented hash, the ledger and the clock
-    so scheme functions don't take five plumbing arguments each.
+    Bundles the group, the hash, the ledger and the clock so scheme
+    functions don't take five plumbing arguments each.  It is the one
+    place that counts: :meth:`h` and :meth:`mod_exp` count into
+    ``ledger`` once the primitive returns, so a refused input counts
+    nothing.
     """
 
     params: GroupParams
     hasher: HashEngine
     ledger: CostLedger
     clock: SimClock
-    delta_t_ms: int = DEFAULT_DELTA_T_MS
+    delta_t_ms: int
 
     @classmethod
     def from_config(
@@ -588,20 +576,23 @@ class Env:
         clock: SimClock | None = None,
     ) -> "Env":
         config = config or ProtocolConfig()
-        ledger = CostLedger()
         return cls(
             params=config.group(),
-            hasher=HashEngine(config.hash_name, ledger),
-            ledger=ledger,
+            hasher=HashEngine(config.hash_name),
+            ledger=CostLedger(),
             clock=clock if clock is not None else SimClock(),
             delta_t_ms=config.delta_t_ms,
         )
 
     def h(self, *parts: bytes) -> Field128:
-        return self.hasher(*parts)
+        word = self.hasher(*parts)
+        self.ledger.count_hash()
+        return word
 
     def mod_exp(self, base: int | bytes, exponent: int) -> Field128:
-        return mod_exp(base, exponent, self.params, self.ledger)
+        word = mod_exp(base, exponent, self.params)
+        self.ledger.count_modexp()
+        return word
 
     def now_field(self) -> tuple[int, Field128]:
         ms = self.clock.now()

@@ -328,13 +328,13 @@ class _Runner:
             **self.leaked,
         )
         granted = None
-        # the grant is the improved scheme's white-box control, the victim's
-        # (T1, T2); a baseline record has none, so the plain attack runs
+        # the grant is the victim's record times; adversary.attack refuses
+        # the empty grant of a baseline record
         if _get(step, "grant_timestamps", bool, False):
             victim = self._victim(step)
             granted = next(
                 (tuple(ints) for uid, *ints in self.server.state_records()
-                 if uid == victim.user_id and ints),
+                 if uid == victim.user_id),
                 None,
             )
         outcome = adversary.attack(knowledge, granted)

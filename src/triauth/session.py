@@ -75,7 +75,9 @@ class Handshake:
     """One login -> respond -> finish session over `channel`, step by step.
 
     It owns the ledger scopes, the codec and the channel hops, and it
-    is what answers a server rejection on the wire.  It draws no
+    is what answers a server rejection on the wire.  Each party's step
+    is scoped on its own Env: the card's on `env`, the server's on
+    ``server.env``, which differ when an adversary logs in.  It draws no
     randomness (callers pass r_u and r_s, so their RNG streams keep
     their order).  Scheme functions are looked up on `mod` at each
     call, so a wrapper installed on the module or the server class
@@ -104,7 +106,7 @@ class Handshake:
         go, then re-raises the server's ProtocolError."""
         msg = self._recv("login")
         try:
-            with self.env.ledger.scope("authentication", "server"):
+            with self.server.env.ledger.scope("authentication", "server"):
                 reply, sk_server = self.server.respond(
                     msg, r_s, processing_ms=processing_ms
                 )

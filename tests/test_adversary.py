@@ -604,6 +604,23 @@ def test_impersonation_succeeds_after_a_baseline_recovery():
     assert verdict == "accept"
 
 
+def test_impersonation_counts_the_victim_servers_work_in_its_scope():
+    enr = enroll("baseline")
+    ledger, server = enr.env.ledger, ("authentication", "server")
+    run = run_session(enr)  # the first respond this server runs
+    hashes, modexps = dict(ledger.hash_calls), dict(ledger.modexp_calls)
+    knowledge = leak_everything(enr, run, words_with(enr.password, 7))
+    outcome = attack_baseline(knowledge)
+    assert outcome.status == RECOVERED
+    enr.env.clock.advance(500)
+    verdict = impersonate(enr.env, enr.server, knowledge, outcome, SessionRng(9))
+    assert verdict == "accept"
+    # one more respond, and nothing else, lands in the victim's ledger: the
+    # adversary's login and finish count in a ledger of its own
+    assert ledger.hash_calls == {**hashes, server: 2 * hashes[server]}
+    assert ledger.modexp_calls == {**modexps, server: 2 * modexps[server]}
+
+
 def test_impersonation_fails_against_the_improved_server():
     enr = enroll("improved")
     run = run_session(enr)

@@ -256,6 +256,17 @@ def test_login_run_refuses_a_bad_option_before_reading_any_file(
     assert "error: %s\n" % why == capsys.readouterr().err
 
 
+def test_login_run_refuses_leak_without_out_before_reading_any_file(tmp_path, capsys):
+    # without --out the leak would be dropped silently
+    code = run_cli("login-run", "--id", "alice", "--password", "pw",
+                   *_absent_files(tmp_path), "--leak")
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --leak needs --out: the leak is written there\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("noise_blocks", [0, 128])
 def test_login_run_takes_noise_in_no_block_or_every_block(tmp_path, capsys, noise_blocks):
     paths = register(tmp_path, "improved")

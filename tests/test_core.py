@@ -218,12 +218,15 @@ def test_hash_engine_enforces_block_width():
         engine()
 
 
-def test_hash_engine_counts_into_ledger():
-    ledger = CostLedger()
-    engine = HashEngine("sha256", ledger)
-    engine(Field128.zero())
-    engine(Field128.zero(), Field128.zero())
-    assert ledger.hash_total() == 2
+def test_env_h_counts_into_its_ledger():
+    env = Env.from_config()
+    env.h(Field128.zero())
+    env.h(Field128.zero(), Field128.zero())
+    assert env.ledger.hash_total() == 2
+    # a refused block counts nothing
+    with pytest.raises(ValueError):
+        env.h(b"short")
+    assert env.ledger.hash_total() == 2
 
 
 def test_hash_engine_rejects_unknown_algorithm():
@@ -286,25 +289,21 @@ def test_default_group_is_a_safe_prime_group():
 
 
 def test_from_values_rejects_bad_groups():
-    with pytest.raises(ValueError):
-        GroupParams.from_values(DEFAULT_P + 2, 4)  # even, not prime
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p is not prime"):
+        GroupParams.from_values(DEFAULT_P + 2, 4)  # odd, but composite
+    with pytest.raises(ValueError, match="g out of range"):
         GroupParams.from_values(DEFAULT_P, 1)  # g too small
-    with pytest.raises(ValueError):
-        GroupParams.from_values(DEFAULT_P, DEFAULT_P - 1)  # order 2
+    with pytest.raises(ValueError, match="g out of range"):
+        GroupParams.from_values(DEFAULT_P, DEFAULT_P - 1)  # order 2, caught by the range
     # 2^129-ish prime would not fit a wire word
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p must fit in 128 bits"):
         GroupParams.from_values((1 << 130) + 1, 2)
+    # prime, but (13 - 1) / 2 = 6 is not
+    with pytest.raises(ValueError, match="p is not a safe prime"):
+        GroupParams.from_values(13, 4)
     # small safe prime: subgroup too small for the exponent space
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="subgroup order must exceed 2"):
         GroupParams.from_values(23, 4)
-
-
-def test_group_encode_bounds():
-    params = GroupParams.default()
-    assert params.encode(1).to_int() == 1
-    with pytest.raises(ValueError):
-        params.encode(params.p)
 
 
 # ---------------------------------------------------------------------------
@@ -320,25 +319,25 @@ def test_mod_exp_accepts_ints_and_wire_words():
 
 def test_mod_exp_rejects_out_of_group_bases(monkeypatch):
     monkeypatch.setattr(core, "_COMB_TABLES", {})
-    params = GroupParams.default()
-    ledger = CostLedger()
+    env = Env.from_config()
+    params = env.params
     for base, exponent in ((0, 3), (params.p, 3), (3, -1), (params.g, -1)):
         with pytest.raises(ValueError):
-            mod_exp(base, exponent, params, ledger)
+            env.mod_exp(base, exponent)
     # a refused call counts no modexp and builds no table
-    assert ledger.modexp_total() == 0
+    assert env.ledger.modexp_total() == 0
     assert core._COMB_TABLES == {}
 
 
-def test_mod_exp_counts_into_ledger(monkeypatch):
+def test_env_mod_exp_counts_into_its_ledger(monkeypatch):
     monkeypatch.setattr(core, "_COMB_TABLES", {})
-    params = GroupParams.default()
-    ledger = CostLedger()
-    mod_exp(params.g, (1 << 128) - 1, params, ledger)  # from the comb table
-    assert ledger.modexp_total() == 1
+    env = Env.from_config()
+    params = env.params
+    env.mod_exp(params.g, (1 << 128) - 1)  # from the comb table
+    assert env.ledger.modexp_total() == 1
     assert list(core._COMB_TABLES) == [(params.g, params.p)]
-    mod_exp(3, 2, params, ledger)  # from pow
-    assert ledger.modexp_total() == 2
+    env.mod_exp(3, 2)  # from pow
+    assert env.ledger.modexp_total() == 2
 
 
 # the default group and a 96-bit safe-prime group with its own comb table

@@ -372,6 +372,9 @@ _LOGIN_U = {"op": "login", "user": "u", "seed": 12}
      "step 2 (finish): no session yet: login must come first"),
     ([_REGISTER_U, {"op": "leak"}],
      "step 2 (leak): no session yet: login must come first"),
+    ([_REGISTER_U, {"op": "attack", "user": "u", "grant_timestamps": True,
+                    "dictionary": {"size": 5}}],
+     "step 2 (attack): granted timestamps apply to the improved scheme only"),
 ], ids=["undefined-user", "missing-seed", "plant-before-leak", "string-ms",
         "negative-ms", "string-noise-blocks", "int-mask", "non-hex-mask",
         "string-dictionary", "string-seed", "bool-seed", "string-values",
@@ -379,7 +382,8 @@ _LOGIN_U = {"op": "login", "user": "u", "seed": 12}
         "negative-login-seed", "login-seed-past-64-bits", "negative-register-seed",
         "negative-respond-seed", "negative-dictionary-seed",
         "clock-past-64-bits-before-a-login", "clock-reaching-2^64",
-        "respond-before-login", "finish-before-login", "leak-before-login"])
+        "respond-before-login", "finish-before-login", "leak-before-login",
+        "grant-on-a-baseline-record"])
 def test_bad_scenario_input_names_its_step_and_replay_exits_2(
     tmp_path, capsys, steps, message
 ):
