@@ -633,8 +633,9 @@ class BaseServer:
         self.records: list = []  # in enrollment order
 
     def state_records(self) -> list[tuple]:
-        """The state file's records, in enrollment order."""
-        return list(self.records)
+        """The state file's records, in enrollment order: the values
+        ``RECORD_FIELDS`` names, without what a record derives from them."""
+        return [rec[:len(self.RECORD_FIELDS)] for rec in self.records]
 
     def restore_record(self, user_id: Field128, *ints: int) -> None:
         """Re-enroll a user from one of `state_records`' records."""
@@ -647,9 +648,12 @@ class BaseServer:
                 raise ValueError("record time out of 64-bit range: %d" % ms)
         self._add(user_id, *ints)
 
-    def _add(self, user_id: Field128, *ints: int) -> None:
-        """Store a new identity's record; RegistrationError if it is known."""
+    def _add(self, user_id: Field128, *ints: int) -> tuple:
+        """Store and return a new identity's record; RegistrationError if
+        it is known."""
         if user_id in self.user_ids:
             raise RegistrationError("identity already registered")
         self.user_ids.add(user_id)
-        self.records.append(self.Record((user_id, *ints)))
+        rec = self.Record((user_id, *ints))
+        self.records.append(rec)
+        return rec

@@ -58,7 +58,6 @@ from .core import (
     Field128,
     FreshnessFailure,
     LocalAuthFailure,
-    MALFORMED_TIMESTAMP,
     SessionRng,
     UnknownUser,
     WireMessage,
@@ -153,11 +152,20 @@ class PendingLogin:
 
 
 class ServerRecord(NamedTuple):
-    """Per-user registration state: the two long-term timestamps."""
+    """Per-user registration state: the two long-term timestamps, as the
+    millisecond counts the state file holds and as the words the login
+    scan reads, built once when the user is enrolled or restored."""
 
     user_id: Field128
     t1_ms: int
     t2_ms: int
+    T1: Field128
+    T2: Field128
+
+    @classmethod
+    def build(cls, fields: tuple) -> "ServerRecord":
+        user_id, t1_ms, t2_ms = fields
+        return cls(user_id, t1_ms, t2_ms, ms_to_field(t1_ms), ms_to_field(t2_ms))
 
 
 class ImprovedServer(BaseServer):
@@ -166,19 +174,21 @@ class ImprovedServer(BaseServer):
     Login messages carry no cleartext identity, so the server finds
     the right record by trial verification: for each record it unmasks
     the message under that record's timestamps and accepts the record
-    whose C_i verifies.  Trial cost is visible in the ledger.
+    whose C_i verifies.  Trial cost is visible in the ledger.  A record
+    whose tag hash h(T1) differs from Q in the high 8 bytes is dropped
+    on that hash alone: T3 = Q xor h(T1) would not be a timestamp word.
     """
 
     RECORD_FIELDS = ("id", "t1", "t2")
-    Record = ServerRecord._make
+    Record = ServerRecord.build
 
     def enroll(
         self, user_id: Field128, w: Field128, t1_ms: int, t2_ms: int
     ) -> Field128:
         """Registration at the server: returns e; stores (ID, T1, T2)."""
-        self._add(user_id, t1_ms, t2_ms)
+        rec = self._add(user_id, t1_ms, t2_ms)
         g_val = self.env.h(user_id, self.x_word)
-        h_val = g_val ^ ms_to_field(t2_ms)
+        h_val = g_val ^ rec.T2
         return h_val ^ w
 
     def respond(
@@ -188,14 +198,15 @@ class ImprovedServer(BaseServer):
         t4_ms = env.clock.now()
         saw_stale = None  # the freshness fault of a stale record
         saw_mismatch = False
+        q_high = msg.Q[:8]
         for rec in self.records:
-            t1 = ms_to_field(rec.t1_ms)
-            t2 = ms_to_field(rec.t2_ms)
-            t3 = msg.Q ^ env.h(t1)
-            fault = env.freshness_fault(t3, t4_ms, "login")
-            if fault == MALFORMED_TIMESTAMP:
-                continue  # unmasking garbage: not this user's message
-            if fault:
+            tag = env.h(rec.T1)
+            if tag[:8] != q_high:
+                # T3's high half is zero, so Q's is h(T1)'s: not this record
+                continue
+            t1, t2 = rec.T1, rec.T2
+            t3 = msg.Q ^ tag
+            if fault := env.freshness_fault(t3, t4_ms, "login"):
                 # stale under this record's T1; no group work was spent
                 saw_stale = fault
                 continue

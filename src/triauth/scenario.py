@@ -22,9 +22,11 @@ Step vocabulary::
     {"op": "attack", "dictionary": {"size": 1000, "seed": 9,
                                     "plant_at": 417}}
 
-An attack step may instead reference {"file": "words.txt"}, and for
-the improved scheme may set "grant_timestamps": true to run the
-documented out-of-model control alongside the in-model attack.
+An attack step may instead reference {"file": "words.txt"}, read
+relative to the directory of the scenario file (to the working
+directory for a script built in code), and for the improved scheme may
+set "grant_timestamps": true to run the documented out-of-model
+control alongside the in-model attack.
 
 The ops are the runner's ``_op_*`` handlers (``advance-clock`` runs
 ``_op_advance_clock``), and ``KNOWN_OPS`` is read from them.  Leaks are
@@ -76,6 +78,9 @@ class ScenarioScript:
     latency_ms: int = 10
     epoch_ms: int = DEFAULT_EPOCH_MS
     delta_t_ms: int = DEFAULT_DELTA_T_MS
+    # the file the script was read from, beside which a relative
+    # {"file": ...} dictionary is read; None: read from the working directory
+    source: str | Path | None = None
 
     def validate(self) -> None:
         scheme_module(self.scheme)
@@ -123,6 +128,7 @@ def load_scenario(path) -> ScenarioScript:
             latency_ms=_get(doc, "latency_ms", int, 10),
             epoch_ms=_get(doc, "epoch_ms", int, DEFAULT_EPOCH_MS),
             delta_t_ms=_get(doc, "delta_t_ms", int, DEFAULT_DELTA_T_MS),
+            source=path,
         )
         script.validate()
     except ValueError as exc:
@@ -364,11 +370,17 @@ class _Runner:
     def _dictionary(self, step) -> tuple[list[str], dict]:
         spec = _get(step, "dictionary", dict, {})
         if "file" in spec:
-            path = _need(spec, "file", str)
+            path = _need(spec, "file", str)  # recorded as written
+            source = self.script.source
+            full = str(Path(source).parent / path) if source is not None else path
             try:
-                return load_dictionary(path), {"file": path}
+                return load_dictionary(full), {"file": path}
             except OSError as exc:  # a file the script names is its fault too
-                raise ValueError(str(exc)) from None
+                # named as the script writes it, then where that led
+                reason = str(OSError(exc.errno, exc.strerror, path))
+                if full != path:
+                    reason += " (resolved to %r)" % full
+                raise ValueError(reason) from None
         size = _get(spec, "size", int, 1000)
         seed = _get(spec, "seed", int, self.script.seed)
         plant_at = _get(spec, "plant_at", int, None)

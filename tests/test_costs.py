@@ -4,7 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from triauth.core import ProtocolConfig
+from triauth import improved
+from triauth.core import (
+    Env,
+    ProtocolConfig,
+    SessionRng,
+    SimClock,
+    UnknownUser,
+    encode_text,
+)
 from triauth.costs import (
     NOMINAL,
     cost_report,
@@ -12,6 +20,7 @@ from triauth.costs import (
     run_instrumented_session,
 )
 from triauth.files import json_report_bytes
+from triauth.fuzzy import BiometricTemplate
 
 RECORDED_COSTS = Path(__file__).parent / "recordings" / "costs"
 
@@ -127,3 +136,54 @@ def test_a_report_runs_where_template_blocks_cannot_correct_a_flip(scheme, bits)
     # blocks of 1 or 2 bits: the probe reads the template clean
     report = cost_report(scheme, ProtocolConfig(template_bits=bits))
     assert report["session_healthy"] is True
+
+
+_SERVER = ("authentication", "server")
+
+
+def _server_counts(env):
+    """The (hashes, modexps) counted so far in authentication/server."""
+    return env.ledger.hash_calls.get(_SERVER, 0), env.ledger.modexp_calls.get(_SERVER, 0)
+
+
+def test_the_improved_scan_counts_one_hash_per_record_it_passes():
+    """One server, four users; u1 and u2 register in the same millisecond,
+    so they share T1 but not T2.  Each record the scan passes costs its
+    tag hash h(T1); a record whose T1 is the user's also unmasks A1 (one
+    modexp) and tries C_i (three more hashes) before it is passed."""
+    env = Env.from_config(ProtocolConfig(), SimClock(1_700_000_000_000))
+    rng = SessionRng(3)
+    server = improved.Server(env, rng=rng)
+    users = {}
+    for name, exchange_ms in (("u0", 10), ("u1", 0), ("u2", 5), ("u3", 10)):
+        if name != "u2":  # u2 registers in u1's millisecond
+            env.clock.advance(1000)
+        template = BiometricTemplate.random(rng, 512)
+        card = improved.register(env, server, encode_text(name), "pw-" + name,
+                                 template, rng, exchange_ms=exchange_ms)
+        users[name] = (template, card)
+    t1 = [rec.t1_ms for rec in server.records]
+    assert t1[1] == t1[2] and len(set(t1)) == 3
+
+    # the k-th user: (k - 1) tag hashes, then 8 hashes and 3 modexps of
+    # its own; u2 pays 3 hashes and 1 modexp more for u1's record
+    expected = {"u0": (0 + 8, 3), "u1": (1 + 8, 3), "u2": (2 + 3 + 8, 1 + 3),
+                "u3": (3 + 8, 3)}
+    for name, (template, card) in users.items():
+        env.clock.advance(1000)
+        msg, pending = improved.login(env, card, encode_text(name), "pw-" + name,
+                                      template, rng.exponent(env.params))
+        hashes, modexps = _server_counts(env)
+        with env.ledger.scope(*_SERVER):
+            reply, sk_server = server.respond(msg, rng.exponent(env.params))
+        after = _server_counts(env)
+        assert (after[0] - hashes, after[1] - modexps) == expected[name]
+        assert improved.finish(env, pending, reply) == sk_server
+
+    # random bytes: one tag hash per record, no group work
+    noise = improved.LoginMessage.decode(b"".join(rng.field() for _ in range(4)))
+    hashes, modexps = _server_counts(env)
+    with env.ledger.scope(*_SERVER), pytest.raises(UnknownUser):
+        server.respond(noise, rng.exponent(env.params))
+    after = _server_counts(env)
+    assert (after[0] - hashes, after[1] - modexps) == (len(server.records), 0)

@@ -18,6 +18,7 @@ from triauth.core import (
     UnknownUser,
     encode_text,
     field_to_ms,
+    ms_to_field,
 )
 from triauth.fuzzy import BiometricTemplate, perturb_within_tolerance
 
@@ -33,8 +34,6 @@ def test_registration_timestamps_are_distinct_secrets():
     rec = enr.server.records[0]
     assert rec.t2_ms == rec.t1_ms + 10
     # the card holds only the XOR of the two instants
-    from triauth.core import ms_to_field
-
     assert enr.card.T12 == ms_to_field(rec.t1_ms) ^ ms_to_field(rec.t2_ms)
 
 
@@ -115,6 +114,36 @@ def test_trial_lookup_finds_the_right_record_among_users():
         reply, sk_server = enr.server.respond(msg, rng.exponent(env.params))
         assert improved.finish(env, pending, reply) == sk_server
         env.clock.advance(100)
+
+
+@pytest.mark.parametrize("a1", ["zero", "p", "all-ones"])
+def test_a_record_that_unmasks_a1_outside_the_group_is_passed_without_group_work(a1):
+    """A login fresh and tagged under alice's record, whose A1 = A11 xor
+    T2 xor T3 unmasks outside (0, p) there: that record is passed with no
+    modexp counted, bob's record is still tried (its tag hash is counted),
+    and no record matching, the login is an unknown user."""
+    enr = enroll("improved")
+    env = enr.env
+    env.clock.advance(5000)
+    improved.register(
+        env, enr.server, encode_text("bob"), "bob-secret",
+        BiometricTemplate.random(enr.rng, 512), enr.rng, exchange_ms=10,
+    )
+    alice = enr.server.records[0]
+    t1, t2 = ms_to_field(alice.t1_ms), ms_to_field(alice.t2_ms)
+    env.clock.advance(1000)
+    _, t3 = env.now_field()
+    value = {"zero": 0, "p": env.params.p, "all-ones": (1 << 128) - 1}[a1]
+    msg = improved.LoginMessage(
+        NID=Field128.zero(), A11=Field128.from_int(value) ^ t2 ^ t3,
+        C_i=Field128.zero(), Q=t3 ^ env.h(t1),
+    )
+    hashes, modexps = env.ledger.hash_total(), env.ledger.modexp_total()
+    with pytest.raises(UnknownUser):
+        enr.server.respond(msg, enr.rng.exponent(env.params))
+    # one tag hash for alice's record and one for bob's, no group work
+    assert env.ledger.hash_total() - hashes == 2
+    assert env.ledger.modexp_total() == modexps
 
 
 def test_stale_login_is_rejected_without_any_exponentiation():

@@ -284,22 +284,66 @@ def test_a_transcript_leaked_again_is_read_in_full():
     assert attack["session_key"] == result.report["sessions"]["s001"]["sk_user"]
 
 
+_LEAKED_SESSION = [
+    {"op": "register", "user": "u", "password": "pw-filed", "seed": 11},
+    {"op": "advance-clock", "ms": 500},
+    {"op": "login", "user": "u", "seed": 12},
+    {"op": "respond", "seed": 13},
+    {"op": "finish"},
+    {"op": "leak"},
+]
+
+
 def test_attack_step_can_read_a_dictionary_file(tmp_path):
     words = tmp_path / "words.txt"
     words.write_text("alpha\npw-filed\nomega\n")
-    steps = [
-        {"op": "register", "user": "u", "password": "pw-filed", "seed": 11},
-        {"op": "advance-clock", "ms": 500},
-        {"op": "login", "user": "u", "seed": 12},
-        {"op": "respond", "seed": 13},
-        {"op": "finish"},
-        {"op": "leak"},
-        {"op": "attack", "dictionary": {"file": str(words)}},
-    ]
+    steps = _LEAKED_SESSION + [{"op": "attack", "dictionary": {"file": str(words)}}]
     result = run_scenario(_script("baseline", steps))
     (attack,) = result.report["attacks"]
     assert attack["status"] == "recovered"
     assert attack["work"] == 2
+
+
+def test_a_dictionary_file_is_read_beside_its_scenario_from_any_directory(
+    tmp_path, monkeypatch, capsys
+):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "words.txt").write_text("alpha\npw-filed\nomega\n")
+    steps = _LEAKED_SESSION + [{"op": "attack", "dictionary": {"file": "words.txt"}}]
+    (sub / "s.scenario").write_text(json.dumps(
+        {"name": "filed", "scheme": "baseline", "seed": 5, "steps": steps}
+    ))
+    monkeypatch.chdir(tmp_path)
+    assert main(["replay", "--scenario", "sub/s.scenario", "--out", "rec"]) == 0
+    (attack,) = json.loads((tmp_path / "rec" / "report.json").read_text())["attacks"]
+    assert attack["status"] == "recovered"
+    assert attack["dictionary"] == {"file": "words.txt"}  # the path as written
+    capsys.readouterr()
+    monkeypatch.chdir(sub)
+    assert main(["replay", "--scenario", "s.scenario", "--out", "../rec"]) == 0
+    assert "replay of filed is byte-identical to the recording" in capsys.readouterr().out
+    # a missing file is named as written and as resolved
+    (sub / "words.txt").unlink()
+    monkeypatch.chdir(tmp_path)
+    assert main(["replay", "--scenario", "sub/s.scenario", "--out", "rec"]) == 2
+    assert ("step 7 (attack): [Errno 2] No such file or directory: 'words.txt' "
+            "(resolved to 'sub/words.txt')") in capsys.readouterr().err
+
+
+def test_a_script_built_in_code_reads_its_dictionary_file_from_the_working_directory(
+    tmp_path, monkeypatch
+):
+    (tmp_path / "words.txt").write_text("alpha\npw-filed\nomega\n")
+    script = _script("baseline", _LEAKED_SESSION + [
+        {"op": "attack", "dictionary": {"file": "words.txt"}}])
+    monkeypatch.chdir(tmp_path)
+    (attack,) = run_scenario(script).report["attacks"]
+    assert attack["status"] == "recovered"
+    monkeypatch.chdir(tmp_path.parent)
+    with pytest.raises(ValueError, match=re.escape(
+            "step 7 (attack): [Errno 2] No such file or directory: 'words.txt'") + "$"):
+        run_scenario(script)
 
 
 def test_final_clock_accounts_for_latency_and_processing():
