@@ -25,7 +25,6 @@ from .core import (
     ProtocolConfig,
     ProtocolError,
     RegistrationError,
-    ServerSecret,
     SessionRng,
     SimClock,
     UnknownUser,

@@ -148,7 +148,7 @@ class BaselineServer(BaseServer):
             raise FreshnessFailure(fault)
 
         try:
-            a3 = env.mod_exp(msg.A1, self.secret.x)
+            a3 = env.mod_exp(msg.A1, self.x)
         except ValueError as exc:
             raise AuthFailure("A1 is not a group element") from exc
         user_id = msg.NID ^ a3
@@ -200,7 +200,7 @@ def register(
         h=env.hasher.name,
         p=env.params.p,
         g=env.params.g,
-        Y=server.secret.y,
+        Y=server.y,
         P_i=helper,
         L=l_val,
         V=v,

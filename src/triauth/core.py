@@ -458,26 +458,6 @@ def mod_exp(base: int | bytes, exponent: int, params: GroupParams) -> Field128:
     return Field128.from_int(r)
 
 
-@dataclass(frozen=True)
-class ServerSecret:
-    """The server's long-term exponent X and public Y = g^X mod p."""
-
-    x: int
-    y: Field128
-
-    @classmethod
-    def generate(cls, params: GroupParams, rng: "SessionRng") -> "ServerSecret":
-        x = rng.exponent(params)
-        return cls.from_x(params, x)
-
-    @classmethod
-    def from_x(cls, params: GroupParams, x: int) -> "ServerSecret":
-        # y is always recomputed from x, never trusted from storage
-        if not 2 <= x <= params.p - 2:
-            raise ValueError("X out of range")
-        return cls(x, mod_exp(params.g, x, params))
-
-
 # ---------------------------------------------------------------------------
 # Deterministic randomness
 # ---------------------------------------------------------------------------
@@ -609,9 +589,10 @@ class Env:
 
 
 class BaseServer:
-    """The server role both schemes share: the long-term secret X
-    (``x_word`` is X as a protocol word, for h(ID || X)) and one record
-    per registered identity, in enrollment order.  A subclass defines
+    """The server role both schemes share: the long-term secret X, drawn
+    from ``rng`` when not given (``x_word`` is X as a protocol word, for
+    h(ID || X)), its public Y = g^X, and one record per registered
+    identity, in enrollment order.  A subclass defines
     ``enroll`` and ``respond``; one that stores more than the identity
     sets ``RECORD_FIELDS`` (the state file's names for a record's
     values) and ``Record`` (builds a record from (ID, ints...)).
@@ -620,15 +601,18 @@ class BaseServer:
     RECORD_FIELDS: tuple[str, ...] = ("id",)
     Record = tuple
 
-    def __init__(self, env: Env, secret: ServerSecret | None = None,
-                 rng: SessionRng | None = None):
-        if secret is None:
+    def __init__(self, env: Env, x: int | None = None, rng: SessionRng | None = None):
+        params = env.params
+        if x is None:
             if rng is None:
-                raise ValueError("need a secret or an rng to generate one")
-            secret = ServerSecret.generate(env.params, rng)
+                raise ValueError("need X or an rng to draw it")
+            x = rng.exponent(params)
+        elif not 2 <= x <= params.p - 2:
+            raise ValueError("X out of range")
         self.env = env
-        self.secret = secret
-        self.x_word = Field128.from_int(secret.x)
+        self.x = x
+        self.y = mod_exp(params.g, x, params)  # from X, never read from a file
+        self.x_word = Field128.from_int(x)
         self.user_ids: set[Field128] = set()
         self.records: list = []  # in enrollment order
 

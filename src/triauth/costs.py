@@ -52,8 +52,9 @@ def run_instrumented_session(scheme: str, config: ProtocolConfig | None = None):
     # 3 bits; a template of 1- or 2-bit blocks is read clean
     noise_blocks = 16 if config.template_bits >= 3 * KEY_BITS else 0
     noisy = perturb_within_tolerance(template, rng, noise_blocks)
-    # 25 ms each way between card and server
-    channel = SimChannel(env.clock, latency_ms=25)
+    # 25 ms each way between card and server, or the freshness window if
+    # that is shorter, so that each message arrives inside it
+    channel = SimChannel(env.clock, latency_ms=min(25, config.delta_t_ms))
     handshake = Handshake(mod, env, server, channel)
     _, pending = handshake.login(
         card, user_id, "probe-password", noisy, rng.exponent(env.params)

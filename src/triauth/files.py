@@ -23,7 +23,6 @@ from .core import (
     GroupParams,
     HashEngine,
     ProtocolConfig,
-    ServerSecret,
     SessionRng,
     decode_text,
     encode_text,
@@ -250,8 +249,7 @@ def load_server(path, env):
         raise FileFormatError("%s: group parameters disagree with the config" % path)
     if header["hash"][1] != env.hasher.name:
         raise FileFormatError("%s: hash function disagrees with the config" % path)
-    secret = _checked(path, header["X"][0], ServerSecret.from_x, env.params, x)
-    server = server_class(env, secret=secret)
+    server = _checked(path, header["X"][0], server_class, env, x)
     for lineno, key, value in body:
         if key != "record":
             raise _fail(path, lineno, "unknown line %r" % key)

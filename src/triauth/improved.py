@@ -212,7 +212,7 @@ class ImprovedServer(BaseServer):
                 continue
             a1 = msg.A11 ^ t2 ^ t3
             try:
-                a2 = env.mod_exp(a1, self.secret.x)
+                a2 = env.mod_exp(a1, self.x)
             except ValueError:
                 continue  # unmasked value is not a group element
             a22 = a2 ^ t3
@@ -282,7 +282,7 @@ def register(
         h=env.hasher.name,
         p=env.params.p,
         g=env.params.g,
-        Y=server.secret.y,
+        Y=server.y,
         P_i=helper,
         L=l_val,
         V=v,

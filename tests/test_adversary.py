@@ -22,10 +22,11 @@ from triauth.adversary import (
 )
 from triauth.channel import USER_TO_SERVER, SimChannel
 from triauth.core import (
-    Field128, HashEngine, SessionRng, SimClock, encode_text, ms_to_field,
+    Field128, FreshnessFailure, HashEngine, SessionRng, SimClock, encode_text,
+    ms_to_field,
 )
 from triauth.fuzzy import gen, rep
-from triauth.session import SCHEMES
+from triauth.session import SCHEMES, Handshake
 
 
 def leak_everything(enr, run, dictionary):
@@ -359,6 +360,44 @@ def test_a_grant_never_enters_the_knowledge():
     assert not {"T1w", "T2w"} & set(knowledge.atoms)
 
 
+def test_forgery_refuses_baseline_knowledge():
+    enr = enroll("baseline")
+    knowledge = AdversaryKnowledge.assemble("baseline", card=enr.card)
+    with pytest.raises(ValueError, match="specific to the improved scheme"):
+        forge_improved_session_key(knowledge, 0, 0, enr.password)
+
+
+def test_forgery_under_a_guess_too_long_for_a_word_is_none():
+    enr = enroll("improved")
+    run = run_session(enr)
+    rec = enr.server.records[0]
+    knowledge = leak_everything(enr, run, ())
+    assert forge_improved_session_key(knowledge, rec.t1_ms, rec.t2_ms, "x" * 16)
+    assert forge_improved_session_key(knowledge, rec.t1_ms, rec.t2_ms, "x" * 17) is None
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_termination_notice_adds_no_wire_atoms(scheme):
+    """A server-rejected session leaks the login, then the termination
+    notice; the notice is no message and gives no atom."""
+    enr = enroll(scheme)
+    channel = SimChannel(enr.env.clock)
+    handshake = Handshake(SCHEMES[scheme], enr.env, enr.server, channel)
+    params = enr.env.params
+    handshake.login(enr.card, enr.user_id, enr.password, enr.template,
+                    enr.rng.exponent(params))
+    enr.env.clock.advance(enr.env.delta_t_ms + 1)  # the login goes stale
+    with pytest.raises(FreshnessFailure):
+        handshake.respond(enr.rng.exponent(params))
+    leaked = channel.transcript()
+    assert [e.label for e in leaked.entries] == ["login", "termination"]
+    login_only = replace(leaked, entries=leaked.entries[:1])
+    atoms = AdversaryKnowledge.assemble(scheme, transcripts=(leaked,)).atoms
+    assert set(atoms) == {adversary._as_wire(name)
+                          for name in SCHEMES[scheme].LOGIN_WIRE}
+    assert atoms == AdversaryKnowledge.assemble(scheme, transcripts=(login_only,)).atoms
+
+
 def test_forgery_needs_the_leaked_material():
     enr = enroll("improved")
     rec = enr.server.records[0]
@@ -523,7 +562,7 @@ def _honest_atoms(scheme, monkeypatch):
         enr = enroll(scheme)
         run = run_session(enr)
     card, msg, reply, pending = enr.card, run.msg, run.reply, run.pending
-    p, g, x = card.p, card.g, enr.server.secret.x
+    p, g, x = card.p, card.g, enr.server.x
     truth = {
         "B": enr.template, "P_i": card.P_i, "R": made["R"],
         "PW": encode_text(enr.password), "ID": enr.user_id,

@@ -1,6 +1,6 @@
 """Simulated wire: delivery, latency, recording, in-flight corruption."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -12,7 +12,7 @@ from triauth.channel import (
     SimChannel,
 )
 from triauth.core import FreshnessFailure, ProtocolError, SimClock
-from triauth.session import SCHEMES, Handshake, wire_message, wire_traffic
+from triauth.session import SCHEMES, Handshake, scheme_of, wire_message, wire_traffic
 
 
 def make_channel(latency=0):
@@ -156,6 +156,26 @@ def test_a_server_rejection_leaves_the_login_then_the_termination_notice(scheme)
     assert [(e.direction, e.label) for e in channel.transcript().entries] == [
         (USER_TO_SERVER, "login"), (SERVER_TO_USER, "termination"),
     ]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_card_issued_under_another_hash_sends_and_counts_nothing(scheme):
+    enr = enroll(scheme)
+    card = replace(enr.card, h="sha512")
+    channel = SimChannel(enr.env.clock)
+    handshake = Handshake(SCHEMES[scheme], enr.env, enr.server, channel)
+    ledger = enr.env.ledger
+    counts = (ledger.hash_total(), ledger.modexp_total())
+    with pytest.raises(ValueError, match="card was issued under a different hash function"):
+        handshake.login(card, enr.user_id, enr.password, enr.template,
+                        enr.rng.exponent(enr.env.params))
+    assert channel.transcript().entries == []
+    assert (ledger.hash_total(), ledger.modexp_total()) == counts
+
+
+def test_scheme_of_refuses_what_is_no_card_or_server():
+    with pytest.raises(TypeError, match="not a card or server"):
+        scheme_of(object())
 
 
 def test_wire_label_table_lookup():

@@ -6,6 +6,7 @@ import pytest
 
 from triauth import core
 from triauth.core import (
+    BaseServer,
     DEFAULT_G,
     DEFAULT_P,
     CostLedger,
@@ -15,7 +16,6 @@ from triauth.core import (
     HashEngine,
     MALFORMED_TIMESTAMP,
     ProtocolConfig,
-    ServerSecret,
     SessionRng,
     SimClock,
     decode_text,
@@ -375,14 +375,24 @@ def test_diffie_hellman_commutes_over_random_exponents():
         assert mod_exp(gb, a, params) == mod_exp(ga, b, params)
 
 
-def test_server_secret_recomputes_public_value():
-    params = GroupParams.default()
-    secret = ServerSecret.from_x(params, 31337)
-    assert secret.y == mod_exp(params.g, 31337, params)
-    with pytest.raises(ValueError):
-        ServerSecret.from_x(params, 1)
-    generated = ServerSecret.generate(params, SessionRng(5))
-    assert 2 <= generated.x <= params.p - 2
+def test_server_computes_its_public_value_from_x():
+    env = Env.from_config()
+    params = env.params
+    server = BaseServer(env, x=31337)
+    assert (server.x, server.x_word) == (31337, Field128.from_int(31337))
+    assert server.y == mod_exp(params.g, 31337, params)
+    for x in (1, params.p - 1):
+        with pytest.raises(ValueError, match="X out of range"):
+            BaseServer(env, x=x)
+    drawn = BaseServer(env, rng=SessionRng(5))
+    assert drawn.x == SessionRng(5).exponent(params)
+    assert drawn.y == mod_exp(params.g, drawn.x, params)
+    assert env.ledger.modexp_total() == 0  # the server's own Y is not a counted step
+
+
+def test_server_needs_x_or_an_rng():
+    with pytest.raises(ValueError, match="need X or an rng"):
+        BaseServer(Env.from_config())
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,15 @@ def test_a_report_runs_where_template_blocks_cannot_correct_a_flip(scheme, bits)
     assert report["session_healthy"] is True
 
 
+@pytest.mark.parametrize("scheme", ["baseline", "improved"])
+@pytest.mark.parametrize("delta_t_ms", [0, 20])
+def test_a_report_runs_under_a_window_shorter_than_the_probe_hop(scheme, delta_t_ms):
+    # the probe's hop shrinks to the window; the counts do not move
+    report = cost_report(scheme, ProtocolConfig(delta_t_ms=delta_t_ms))
+    assert report["session_healthy"] is True
+    assert json_report_bytes(report) == json_report_bytes(cost_report(scheme))
+
+
 _SERVER = ("authentication", "server")
 
 

@@ -224,8 +224,8 @@ def test_baseline_server_round_trips(tmp_path):
     save_server(enr.server, path)
     env = Env.from_config(ProtocolConfig(), SimClock())
     loaded = load_server(path, env)
-    assert loaded.secret.x == enr.server.secret.x
-    assert loaded.secret.y == enr.server.secret.y  # recomputed, must agree
+    assert loaded.x == enr.server.x
+    assert loaded.y == enr.server.y  # recomputed, must agree
     assert loaded.user_ids == enr.server.user_ids
 
 
@@ -235,7 +235,7 @@ def test_improved_server_round_trips(tmp_path):
     save_server(enr.server, path)
     env = Env.from_config(ProtocolConfig(), SimClock())
     loaded = load_server(path, env)
-    assert loaded.secret.x == enr.server.secret.x
+    assert loaded.x == enr.server.x
     assert loaded.records == enr.server.records
 
 
@@ -294,6 +294,8 @@ _BOB_IMPROVED = b"record: 626f6200000000000000000000000000 1700000000000 1700000
     ("improved", b" 1700000000010\n", b" 18446744073709551616\n", 7,
      "record time out of 64-bit range: 18446744073709551616"),
     ("improved", b"X: facf", b"X: ", 6, "field X must be 16 bytes, got 14"),
+    ("improved", b"X: facf01ff2c00f0c97be4beaa4d5c3fba", b"X: " + b"0" * 31 + b"1", 6,
+     "X out of range"),
     ("baseline", b"record: 616c", b"record 616c", 7, "expected 'key: value'"),
     ("improved", b"X: facf01ff2c00f0c97be4beaa4d5c3fba\n", b"", 1, "missing header line 'X'"),
 ])

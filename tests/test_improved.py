@@ -18,6 +18,7 @@ from triauth.core import (
     UnknownUser,
     encode_text,
     field_to_ms,
+    mod_exp,
     ms_to_field,
 )
 from triauth.fuzzy import BiometricTemplate, perturb_within_tolerance
@@ -210,6 +211,29 @@ def test_single_bit_tamper_on_each_reply_field_is_rejected():
         tampered = improved.ReplyMessage.decode(bytes(raw))
         with pytest.raises(AuthFailure):
             improved.finish(enr.env, pending, tampered)
+
+
+@pytest.mark.parametrize("bad", ["zero", "p"])
+def test_a_reply_that_unmasks_a4_outside_the_group_is_an_auth_failure(bad):
+    """A44 rewritten so that A4 = A44 xor T3 xor T4 is 0 or p: finish
+    refuses it as AuthFailure before any exponentiation is counted."""
+    enr = enroll("improved")
+    env = enr.env
+    params = env.params
+    value = Field128.from_int(0 if bad == "zero" else params.p)
+    env.clock.advance(1000)
+    reading = perturb_within_tolerance(enr.template, enr.rng, 8)
+    msg, pending = improved.login(
+        env, enr.card, enr.user_id, enr.password, reading, enr.rng.exponent(params)
+    )
+    r_s = enr.rng.exponent(params)
+    reply, _ = enr.server.respond(msg, r_s)
+    a4 = mod_exp(params.g, r_s, params)  # the honest A4, uncounted
+    bad_reply = dataclasses.replace(reply, A44=reply.A44 ^ a4 ^ value)
+    with env.ledger.scope("authentication", "user"):
+        with pytest.raises(AuthFailure, match="reply unmasked to a non-group element"):
+            improved.finish(env, pending, bad_reply)
+    assert env.ledger.modexp_calls.get(("authentication", "user"), 0) == 0
 
 
 def test_wire_encoding_round_trips():
