@@ -254,15 +254,15 @@ class CostLedger:
         finally:
             self._stack.pop()
 
-    def _where(self) -> tuple[str, str]:
-        return self._stack[-1] if self._stack else self.UNSCOPED
+    # the scope is read inline: these run once per counted operation
 
-    def count_hash(self) -> None:
-        key = self._where()
-        self.hash_calls[key] = self.hash_calls.get(key, 0) + 1
+    def count_hash(self, n: int = 1) -> None:
+        """Count `n` hashes under the current scope (n > 0)."""
+        key = self._stack[-1] if self._stack else self.UNSCOPED
+        self.hash_calls[key] = self.hash_calls.get(key, 0) + n
 
     def count_modexp(self) -> None:
-        key = self._where()
+        key = self._stack[-1] if self._stack else self.UNSCOPED
         self.modexp_calls[key] = self.modexp_calls.get(key, 0) + 1
 
     # -- rollups ------------------------------------------------------
@@ -579,12 +579,18 @@ class Env:
         return ms, ms_to_field(ms)
 
     def freshness_fault(self, stamp: Field128, now_ms: int, label: str) -> str | None:
-        """None if the timestamp word `stamp` is at most delta_t_ms old at `now_ms`,
-        else MALFORMED_TIMESTAMP or "<label> timestamp outside the window"."""
+        """None if the timestamp word `stamp` is within delta_t_ms of `now_ms`
+        either way, else MALFORMED_TIMESTAMP, "<label> timestamp outside the
+        window" (too old) or "<label> timestamp <n> ms ahead of the clock
+        (window <delta_t_ms> ms)"."""
         if any(stamp[:8]):  # field_to_ms would refuse it; raising costs more
             return MALFORMED_TIMESTAMP
-        if now_ms - field_to_ms(stamp) > self.delta_t_ms:
+        age = now_ms - field_to_ms(stamp)
+        if age > self.delta_t_ms:
             return "%s timestamp outside the window" % label
+        if -age > self.delta_t_ms:
+            return "%s timestamp %d ms ahead of the clock (window %d ms)" % (
+                label, -age, self.delta_t_ms)
         return None
 
 

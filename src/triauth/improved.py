@@ -177,6 +177,8 @@ class ImprovedServer(BaseServer):
     whose C_i verifies.  Trial cost is visible in the ledger.  A record
     whose tag hash h(T1) differs from Q in the high 8 bytes is dropped
     on that hash alone: T3 = Q xor h(T1) would not be a timestamp word.
+    The tag hashes are counted in one ledger call when the scan ends,
+    however it ends; a rejection names the number of records tried.
     """
 
     RECORD_FIELDS = ("id", "t1", "t2")
@@ -195,39 +197,47 @@ class ImprovedServer(BaseServer):
         self, msg: LoginMessage, r_s: int, processing_ms: int = 0
     ) -> tuple[ReplyMessage, Field128]:
         env = self.env
+        hasher = env.hasher
         t4_ms = env.clock.now()
         saw_stale = None  # the freshness fault of a stale record
         saw_mismatch = False
         q_high = msg.Q[:8]
-        for rec in self.records:
-            tag = env.h(rec.T1)
-            if tag[:8] != q_high:
-                # T3's high half is zero, so Q's is h(T1)'s: not this record
-                continue
-            t1, t2 = rec.T1, rec.T2
-            t3 = msg.Q ^ tag
-            if fault := env.freshness_fault(t3, t4_ms, "login"):
-                # stale under this record's T1; no group work was spent
-                saw_stale = fault
-                continue
-            a1 = msg.A11 ^ t2 ^ t3
-            try:
-                a2 = env.mod_exp(a1, self.x)
-            except ValueError:
-                continue  # unmasked value is not a group element
-            a22 = a2 ^ t3
-            user_id = msg.NID ^ a22 ^ env.h(t1, t3, t2)
-            h_val = env.h(user_id, self.x_word) ^ t2
-            expected = env.h(user_id, h_val, a22, msg.A11, t1, t3, t2)
-            if expected == msg.C_i:
-                break  # this record's values carry on below
-            saw_mismatch = True
-        else:
-            if saw_stale:
-                raise FreshnessFailure(saw_stale)
-            if saw_mismatch:
-                raise AuthFailure("login verifier mismatch")
-            raise UnknownUser("no registered identity matches this login")
+        tried = 0  # records whose tag hash h(T1) was computed
+        try:
+            for tried, rec in enumerate(self.records, 1):
+                tag = hasher(rec.T1)  # counted with the others when the scan ends
+                if tag[:8] != q_high:
+                    # T3's high half is zero, so Q's is h(T1)'s: not this record
+                    continue
+                t1, t2 = rec.T1, rec.T2
+                t3 = msg.Q ^ tag
+                if fault := env.freshness_fault(t3, t4_ms, "login"):
+                    # stale under this record's T1; no group work was spent
+                    saw_stale = fault
+                    continue
+                a1 = msg.A11 ^ t2 ^ t3
+                try:
+                    a2 = env.mod_exp(a1, self.x)
+                except ValueError:
+                    continue  # unmasked value is not a group element
+                a22 = a2 ^ t3
+                user_id = msg.NID ^ a22 ^ env.h(t1, t3, t2)
+                h_val = env.h(user_id, self.x_word) ^ t2
+                expected = env.h(user_id, h_val, a22, msg.A11, t1, t3, t2)
+                if expected == msg.C_i:
+                    break  # this record's values carry on below
+                saw_mismatch = True
+            else:
+                if saw_stale:
+                    raise FreshnessFailure(saw_stale)
+                if saw_mismatch:
+                    raise AuthFailure("login verifier mismatch (%d records tried)" % tried)
+                raise UnknownUser(
+                    "no registered identity matches this login (%d records tried)" % tried
+                )
+        finally:
+            if tried:  # one tag hash per record tried; no record, no ledger entry
+                env.ledger.count_hash(tried)
 
         t4 = ms_to_field(t4_ms)
         a4 = env.mod_exp(env.params.g, r_s)

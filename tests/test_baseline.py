@@ -13,6 +13,7 @@ from triauth.core import (
     LocalAuthFailure,
     RegistrationError,
     SessionRng,
+    SimClock,
     UnknownUser,
     ms_to_field,
 )
@@ -165,6 +166,54 @@ def test_each_freshness_rejection_says_why():
     with pytest.raises(FreshnessFailure, match="^reply timestamp outside the window$"):
         baseline.finish(enr.env, run.pending, run.reply)
 
+
+
+def _clock_ahead(env, ms):
+    """`env` with a clock of its own, `ms` ahead of env's (behind if negative)."""
+    return dataclasses.replace(env, clock=SimClock(env.clock.now() + ms))
+
+
+@pytest.mark.parametrize("over", [0, 1])
+def test_a_login_stamped_ahead_of_the_server_is_refused_past_the_window(over):
+    """The window bounds a stamp from the future too: a login stamped
+    delta_t ahead of the server's clock is accepted, one ms more is not."""
+    enr = enroll("baseline")
+    env = enr.env
+    env.clock.advance(60_000)
+    ahead = env.delta_t_ms + over
+    reading = perturb_within_tolerance(enr.template, enr.rng, 8)
+    msg, pending = baseline.login(
+        _clock_ahead(env, ahead), enr.card, enr.user_id, enr.password, reading,
+        enr.rng.exponent(env.params),
+    )
+    r_s = enr.rng.exponent(env.params)
+    if over:
+        with pytest.raises(FreshnessFailure, match=r"^login timestamp %d ms ahead of "
+                           r"the clock \(window %d ms\)$" % (ahead, env.delta_t_ms)):
+            enr.server.respond(msg, r_s)
+    else:
+        reply, sk_server = enr.server.respond(msg, r_s)
+        assert baseline.finish(env, pending, reply) == sk_server
+
+
+@pytest.mark.parametrize("over", [0, 1])
+def test_a_reply_stamped_ahead_of_the_card_is_refused_past_the_window(over):
+    enr = enroll("baseline")
+    env = enr.env
+    env.clock.advance(60_000)
+    reading = perturb_within_tolerance(enr.template, enr.rng, 8)
+    msg, pending = baseline.login(
+        env, enr.card, enr.user_id, enr.password, reading, enr.rng.exponent(env.params)
+    )
+    reply, sk_server = enr.server.respond(msg, enr.rng.exponent(env.params))
+    ahead = env.delta_t_ms + over
+    card_env = _clock_ahead(env, -ahead)  # the card's clock lags the server's
+    if over:
+        with pytest.raises(FreshnessFailure, match=r"^reply timestamp %d ms ahead of "
+                           r"the clock \(window %d ms\)$" % (ahead, env.delta_t_ms)):
+            baseline.finish(card_env, pending, reply)
+    else:
+        assert baseline.finish(card_env, pending, reply) == sk_server
 
 def test_unregistered_identity_is_unknown():
     enr = enroll("baseline")

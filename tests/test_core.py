@@ -487,3 +487,8 @@ def test_freshness_fault_is_the_window_check():
             == "reply timestamp outside the window")
     malformed = Field128.from_int(1 << 64 | now)  # a high bit set
     assert env.freshness_fault(malformed, now, "login") == MALFORMED_TIMESTAMP
+    # the one window bounds a stamp ahead of the clock too
+    ahead = now + env.delta_t_ms
+    assert env.freshness_fault(ms_to_field(ahead), now, "login") is None
+    assert (env.freshness_fault(ms_to_field(now + 10_000_000), now, "login")
+            == "login timestamp 10000000 ms ahead of the clock (window 2000 ms)")

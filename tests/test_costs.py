@@ -1,12 +1,17 @@
 """Cost instrumentation against the nominal comparison figures."""
 
+import dataclasses
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
 
 from triauth import improved
 from triauth.core import (
+    AuthFailure,
     Env,
+    Field128,
+    FreshnessFailure,
     ProtocolConfig,
     SessionRng,
     SimClock,
@@ -155,11 +160,10 @@ def _server_counts(env):
     return env.ledger.hash_calls.get(_SERVER, 0), env.ledger.modexp_calls.get(_SERVER, 0)
 
 
-def test_the_improved_scan_counts_one_hash_per_record_it_passes():
+def _crowded_server():
     """One server, four users; u1 and u2 register in the same millisecond,
-    so they share T1 but not T2.  Each record the scan passes costs its
-    tag hash h(T1); a record whose T1 is the user's also unmasks A1 (one
-    modexp) and tries C_i (three more hashes) before it is passed."""
+    so they share T1 but not T2.  Returns the env, the rng, the server
+    and each user's (template, card)."""
     env = Env.from_config(ProtocolConfig(), SimClock(1_700_000_000_000))
     rng = SessionRng(3)
     server = improved.Server(env, rng=rng)
@@ -173,6 +177,14 @@ def test_the_improved_scan_counts_one_hash_per_record_it_passes():
         users[name] = (template, card)
     t1 = [rec.t1_ms for rec in server.records]
     assert t1[1] == t1[2] and len(set(t1)) == 3
+    return env, rng, server, users
+
+
+def test_the_improved_scan_counts_one_hash_per_record_it_passes():
+    """Each record the scan passes costs its tag hash h(T1); a record
+    whose T1 is the user's also unmasks A1 (one modexp) and tries C_i
+    (three more hashes) before it is passed."""
+    env, rng, server, users = _crowded_server()
 
     # the k-th user: (k - 1) tag hashes, then 8 hashes and 3 modexps of
     # its own; u2 pays 3 hashes and 1 modexp more for u1's record
@@ -196,3 +208,49 @@ def test_the_improved_scan_counts_one_hash_per_record_it_passes():
         server.respond(noise, rng.exponent(env.params))
     after = _server_counts(env)
     assert (after[0] - hashes, after[1] - modexps) == (len(server.records), 0)
+
+
+class _CountingHasher:
+    """Stands in for a HashEngine and counts the hashes it computes."""
+
+    def __init__(self, engine):
+        self.engine, self.name, self.calls = engine, engine.name, 0
+
+    def __call__(self, *parts):
+        word = self.engine(*parts)
+        self.calls += 1
+        return word
+
+
+def test_the_improved_server_counts_exactly_the_hashes_it_computes():
+    """However respond ends, the hashes counted under authentication/server
+    are the hashes computed: the scan's tag hashes are counted in one call."""
+    env, rng, server, users = _crowded_server()
+    env.hasher = hasher = _CountingHasher(env.hasher)
+
+    def respond(msg, fails=None):
+        computed, counted = hasher.calls, _server_counts(env)[0]
+        with env.ledger.scope(*_SERVER), pytest.raises(fails) if fails else nullcontext():
+            server.respond(msg, rng.exponent(env.params))
+        assert _server_counts(env)[0] - counted == hasher.calls - computed > 0
+
+    def login(name):
+        template, card = users[name]
+        env.clock.advance(1000)
+        return improved.login(env, card, encode_text(name), "pw-" + name,
+                              template, rng.exponent(env.params))[0]
+
+    for name in users:  # the k-th user accepted
+        respond(login(name))
+    stale = login("u3")
+    env.clock.advance(env.delta_t_ms + 1)
+    respond(stale, FreshnessFailure)
+    msg = login("u2")
+    respond(dataclasses.replace(msg, C_i=msg.C_i ^ Field128.from_int(1)), AuthFailure)
+    respond(improved.LoginMessage.decode(b"".join(rng.field() for _ in range(4))),
+            UnknownUser)
+    # fresh and tagged under u0's record, whose A1 unmasks to 0 there
+    u0 = server.records[0]
+    _, t3 = env.now_field()
+    respond(improved.LoginMessage(NID=Field128.zero(), A11=u0.T2 ^ t3, C_i=Field128.zero(),
+                                  Q=t3 ^ hasher.engine(u0.T1)), UnknownUser)

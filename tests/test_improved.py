@@ -15,6 +15,7 @@ from triauth.core import (
     LocalAuthFailure,
     RegistrationError,
     SessionRng,
+    SimClock,
     UnknownUser,
     encode_text,
     field_to_ms,
@@ -178,6 +179,57 @@ def test_a_stale_login_names_the_window():
     with pytest.raises(FreshnessFailure, match="^login timestamp outside the window$"):
         enr.server.respond(run.msg, enr.rng.exponent(enr.env.params))
 
+
+
+@pytest.mark.parametrize("over", [0, 1])
+def test_a_login_stamped_ahead_of_the_server_is_refused_past_the_window(over):
+    """T3 out of Q is bounded from the future too: delta_t ahead of the
+    server's clock is accepted, one ms more is refused."""
+    enr = enroll("improved")
+    env = enr.env
+    env.clock.advance(60_000)
+    ahead = env.delta_t_ms + over
+    card_env = dataclasses.replace(env, clock=SimClock(env.clock.now() + ahead))
+    reading = perturb_within_tolerance(enr.template, enr.rng, 8)
+    msg, pending = improved.login(
+        card_env, enr.card, enr.user_id, enr.password, reading,
+        enr.rng.exponent(env.params),
+    )
+    r_s = enr.rng.exponent(env.params)
+    if over:
+        with pytest.raises(FreshnessFailure, match=r"^login timestamp %d ms ahead of "
+                           r"the clock \(window %d ms\)$" % (ahead, env.delta_t_ms)):
+            enr.server.respond(msg, r_s)
+    else:
+        reply, sk_server = enr.server.respond(msg, r_s)
+        assert improved.finish(env, pending, reply) == sk_server
+
+
+def test_a_rejection_names_the_records_the_scan_tried():
+    """A flipped C_i and random bytes both pass every record, and the
+    rejection says how many: one record, then four."""
+    enr = enroll("improved")
+    env, rng, server = enr.env, enr.rng, enr.server
+    for n in (1, 4):
+        while len(server.records) < n:
+            env.clock.advance(1000)
+            improved.register(
+                env, server, encode_text("user-%d" % len(server.records)), "pw",
+                BiometricTemplate.random(rng, 512), rng, exchange_ms=10,
+            )
+        env.clock.advance(1000)
+        reading = perturb_within_tolerance(enr.template, rng, 8)
+        msg, _ = improved.login(
+            env, enr.card, enr.user_id, enr.password, reading, rng.exponent(env.params)
+        )
+        flipped = dataclasses.replace(msg, C_i=msg.C_i ^ Field128.from_int(1))
+        with pytest.raises(AuthFailure,
+                           match=r"^login verifier mismatch \(%d records tried\)$" % n):
+            server.respond(flipped, rng.exponent(env.params))
+        noise = improved.LoginMessage.decode(b"".join(rng.field() for _ in range(4)))
+        with pytest.raises(UnknownUser, match=r"^no registered identity matches "
+                           r"this login \(%d records tried\)$" % n):
+            server.respond(noise, rng.exponent(env.params))
 
 def test_single_bit_tamper_on_each_login_field_is_rejected():
     enr = enroll("improved")
