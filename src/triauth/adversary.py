@@ -53,7 +53,14 @@ from .core import (
 )
 from .channel import SimChannel, Transcript
 from .fuzzy import BiometricTemplate, rep
-from .session import Handshake, card_from_fields, scheme_module, wire_message
+from .session import (
+    SCHEMES,
+    WIRE_LABELS,
+    Handshake,
+    card_from_fields,
+    scheme_module,
+    wire_message,
+)
 
 # Atoms the model says the adversary never holds.  Checked
 # case-insensitively against every atom a knowledge holds.
@@ -207,7 +214,7 @@ def _derive(equations) -> tuple[tuple[Derivation, ...], Derivation]:
 # Per scheme, compiled once: the rules and the verifier the attack tests.
 RULES: dict[str, tuple[Derivation, ...]] = {}
 VERIFIERS: dict[str, Derivation] = {}
-for _mod in (baseline, improved):
+for _mod in SCHEMES.values():
     RULES[_mod.SCHEME], VERIFIERS[_mod.SCHEME] = _derive(_mod.EQUATIONS)
 
 # What a successful attack must produce besides the password.
@@ -222,11 +229,10 @@ def _wire_atoms(scheme: str, transcript: Transcript) -> dict[str, Field128]:
     mod = scheme_module(scheme)
     atoms: dict[str, Field128] = {}
     for entry in transcript.entries:
-        try:
-            words = wire_message(mod, entry.label)[1].words(entry.data)
-        except ValueError:
-            continue  # a termination notice, or bytes of another length
-        for name, word in words.items():
+        if entry.label not in WIRE_LABELS:
+            continue  # a termination notice
+        # ValueError for a message of another length: another scheme's
+        for name, word in wire_message(mod, entry.label)[1].words(entry.data).items():
             # timestamps captured off the wire are words, not clock
             # readings the adversary can trust
             atoms.setdefault(_as_wire(name), word)

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import adversary
-from .channel import SimChannel
+from .channel import WIRE_TERMINATION, SimChannel
 from .core import (
     AuthFailure,
     Env,
@@ -180,7 +180,7 @@ def _cmd_login_run(args) -> int:
         sk_user = handshake.finish(pending)
     except ProtocolError as exc:
         _print("session rejected locally: %s (%s)" % (exc, exc.code))
-        _print("wire view: session terminated")
+        _print("wire view: %s" % WIRE_TERMINATION)
         return _exit_code_for(exc)
 
     match = sk_user == sk_server

@@ -24,6 +24,7 @@ from operator import attrgetter
 
 FIELD_BYTES = 16
 DEFAULT_DELTA_T_MS = 2000
+DEFAULT_EPOCH_MS = 1_700_000_000_000  # where a SimClock starts
 MALFORMED_TIMESTAMP = "malformed timestamp"
 
 # Largest 128-bit safe prime: p = 2q + 1 with q prime.  g = 4 is a
@@ -208,7 +209,7 @@ class SimClock:
     in [0, 2**64) ms, the range a protocol timestamp can carry.
     """
 
-    def __init__(self, start_ms: int = 1_700_000_000_000):
+    def __init__(self, start_ms: int = DEFAULT_EPOCH_MS):
         if not 0 <= start_ms < (1 << 64):
             raise ValueError("clock start must be in [0, 2**64) ms, got %d" % start_ms)
         self._now = start_ms

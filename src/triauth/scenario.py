@@ -43,6 +43,7 @@ from . import adversary
 from .channel import SimChannel, Transcript
 from .core import (
     DEFAULT_DELTA_T_MS,
+    DEFAULT_EPOCH_MS,
     FIELD_BYTES,
     Env,
     ProtocolConfig,
@@ -62,7 +63,6 @@ from .files import (
 from .fuzzy import BiometricTemplate, perturb_within_tolerance
 from .session import Handshake, scheme_module, wire_message, wire_traffic
 
-DEFAULT_EPOCH_MS = 1_700_000_000_000
 LEAKABLE = ("card", "biometric", "r_u", "r_s", "transcript")
 
 _KIND_NAMES = {str: "a string", int: "an integer", list: "a list",
@@ -125,10 +125,10 @@ def load_scenario(path) -> ScenarioScript:
             scheme=_need(doc, "scheme", str),
             seed=_need(doc, "seed", int),
             steps=_need(doc, "steps", list),
-            latency_ms=_get(doc, "latency_ms", int, 10),
-            epoch_ms=_get(doc, "epoch_ms", int, DEFAULT_EPOCH_MS),
-            delta_t_ms=_get(doc, "delta_t_ms", int, DEFAULT_DELTA_T_MS),
             source=path,
+            # the optional keys the file holds; ScenarioScript has the defaults
+            **{key: _need(doc, key, int)
+               for key in ("latency_ms", "epoch_ms", "delta_t_ms") if key in doc},
         )
         script.validate()
     except ValueError as exc:
@@ -170,6 +170,7 @@ class _Session:
 
 class _Runner:
     def __init__(self, script: ScenarioScript):
+        script.validate()  # a script built in code is checked as a file's is
         self.script = script
         self.config = ProtocolConfig(delta_t_ms=script.delta_t_ms)
         self.env = Env.from_config(self.config, SimClock(script.epoch_ms))

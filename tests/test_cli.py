@@ -405,6 +405,31 @@ def test_grant_timestamps_is_refused_for_the_baseline_scheme(tmp_path, capsys):
     assert "improved scheme" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("card_scheme, capture_scheme, reply_bytes", [
+    ("baseline", "improved", 48), ("improved", "baseline", 64),
+])
+def test_a_transcript_of_the_other_scheme_is_refused(
+    tmp_path, capsys, card_scheme, capture_scheme, reply_bytes
+):
+    """The reply gives the other scheme away: the replies differ in length.
+    A transcript that holds only a login could not be told apart, since
+    both schemes' logins are 64 bytes."""
+    for scheme in (card_scheme, capture_scheme):
+        (tmp_path / scheme).mkdir()
+    card = register(tmp_path / card_scheme, card_scheme)["card"]
+    capture = tmp_path / capture_scheme / "capture"
+    assert login(tmp_path, register(tmp_path / capture_scheme, capture_scheme),
+                 extra=("--out", str(capture))) == 0
+    words, _ = write_words(tmp_path, "hunter-glacier")
+    capsys.readouterr()
+    code = run_cli("attack", "--card", card,
+                   "--transcript", capture / "transcript.bin", "--dict", words)
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "triauth.%s.ReplyMessage must be %d bytes" % (card_scheme, reply_bytes) in err
+
+
 @pytest.mark.parametrize("grant", ["", "5", "1,2,3", "a,b", "-5,3", "3,-5",
                                    "99999999999999999999999,3"])
 def test_a_malformed_grant_is_refused_before_the_attack_runs(tmp_path, capsys, grant):

@@ -1,0 +1,49 @@
+"""Each module imports on its own, in a fresh interpreter.
+
+The package root exports only ``__version__``, so no module may lean on
+another having been imported first.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted(p.stem for p in (SRC / "triauth").glob("*.py") if p.stem != "__init__")
+_LIST_LOADED = "print(' '.join(sorted(m for m in sys.modules if m.startswith('triauth'))))"
+
+
+@pytest.fixture(scope="module")
+def imports():
+    """Per module: (exit status, the triauth modules loaded, stderr) of a
+    fresh interpreter that imports only it.  The interpreters run side by
+    side, as their start-up is most of the time."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    runs = {
+        module: subprocess.Popen(
+            # -S: no site-packages, so the standard library must suffice
+            [sys.executable, "-S", "-c",
+             "import sys, triauth.%s; %s" % (module, _LIST_LOADED)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for module in MODULES
+    }
+    results = {}
+    for module, run in runs.items():
+        out, err = run.communicate()
+        results[module] = run.returncode, out.split(), err
+    return results
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_a_module_imports_on_its_own(imports, module):
+    status, loaded, err = imports[module]
+    assert status == 0, err
+    assert "triauth." + module in loaded
+
+
+def test_importing_core_loads_nothing_else(imports):
+    assert imports["core"][1] == ["triauth", "triauth.core"]

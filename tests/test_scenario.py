@@ -44,6 +44,15 @@ def test_scenario_validation_catches_unknown_ops():
         ScenarioScript("x", "quantum", 1, []).validate()
 
 
+@pytest.mark.parametrize("steps, message", [
+    ([{"op": "teleport"}], "step 1: unknown op 'teleport'"),
+    (["nope"], "step 1 is not an object"),
+], ids=["unknown-op", "string-step"])
+def test_a_script_built_in_code_is_checked_as_a_file_is(steps, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        run_scenario(ScenarioScript("x", "baseline", 1, steps))
+
+
 def test_load_scenario_requires_the_header_keys(tmp_path):
     path = tmp_path / "s.scenario"
     path.write_text('{"name": "x", "scheme": "baseline", "steps": []}')
