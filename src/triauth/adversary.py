@@ -578,11 +578,11 @@ def impersonate(
         )
         card = replace(card, Y=atoms["Y"])
 
-    handshake = Handshake(mod, own, server, SimChannel(env.clock))
+    handshake = Handshake(mod, own, server)  # on the victim's clock: own shares it
     try:
-        _, pending = handshake.login(card, user_id, password, reading, r_fresh)
+        handshake.login(card, user_id, password, reading, r_fresh)
         handshake.respond(rng.exponent(env.params))
-        handshake.finish(pending)
+        handshake.finish()
     except ProtocolError:
         return REJECT
     return ACCEPT

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import adversary
-from .channel import WIRE_TERMINATION, SimChannel
+from .channel import WIRE_TERMINATION
 from .core import (
     AuthFailure,
     Env,
@@ -164,29 +164,25 @@ def _cmd_login_run(args) -> int:
         env.clock.advance(args.advance_ms)
 
     session_id = "cli-%d" % seed
-    channel = SimChannel(
-        env.clock, latency_ms=args.latency, session_id=session_id, rng_seed=seed
-    )
-    handshake = Handshake(SCHEMES[scheme], env, server, channel)
+    handshake = Handshake(SCHEMES[scheme], env, server, latency_ms=args.latency,
+                          session_id=session_id, rng_seed=seed)
     reading = perturb_within_tolerance(template, rng, args.noise_blocks)
-    r_u = rng.exponent(env.params)
     r_s = SessionRng(derive_seed(seed, "server-ephemeral")).exponent(env.params)
 
     try:
-        _, pending = handshake.login(
-            card, encode_text(args.id), args.password, reading, r_u
-        )
-        _, sk_server = handshake.respond(r_s, processing_ms=3)
-        sk_user = handshake.finish(pending)
+        handshake.login(card, encode_text(args.id), args.password, reading,
+                        rng.exponent(env.params))
+        handshake.respond(r_s, processing_ms=3)
+        handshake.finish()
     except ProtocolError as exc:
         _print("session rejected locally: %s (%s)" % (exc, exc.code))
         _print("wire view: %s" % WIRE_TERMINATION)
         return _exit_code_for(exc)
 
-    match = sk_user == sk_server
+    match = handshake.keys_match()
     _print("session %s complete" % session_id)
-    _print("session key (user):   %s" % sk_user.hex())
-    _print("session key (server): %s" % sk_server.hex())
+    _print("session key (user):   %s" % handshake.sk_user.hex())
+    _print("session key (server): %s" % handshake.sk_server.hex())
     _print("keys match: %s" % ("yes" if match else "NO"))
     for where, n in env.ledger.phase_table().items():
         _print("hash %-24s %d" % (where, n))
@@ -194,14 +190,14 @@ def _cmd_login_run(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        save_transcript(channel.transcript(), out / "transcript.bin")
+        save_transcript(handshake.channel.transcript(), out / "transcript.bin")
         _print("transcript -> %s" % (out / "transcript.bin"))
         if args.leak:
             leak = {
                 "session": session_id,
                 "seed": seed,
-                "r_u": r_u,
-                "r_s": r_s,
+                "r_u": handshake.r_u,
+                "r_s": handshake.r_s,
             }
             write_json_report(leak, out / "leak.json")
             _print("leaked session randomness -> %s" % (out / "leak.json"))

@@ -274,11 +274,11 @@ class CostLedger:
     def modexp_total(self) -> int:
         return sum(self.modexp_calls.values())
 
-    def phase_table(self) -> dict[str, int]:
-        """Hash counts keyed "phase/principal", sorted for stable reports."""
-        return {
-            "%s/%s" % key: n for key, n in sorted(self.hash_calls.items())
-        }
+    def phase_table(self, calls: dict | None = None) -> dict[str, int]:
+        """`calls` (the hash counts by default, or ``modexp_calls``) keyed
+        "phase/principal", sorted for stable reports."""
+        calls = self.hash_calls if calls is None else calls
+        return {"%s/%s" % key: n for key, n in sorted(calls.items())}
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ breakdown and flags the difference rather than massaging it.
 from __future__ import annotations
 
 from . import baseline, improved
-from .channel import SimChannel
 from .core import Env, ProtocolConfig, SessionRng, SimClock, encode_text
 from .fuzzy import KEY_BITS, BiometricTemplate, perturb_within_tolerance
 from .session import Handshake, scheme_module, wire_traffic
@@ -30,9 +29,9 @@ def run_instrumented_session(scheme: str, config: ProtocolConfig | None = None):
     """One honest registration + authentication with full accounting,
     seeded by ``config.seed``.
 
-    Returns (env, session_keys, transcript): both keys are equal if the
-    run was healthy, the env's ledger carries the operation counts and
-    the transcript the authentication's wire traffic.
+    Returns (env, handshake): the env's ledger carries the operation
+    counts, and the handshake both keys and, in its channel's
+    transcript, the authentication's wire traffic.
     """
     mod = scheme_module(scheme)
     config = config or ProtocolConfig()
@@ -54,31 +53,28 @@ def run_instrumented_session(scheme: str, config: ProtocolConfig | None = None):
     noisy = perturb_within_tolerance(template, rng, noise_blocks)
     # 25 ms each way between card and server, or the freshness window if
     # that is shorter, so that each message arrives inside it
-    channel = SimChannel(env.clock, latency_ms=min(25, config.delta_t_ms))
-    handshake = Handshake(mod, env, server, channel)
-    _, pending = handshake.login(
-        card, user_id, "probe-password", noisy, rng.exponent(env.params)
-    )
-    _, sk_server = handshake.respond(rng.exponent(env.params), processing_ms=3)
-    sk_user = handshake.finish(pending)
-    return env, (sk_user, sk_server), channel.transcript()
+    handshake = Handshake(mod, env, server, latency_ms=min(25, config.delta_t_ms))
+    handshake.login(card, user_id, "probe-password", noisy, rng.exponent(env.params))
+    handshake.respond(rng.exponent(env.params), processing_ms=3)
+    handshake.finish()
+    return env, handshake
 
 
 def cost_report(scheme: str, config: ProtocolConfig | None = None) -> dict:
-    env, (sk_user, sk_server), transcript = run_instrumented_session(scheme, config)
+    env, handshake = run_instrumented_session(scheme, config)
     ledger = env.ledger
     nominal = NOMINAL[scheme]
 
     total = ledger.hash_total()
     reg = sum(n for (phase, _), n in ledger.hash_calls.items()
               if phase == "registration")
-    messages = wire_traffic(transcript)
+    messages = wire_traffic(handshake.channel.transcript())
     wire_bits = sum(bits for _, bits in messages)
     storage_units = len(scheme_module(scheme).Card.FIELD_NAMES)
 
     report = {
         "scheme": scheme,
-        "session_healthy": sk_user == sk_server,
+        "session_healthy": handshake.keys_match(),
         "hash": {
             "by_phase": ledger.phase_table(),
             "total": total,
@@ -88,9 +84,7 @@ def cost_report(scheme: str, config: ProtocolConfig | None = None) -> dict:
             or total - reg == nominal["hash_total"],
         },
         "modexp": {
-            "by_phase": {
-                "%s/%s" % k: n for k, n in sorted(ledger.modexp_calls.items())
-            },
+            "by_phase": ledger.phase_table(ledger.modexp_calls),
             "total": ledger.modexp_total(),
         },
         "wire": {

@@ -14,7 +14,7 @@ Step vocabulary::
      "password": "...", "seed": 101}
     {"op": "advance-clock", "ms": 60000}
     {"op": "login", "user": "alice", "seed": 102, "noise_blocks": 16}
-    {"op": "respond", "seed": 103}
+    {"op": "respond", "seed": 103, "processing_ms": 3}
     {"op": "finish"}
     {"op": "leak", "values": ["card", "biometric", "r_u", "r_s",
                               "transcript"]}
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import adversary
-from .channel import SimChannel, Transcript
+from .channel import Transcript
 from .core import (
     DEFAULT_DELTA_T_MS,
     DEFAULT_EPOCH_MS,
@@ -157,15 +157,7 @@ class _Session:
     user: str
     seed: int
     handshake: Handshake
-    pending: object = None
-    r_u: int | None = None
-    r_s: int | None = None
-    sk_user: bytes | None = None
-    sk_server: bytes | None = None
     error: str | None = None
-
-    def keys_match(self) -> bool:
-        return self.sk_user is not None and self.sk_user == self.sk_server
 
 
 class _Runner:
@@ -228,62 +220,55 @@ class _Runner:
         user = self._user(_need(step, "user", str))
         seed = _need(step, "seed", int)
         rng = SessionRng(seed)
-        channel = SimChannel(
-            self.env.clock,
-            latency_ms=self.script.latency_ms,
-            session_id=_channel_session_id(self.script.name, len(self.sessions) + 1),
-            rng_seed=seed,
-        )
+        number = len(self.sessions) + 1
         session = _Session(
-            session_id="s%03d" % (len(self.sessions) + 1),
+            session_id="s%03d" % number,
             user=step["user"],
             seed=seed,
-            handshake=Handshake(self.mod, self.env, self.server, channel),
+            handshake=Handshake(
+                self.mod, self.env, self.server,
+                latency_ms=self.script.latency_ms,
+                session_id=_channel_session_id(self.script.name, number),
+                rng_seed=seed,
+            ),
         )
         self.sessions.append(session)
         reading = perturb_within_tolerance(
             user.template, rng, _get(step, "noise_blocks", int, 16)
         )
-        session.r_u = rng.exponent(self.env.params)
         # the user's own password, card and a correctable reading: the card
         # always accepts its holder
-        _, session.pending = session.handshake.login(
-            user.card, user.user_id, user.password, reading, session.r_u
-        )
+        session.handshake.login(user.card, user.user_id, user.password, reading,
+                                rng.exponent(self.env.params))
         return {"ok": True, "session": session.session_id}
 
     def _op_respond(self, step) -> dict:
         session = self._current()
         r_s = SessionRng(_need(step, "seed", int)).exponent(self.env.params)
-        outcome = {"ok": True, "session": session.session_id}
         try:
-            _, session.sk_server = session.handshake.respond(
+            session.handshake.respond(
                 r_s, processing_ms=_get(step, "processing_ms", int, 3)
             )
-        except LookupError:  # no server step ran, so no r_s entered the session
+        except LookupError:
             return {"ok": False, "session": session.session_id,
                     "error": "nothing in flight"}
         except ProtocolError as exc:
             session.error = exc.code
-            outcome = {"ok": False, "session": session.session_id, "error": exc.code}
-        session.r_s = r_s
-        return outcome
+            return {"ok": False, "session": session.session_id, "error": exc.code}
+        return {"ok": True, "session": session.session_id}
 
     def _op_finish(self, step) -> dict:
         session = self._current()
         try:
-            session.sk_user = session.handshake.finish(session.pending)
+            session.handshake.finish()
         except LookupError:
-            # nothing arrived, so the session secrets are still unused
             return {"ok": False, "session": session.session_id,
                     "error": "no reply: session terminated"}
         except ProtocolError as exc:
             session.error = exc.code
-            session.pending = None  # session secrets destroyed either way
             return {"ok": False, "session": session.session_id, "error": exc.code}
-        session.pending = None
         return {"ok": True, "session": session.session_id,
-                "keys_match": session.keys_match()}
+                "keys_match": session.handshake.keys_match()}
 
     def _op_leak(self, step) -> dict:
         values = _get(step, "values", list, list(LEAKABLE))
@@ -292,13 +277,14 @@ class _Runner:
             if value not in LEAKABLE:
                 return {"ok": False, "error": "cannot leak %r" % value}
         user = self.users[session.user]
+        handshake = session.handshake
         table = {"card": user.card, "biometric": user.template,
-                 "r_u": session.r_u, "r_s": session.r_s}
+                 "r_u": handshake.r_u, "r_s": handshake.r_s}
         self.leaked.update((name, table[name]) for name in values if name in table)
         if "r_u" in values:
             self.r_u_session = session.session_id
         if "transcript" in values:
-            self.transcripts[session.session_id] = session.handshake.channel.transcript()
+            self.transcripts[session.session_id] = handshake.channel.transcript()
         self.victim = session.user
         return {"ok": True, "leaked": sorted(values), "session": session.session_id}
 
@@ -402,15 +388,16 @@ class _Runner:
         sessions = {}
         transcripts = {}
         for s in self.sessions:
+            handshake = s.handshake
             sessions[s.session_id] = {
                 "user": s.user,
                 "seed": s.seed,
-                "sk_user": s.sk_user.hex() if s.sk_user else None,
-                "sk_server": s.sk_server.hex() if s.sk_server else None,
-                "keys_match": s.keys_match(),
+                "sk_user": handshake.sk_user.hex() if handshake.sk_user else None,
+                "sk_server": handshake.sk_server.hex() if handshake.sk_server else None,
+                "keys_match": handshake.keys_match(),
                 "error": s.error,
             }
-            transcripts[s.session_id] = s.handshake.channel.transcript()
+            transcripts[s.session_id] = handshake.channel.transcript()
         report = {
             "name": self.script.name,
             "scheme": self.script.scheme,

@@ -1,5 +1,5 @@
-"""The scheme registry, the wire-label table and step-wise
-login -> respond -> finish sessions.
+"""The scheme registry, the wire-label table and the session, a
+``Handshake``: login -> respond -> finish over a channel of its own.
 
 Each scheme module provides ``SCHEME``, ``LoginMessage``/``ReplyMessage``
 (with ``LOGIN_WIRE``/``REPLY_WIRE``, their layouts), ``Card``,
@@ -72,55 +72,73 @@ def card_from_fields(scheme: str, fields):
 
 
 class Handshake:
-    """One login -> respond -> finish session over `channel`, step by step.
+    """One login -> respond -> finish session, step by step, and its
+    temporary information: r_u, r_s, the card's pending login, both keys.
 
-    It owns the ledger scopes, the codec and the channel hops, and it
-    is what answers a server rejection on the wire.  Each party's step
-    is scoped on its own Env: the card's on `env`, the server's on
-    ``server.env``, which differ when an adversary logs in.  It draws no
-    randomness (callers pass r_u and r_s, so their RNG streams keep
-    their order).  Scheme functions are looked up on `mod` at each
-    call, so a wrapper installed on the module or the server class
-    sees every step.
+    Its channel runs on ``env.clock``, the card's clock.  It owns the
+    ledger scopes, the codec and the channel hops, and it is what
+    answers a server rejection on the wire.  Each party's step is scoped
+    on its own Env: the card's on `env`, the server's on ``server.env``,
+    which differ when an adversary logs in.  It draws no randomness
+    (callers pass r_u and r_s, so their RNG streams keep their order).
+    Scheme functions are looked up on `mod` at each call, so a wrapper
+    installed on the module or the server class sees every step.
     """
 
-    def __init__(self, mod, env: Env, server, channel: SimChannel):
+    def __init__(self, mod, env: Env, server, latency_ms: int = 0,
+                 session_id: str = "s000", rng_seed: int | None = None):
         self.mod = mod
         self.env = env
         self.server = server
-        self.channel = channel
+        self.channel = SimChannel(env.clock, latency_ms, session_id, rng_seed)
+        self.pending = self.r_u = self.r_s = None  # set by the steps
+        self.sk_user = self.sk_server = None
+
+    def keys_match(self) -> bool:
+        """Both sides derived a key, and the keys are equal."""
+        return self.sk_user is not None and self.sk_user == self.sk_server
 
     def login(self, card, user_id: Field128, password: str, reading, r_u: int):
-        """Card-side step; sends the login and returns (message, pending)."""
+        """Card-side step; keeps r_u and the pending login, and sends
+        and returns the login."""
         with self.env.ledger.scope("login", "user"):
-            msg, pending = self.mod.login(
+            msg, self.pending = self.mod.login(
                 self.env, card, user_id, password, reading, r_u
             )
+        self.r_u = r_u
         self._send("login", msg)
-        return msg, pending
+        return msg
 
     def respond(self, r_s: int, processing_ms: int = 0):
-        """Server step on the login in flight; sends the reply and
-        returns (reply, server key).  LookupError if nothing is in flight.
-        A rejection puts the termination notice where the reply would
-        go, then re-raises the server's ProtocolError."""
+        """Server step on the login in flight; sends and returns the reply.
+        LookupError if nothing is in flight; else r_s is kept, and so is
+        the server key if the login is accepted.  A rejection puts the
+        termination notice where the reply would go, then re-raises the
+        server's ProtocolError."""
+        if processing_ms < 0:  # refused before the login leaves the wire
+            raise ValueError("processing_ms must not be negative, got %d" % processing_ms)
         msg = self._recv("login")
+        self.r_s = r_s
         try:
             with self.server.env.ledger.scope("authentication", "server"):
-                reply, sk_server = self.server.respond(
+                reply, self.sk_server = self.server.respond(
                     msg, r_s, processing_ms=processing_ms
                 )
         except ProtocolError:
             self.channel.terminate(wire_message(self.mod, "reply")[0])
             raise
         self._send("reply", reply)
-        return reply, sk_server
+        return reply
 
-    def finish(self, pending) -> Field128:
-        """Card-side completion on the reply in flight; the user's key."""
+    def finish(self) -> Field128:
+        """Card-side completion on the reply in flight; keeps and returns
+        the user's key.  The pending login is destroyed whether the reply
+        verifies or not, and kept only if no reply arrived (LookupError)."""
         reply = self._recv("reply")
+        pending, self.pending = self.pending, None
         with self.env.ledger.scope("authentication", "user"):
-            return self.mod.finish(self.env, pending, reply)
+            self.sk_user = self.mod.finish(self.env, pending, reply)
+        return self.sk_user
 
     def _send(self, label: str, msg: WireMessage) -> None:
         self.channel.send(wire_message(self.mod, label)[0], label, msg.encode())

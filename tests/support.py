@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from triauth.channel import SimChannel, Transcript
+from triauth.channel import Transcript
 from triauth.core import Env, Field128, ProtocolConfig, SessionRng, SimClock, encode_text
 from triauth.fuzzy import BiometricTemplate, perturb_within_tolerance
 from triauth.session import SCHEMES, Handshake
@@ -68,15 +68,16 @@ def run_session(
     reading = perturb_within_tolerance(enr.template, enr.rng, noise_blocks)
     r_u = enr.rng.exponent(env.params)
     r_s = enr.rng.exponent(env.params)
-    channel = SimChannel(env.clock, latency_ms=network_ms)
-    handshake = Handshake(SCHEMES[enr.scheme], env, enr.server, channel)
-    msg, pending = handshake.login(
+    handshake = Handshake(SCHEMES[enr.scheme], env, enr.server, latency_ms=network_ms)
+    msg = handshake.login(
         enr.card, enr.user_id,
         password if password is not None else enr.password,
         reading, r_u,
     )
-    reply, sk_server = handshake.respond(r_s, processing_ms=processing_ms)
-    sk_user = handshake.finish(pending)
+    pending = handshake.pending  # finish destroys the handshake's copy
+    reply = handshake.respond(r_s, processing_ms=processing_ms)
+    handshake.finish()
     return SessionRun(
-        msg, pending, reply, sk_user, sk_server, r_u, r_s, channel.transcript()
+        msg, pending, reply, handshake.sk_user, handshake.sk_server, r_u, r_s,
+        handshake.channel.transcript(),
     )

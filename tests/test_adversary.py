@@ -381,15 +381,14 @@ def test_a_termination_notice_adds_no_wire_atoms(scheme):
     """A server-rejected session leaks the login, then the termination
     notice; the notice is no message and gives no atom."""
     enr = enroll(scheme)
-    channel = SimChannel(enr.env.clock)
-    handshake = Handshake(SCHEMES[scheme], enr.env, enr.server, channel)
+    handshake = Handshake(SCHEMES[scheme], enr.env, enr.server)
     params = enr.env.params
     handshake.login(enr.card, enr.user_id, enr.password, enr.template,
                     enr.rng.exponent(params))
     enr.env.clock.advance(enr.env.delta_t_ms + 1)  # the login goes stale
     with pytest.raises(FreshnessFailure):
         handshake.respond(enr.rng.exponent(params))
-    leaked = channel.transcript()
+    leaked = handshake.channel.transcript()
     assert [e.label for e in leaked.entries] == ["login", "termination"]
     login_only = replace(leaked, entries=leaked.entries[:1])
     atoms = AdversaryKnowledge.assemble(scheme, transcripts=(leaked,)).atoms

@@ -145,15 +145,14 @@ def test_a_server_rejection_leaves_the_login_then_the_termination_notice(scheme)
             raise
 
     enr.server.respond = respond_and_keep_the_error
-    channel = SimChannel(enr.env.clock)
-    handshake = Handshake(SCHEMES[scheme], enr.env, enr.server, channel)
+    handshake = Handshake(SCHEMES[scheme], enr.env, enr.server)
     r_u, r_s = enr.rng.exponent(enr.env.params), enr.rng.exponent(enr.env.params)
     handshake.login(enr.card, enr.user_id, enr.password, enr.template, r_u)
     enr.env.clock.advance(enr.env.delta_t_ms + 1)  # the login goes stale
     with pytest.raises(FreshnessFailure) as exc_info:
         handshake.respond(r_s)
     assert raised == [exc_info.value]  # the server's own error, by identity
-    assert [(e.direction, e.label) for e in channel.transcript().entries] == [
+    assert [(e.direction, e.label) for e in handshake.channel.transcript().entries] == [
         (USER_TO_SERVER, "login"), (SERVER_TO_USER, "termination"),
     ]
 
@@ -162,15 +161,90 @@ def test_a_server_rejection_leaves_the_login_then_the_termination_notice(scheme)
 def test_a_card_issued_under_another_hash_sends_and_counts_nothing(scheme):
     enr = enroll(scheme)
     card = replace(enr.card, h="sha512")
-    channel = SimChannel(enr.env.clock)
-    handshake = Handshake(SCHEMES[scheme], enr.env, enr.server, channel)
+    handshake = Handshake(SCHEMES[scheme], enr.env, enr.server)
     ledger = enr.env.ledger
     counts = (ledger.hash_total(), ledger.modexp_total())
     with pytest.raises(ValueError, match="card was issued under a different hash function"):
         handshake.login(card, enr.user_id, enr.password, enr.template,
                         enr.rng.exponent(enr.env.params))
-    assert channel.transcript().entries == []
+    assert handshake.channel.transcript().entries == []
     assert (ledger.hash_total(), ledger.modexp_total()) == counts
+
+
+def _logged_in(scheme):
+    """An enrollment and a handshake whose login is in flight."""
+    enr = enroll(scheme)
+    handshake = Handshake(SCHEMES[scheme], enr.env, enr.server)
+    handshake.login(enr.card, enr.user_id, enr.password, enr.template,
+                    enr.rng.exponent(enr.env.params))
+    return enr, handshake
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_handshake_holds_its_session_state_until_finish(scheme):
+    enr, handshake = _logged_in(scheme)
+    pending = handshake.pending
+    assert isinstance(pending, SCHEMES[scheme].PendingLogin)
+    assert handshake.r_u == pending.r_u
+    assert (handshake.r_s, handshake.sk_user, handshake.sk_server) == (None,) * 3
+    assert not handshake.keys_match()
+    with pytest.raises(LookupError):  # no reply yet: the card keeps its state
+        handshake.finish()
+    assert handshake.pending is pending
+    r_s = enr.rng.exponent(enr.env.params)
+    handshake.respond(r_s)
+    assert handshake.r_s == r_s and handshake.sk_server is not None
+    assert not handshake.keys_match()  # the server's key alone
+    assert handshake.finish() == handshake.sk_user == handshake.sk_server
+    assert handshake.keys_match()
+    assert handshake.pending is None
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_rejected_reply_destroys_the_pending_login(scheme):
+    enr, handshake = _logged_in(scheme)
+    handshake.respond(enr.rng.exponent(enr.env.params))
+    offset = SCHEMES[scheme].ReplyMessage.OFFSETS["Cs"]
+    handshake.channel.corrupt_in_flight(SERVER_TO_USER, offset, b"\x01")
+    with pytest.raises(ProtocolError):
+        handshake.finish()
+    assert handshake.pending is None
+    assert handshake.sk_user is None and not handshake.keys_match()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_r_s_is_set_once_the_server_step_runs_on_a_login(scheme):
+    enr = enroll(scheme)
+    handshake = Handshake(SCHEMES[scheme], enr.env, enr.server)
+    with pytest.raises(LookupError):  # nothing in flight: no server step ran
+        handshake.respond(5)
+    assert handshake.r_s is None
+    handshake.login(enr.card, enr.user_id, enr.password, enr.template,
+                    enr.rng.exponent(enr.env.params))
+    enr.env.clock.advance(enr.env.delta_t_ms + 1)  # the login goes stale
+    with pytest.raises(FreshnessFailure):
+        handshake.respond(7)
+    assert handshake.r_s == 7 and handshake.sk_server is None
+    with pytest.raises(LookupError):  # a termination notice is no reply
+        handshake.finish()
+    assert handshake.pending is not None
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_negative_processing_time_is_refused_before_the_server_step(scheme):
+    enr, handshake = _logged_in(scheme)
+    ledger = enr.env.ledger
+    counts = (dict(ledger.hash_calls), dict(ledger.modexp_calls))
+    now = enr.env.clock.now()
+    with pytest.raises(ValueError, match="processing_ms must not be negative, got -5"):
+        handshake.respond(enr.rng.exponent(enr.env.params), processing_ms=-5)
+    assert (dict(ledger.hash_calls), dict(ledger.modexp_calls)) == counts
+    assert enr.env.clock.now() == now
+    assert handshake.r_s is None
+    assert [e.label for e in handshake.channel.transcript().entries] == ["login"]
+    handshake.respond(enr.rng.exponent(enr.env.params))  # the login is still in flight
+    handshake.finish()
+    assert handshake.keys_match()
 
 
 def test_scheme_of_refuses_what_is_no_card_or_server():

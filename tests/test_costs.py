@@ -32,8 +32,8 @@ RECORDED_COSTS = Path(__file__).parent / "recordings" / "costs"
 
 def test_instrumented_sessions_are_healthy():
     for scheme in ("baseline", "improved"):
-        env, (sk_user, sk_server), transcript = run_instrumented_session(scheme)
-        assert sk_user == sk_server
+        env, handshake = run_instrumented_session(scheme)
+        assert handshake.sk_user == handshake.sk_server
 
 
 def test_wire_bits_match_nominal_exactly():

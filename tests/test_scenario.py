@@ -428,6 +428,8 @@ _LOGIN_U = {"op": "login", "user": "u", "seed": 12}
     ([_REGISTER_U, {"op": "attack", "user": "u", "grant_timestamps": True,
                     "dictionary": {"size": 5}}],
      "step 2 (attack): granted timestamps apply to the improved scheme only"),
+    ([_REGISTER_U, _LOGIN_U, {"op": "respond", "seed": 13, "processing_ms": -1}],
+     "step 3 (respond): processing_ms must not be negative, got -1"),
 ], ids=["undefined-user", "missing-seed", "plant-before-leak", "string-ms",
         "negative-ms", "string-noise-blocks", "int-mask", "non-hex-mask",
         "string-dictionary", "string-seed", "bool-seed", "string-values",
@@ -436,7 +438,7 @@ _LOGIN_U = {"op": "login", "user": "u", "seed": 12}
         "negative-respond-seed", "negative-dictionary-seed",
         "clock-past-64-bits-before-a-login", "clock-reaching-2^64",
         "respond-before-login", "finish-before-login", "leak-before-login",
-        "grant-on-a-baseline-record"])
+        "grant-on-a-baseline-record", "negative-processing-ms"])
 def test_bad_scenario_input_names_its_step_and_replay_exits_2(
     tmp_path, capsys, steps, message
 ):
@@ -486,7 +488,7 @@ def test_a_respond_with_nothing_in_flight_keeps_the_server_exponent():
     runner = _Runner(_script("baseline", steps))
     runner.run()
     r_s = SessionRng(13).exponent(runner.env.params)
-    assert runner.sessions[-1].r_s == r_s
+    assert runner.sessions[-1].handshake.r_s == r_s
     assert runner.leaked == {"r_s": r_s}
 
 

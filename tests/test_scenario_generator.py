@@ -84,7 +84,7 @@ def _expected_plan(runner: _Runner, facts: dict) -> adversary.AttackPlan:
     session = runner.sessions[facts["leak_at"]]
     user = runner.users[session.user]
     given = {"card": user.card, "biometric": user.template,
-             "r_u": session.r_u, "r_s": session.r_s}
+             "r_u": session.handshake.r_u, "r_s": session.handshake.r_s}
     leaked = facts["leaked"]
     knowledge = adversary.AdversaryKnowledge.assemble(
         runner.script.scheme,
