@@ -141,8 +141,10 @@ class BaselineServer(BaseServer):
         The freshness check runs before any exponentiation, so a stale
         or malformed message costs the server no group operations.
         `processing_ms` is simulated compute time between receiving the
-        login and stamping the reply.
+        login and stamping the reply; a negative one is refused before
+        any work is spent.
         """
+        self.check_processing_ms(processing_ms)
         env = self.env
         if fault := env.freshness_fault(msg.T1, env.clock.now(), "login"):
             raise FreshnessFailure(fault)

@@ -118,7 +118,7 @@ class Field128(bytes):
     def from_int(cls, value: int) -> "Field128":
         if not 0 <= value < (1 << 128):
             raise ValueError("value out of 128-bit range")
-        return cls(value.to_bytes(FIELD_BYTES, "big"))
+        return _new_bytes(cls, value.to_bytes(FIELD_BYTES, "big"))
 
     @classmethod
     def zero(cls) -> "Field128":
@@ -172,7 +172,7 @@ def encode_text(text: str) -> Field128:
     raw = text.encode("utf-8")
     if len(raw) > FIELD_BYTES:
         raise ValueError("text too long for a 128-bit word: %r" % text)
-    return Field128(raw.ljust(FIELD_BYTES, b"\x00"))
+    return _new_bytes(Field128, raw.ljust(FIELD_BYTES, b"\x00"))
 
 
 def decode_text(word: Field128) -> str:
@@ -187,7 +187,7 @@ def ms_to_field(ms: int) -> Field128:
     """Millisecond count -> protocol word (zero-extended to 128 bits)."""
     if not 0 <= ms < (1 << 64):
         raise ValueError("timestamp out of 64-bit range: %d" % ms)
-    return Field128(ms.to_bytes(FIELD_BYTES, "big"))
+    return _new_bytes(Field128, ms.to_bytes(FIELD_BYTES, "big"))
 
 
 def field_to_ms(word: Field128) -> int:
@@ -418,8 +418,22 @@ _DEFAULT_GROUP.verify()
 # level, not kept on GroupParams, because every Env builds its own
 # GroupParams; a table depends on (g, p) alone, so sharing it is safe.
 _COMB_ROWS = FIELD_BYTES
-_COMB_LIMIT = 1 << (8 * _COMB_ROWS)  # exponents below this use the table
+_COMB_LIMIT = 1 << (8 * _COMB_ROWS)  # exponents below this use a table
 _COMB_TABLES: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+
+# Server keys: every BaseServer registers its Y, keyed by (Y, p).  From
+# its second use as a base, a registered key's powers come from a 4-bit
+# comb: a (lo, hi) pair of rows per exponent byte, holding
+# Y**(d * 16**(2i)) and Y**(d * 16**(2i+1)) for every nibble d.  It is
+# far smaller than g's 8-bit table and builds in about the time of five
+# pow calls, a cost it wins back within about seven reads, where an
+# 8-bit table would need some forty; a key used once (a server that
+# sees one login) builds nothing.  An entry is the number of uses so
+# far (0 or 1) until the table replaces it.  Registering again keeps the
+# entry and moves it to the end; past _KEY_LIMIT keys the oldest
+# registration is dropped.
+_KEY_LIMIT = 8
+_KEY_TABLES: dict[tuple[int, int], int | tuple[tuple[tuple[int, ...], ...], ...]] = {}
 
 
 def _comb_table(g: int, p: int) -> tuple[tuple[int, ...], ...]:
@@ -437,13 +451,49 @@ def _comb_table(g: int, p: int) -> tuple[tuple[int, ...], ...]:
     return table
 
 
+def _nibble_table(y: int, p: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """(lo, hi) per exponent byte: y**(d * 16**(2i)) and y**(d * 16**(2i+1))."""
+    rows = []
+    base = y  # y**(16**j) for the row being built
+    for _ in range(2 * _COMB_ROWS):
+        row = [1]
+        for _ in range(15):
+            row.append(row[-1] * base % p)
+        rows.append(tuple(row))
+        base = row[-1] * base % p
+    return tuple(zip(rows[0::2], rows[1::2]))
+
+
+def register_key(y: int, p: int) -> None:
+    """Mark y as a server's public key in the group of p, so that powers
+    of it come from a table from its second use on."""
+    key = (y, p)
+    _KEY_TABLES[key] = _KEY_TABLES.pop(key, 0)
+    if len(_KEY_TABLES) > _KEY_LIMIT:
+        del _KEY_TABLES[next(iter(_KEY_TABLES))]
+
+
+def _key_table(y: int, p: int) -> tuple[tuple[tuple[int, ...], ...], ...] | None:
+    """The table of y if it is a registered key used before, building it
+    on that second use, else None; counts the use of a registered key."""
+    entry = _KEY_TABLES.get((y, p))
+    if entry is None or isinstance(entry, tuple):
+        return entry
+    if not entry:
+        _KEY_TABLES[(y, p)] = 1
+        return None
+    table = _KEY_TABLES[(y, p)] = _nibble_table(y, p)
+    return table
+
+
 def mod_exp(base: int | bytes, exponent: int, params: GroupParams) -> Field128:
     """base**exponent mod p as a protocol word.
 
     ``base`` may be an int or a Field128/bytes wire word.  Bases outside
     (0, p) are a domain error: they cannot be honest group elements and
-    rejecting them is how garbage unmaskings surface.  Powers of g with
-    an exponent below 2**128 come from the fixed-base comb table.
+    rejecting them is how garbage unmaskings surface.  With an exponent
+    below 2**128, powers of g come from g's comb table and powers of a
+    registered server key from its table once it is used a second time.
     """
     b = int.from_bytes(base, "big") if isinstance(base, bytes) else base
     p = params.p
@@ -451,12 +501,18 @@ def mod_exp(base: int | bytes, exponent: int, params: GroupParams) -> Field128:
         raise ValueError("modexp base outside (0, p)")
     if exponent < 0:
         raise ValueError("negative exponent")
-    if b != params.g or exponent >= _COMB_LIMIT:
-        return Field128.from_int(pow(b, exponent, p))
-    r = 1
-    for row, digit in zip(_comb_table(b, p), exponent.to_bytes(_COMB_ROWS, "little")):
-        r = r * row[digit] % p
-    return Field128.from_int(r)
+    if exponent < _COMB_LIMIT:
+        if b == params.g:
+            r = 1
+            for row, d in zip(_comb_table(b, p), exponent.to_bytes(_COMB_ROWS, "little")):
+                r = r * row[d] % p
+            return Field128.from_int(r)
+        if (table := _key_table(b, p)) is not None:
+            r = 1
+            for (lo, hi), d in zip(table, exponent.to_bytes(_COMB_ROWS, "little")):
+                r = r * lo[d & 15] * hi[d >> 4] % p
+            return Field128.from_int(r)
+    return Field128.from_int(pow(b, exponent, p))
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +675,17 @@ class BaseServer:
         self.env = env
         self.x = x
         self.y = mod_exp(params.g, x, params)  # from X, never read from a file
+        register_key(self.y.to_int(), params.p)
         self.x_word = Field128.from_int(x)
         self.user_ids: set[Field128] = set()
         self.records: list = []  # in enrollment order
+
+    @staticmethod
+    def check_processing_ms(ms: int) -> None:
+        """ValueError if `ms`, a respond step's simulated compute time, is
+        negative: the clock cannot move backwards."""
+        if ms < 0:
+            raise ValueError("processing_ms must not be negative, got %d" % ms)
 
     def state_records(self) -> list[tuple]:
         """The state file's records, in enrollment order: the values

@@ -196,6 +196,7 @@ class ImprovedServer(BaseServer):
     def respond(
         self, msg: LoginMessage, r_s: int, processing_ms: int = 0
     ) -> tuple[ReplyMessage, Field128]:
+        self.check_processing_ms(processing_ms)  # before the scan spends anything
         env = self.env
         hasher = env.hasher
         t4_ms = env.clock.now()

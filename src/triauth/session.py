@@ -115,8 +115,7 @@ class Handshake:
         the server key if the login is accepted.  A rejection puts the
         termination notice where the reply would go, then re-raises the
         server's ProtocolError."""
-        if processing_ms < 0:  # refused before the login leaves the wire
-            raise ValueError("processing_ms must not be negative, got %d" % processing_ms)
+        self.server.check_processing_ms(processing_ms)  # before the login leaves the wire
         msg = self._recv("login")
         self.r_s = r_s
         try:

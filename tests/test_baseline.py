@@ -124,6 +124,25 @@ def test_stale_login_is_rejected_before_any_exponentiation():
     assert enr.env.ledger.modexp_total() == modexps_before
 
 
+def test_a_negative_processing_time_is_refused_before_any_work():
+    enr = enroll("baseline")
+    enr.env.clock.advance(60_000)
+    reading = perturb_within_tolerance(enr.template, enr.rng, 8)
+    msg, _ = baseline.login(
+        enr.env, enr.card, enr.user_id, enr.password, reading,
+        enr.rng.exponent(enr.env.params),
+    )
+    ledger = enr.env.ledger
+    counts = (ledger.hash_total(), ledger.modexp_total())
+    now = enr.env.clock.now()
+    r_s = enr.rng.exponent(enr.env.params)
+    with pytest.raises(ValueError, match="processing_ms must not be negative, got -5"):
+        enr.server.respond(msg, r_s, processing_ms=-5)
+    assert (ledger.hash_total(), ledger.modexp_total()) == counts
+    assert enr.env.clock.now() == now
+    enr.server.respond(msg, r_s)  # the same login is still accepted
+
+
 def test_login_at_the_window_edge_is_accepted():
     enr = enroll("baseline")
     enr.env.clock.advance(60_000)

@@ -317,51 +317,123 @@ def test_mod_exp_accepts_ints_and_wire_words():
     assert from_int == from_word == Field128.from_int(pow(params.g, 12345, params.p))
 
 
-def test_mod_exp_rejects_out_of_group_bases(monkeypatch):
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty comb tables and an empty server-key registry for one test."""
     monkeypatch.setattr(core, "_COMB_TABLES", {})
-    env = Env.from_config()
+    monkeypatch.setattr(core, "_KEY_TABLES", {})
+
+
+def _server_key(params: GroupParams, seed: int = 7) -> tuple[Env, int]:
+    """An Env on `params` and the public Y, as an int, of a server built in it."""
+    env = Env.from_config(ProtocolConfig(p=params.p, g=params.g))
+    return env, BaseServer(env, rng=SessionRng(seed)).y.to_int()
+
+
+def test_mod_exp_rejects_out_of_group_bases(fresh_tables):
+    env, y = _server_key(GroupParams.default())
     params = env.params
-    for base, exponent in ((0, 3), (params.p, 3), (3, -1), (params.g, -1)):
+    core._COMB_TABLES.clear()
+    for base, exponent in ((0, 3), (params.p, 3), (3, -1), (params.g, -1), (y, -1)):
         with pytest.raises(ValueError):
             env.mod_exp(base, exponent)
-    # a refused call counts no modexp and builds no table
+    # a refused call counts no modexp, builds no table and is no use of a key
     assert env.ledger.modexp_total() == 0
     assert core._COMB_TABLES == {}
+    assert core._KEY_TABLES == {(y, params.p): 0}
 
 
-def test_env_mod_exp_counts_into_its_ledger(monkeypatch):
-    monkeypatch.setattr(core, "_COMB_TABLES", {})
-    env = Env.from_config()
+def test_env_mod_exp_counts_into_its_ledger(fresh_tables):
+    env, y = _server_key(GroupParams.default())
     params = env.params
+    core._COMB_TABLES.clear()
     env.mod_exp(params.g, (1 << 128) - 1)  # from the comb table
     assert env.ledger.modexp_total() == 1
     assert list(core._COMB_TABLES) == [(params.g, params.p)]
     env.mod_exp(3, 2)  # from pow
     assert env.ledger.modexp_total() == 2
+    for _ in range(3):  # the key's first use, the one that builds its table, a table read
+        env.mod_exp(y, (1 << 128) - 1)
+    assert isinstance(core._KEY_TABLES[(y, params.p)], tuple)
+    assert env.ledger.modexp_total() == 5
 
 
 # the default group and a 96-bit safe-prime group with its own comb table
 _COMB_GROUPS = [GroupParams.default(), GroupParams.from_values(0xA43A4BB686FF60C85D07F37F, 4)]
 
 
-@pytest.mark.parametrize("params", _COMB_GROUPS, ids=["default", "p96"])
-def test_fixed_base_comb_agrees_with_pow(params, monkeypatch):
-    monkeypatch.setattr(core, "_COMB_TABLES", {})
+def _comb_exponents(params: GroupParams) -> list[int]:
     rng = SessionRng(2024)
     exponents = [rng.below(1 << 128) for _ in range(1000)]
-    exponents += [0, 1, params.p - 2, params.p - 1, (1 << 128) - 1]
+    return exponents + [0, 1, params.p - 2, params.p - 1, (1 << 128) - 1]
+
+
+@pytest.mark.parametrize("params", _COMB_GROUPS, ids=["default", "p96"])
+def test_fixed_base_comb_agrees_with_pow(params, fresh_tables):
     for g in (params.g, Field128.from_int(params.g)):
-        for e in exponents:
+        for e in _comb_exponents(params):
             assert mod_exp(g, e, params) == Field128.from_int(pow(params.g, e, params.p))
     assert list(core._COMB_TABLES) == [(params.g, params.p)]
 
 
 @pytest.mark.parametrize("params", _COMB_GROUPS, ids=["default", "p96"])
-def test_exponents_of_2_to_the_128_or_more_fall_back_to_pow(params, monkeypatch):
-    monkeypatch.setattr(core, "_COMB_TABLES", {})
-    for e in (1 << 128, 1 << 200):
-        assert mod_exp(params.g, e, params) == Field128.from_int(pow(params.g, e, params.p))
+def test_a_server_keys_table_agrees_with_pow(params, fresh_tables):
+    _, y = _server_key(params)
+    for base in (y, Field128.from_int(y)):
+        for e in _comb_exponents(params):
+            assert mod_exp(base, e, params) == Field128.from_int(pow(y, e, params.p))
+    assert isinstance(core._KEY_TABLES[(y, params.p)], tuple)
+
+
+@pytest.mark.parametrize("params", _COMB_GROUPS, ids=["default", "p96"])
+def test_exponents_of_2_to_the_128_or_more_fall_back_to_pow(params, fresh_tables):
+    _, y = _server_key(params)
+    core._COMB_TABLES.clear()
+    for base in (params.g, y):
+        for e in (1 << 128, 1 << 200):
+            assert mod_exp(base, e, params) == Field128.from_int(pow(base, e, params.p))
     assert core._COMB_TABLES == {}
+    assert core._KEY_TABLES == {(y, params.p): 0}  # no use of the key's table
+
+
+def test_a_server_key_gets_its_table_on_its_second_use(fresh_tables):
+    env, y = _server_key(GroupParams.default())
+    key = (y, env.params.p)
+    assert core._KEY_TABLES == {key: 0}
+    env.mod_exp(Field128.from_int(y), 12345)  # a card's Y is a wire word
+    assert core._KEY_TABLES == {key: 1}  # used once: still no table
+    env.mod_exp(y, 12345)
+    table = core._KEY_TABLES[key]
+    assert len(table) == 16 and {len(row) for pair in table for row in pair} == {16}
+    env.mod_exp(y, 54321)
+    assert core._KEY_TABLES[key] is table  # built once
+
+
+def test_an_unregistered_base_never_gets_a_table(fresh_tables):
+    params = GroupParams.default()
+    _, y = _server_key(params)
+    for _ in range(3):
+        for base in (3, y + 1, mod_exp(params.g, 99, params)):
+            mod_exp(base, 12345, params)
+    assert core._KEY_TABLES == {(y, params.p): 0}
+
+
+def test_the_key_registry_holds_the_last_8_keys(fresh_tables):
+    params = GroupParams.default()
+    envs_keys = [_server_key(params, seed) for seed in range(20)]
+    keys = [(y, params.p) for _, y in envs_keys]
+    assert list(core._KEY_TABLES) == keys[-8:]
+    # registering a held key again keeps its state and makes it the newest
+    env, y = envs_keys[12]
+    env.mod_exp(y, 5)
+    core.register_key(y, params.p)
+    assert list(core._KEY_TABLES) == keys[13:] + [keys[12]]
+    assert core._KEY_TABLES[keys[12]] == 1
+    # a dropped key is a base like any other
+    env, y = envs_keys[0]
+    env.mod_exp(y, 5)
+    env.mod_exp(y, 5)
+    assert keys[0] not in core._KEY_TABLES
 
 
 def test_diffie_hellman_commutes_over_random_exponents():
