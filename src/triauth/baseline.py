@@ -35,7 +35,6 @@ from .core import (
     BaseServer,
     Env,
     Field128,
-    FreshnessFailure,
     LocalAuthFailure,
     SessionRng,
     UnknownUser,
@@ -147,7 +146,7 @@ class BaselineServer(BaseServer):
         self.check_processing_ms(processing_ms)
         env = self.env
         if fault := env.freshness_fault(msg.T1, env.clock.now(), "login"):
-            raise FreshnessFailure(fault)
+            raise fault
 
         try:
             a3 = env.mod_exp(msg.A1, self.x)
@@ -245,7 +244,7 @@ def login(
 def finish(env: Env, pending: PendingLogin, reply: ReplyMessage) -> Field128:
     """User-side completion: checks the reply, returns the session key."""
     if fault := env.freshness_fault(reply.T3, env.clock.now(), "reply"):
-        raise FreshnessFailure(fault)
+        raise fault
 
     try:
         a6 = env.mod_exp(reply.A4, pending.r_u)

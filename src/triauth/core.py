@@ -59,16 +59,35 @@ class LocalAuthFailure(ProtocolError):
 
 
 class FreshnessFailure(ProtocolError):
-    """Timestamp outside the allowed transmission window."""
+    """Timestamp outside the allowed transmission window.  ``skew_ms`` is
+    the receiver's clock minus the stamp (negative for a stamp ahead of
+    it) and ``window_ms`` the window it missed; both are None for a
+    malformed stamp."""
 
     code = "freshness"
 
+    def __init__(self, message: str, skew_ms: int | None = None,
+                 window_ms: int | None = None):
+        super().__init__(message)
+        self.skew_ms = skew_ms
+        self.window_ms = window_ms
 
-class UnknownUser(ProtocolError):
+
+class _ScanRejection(ProtocolError):
+    """A rejection the improved server's record scan can end in;
+    ``records_tried`` is how many records it tried (None where no scan
+    ran)."""
+
+    def __init__(self, message: str, records_tried: int | None = None):
+        super().__init__(message)
+        self.records_tried = records_tried
+
+
+class UnknownUser(_ScanRejection):
     code = "unknown-user"
 
 
-class AuthFailure(ProtocolError):
+class AuthFailure(_ScanRejection):
     """Verifier mismatch (C_i or Cs) — message rejected."""
 
     code = "bad-auth"
@@ -635,19 +654,24 @@ class Env:
         ms = self.clock.now()
         return ms, ms_to_field(ms)
 
-    def freshness_fault(self, stamp: Field128, now_ms: int, label: str) -> str | None:
+    def freshness_fault(
+        self, stamp: Field128, now_ms: int, label: str
+    ) -> FreshnessFailure | None:
         """None if the timestamp word `stamp` is within delta_t_ms of `now_ms`
-        either way, else MALFORMED_TIMESTAMP, "<label> timestamp outside the
-        window" (too old) or "<label> timestamp <n> ms ahead of the clock
-        (window <delta_t_ms> ms)"."""
+        either way, else the unraised FreshnessFailure: MALFORMED_TIMESTAMP,
+        "<label> timestamp outside the window" (too old) or "<label>
+        timestamp <n> ms ahead of the clock (window <delta_t_ms> ms)"."""
         if any(stamp[:8]):  # field_to_ms would refuse it; raising costs more
-            return MALFORMED_TIMESTAMP
+            return FreshnessFailure(MALFORMED_TIMESTAMP)
         age = now_ms - field_to_ms(stamp)
-        if age > self.delta_t_ms:
-            return "%s timestamp outside the window" % label
-        if -age > self.delta_t_ms:
-            return "%s timestamp %d ms ahead of the clock (window %d ms)" % (
-                label, -age, self.delta_t_ms)
+        window = self.delta_t_ms
+        if age > window:
+            return FreshnessFailure(
+                "%s timestamp outside the window" % label, age, window)
+        if -age > window:
+            return FreshnessFailure(
+                "%s timestamp %d ms ahead of the clock (window %d ms)"
+                % (label, -age, window), age, window)
         return None
 
 

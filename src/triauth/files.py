@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import struct
-from importlib import resources
 from pathlib import Path
 
 from .core import (
@@ -419,10 +418,8 @@ def save_config(config: ProtocolConfig, path) -> None:
     _write_lines(path, lines)
 
 
-def load_golden_vectors(path=None) -> list[tuple[list[bytes], bytes]]:
-    """The frozen hash vectors; defaults to the copy shipped in-package."""
-    if path is None:
-        path = resources.files("triauth") / "data" / "golden-hashes.txt"
+def load_golden_vectors(path) -> list[tuple[list[bytes], bytes]]:
+    """The frozen hash vectors in the file at `path`."""
     vectors = []
     for lineno, left, right in _entries(path, "->", "blocks -> digest"):
         blocks = [_parse_hex(path, lineno, tok, "block") for tok in left.split()]

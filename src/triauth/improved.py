@@ -56,7 +56,6 @@ from .core import (
     BaseServer,
     Env,
     Field128,
-    FreshnessFailure,
     LocalAuthFailure,
     SessionRng,
     UnknownUser,
@@ -230,11 +229,13 @@ class ImprovedServer(BaseServer):
                 saw_mismatch = True
             else:
                 if saw_stale:
-                    raise FreshnessFailure(saw_stale)
+                    raise saw_stale
                 if saw_mismatch:
-                    raise AuthFailure("login verifier mismatch (%d records tried)" % tried)
+                    raise AuthFailure(
+                        "login verifier mismatch (%d records tried)" % tried, tried)
                 raise UnknownUser(
-                    "no registered identity matches this login (%d records tried)" % tried
+                    "no registered identity matches this login (%d records tried)" % tried,
+                    tried,
                 )
         finally:
             if tried:  # one tag hash per record tried; no record, no ledger entry

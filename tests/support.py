@@ -1,11 +1,15 @@
-"""Shared test fixtures: enrollments and honest sessions for both schemes."""
+"""Shared test fixtures: enrollments and honest sessions for both schemes,
+and the golden hash vectors."""
 
 from dataclasses import dataclass
+from pathlib import Path
 
 from triauth.channel import Transcript
 from triauth.core import Env, Field128, ProtocolConfig, SessionRng, SimClock, encode_text
 from triauth.fuzzy import BiometricTemplate, perturb_within_tolerance
 from triauth.session import SCHEMES, Handshake
+
+GOLDEN_VECTORS = Path(__file__).parent / "golden-hashes.txt"  # frozen at design time
 
 
 @dataclass

@@ -15,6 +15,7 @@ from triauth.core import (
     SessionRng,
     SimClock,
     UnknownUser,
+    field_to_ms,
     ms_to_field,
 )
 from triauth.fuzzy import BiometricTemplate, perturb_within_tolerance
@@ -175,15 +176,21 @@ def test_each_freshness_rejection_says_why():
     bad_t1 = dataclasses.replace(run.msg, T1=garbage)
     bad_t3 = dataclasses.replace(run.reply, T3=garbage)
     r_s = enr.rng.exponent(enr.env.params)
-    with pytest.raises(FreshnessFailure, match="^malformed timestamp$"):
+    with pytest.raises(FreshnessFailure, match="^malformed timestamp$") as malformed:
         enr.server.respond(bad_t1, r_s)
+    assert (malformed.value.skew_ms, malformed.value.window_ms) == (None, None)
     with pytest.raises(FreshnessFailure, match="^malformed timestamp$"):
         baseline.finish(enr.env, run.pending, bad_t3)
     enr.env.clock.advance(enr.env.delta_t_ms + 1)
-    with pytest.raises(FreshnessFailure, match="^login timestamp outside the window$"):
+    now, window = enr.env.clock.now(), enr.env.delta_t_ms
+    with pytest.raises(FreshnessFailure, match="^login timestamp outside the window$") as login:
         enr.server.respond(run.msg, r_s)
-    with pytest.raises(FreshnessFailure, match="^reply timestamp outside the window$"):
+    assert (login.value.skew_ms, login.value.window_ms) == (
+        now - field_to_ms(run.msg.T1), window)
+    with pytest.raises(FreshnessFailure, match="^reply timestamp outside the window$") as reply:
         baseline.finish(enr.env, run.pending, run.reply)
+    assert (reply.value.skew_ms, reply.value.window_ms) == (
+        now - field_to_ms(run.reply.T3), window)
 
 
 

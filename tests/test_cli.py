@@ -9,6 +9,7 @@ import pytest
 from triauth import cli
 
 SCENARIO_DIR = Path(str(resources.files("triauth"))) / "scenarios"
+RECORDED_COSTS = Path(__file__).parent / "recordings" / "costs"
 EPOCH_MS = 1_700_000_000_000
 
 
@@ -331,7 +332,7 @@ def test_baseline_attack_recovers_from_a_full_leak(tmp_path, capsys):
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "attack outcome: recovered" in out
+    assert "attack outcome: recovered" in out.splitlines()
     assert "password: hunter-glacier" in out
     assert "verifier evaluations: %d" % expected_work in out
     doc = json.loads(report.read_text())
@@ -357,7 +358,7 @@ def test_improved_attack_is_blocked_in_model(tmp_path, capsys):
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "attack outcome: insufficient_knowledge" in out
+    assert "attack outcome: insufficient_knowledge" in out.splitlines()
     assert "verifier evaluations: 0" in out
     assert "equation C_i blocked" in out
 
@@ -461,6 +462,7 @@ def test_cost_report_prints_the_comparison_table(tmp_path, capsys, scheme):
     assert "match" in out
     doc = json.loads(report.read_text())
     assert doc["scheme"] == scheme
+    assert report.read_bytes() == (RECORDED_COSTS / ("%s.json" % scheme)).read_bytes()
     assert doc["session_healthy"] is True
     assert doc["wire"]["matches_nominal"] is True
     assert doc["storage"]["matches_nominal"] is True
@@ -552,11 +554,17 @@ def test_config_hash_without_a_16_byte_word_is_a_precondition_failure(tmp_path, 
     assert not (tmp_path / "alice.card").exists()
 
 
-def test_bad_config_file_is_a_precondition_failure(tmp_path, capsys):
-    config = tmp_path / "bad.cfg"
-    config.write_text("fast_mode = yes\n")
-    code = run_cli(
-        "cost-report", "--scheme", "baseline", "--config", config,
-    )
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize("text, status, why", [
+    ("fast_mode = yes\n", 2, "line 1: unknown config key 'fast_mode'"),
+    ("seed = 99999999999999999999999\n", 2, "line 1: seed must be in [0, 2**64)"),
+    ("template_bits = 128\n", 0, None),  # 1-bit blocks: the probe reads them clean
+], ids=["unknown-key", "seed-past-64-bits", "128-bit-template"])
+def test_cost_report_reads_its_config_file(tmp_path, capsys, text, status, why):
+    config = tmp_path / "c.cfg"
+    config.write_text(text)
+    assert run_cli("cost-report", "--scheme", "baseline", "--config", config) == status
+    err = capsys.readouterr().err
+    if why:
+        assert "error: %s, %s" % (config, why) in err
+    else:
+        assert err == ""

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from support import GOLDEN_VECTORS
 from triauth import core
 from triauth.core import (
     BaseServer,
@@ -12,6 +13,7 @@ from triauth.core import (
     CostLedger,
     Env,
     Field128,
+    FreshnessFailure,
     GroupParams,
     HashEngine,
     MALFORMED_TIMESTAMP,
@@ -200,7 +202,7 @@ def test_ledger_phase_table():
 def test_hash_matches_frozen_golden_vectors():
     """The engine must agree with the vectors frozen at design time."""
     engine = HashEngine("sha256")
-    for blocks, digest in load_golden_vectors():
+    for blocks, digest in load_golden_vectors(GOLDEN_VECTORS):
         assert engine(*blocks) == digest
 
 
@@ -555,12 +557,18 @@ def test_freshness_fault_is_the_window_check():
     now = env.clock.now()
     edge = now - env.delta_t_ms
     assert env.freshness_fault(ms_to_field(edge), now, "login") is None
-    assert (env.freshness_fault(ms_to_field(edge - 1), now, "reply")
-            == "reply timestamp outside the window")
-    malformed = Field128.from_int(1 << 64 | now)  # a high bit set
-    assert env.freshness_fault(malformed, now, "login") == MALFORMED_TIMESTAMP
+    stale = env.freshness_fault(ms_to_field(edge - 1), now, "reply")
+    assert str(stale) == "reply timestamp outside the window"
+    assert (stale.skew_ms, stale.window_ms) == (2001, 2000)
+    high_bit = Field128.from_int(1 << 64 | now)
+    malformed = env.freshness_fault(high_bit, now, "login")
+    assert str(malformed) == MALFORMED_TIMESTAMP
+    assert (malformed.skew_ms, malformed.window_ms) == (None, None)
     # the one window bounds a stamp ahead of the clock too
     ahead = now + env.delta_t_ms
     assert env.freshness_fault(ms_to_field(ahead), now, "login") is None
-    assert (env.freshness_fault(ms_to_field(now + 10_000_000), now, "login")
-            == "login timestamp 10000000 ms ahead of the clock (window 2000 ms)")
+    early = env.freshness_fault(ms_to_field(now + 10_000_000), now, "login")
+    assert str(early) == "login timestamp 10000000 ms ahead of the clock (window 2000 ms)"
+    assert (early.skew_ms, early.window_ms) == (-10_000_000, 2000)
+    for fault in (stale, malformed, early):
+        assert isinstance(fault, FreshnessFailure) and fault.code == "freshness"

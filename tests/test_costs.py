@@ -130,7 +130,7 @@ def test_text_rendering_carries_the_verdicts():
 @pytest.mark.parametrize("scheme", ["baseline", "improved"])
 def test_report_matches_its_committed_recording(scheme):
     """The committed `cost-report --out` files pin every byte of the
-    JSON report; CI compares the installed command's output with them."""
+    JSON report; test_cli compares the command's output with them."""
     recorded = (RECORDED_COSTS / ("%s.json" % scheme)).read_bytes()
     assert json_report_bytes(cost_report(scheme)) == recorded
 

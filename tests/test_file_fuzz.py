@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from support import GOLDEN_VECTORS
 from triauth.core import Env, ProtocolConfig, SessionRng, SimClock
 from triauth.files import (
     FileFormatError,
@@ -65,7 +66,7 @@ SAMPLES = {
     "template": (_saved(save_template, BiometricTemplate.random(SessionRng(3), 256)),
                  load_template),
     "dictionary": (_saved(save_dictionary, ["alpha", "glacier-42", "omega"]), load_dictionary),
-    "golden": (_recorded(PACKAGE / "data" / "golden-hashes.txt"), load_golden_vectors),
+    "golden": (_recorded(GOLDEN_VECTORS), load_golden_vectors),
     "leak": (_saved(write_json_report, {"session": "cli-7", "seed": 7, "r_u": 123456789,
                                         "r_s": 987654321}), load_leak),
     **{name: (_recorded(PACKAGE / "scenarios" / (name + ".scenario")), load_scenario)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from support import enroll
+from support import GOLDEN_VECTORS, enroll
 from triauth import baseline, cli, improved
 from triauth.channel import Transcript, TranscriptEntry
 from triauth.core import (
@@ -532,8 +532,8 @@ def test_config_parse_errors_name_the_file_and_line(tmp_path, text, line, why):
 # Golden vectors, reports, leaks
 # ---------------------------------------------------------------------------
 
-def test_packaged_golden_vectors_parse_and_verify():
-    vectors = load_golden_vectors()
+def test_the_golden_vectors_parse_and_verify():
+    vectors = load_golden_vectors(GOLDEN_VECTORS)
     assert len(vectors) >= 8
     for blocks, digest in vectors:
         assert all(len(b) == 16 for b in blocks)

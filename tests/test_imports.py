@@ -1,7 +1,8 @@
 """Each module imports on its own, in a fresh interpreter.
 
 The package root exports only ``__version__``, so no module may lean on
-another having been imported first.
+another having been imported first.  The modules are those of the
+``triauth`` this run imports: the source tree's or an installed copy's.
 """
 
 import os
@@ -11,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-MODULES = sorted(p.stem for p in (SRC / "triauth").glob("*.py") if p.stem != "__init__")
+import triauth
+
+PACKAGE = Path(triauth.__file__).resolve().parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 _LIST_LOADED = "print(' '.join(sorted(m for m in sys.modules if m.startswith('triauth'))))"
 
 
@@ -21,7 +24,7 @@ def imports():
     """Per module: (exit status, the triauth modules loaded, stderr) of a
     fresh interpreter that imports only it.  The interpreters run side by
     side, as their start-up is most of the time."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     runs = {
         module: subprocess.Popen(
             # -S: no site-packages, so the standard library must suffice

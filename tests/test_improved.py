@@ -217,8 +217,9 @@ def test_a_login_stamped_ahead_of_the_server_is_refused_past_the_window(over):
     r_s = enr.rng.exponent(env.params)
     if over:
         with pytest.raises(FreshnessFailure, match=r"^login timestamp %d ms ahead of "
-                           r"the clock \(window %d ms\)$" % (ahead, env.delta_t_ms)):
+                           r"the clock \(window %d ms\)$" % (ahead, env.delta_t_ms)) as fault:
             enr.server.respond(msg, r_s)
+        assert (fault.value.skew_ms, fault.value.window_ms) == (-ahead, env.delta_t_ms)
     else:
         reply, sk_server = enr.server.respond(msg, r_s)
         assert improved.finish(env, pending, reply) == sk_server
@@ -243,12 +244,14 @@ def test_a_rejection_names_the_records_the_scan_tried():
         )
         flipped = dataclasses.replace(msg, C_i=msg.C_i ^ Field128.from_int(1))
         with pytest.raises(AuthFailure,
-                           match=r"^login verifier mismatch \(%d records tried\)$" % n):
+                           match=r"^login verifier mismatch \(%d records tried\)$" % n) as bad:
             server.respond(flipped, rng.exponent(env.params))
+        assert bad.value.records_tried == n
         noise = improved.LoginMessage.decode(b"".join(rng.field() for _ in range(4)))
         with pytest.raises(UnknownUser, match=r"^no registered identity matches "
-                           r"this login \(%d records tried\)$" % n):
+                           r"this login \(%d records tried\)$" % n) as unknown:
             server.respond(noise, rng.exponent(env.params))
+        assert unknown.value.records_tried == n
 
 def test_single_bit_tamper_on_each_login_field_is_rejected():
     enr = enroll("improved")

@@ -123,12 +123,25 @@ def test_recording_round_trip_and_drift_detection(tmp_path):
     assert mismatches == ["transcripts/%s differs" % tfile.name]
 
 
+def _files(root: Path) -> dict[str, bytes]:
+    """Every file under `root`, by its path relative to `root`."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
 @pytest.mark.parametrize("path", [BASELINE_ATTACK, IMPROVED_ATTACK], ids=lambda p: p.stem)
-def test_shipped_scenarios_replay_their_committed_recordings(path):
+def test_shipped_scenarios_replay_their_committed_recordings(tmp_path, capsys, path):
     """The committed recordings pin every report and transcript byte, so a
-    change anywhere on the scenario path shows up as drift here."""
+    change anywhere on the scenario path shows up as drift here.  `replay`
+    writes the same files, and a second `replay` finds no drift in them."""
     result = run_scenario(load_scenario(path))
     assert compare_with_recording(result, RECORDINGS / path.stem) == []
+    out = tmp_path / "rec"
+    for _ in range(2):
+        assert main(["replay", "--scenario", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(
+        "\nreplay of %s is byte-identical to the recording\n" % path.stem)
+    assert _files(out) == _files(RECORDINGS / path.stem)
 
 
 def test_recorded_transcripts_reload_byte_exactly(tmp_path):
@@ -450,6 +463,7 @@ def test_bad_scenario_input_names_its_step_and_replay_exits_2(
         run_scenario(load_scenario(path))
     assert main(["replay", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # nothing is written
 
 
 _RESPOND = {"op": "respond", "seed": 13}

@@ -6,7 +6,9 @@ one untampered session and attacks with the victim's password planted
 in the dictionary or not.  The checks hold for every such script:
 replay is byte-identical, an untampered session agrees on its key, a
 tampered one fails, and the attack recovers the password exactly when
-it is in the dictionary and the leak leaves no gap in the plan.
+it is in the dictionary and the leak leaves no gap in the plan.  Its
+work is the planted word's position on recovery, nothing on a gap, and
+every drawn word when the dictionary runs out.
 """
 
 import json
@@ -74,7 +76,7 @@ def _generate(scheme: str, seed: int) -> tuple[dict, dict]:
            "seed": rnd.getrandbits(32), "latency_ms": rnd.randint(0, 50),
            "steps": steps}
     facts = {"tampered": tampered, "leak_at": leak_at, "leaked": leaked,
-             "plant_at": plant_at}
+             "plant_at": plant_at, "words": size + (plant_at is not None)}
     return doc, facts
 
 
@@ -127,3 +129,8 @@ def test_a_generated_scenario_replays_and_attacks_as_its_leaks_predict(
     assert (attack["status"] == adversary.RECOVERED) == (planted and not plan.gaps)
     if attack["status"] == adversary.RECOVERED:
         assert attack["work"] == facts["plant_at"] + 1
+    elif attack["status"] == adversary.INSUFFICIENT:
+        assert attack["work"] == 0
+    else:
+        assert attack["status"] == adversary.EXHAUSTED
+        assert attack["work"] == facts["words"]
