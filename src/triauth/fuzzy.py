@@ -35,7 +35,7 @@ class BiometricTemplate:
             raise ValueError("template length does not match bit count")
 
     @classmethod
-    def random(cls, rng: SessionRng, nbits: int = 512) -> "BiometricTemplate":
+    def random(cls, rng: SessionRng, nbits: int) -> "BiometricTemplate":
         if nbits % 8 != 0:
             raise ValueError("template bit count must be a multiple of 8")
         raw = b"".join(
@@ -160,13 +160,6 @@ def flip_positions(
             raise ValueError("flip position out of range")
         word ^= 1 << (template.nbits - 1 - pos)
     return BiometricTemplate(word.to_bytes(template.nbits // 8, "big"), template.nbits)
-
-
-def perturb(
-    template: BiometricTemplate, flips: int, rng: SessionRng
-) -> BiometricTemplate:
-    """Random reading noise: flip `flips` distinct positions."""
-    return flip_positions(template, rng.positions(template.nbits, flips))
 
 
 def perturb_within_tolerance(

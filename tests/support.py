@@ -1,11 +1,23 @@
-"""Shared test fixtures: enrollments and honest sessions for both schemes,
-and the golden hash vectors."""
+"""Shared test fixtures: enrollments, card-side logins and honest
+sessions for both schemes, leaks, clocks, server files and the golden
+hash vectors."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
+from triauth.adversary import AdversaryKnowledge
 from triauth.channel import Transcript
-from triauth.core import Env, Field128, ProtocolConfig, SessionRng, SimClock, encode_text
+from triauth.core import (
+    DEFAULT_DELTA_T_MS,
+    DEFAULT_EPOCH_MS,
+    Env,
+    Field128,
+    ProtocolConfig,
+    SessionRng,
+    SimClock,
+    encode_text,
+)
+from triauth.files import load_server as _load_server
 from triauth.fuzzy import BiometricTemplate, perturb_within_tolerance
 from triauth.session import SCHEMES, Handshake
 
@@ -41,9 +53,9 @@ def enroll(
     seed: int = 1,
     identity: str = "alice",
     password: str = "correct-horse",
-    delta_t_ms: int = 2000,
+    delta_t_ms: int = DEFAULT_DELTA_T_MS,
     exchange_ms: int = 10,
-    start_ms: int = 1_700_000_000_000,
+    start_ms: int = DEFAULT_EPOCH_MS,
 ) -> Enrollment:
     mod = SCHEMES[scheme]
     config = ProtocolConfig(delta_t_ms=delta_t_ms)
@@ -56,6 +68,24 @@ def enroll(
         env, server, user_id, password, template, rng, exchange_ms=exchange_ms
     )
     return Enrollment(scheme, env, server, card, user_id, password, template, rng)
+
+
+def login(enr: Enrollment, *, password: str | None = None,
+          user_id: Field128 | None = None, reading: BiometricTemplate | None = None,
+          env: Env | None = None) -> tuple:
+    """(msg, pending) of the card-side login step called directly, on
+    `env` (the enrollment's by default).  Unless given, the holder is the
+    enrolled one and the reading is drawn with noise in 8 blocks; the
+    reading is drawn before the fresh r_u."""
+    if reading is None:
+        reading = perturb_within_tolerance(enr.template, enr.rng, 8)
+    r_u = enr.rng.exponent(enr.env.params)
+    return SCHEMES[enr.scheme].login(
+        enr.env if env is None else env, enr.card,
+        enr.user_id if user_id is None else user_id,
+        enr.password if password is None else password,
+        reading, r_u,
+    )
 
 
 def run_session(
@@ -85,3 +115,30 @@ def run_session(
         msg, pending, reply, handshake.sk_user, handshake.sk_server, r_u, r_s,
         handshake.channel.transcript(),
     )
+
+
+def full_leak(enr: Enrollment, run: SessionRun, dictionary) -> AdversaryKnowledge:
+    """What an adversary knows who holds everything one session can leak:
+    the card, the transcript, the biometric, r_u and r_s, and `dictionary`."""
+    return AdversaryKnowledge.assemble(
+        enr.scheme,
+        card=enr.card,
+        transcripts=(run.transcript,),
+        biometric=enr.template,
+        r_u=run.r_u,
+        r_s=run.r_s,
+        dictionary=dictionary,
+    )
+
+
+def clock_ahead(env: Env, ms: int) -> Env:
+    """`env` with a clock of its own, `ms` ahead of env's (behind if negative)."""
+    return replace(env, clock=SimClock(env.clock.now() + ms))
+
+
+def load_server(path, env: Env | None = None):
+    """The server saved at `path`, loaded on `env` (by default a fresh Env
+    of the default config)."""
+    if env is None:
+        env = Env.from_config(ProtocolConfig(), SimClock())
+    return _load_server(path, env)

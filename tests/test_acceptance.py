@@ -13,10 +13,10 @@ import time
 from importlib import resources
 from pathlib import Path
 
-from support import enroll, run_session
+from support import enroll, full_leak, login, run_session
 
-from triauth import adversary, baseline
-from triauth.core import LocalAuthFailure, ProtocolError, SessionRng
+from triauth import adversary
+from triauth.core import DEFAULT_EPOCH_MS, LocalAuthFailure, ProtocolError, SessionRng
 from triauth.costs import cost_report
 from triauth.files import transcript_bytes
 from triauth.fuzzy import BiometricTemplate, gen, perturb_within_tolerance, rep
@@ -24,25 +24,12 @@ from triauth.scenario import compare_with_recording, load_scenario, run_scenario
 from triauth.session import SCHEMES, wire_message
 
 SCENARIO_DIR = Path(str(resources.files("triauth"))) / "scenarios"
-EPOCH_MS = 1_700_000_000_000
 DAY_MS = 86_400_000
 
 
 def _criterion(n: int, ok: bool, detail: str) -> None:
     print("criterion %d: %s - %s" % (n, "PASS" if ok else "FAIL", detail))
     assert ok, "criterion %d failed: %s" % (n, detail)
-
-
-def _full_leak(enr, run, dictionary):
-    return adversary.AdversaryKnowledge.assemble(
-        enr.scheme,
-        card=enr.card,
-        transcripts=(run.transcript,),
-        biometric=enr.template,
-        r_u=run.r_u,
-        r_s=run.r_s,
-        dictionary=dictionary,
-    )
 
 
 # -- shared expensive material (built lazily, cached per test run) ----------
@@ -67,7 +54,7 @@ def _attacked_baseline_victims():
             run = run_session(enr)
             words = list(filler)
             words.insert(rnd.randrange(len(words) + 1), enr.password)
-            outcome = adversary.attack_baseline(_full_leak(enr, run, words))
+            outcome = adversary.attack_baseline(full_leak(enr, run, words))
             trials.append((enr, run, outcome))
         _CACHE["baseline-victims"] = (trials, time.monotonic() - t0)
     return _CACHE["baseline-victims"]
@@ -85,7 +72,7 @@ def _blocked_improved_victims():
                 password="secret-%05d" % i,
             )
             run = run_session(enr)
-            knowledge = _full_leak(enr, run, ["secret-%05d" % i, "other"])
+            knowledge = full_leak(enr, run, ["secret-%05d" % i, "other"])
             trials.append((enr, run, knowledge, adversary.attack_improved(knowledge)))
         _CACHE["improved-victims"] = trials
     return _CACHE["improved-victims"]
@@ -147,7 +134,7 @@ def test_criterion_3_recovery_enables_impersonation_only_where_it_succeeded():
         1
         for i, (enr, run, outcome) in enumerate(trials)
         if adversary.impersonate(
-            enr.env, enr.server, _full_leak(enr, run, []), outcome,
+            enr.env, enr.server, full_leak(enr, run, []), outcome,
             SessionRng(9_000 + i),
         )
         == adversary.ACCEPT
@@ -175,7 +162,7 @@ def test_criterion_4_hardened_scheme_blocks_the_same_leak():
     enr = enroll("improved", seed=404, identity="victim-4",
                  password="real-pw-4")
     run = run_session(enr)
-    knowledge = _full_leak(enr, run, ["real-pw-4", "decoy-1", "decoy-2"])
+    knowledge = full_leak(enr, run, ["real-pw-4", "decoy-1", "decoy-2"])
 
     outcome = adversary.attack_improved(knowledge)
     blocked = (
@@ -192,8 +179,8 @@ def test_criterion_4_hardened_scheme_blocks_the_same_leak():
     for _ in range(10_000):
         while True:
             guess = (
-                rnd.randrange(EPOCH_MS - DAY_MS, EPOCH_MS + DAY_MS),
-                rnd.randrange(EPOCH_MS - DAY_MS, EPOCH_MS + DAY_MS),
+                rnd.randrange(DEFAULT_EPOCH_MS - DAY_MS, DEFAULT_EPOCH_MS + DAY_MS),
+                rnd.randrange(DEFAULT_EPOCH_MS - DAY_MS, DEFAULT_EPOCH_MS + DAY_MS),
             )
             if guess != (rec.t1_ms, rec.t2_ms):
                 break
@@ -268,10 +255,7 @@ def test_criterion_6_biometric_tolerance_and_stranger_rejection():
     for _ in range(1_000):
         stranger = BiometricTemplate.random(rng, 512)
         try:
-            baseline.login(
-                enr.env, enr.card, enr.user_id, enr.password, stranger,
-                enr.rng.exponent(enr.env.params),
-            )
+            login(enr, reading=stranger)
         except LocalAuthFailure:
             rejected += 1
     _criterion(

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from support import enroll, run_session
+from support import enroll, full_leak, run_session
 from triauth import adversary
 from triauth.adversary import (
     EXHAUSTED,
@@ -27,18 +27,6 @@ from triauth.core import (
 )
 from triauth.fuzzy import gen, rep
 from triauth.session import SCHEMES, Handshake
-
-
-def leak_everything(enr, run, dictionary):
-    return AdversaryKnowledge.assemble(
-        enr.scheme,
-        card=enr.card,
-        transcripts=(run.transcript,),
-        biometric=enr.template,
-        r_u=run.r_u,
-        r_s=run.r_s,
-        dictionary=dictionary,
-    )
 
 
 def words_with(password, position, size=500):
@@ -91,7 +79,7 @@ def test_outcome_invariants():
 def test_baseline_attack_recovers_password_identity_and_key():
     enr = enroll("baseline")
     run = run_session(enr)
-    knowledge = leak_everything(enr, run, words_with(enr.password, 137))
+    knowledge = full_leak(enr, run, words_with(enr.password, 137))
     outcome = attack_baseline(knowledge)
     assert outcome.status == RECOVERED
     assert outcome.password == enr.password
@@ -104,7 +92,7 @@ def test_baseline_attack_recovers_password_identity_and_key():
 def test_baseline_attack_is_deterministic():
     enr = enroll("baseline")
     run = run_session(enr)
-    knowledge = leak_everything(enr, run, words_with(enr.password, 17))
+    knowledge = full_leak(enr, run, words_with(enr.password, 17))
     assert attack_baseline(knowledge) == attack_baseline(knowledge)
 
 
@@ -126,7 +114,7 @@ def test_baseline_attack_does_not_mutate_its_inputs():
 def test_baseline_attack_exhausts_without_the_true_password():
     enr = enroll("baseline")
     run = run_session(enr)
-    knowledge = leak_everything(enr, run, ["nope-%d" % i for i in range(50)])
+    knowledge = full_leak(enr, run, ["nope-%d" % i for i in range(50)])
     outcome = attack_baseline(knowledge)
     assert outcome.status == EXHAUSTED
     assert outcome.work == 50
@@ -137,7 +125,7 @@ def test_unencodable_dictionary_words_count_as_work():
     enr = enroll("baseline")
     run = run_session(enr)
     words = ["x" * 40, enr.password]  # first cannot fit a 128-bit block
-    outcome = attack_baseline(leak_everything(enr, run, words))
+    outcome = attack_baseline(full_leak(enr, run, words))
     assert outcome.status == RECOVERED
     assert outcome.work == 2
 
@@ -253,7 +241,7 @@ def test_wrong_scheme_knowledge_is_refused():
 def test_improved_attack_is_insufficient_in_model():
     enr = enroll("improved")
     run = run_session(enr)
-    knowledge = leak_everything(enr, run, words_with(enr.password, 9))
+    knowledge = full_leak(enr, run, words_with(enr.password, 9))
     outcome = attack_improved(knowledge)
     assert outcome.status == INSUFFICIENT
     assert outcome.work == 0  # not a single verifier evaluation possible
@@ -296,7 +284,7 @@ def test_granting_the_registration_instants_unlocks_the_attack():
     enr = enroll("improved")
     run = run_session(enr)
     rec = enr.server.records[0]
-    knowledge = leak_everything(enr, run, words_with(enr.password, 41))
+    knowledge = full_leak(enr, run, words_with(enr.password, 41))
     outcome = attack_improved(knowledge, (rec.t1_ms, rec.t2_ms))
     assert outcome.status == RECOVERED
     assert outcome.out_of_model is True  # flagged, not an in-model break
@@ -310,7 +298,7 @@ def test_granted_but_wrong_instants_do_not_recover():
     enr = enroll("improved")
     run = run_session(enr)
     rec = enr.server.records[0]
-    knowledge = leak_everything(enr, run, words_with(enr.password, 3))
+    knowledge = full_leak(enr, run, words_with(enr.password, 3))
     outcome = attack_improved(knowledge, (rec.t1_ms + 1, rec.t2_ms))
     assert outcome.status == EXHAUSTED
     assert outcome.out_of_model is True
@@ -320,7 +308,7 @@ def test_forged_key_under_true_guesses_matches_the_honest_key():
     enr = enroll("improved")
     run = run_session(enr)
     rec = enr.server.records[0]
-    knowledge = leak_everything(enr, run, ())
+    knowledge = full_leak(enr, run, ())
     forged = forge_improved_session_key(
         knowledge, rec.t1_ms, rec.t2_ms, enr.password
     )
@@ -331,7 +319,7 @@ def test_forged_keys_under_guessed_instants_never_match():
     enr = enroll("improved")
     run = run_session(enr)
     rec = enr.server.records[0]
-    knowledge = leak_everything(enr, run, ())
+    knowledge = full_leak(enr, run, ())
     rng = SessionRng(4242)
     hits = 0
     for _ in range(500):
@@ -349,7 +337,7 @@ def test_a_grant_never_enters_the_knowledge():
     enr = enroll("improved")
     run = run_session(enr)
     rec = enr.server.records[0]
-    knowledge = leak_everything(enr, run, words_with(enr.password, 4))
+    knowledge = full_leak(enr, run, words_with(enr.password, 4))
     assert attack_improved(knowledge, (rec.t1_ms, rec.t2_ms)).status == RECOVERED
     assert forge_improved_session_key(
         knowledge, rec.t1_ms, rec.t2_ms, enr.password
@@ -371,7 +359,7 @@ def test_forgery_under_a_guess_too_long_for_a_word_is_none():
     enr = enroll("improved")
     run = run_session(enr)
     rec = enr.server.records[0]
-    knowledge = leak_everything(enr, run, ())
+    knowledge = full_leak(enr, run, ())
     assert forge_improved_session_key(knowledge, rec.t1_ms, rec.t2_ms, "x" * 16)
     assert forge_improved_session_key(knowledge, rec.t1_ms, rec.t2_ms, "x" * 17) is None
 
@@ -410,14 +398,14 @@ def test_forgery_needs_the_leaked_material():
 
 def test_the_per_word_loop_derives_only_h():
     enr = enroll("baseline")
-    plan = adversary.compile_plan(leak_everything(enr, run_session(enr), ()))
+    plan = adversary.compile_plan(full_leak(enr, run_session(enr), ()))
     assert plan.gaps == ()
     assert [r.target for r in plan.per_word] == ["H"]  # + the verifier: 2 hashes
     assert [r.target for r in plan.known] == ["A2", "ID", "R", "N"]
     assert [r.target for r in plan.on_hit] == ["A6", "SK"]  # A6 only SK needs
 
     enr = enroll("improved")
-    knowledge = leak_everything(enr, run_session(enr), ())
+    knowledge = full_leak(enr, run_session(enr), ())
     assert adversary.compile_plan(knowledge).gaps  # in model: no loop at all
     rec = enr.server.records[0]
     granted = {"T1w": ms_to_field(rec.t1_ms), "T2w": ms_to_field(rec.t2_ms)}
@@ -505,7 +493,7 @@ def test_an_exhausted_baseline_attack_hashes_twice_per_word(monkeypatch):
 
     def hashes(words):
         calls.clear()
-        outcome = attack_baseline(leak_everything(enr, run, words))
+        outcome = attack_baseline(full_leak(enr, run, words))
         assert (outcome.status, outcome.work) == (EXHAUSTED, len(words))
         return len(calls)
 
@@ -519,7 +507,7 @@ def test_victims_sharing_a_plan_keep_their_own_values():
                                      (2, "bob", "battery-staple")):
         enr = enroll("baseline", seed=seed, identity=identity, password=password)
         victims.append((enr, run_session(enr)))
-    plans = [adversary.compile_plan(leak_everything(enr, run, ()))
+    plans = [adversary.compile_plan(full_leak(enr, run, ()))
              for enr, run in victims]
     assert plans[0].bind is plans[1].bind  # one memoised shape
     tests = [plan.bind(plan.atoms) for plan in plans]  # both bound first
@@ -531,7 +519,7 @@ def test_victims_sharing_a_plan_keep_their_own_values():
     # each dictionary offers the other victim's password first
     for (enr, run), (other, _) in zip(victims, victims[::-1]):
         outcome = attack_baseline(
-            leak_everything(enr, run, [other.password, enr.password]))
+            full_leak(enr, run, [other.password, enr.password]))
         assert (outcome.work, outcome.password, outcome.identity, outcome.session_key) \
             == (2, enr.password, enr.user_id, run.sk_user)
 
@@ -614,7 +602,7 @@ def test_every_rule_maps_true_inputs_to_the_true_output(monkeypatch, scheme, cou
 @pytest.mark.parametrize("scheme", ["baseline", "improved"])
 def test_every_leaked_atom_is_named_as_the_equations_name_it(monkeypatch, scheme):
     enr, run, truth = _honest_atoms(scheme, monkeypatch)
-    atoms = dict(leak_everything(enr, run, ()).atoms)
+    atoms = dict(full_leak(enr, run, ()).atoms)
     tools = {name: atoms.pop(name) for name in ("h", "p", "g")}
     assert tools == {"h": enr.card.h, "p": enr.card.p, "g": enr.card.g}
     assert {name: truth.get(name) for name in atoms} == atoms
@@ -634,7 +622,7 @@ def test_intercept_returns_the_channel_transcript():
 def test_impersonation_succeeds_after_a_baseline_recovery():
     enr = enroll("baseline")
     run = run_session(enr)
-    knowledge = leak_everything(enr, run, words_with(enr.password, 7))
+    knowledge = full_leak(enr, run, words_with(enr.password, 7))
     outcome = attack_baseline(knowledge)
     assert outcome.status == RECOVERED
     enr.env.clock.advance(500)
@@ -647,7 +635,7 @@ def test_impersonation_counts_the_victim_servers_work_in_its_scope():
     ledger, server = enr.env.ledger, ("authentication", "server")
     run = run_session(enr)  # the first respond this server runs
     hashes, modexps = dict(ledger.hash_calls), dict(ledger.modexp_calls)
-    knowledge = leak_everything(enr, run, words_with(enr.password, 7))
+    knowledge = full_leak(enr, run, words_with(enr.password, 7))
     outcome = attack_baseline(knowledge)
     assert outcome.status == RECOVERED
     enr.env.clock.advance(500)
@@ -662,7 +650,7 @@ def test_impersonation_counts_the_victim_servers_work_in_its_scope():
 def test_impersonation_fails_against_the_improved_server():
     enr = enroll("improved")
     run = run_session(enr)
-    knowledge = leak_everything(enr, run, words_with(enr.password, 7))
+    knowledge = full_leak(enr, run, words_with(enr.password, 7))
     outcome = attack_improved(knowledge)
     assert outcome.status == INSUFFICIENT
     enr.env.clock.advance(500)
@@ -674,7 +662,7 @@ def test_impersonation_after_an_exhausted_baseline_attack_is_rejected():
     # no recovery: the adversary falls back to a card it issues to itself
     enr = enroll("baseline")
     run = run_session(enr)
-    knowledge = leak_everything(enr, run, ["w%05d" % i for i in range(50)])
+    knowledge = full_leak(enr, run, ["w%05d" % i for i in range(50)])
     outcome = attack_baseline(knowledge)
     assert outcome.status == EXHAUSTED
     user_ids, records = set(enr.server.user_ids), list(enr.server.records)

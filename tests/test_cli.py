@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from triauth import cli
+from triauth.core import DEFAULT_EPOCH_MS
 
 SCENARIO_DIR = Path(str(resources.files("triauth"))) / "scenarios"
 RECORDED_COSTS = Path(__file__).parent / "recordings" / "costs"
-EPOCH_MS = 1_700_000_000_000
 
 
 def run_cli(*argv):
@@ -374,7 +374,7 @@ def test_improved_attack_flips_with_granted_timestamps(tmp_path, capsys):
 
     words, _ = write_words(tmp_path, "hunter-glacier")
     # registration instants for the default simulated clock and latency
-    grant = "%d,%d" % (EPOCH_MS, EPOCH_MS + 10)
+    grant = "%d,%d" % (DEFAULT_EPOCH_MS, DEFAULT_EPOCH_MS + 10)
     code = run_cli(
         "attack",
         "--card", paths["card"],

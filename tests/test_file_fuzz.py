@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from support import GOLDEN_VECTORS
-from triauth.core import Env, ProtocolConfig, SessionRng, SimClock
+from support import GOLDEN_VECTORS, load_server
+from triauth.core import ProtocolConfig, SessionRng
 from triauth.files import (
     FileFormatError,
     load_card,
@@ -19,7 +19,6 @@ from triauth.files import (
     load_dictionary,
     load_golden_vectors,
     load_leak,
-    load_server,
     load_template,
     load_transcript,
     save_config,
@@ -33,10 +32,6 @@ from triauth.scenario import load_scenario
 RECORDINGS = Path(__file__).parent / "recordings"
 PACKAGE = Path(str(resources.files("triauth")))
 MUTATIONS = 150
-
-
-def _load_server(path):
-    return load_server(path, Env.from_config(ProtocolConfig(), SimClock()))
 
 
 def _saved(save, value):
@@ -58,7 +53,7 @@ SAMPLES = {
     **{"%s-%s" % (scheme, name): (_recorded(RECORDINGS / "files" / scheme / name), load)
        for scheme in ("baseline", "improved")
        for name, load in (("alice.card", load_card), ("bob.card", load_card),
-                          ("server.state", _load_server))},
+                          ("server.state", load_server))},
     "transcript": (_recorded(RECORDINGS / "baseline-attack" / "transcripts" / "s001.bin"),
                    load_transcript),
     "config": (_saved(save_config, ProtocolConfig(delta_t_ms=5000, template_bits=256, seed=77)),

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from support import GOLDEN_VECTORS, enroll
-from triauth import baseline, cli, improved
+from support import GOLDEN_VECTORS, enroll, load_server, run_session
+from triauth import cli
 from triauth.channel import Transcript, TranscriptEntry
 from triauth.core import (
     Env,
@@ -25,7 +25,6 @@ from triauth.files import (
     load_dictionary,
     load_golden_vectors,
     load_leak,
-    load_server,
     load_template,
     load_transcript,
     save_card,
@@ -76,8 +75,7 @@ def test_recorded_cards_reload_and_resave_byte_for_byte(tmp_path, scheme):
 @pytest.mark.parametrize("scheme", ["baseline", "improved"])
 def test_recorded_server_state_reloads_and_resaves_byte_for_byte(tmp_path, scheme):
     recorded = RECORDED_FILES / scheme
-    env = Env.from_config(ProtocolConfig(), SimClock())
-    save_server(load_server(recorded / "server.state", env), tmp_path / "server.state")
+    save_server(load_server(recorded / "server.state"), tmp_path / "server.state")
     assert (tmp_path / "server.state").read_bytes() == (recorded / "server.state").read_bytes()
 
 
@@ -85,21 +83,13 @@ def test_recorded_server_state_reloads_and_resaves_byte_for_byte(tmp_path, schem
 # Cards
 # ---------------------------------------------------------------------------
 
-def test_baseline_card_round_trips(tmp_path):
-    enr = enroll("baseline")
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_card_round_trips(tmp_path, scheme):
+    enr = enroll(scheme)
     path = tmp_path / "u.card"
     save_card(enr.card, path)
     loaded = load_card(path)
-    assert isinstance(loaded, baseline.BaselineCard)
-    assert loaded == enr.card
-
-
-def test_improved_card_round_trips(tmp_path):
-    enr = enroll("improved")
-    path = tmp_path / "u.card"
-    save_card(enr.card, path)
-    loaded = load_card(path)
-    assert isinstance(loaded, improved.ImprovedCard)
+    assert isinstance(loaded, SCHEMES[scheme].Card)
     assert loaded == enr.card
 
 
@@ -218,24 +208,15 @@ def test_card_parse_errors_name_the_file_and_line(tmp_path, old, new, line, why)
 # Server state
 # ---------------------------------------------------------------------------
 
-def test_baseline_server_round_trips(tmp_path):
-    enr = enroll("baseline")
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_server_round_trips(tmp_path, scheme):
+    enr = enroll(scheme)
     path = tmp_path / "srv.state"
     save_server(enr.server, path)
-    env = Env.from_config(ProtocolConfig(), SimClock())
-    loaded = load_server(path, env)
+    loaded = load_server(path)
     assert loaded.x == enr.server.x
     assert loaded.y == enr.server.y  # recomputed, must agree
     assert loaded.user_ids == enr.server.user_ids
-
-
-def test_improved_server_round_trips(tmp_path):
-    enr = enroll("improved")
-    path = tmp_path / "srv.state"
-    save_server(enr.server, path)
-    env = Env.from_config(ProtocolConfig(), SimClock())
-    loaded = load_server(path, env)
-    assert loaded.x == enr.server.x
     assert loaded.records == enr.server.records
 
 
@@ -243,11 +224,10 @@ def test_server_group_must_match_the_config(tmp_path):
     enr = enroll("baseline")
     path = tmp_path / "srv.state"
     save_server(enr.server, path)
-    env = Env.from_config(ProtocolConfig(), SimClock())
     good_g = Field128.from_int(enr.env.params.g).hex()
     path.write_text(path.read_text().replace("g: %s" % good_g, "g: %032x" % 9))
     with pytest.raises(FileFormatError, match="group parameters disagree"):
-        load_server(path, env)
+        load_server(path)
 
 
 def test_server_hash_must_match_the_config(tmp_path):
@@ -267,7 +247,7 @@ def test_improved_server_record_needs_three_parts(tmp_path):
     rec_line = [l for l in text.splitlines() if l.startswith("record:")][0]
     path.write_text(text.replace(rec_line, rec_line.rsplit(" ", 1)[0]))
     with pytest.raises(FileFormatError, match="record needs"):
-        load_server(path, Env.from_config(ProtocolConfig(), SimClock()))
+        load_server(path)
 
 
 # the last line of each recorded server state
@@ -302,17 +282,13 @@ _BOB_IMPROVED = b"record: 626f6200000000000000000000000000 1700000000000 1700000
 def test_server_parse_errors_name_the_file_and_line(tmp_path, recorded, old, new, line, why):
     path = _edited_copy(tmp_path, recorded + "/server.state", "srv.state", old, new)
     with _raises_at(path, line, why):
-        load_server(path, Env.from_config(ProtocolConfig(), SimClock()))
-
-
-def _load_server(path):
-    return load_server(path, Env.from_config(ProtocolConfig(), SimClock()))
+        load_server(path)
 
 
 @pytest.mark.parametrize("scheme", ["baseline", "improved"])
 @pytest.mark.parametrize("name, load, save", [
     ("alice.card", load_card, save_card),
-    ("server.state", _load_server, save_server),
+    ("server.state", load_server, save_server),
 ], ids=["card", "server-state"])
 def test_blank_and_comment_lines_are_skipped(tmp_path, scheme, name, load, save):
     recorded = RECORDED_FILES / scheme / name
@@ -327,8 +303,8 @@ def test_blank_and_comment_lines_are_skipped(tmp_path, scheme, name, load, save)
 
 @pytest.mark.parametrize("scheme", ["baseline", "improved"])
 def test_enrolling_an_identity_restored_from_a_file_is_refused(scheme):
-    env = Env.from_config(ProtocolConfig(), SimClock())
-    server = load_server(RECORDED_FILES / scheme / "server.state", env)
+    server = load_server(RECORDED_FILES / scheme / "server.state")
+    env = server.env
     rng = SessionRng(3)
     template = BiometricTemplate.random(rng, 512)
     with pytest.raises(RegistrationError, match="identity already registered"):
@@ -336,8 +312,6 @@ def test_enrolling_an_identity_restored_from_a_file_is_refused(scheme):
 
 
 def test_loaded_server_still_authenticates(tmp_path):
-    from support import run_session
-
     enr = enroll("improved")
     path = tmp_path / "srv.state"
     save_server(enr.server, path)

@@ -8,7 +8,7 @@ refuse each with a ProtocolError and nothing else.
 
 import pytest
 
-from support import enroll
+from support import enroll, login
 from triauth.core import FIELD_BYTES, ProtocolError, SessionRng
 from triauth.session import SCHEMES, WIRE_LABELS, wire_message
 
@@ -52,14 +52,13 @@ def test_respond_and_finish_refuse_random_messages_with_a_protocol_error(scheme)
     enr = enroll(scheme)
     mod = SCHEMES[scheme]
     env, params = enr.env, enr.env.params
-    msg, pending = mod.login(env, enr.card, enr.user_id, enr.password, enr.template,
-                             enr.rng.exponent(params))
+    msg, pending = login(enr, reading=enr.template)
     reply, _ = enr.server.respond(msg, enr.rng.exponent(params))
     rng = SessionRng(7)
     seen = set()
-    for login in _fuzzed(mod.LoginMessage, msg, rng):
+    for fake in _fuzzed(mod.LoginMessage, msg, rng):
         with pytest.raises(ProtocolError) as caught:
-            enr.server.respond(login, enr.rng.exponent(params))
+            enr.server.respond(fake, enr.rng.exponent(params))
         seen.add(caught.type.__name__)
     for fake in _fuzzed(mod.ReplyMessage, reply, rng):
         with pytest.raises(ProtocolError) as caught:
