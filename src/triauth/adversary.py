@@ -19,9 +19,9 @@ any other, which only a captured card supplies.  An atom ends up
 :func:`compile_plan` does that closure once per set of names held (the
 values never change it) and orders the chosen rules into an
 :class:`AttackPlan`: rules run once, per candidate, and on a hit, all
-compiled into one Python function that tests a word with plain
-statements.  A dictionary attack runs iff every block of
-the verifier equation is known or candidate-derivable; otherwise the
+compiled into one Python function that tests a word, or runs the whole
+dictionary, with plain statements.  A dictionary attack runs iff every
+block of the verifier equation is known or candidate-derivable; otherwise the
 outcome names the atoms that closure cannot reach (without a card,
 ``h`` among them).  Against the baseline the closure reaches C_i and
 the loop recovers the password, identity and session key.  Against the
@@ -48,8 +48,8 @@ from .core import (
     HashEngine,
     ProtocolError,
     SessionRng,
-    encode_text,
     ms_to_field,
+    text_block,
 )
 from .channel import SimChannel, Transcript
 from .fuzzy import BiometricTemplate, rep
@@ -277,7 +277,10 @@ class AttackPlan:
     atoms, it runs ``known`` once and returns ``test(PW, verify=True)``,
     which runs ``per_word``, compares the verifier and on a match runs
     ``on_hit`` and returns (ID, SK), else None; without ``verify`` it
-    runs every step.  The steps depend only on the names held, never
+    runs every step.  ``test.search(words)`` is the dictionary loop
+    over the same steps: each word becomes its :func:`text_block`, and
+    it returns (work, (word, ID, SK)) for the first match, else
+    (len(words), None).  The steps depend only on the names held, never
     on the values; ``atoms`` holds this attack's values.
     """
 
@@ -376,21 +379,39 @@ def _plan_shape(scheme: str, names: frozenset[str]) -> AttackPlan:
 
 def _test_source(verifier: Derivation, known, per_word, on_hit) -> str:
     """The steps as the text of ``bind(atoms)``: each rule's ``how`` is
-    a plain statement, and every held atom a step reads is a local."""
+    a plain statement, and every held atom a step reads is a local.
+    In ``search`` a word that has no block counts as tested and rejected."""
     made = {rule.target for rule in (*known, *per_word, *on_hit)} | {"PW"}
     reads = [*(a for rule in (*known, *per_word, *on_hit, verifier) for a in rule.needs),
              verifier.target, *_TARGETS]
     check = verifier.how.split(" = ", 1)[1]
+    targets = ", ".join(_TARGETS)
+
+    def steps(rules, indent):
+        return (" " * indent + rule.how for rule in rules)
+
     return "\n".join([
         "def bind(atoms):",
         *("    %s = atoms[%r]" % (a, a) for a in dict.fromkeys(reads) if a not in made),
-        *("    " + rule.how for rule in known),
+        *steps(known, 4),
         "    def test(PW, verify=True):",
-        *("        " + rule.how for rule in per_word),
+        *steps(per_word, 8),
         "        if verify and %s != %s:" % (check, verifier.target),
         "            return None",
-        *("        " + rule.how for rule in on_hit),
-        "        return %s" % ", ".join(_TARGETS),
+        *steps(on_hit, 8),
+        "        return %s" % targets,
+        "    def search(words):",
+        "        for work, word in enumerate(words, 1):",
+        "            try:",
+        "                PW = text_block(word)",
+        "            except ValueError:",
+        "                continue",
+        *steps(per_word, 12),
+        "            if %s == %s:" % (check, verifier.target),
+        *steps(on_hit, 16),
+        "                return work, (word, %s)" % targets,
+        "        return len(words), None",
+        "    test.search = search",
         "    return test",
         "",
     ])
@@ -404,26 +425,10 @@ def _run_dictionary(
     if plan.gaps:
         return AttackOutcome(INSUFFICIENT, gaps=plan.gaps, out_of_model=out_of_model)
 
-    test = plan.bind(plan.atoms)
-    work = 0
-    for word in knowledge.dictionary:
-        work += 1  # an unencodable word counts as tested and rejected
-        try:
-            pw = encode_text(word)
-        except ValueError:
-            continue
-        hit = test(pw)
-        if hit is not None:
-            identity, session_key = hit
-            return AttackOutcome(
-                status=RECOVERED,
-                work=work,
-                password=word,
-                identity=identity,
-                session_key=session_key,
-                out_of_model=out_of_model,
-            )
-    return AttackOutcome(status=EXHAUSTED, work=work, out_of_model=out_of_model)
+    work, hit = plan.bind(plan.atoms).search(knowledge.dictionary)
+    if hit is None:
+        return AttackOutcome(EXHAUSTED, work, out_of_model=out_of_model)
+    return AttackOutcome(RECOVERED, work, *hit, out_of_model=out_of_model)  # PW, ID, SK
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +522,7 @@ def forge_improved_session_key(
     if plan.gaps:
         return None
     try:
-        pw = encode_text(password_guess)
+        pw = text_block(password_guess)
     except ValueError:
         return None
     _, session_key = plan.bind(plan.atoms)(pw, verify=False)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 
 
@@ -181,17 +181,24 @@ class WireMessage:
         return cls(*cls.words(raw).values())
 
 
-def encode_text(text: str) -> Field128:
-    """Encode an identity or password string as one protocol word.
+def text_block(text: str) -> bytes:
+    """An identity or password string as the 16 plain bytes it is hashed as.
 
     UTF-8, zero-padded on the right.  Anything longer than 16 bytes is
     rejected rather than truncated (truncation would silently alias
-    distinct passwords).
+    distinct passwords), and so is text UTF-8 cannot encode (a lone
+    surrogate): both with ValueError.
     """
     raw = text.encode("utf-8")
     if len(raw) > FIELD_BYTES:
         raise ValueError("text too long for a 128-bit word: %r" % text)
-    return _new_bytes(Field128, raw.ljust(FIELD_BYTES, b"\x00"))
+    return raw.ljust(FIELD_BYTES, b"\x00")
+
+
+def encode_text(text: str) -> Field128:
+    """Encode an identity or password string as one protocol word: its
+    :func:`text_block`."""
+    return _new_bytes(Field128, text_block(text))
 
 
 def decode_text(word: Field128) -> str:

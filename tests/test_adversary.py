@@ -501,6 +501,79 @@ def test_an_exhausted_baseline_attack_hashes_twice_per_word(monkeypatch):
     assert hashes(words) - hashes(()) == 2 * len(words)
 
 
+def test_an_exhausted_granted_improved_attack_hashes_twice_per_word(monkeypatch):
+    enr, run, instants, _ = _victim("improved", True)
+    calls = []
+    real_hash = HashEngine.__call__
+
+    def counting_hash(self, *parts):
+        calls.append(parts)
+        return real_hash(self, *parts)
+
+    monkeypatch.setattr(HashEngine, "__call__", counting_hash)
+
+    def hashes(words):
+        calls.clear()
+        outcome = attack_improved(full_leak(enr, run, words), instants)
+        assert (outcome.status, outcome.work) == (EXHAUSTED, len(words))
+        return len(calls)
+
+    words = ["nope-%d" % i for i in range(40)]
+    assert hashes(words) - hashes(()) == 2 * len(words)
+
+
+# The baseline attack of a full leak, as generated: a change to the
+# statements any word runs shows here.
+BASELINE_FULL_LEAK_SOURCE = """\
+def bind(atoms):
+    exp = atoms['exp']
+    Y = atoms['Y']
+    r_u = atoms['r_u']
+    NID = atoms['NID']
+    B = atoms['B']
+    P_i = atoms['P_i']
+    L = atoms['L']
+    e = atoms['e']
+    h = atoms['h']
+    A4 = atoms['A4']
+    T1w = atoms['T1w']
+    T3w = atoms['T3w']
+    A1 = atoms['A1']
+    C_i = atoms['C_i']
+    A2 = exp(Y, r_u)
+    ID = NID ^ A2
+    R = rep(B, P_i)
+    N = L ^ R
+    def test(PW, verify=True):
+        H = e ^ h(PW, N)
+        if verify and h(ID, H, A1, A2, T1w) != C_i:
+            return None
+        A6 = exp(A4, r_u)
+        SK = h(ID, A2, A6, H, T1w, T3w)
+        return ID, SK
+    def search(words):
+        for work, word in enumerate(words, 1):
+            try:
+                PW = text_block(word)
+            except ValueError:
+                continue
+            H = e ^ h(PW, N)
+            if h(ID, H, A1, A2, T1w) == C_i:
+                A6 = exp(A4, r_u)
+                SK = h(ID, A2, A6, H, T1w, T3w)
+                return work, (word, ID, SK)
+        return len(words), None
+    test.search = search
+    return test
+"""
+
+
+def test_the_baseline_full_leak_compiles_to_the_pinned_source():
+    enr = enroll("baseline")
+    plan = adversary.compile_plan(full_leak(enr, run_session(enr), ()))
+    assert plan.source == BASELINE_FULL_LEAK_SOURCE
+
+
 def test_victims_sharing_a_plan_keep_their_own_values():
     victims = []
     for seed, identity, password in ((1, "alice", "correct-horse"),

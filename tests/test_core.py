@@ -27,6 +27,7 @@ from triauth.core import (
     is_probable_prime,
     mod_exp,
     ms_to_field,
+    text_block,
 )
 from triauth.files import load_golden_vectors
 
@@ -98,6 +99,25 @@ def test_encode_text_rejects_overlong():
     # multibyte characters count in bytes, not characters
     with pytest.raises(ValueError):
         encode_text("é" * 9)  # 18 UTF-8 bytes
+
+
+@pytest.mark.parametrize("text, raw", [
+    ("alice", b"alice"),
+    ("pässwörd-€", "pässwörd-€".encode("utf-8")),  # 14 bytes from 10 characters
+    ("x" * 16, b"x" * 16),
+])
+def test_text_block_is_the_bytes_of_encode_text(text, raw):
+    block = text_block(text)
+    assert type(block) is bytes
+    assert block == encode_text(text) == raw.ljust(16, b"\x00")
+
+
+@pytest.mark.parametrize("text", ["x" * 17, "\ud800"])  # too long; no UTF-8 form
+def test_text_block_and_encode_text_refuse_the_same_text(text):
+    with pytest.raises(ValueError):
+        text_block(text)
+    with pytest.raises(ValueError):
+        encode_text(text)
 
 
 def test_distinct_texts_encode_distinctly():
