@@ -19,8 +19,9 @@ any other, which only a captured card supplies.  An atom ends up
 :func:`compile_plan` does that closure once per set of names held (the
 values never change it) and orders the chosen rules into an
 :class:`AttackPlan`: rules run once, per candidate, and on a hit, all
-compiled into one Python function that tests a word, or runs the whole
-dictionary, with plain statements.  A dictionary attack runs iff every
+compiled into one Python function, ``search``, that runs the whole
+dictionary with plain statements; a forgery runs the same rules one by
+one through each rule's function.  A dictionary attack runs iff every
 block of the verifier equation is known or candidate-derivable; otherwise the
 outcome names the atoms that closure cannot reach (without a card,
 ``h`` among them).  Against the baseline the closure reaches C_i and
@@ -273,15 +274,13 @@ class AttackPlan:
 
     Each tuple is in dependency order, and so is their concatenation.
     With ``gaps`` the attack cannot start and the tuples are empty.
-    ``source`` is the steps as one Python function, ``bind``: given the
-    atoms, it runs ``known`` once and returns ``test(PW, verify=True)``,
-    which runs ``per_word``, compares the verifier and on a match runs
-    ``on_hit`` and returns (ID, SK), else None; without ``verify`` it
-    runs every step.  ``test.search(words)`` is the dictionary loop
-    over the same steps: each word becomes its :func:`text_block`, and
-    it returns (work, (word, ID, SK)) for the first match, else
-    (len(words), None).  The steps depend only on the names held, never
-    on the values; ``atoms`` holds this attack's values.
+    ``source`` is the steps as one Python function, compiled as
+    ``search(atoms, words)``: it runs ``known`` once, then each word's
+    :func:`text_block` through ``per_word`` and the verifier, and on
+    the first match ``on_hit``; it returns (work, (word, ID, SK)), or
+    (len(words), None).  A forgery runs the same steps rule by rule.
+    The steps depend only on the names held, never on the values;
+    ``atoms`` holds this attack's values.
     """
 
     atoms: dict[str, object]
@@ -290,7 +289,7 @@ class AttackPlan:
     on_hit: tuple[Derivation, ...] = ()
     gaps: tuple[EquationGap, ...] = ()
     source: str = ""
-    bind: Callable | None = field(default=None, compare=False, repr=False)
+    search: Callable | None = field(default=None, compare=False, repr=False)
 
 
 # Every name a scheme's rules, verifier and targets mention.  No other
@@ -374,45 +373,35 @@ def _plan_shape(scheme: str, names: frozenset[str]) -> AttackPlan:
     namespace: dict[str, Callable] = {}
     # `rep`, the public extractor, stays a global as in every rule
     exec(source, globals(), namespace)
-    return AttackPlan({}, *steps, source=source, bind=namespace["bind"])
+    return AttackPlan({}, *steps, source=source, search=namespace["search"])
 
 
 def _test_source(verifier: Derivation, known, per_word, on_hit) -> str:
-    """The steps as the text of ``bind(atoms)``: each rule's ``how`` is
-    a plain statement, and every held atom a step reads is a local.
-    In ``search`` a word that has no block counts as tested and rejected."""
+    """The steps as the text of ``search(atoms, words)``: each rule's
+    ``how`` is a plain statement, and every held atom a step reads is a
+    local.  A word that has no block counts as tested and rejected."""
     made = {rule.target for rule in (*known, *per_word, *on_hit)} | {"PW"}
     reads = [*(a for rule in (*known, *per_word, *on_hit, verifier) for a in rule.needs),
              verifier.target, *_TARGETS]
     check = verifier.how.split(" = ", 1)[1]
-    targets = ", ".join(_TARGETS)
 
     def steps(rules, indent):
         return (" " * indent + rule.how for rule in rules)
 
     return "\n".join([
-        "def bind(atoms):",
+        "def search(atoms, words):",
         *("    %s = atoms[%r]" % (a, a) for a in dict.fromkeys(reads) if a not in made),
         *steps(known, 4),
-        "    def test(PW, verify=True):",
+        "    for work, word in enumerate(words, 1):",
+        "        try:",
+        "            PW = text_block(word)",
+        "        except ValueError:",
+        "            continue",
         *steps(per_word, 8),
-        "        if verify and %s != %s:" % (check, verifier.target),
-        "            return None",
-        *steps(on_hit, 8),
-        "        return %s" % targets,
-        "    def search(words):",
-        "        for work, word in enumerate(words, 1):",
-        "            try:",
-        "                PW = text_block(word)",
-        "            except ValueError:",
-        "                continue",
-        *steps(per_word, 12),
-        "            if %s == %s:" % (check, verifier.target),
-        *steps(on_hit, 16),
-        "                return work, (word, %s)" % targets,
-        "        return len(words), None",
-        "    test.search = search",
-        "    return test",
+        "        if %s == %s:" % (check, verifier.target),
+        *steps(on_hit, 12),
+        "            return work, (word, %s)" % ", ".join(_TARGETS),
+        "    return len(words), None",
         "",
     ])
 
@@ -425,7 +414,7 @@ def _run_dictionary(
     if plan.gaps:
         return AttackOutcome(INSUFFICIENT, gaps=plan.gaps, out_of_model=out_of_model)
 
-    work, hit = plan.bind(plan.atoms).search(knowledge.dictionary)
+    work, hit = plan.search(plan.atoms, knowledge.dictionary)
     if hit is None:
         return AttackOutcome(EXHAUSTED, work, out_of_model=out_of_model)
     return AttackOutcome(RECOVERED, work, *hit, out_of_model=out_of_model)  # PW, ID, SK
@@ -511,10 +500,11 @@ def forge_improved_session_key(
     """Forge an SK for guessed (T1, T2, PW) without any verification.
 
     This is the brute-force counterpart to the closure argument: run
-    the full derivation chain under the guesses and emit whatever key
-    falls out.  Wrong guesses produce well-formed garbage; the caller
-    compares against the honest key.  Returns None only if the chain
-    cannot run at all (missing knowledge).
+    the plan's whole derivation chain, rule by rule, under the guesses
+    and emit whatever key falls out.  Wrong guesses produce well-formed
+    garbage; the caller compares against the honest key.  Returns None
+    if the chain cannot run at all (missing knowledge) or the password
+    guess has no 16-byte block.
     """
     if knowledge.scheme != improved.SCHEME:
         raise ValueError("forgery chain is specific to the improved scheme")
@@ -525,8 +515,10 @@ def forge_improved_session_key(
         pw = text_block(password_guess)
     except ValueError:
         return None
-    _, session_key = plan.bind(plan.atoms)(pw, verify=False)
-    return session_key
+    values = dict(plan.atoms, PW=pw)
+    for rule in plan.known + plan.per_word + plan.on_hit:
+        values[rule.target] = rule.fn(*(values[a] for a in rule.needs))
+    return values["SK"]
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +575,7 @@ def impersonate(
         )
         card = replace(card, Y=atoms["Y"])
 
-    handshake = Handshake(mod, own, server)  # on the victim's clock: own shares it
+    handshake = Handshake(own, server)  # on the victim's clock: own shares it
     try:
         handshake.login(card, user_id, password, reading, r_fresh)
         handshake.respond(rng.exponent(env.params))

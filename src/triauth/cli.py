@@ -164,7 +164,7 @@ def _cmd_login_run(args) -> int:
         env.clock.advance(args.advance_ms)
 
     session_id = "cli-%d" % seed
-    handshake = Handshake(SCHEMES[scheme], env, server, latency_ms=args.latency,
+    handshake = Handshake(env, server, latency_ms=args.latency,
                           session_id=session_id, rng_seed=seed)
     reading = perturb_within_tolerance(template, rng, args.noise_blocks)
     r_s = SessionRng(derive_seed(seed, "server-ephemeral")).exponent(env.params)
@@ -176,7 +176,13 @@ def _cmd_login_run(args) -> int:
         handshake.finish()
     except ProtocolError as exc:
         _print("session rejected locally: %s (%s)" % (exc, exc.code))
-        _print("wire view: %s" % WIRE_TERMINATION)
+        sent = [entry.label for entry in handshake.channel.transcript().entries]
+        if not sent:
+            _print("wire view: nothing was sent")
+        elif sent[-1] == "termination":
+            _print("wire view: %s" % WIRE_TERMINATION)
+        else:  # the card refused the reply
+            _print("wire view: %s sent, no notice followed" % " and ".join(sent))
         return _exit_code_for(exc)
 
     match = handshake.keys_match()

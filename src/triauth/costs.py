@@ -53,7 +53,7 @@ def run_instrumented_session(scheme: str, config: ProtocolConfig | None = None):
     noisy = perturb_within_tolerance(template, rng, noise_blocks)
     # 25 ms each way between card and server, or the freshness window if
     # that is shorter, so that each message arrives inside it
-    handshake = Handshake(mod, env, server, latency_ms=min(25, config.delta_t_ms))
+    handshake = Handshake(env, server, latency_ms=min(25, config.delta_t_ms))
     handshake.login(card, user_id, "probe-password", noisy, rng.exponent(env.params))
     handshake.respond(rng.exponent(env.params), processing_ms=3)
     handshake.finish()

@@ -226,7 +226,7 @@ class _Runner:
             user=step["user"],
             seed=seed,
             handshake=Handshake(
-                self.mod, self.env, self.server,
+                self.env, self.server,
                 latency_ms=self.script.latency_ms,
                 session_id=_channel_session_id(self.script.name, number),
                 rng_seed=seed,

@@ -81,13 +81,13 @@ class Handshake:
     on its own Env: the card's on `env`, the server's on ``server.env``,
     which differ when an adversary logs in.  It draws no randomness
     (callers pass r_u and r_s, so their RNG streams keep their order).
-    Scheme functions are looked up on `mod` at each call, so a wrapper
-    installed on the module or the server class sees every step.
+    The server's scheme functions are looked up at each call, so a
+    wrapper installed on the module or the server class sees every step.
     """
 
-    def __init__(self, mod, env: Env, server, latency_ms: int = 0,
+    def __init__(self, env: Env, server, latency_ms: int = 0,
                  session_id: str = "s000", rng_seed: int | None = None):
-        self.mod = mod
+        self.mod = SCHEMES[scheme_of(server)]
         self.env = env
         self.server = server
         self.channel = SimChannel(env.clock, latency_ms, session_id, rng_seed)

@@ -102,7 +102,7 @@ def run_session(
     reading = perturb_within_tolerance(enr.template, enr.rng, noise_blocks)
     r_u = enr.rng.exponent(env.params)
     r_s = enr.rng.exponent(env.params)
-    handshake = Handshake(SCHEMES[enr.scheme], env, enr.server, latency_ms=network_ms)
+    handshake = Handshake(env, enr.server, latency_ms=network_ms)
     msg = handshake.login(
         enr.card, enr.user_id,
         password if password is not None else enr.password,

@@ -369,7 +369,7 @@ def test_a_termination_notice_adds_no_wire_atoms(scheme):
     """A server-rejected session leaks the login, then the termination
     notice; the notice is no message and gives no atom."""
     enr = enroll(scheme)
-    handshake = Handshake(SCHEMES[scheme], enr.env, enr.server)
+    handshake = Handshake(enr.env, enr.server)
     params = enr.env.params
     handshake.login(enr.card, enr.user_id, enr.password, enr.template,
                     enr.rng.exponent(params))
@@ -525,7 +525,7 @@ def test_an_exhausted_granted_improved_attack_hashes_twice_per_word(monkeypatch)
 # The baseline attack of a full leak, as generated: a change to the
 # statements any word runs shows here.
 BASELINE_FULL_LEAK_SOURCE = """\
-def bind(atoms):
+def search(atoms, words):
     exp = atoms['exp']
     Y = atoms['Y']
     r_u = atoms['r_u']
@@ -544,27 +544,17 @@ def bind(atoms):
     ID = NID ^ A2
     R = rep(B, P_i)
     N = L ^ R
-    def test(PW, verify=True):
+    for work, word in enumerate(words, 1):
+        try:
+            PW = text_block(word)
+        except ValueError:
+            continue
         H = e ^ h(PW, N)
-        if verify and h(ID, H, A1, A2, T1w) != C_i:
-            return None
-        A6 = exp(A4, r_u)
-        SK = h(ID, A2, A6, H, T1w, T3w)
-        return ID, SK
-    def search(words):
-        for work, word in enumerate(words, 1):
-            try:
-                PW = text_block(word)
-            except ValueError:
-                continue
-            H = e ^ h(PW, N)
-            if h(ID, H, A1, A2, T1w) == C_i:
-                A6 = exp(A4, r_u)
-                SK = h(ID, A2, A6, H, T1w, T3w)
-                return work, (word, ID, SK)
-        return len(words), None
-    test.search = search
-    return test
+        if h(ID, H, A1, A2, T1w) == C_i:
+            A6 = exp(A4, r_u)
+            SK = h(ID, A2, A6, H, T1w, T3w)
+            return work, (word, ID, SK)
+    return len(words), None
 """
 
 
@@ -582,13 +572,14 @@ def test_victims_sharing_a_plan_keep_their_own_values():
         victims.append((enr, run_session(enr)))
     plans = [adversary.compile_plan(full_leak(enr, run, ()))
              for enr, run in victims]
-    assert plans[0].bind is plans[1].bind  # one memoised shape
-    tests = [plan.bind(plan.atoms) for plan in plans]  # both bound first
+    assert plans[0].search is plans[1].search  # one memoised shape
     (a, run_a), (b, run_b) = victims
-    assert tests[0](encode_text(b.password)) is None
-    assert tests[1](encode_text(a.password)) is None
-    assert tests[0](encode_text(a.password)) == (a.user_id, run_a.sk_user)
-    assert tests[1](encode_text(b.password)) == (b.user_id, run_b.sk_user)
+    assert plans[0].search(plans[0].atoms, [b.password]) == (1, None)
+    assert plans[1].search(plans[1].atoms, [a.password]) == (1, None)
+    assert plans[0].search(plans[0].atoms, [a.password]) \
+        == (1, (a.password, a.user_id, run_a.sk_user))
+    assert plans[1].search(plans[1].atoms, [b.password]) \
+        == (1, (b.password, b.user_id, run_b.sk_user))
     # each dictionary offers the other victim's password first
     for (enr, run), (other, _) in zip(victims, victims[::-1]):
         outcome = attack_baseline(

@@ -145,7 +145,7 @@ def test_a_server_rejection_leaves_the_login_then_the_termination_notice(scheme)
             raise
 
     enr.server.respond = respond_and_keep_the_error
-    handshake = Handshake(SCHEMES[scheme], enr.env, enr.server)
+    handshake = Handshake(enr.env, enr.server)
     r_u, r_s = enr.rng.exponent(enr.env.params), enr.rng.exponent(enr.env.params)
     handshake.login(enr.card, enr.user_id, enr.password, enr.template, r_u)
     enr.env.clock.advance(enr.env.delta_t_ms + 1)  # the login goes stale
@@ -161,7 +161,7 @@ def test_a_server_rejection_leaves_the_login_then_the_termination_notice(scheme)
 def test_a_card_issued_under_another_hash_sends_and_counts_nothing(scheme):
     enr = enroll(scheme)
     card = replace(enr.card, h="sha512")
-    handshake = Handshake(SCHEMES[scheme], enr.env, enr.server)
+    handshake = Handshake(enr.env, enr.server)
     ledger = enr.env.ledger
     counts = (ledger.hash_total(), ledger.modexp_total())
     with pytest.raises(ValueError, match="card was issued under a different hash function"):
@@ -174,7 +174,7 @@ def test_a_card_issued_under_another_hash_sends_and_counts_nothing(scheme):
 def _logged_in(scheme):
     """An enrollment and a handshake whose login is in flight."""
     enr = enroll(scheme)
-    handshake = Handshake(SCHEMES[scheme], enr.env, enr.server)
+    handshake = Handshake(enr.env, enr.server)
     handshake.login(enr.card, enr.user_id, enr.password, enr.template,
                     enr.rng.exponent(enr.env.params))
     return enr, handshake
@@ -215,7 +215,7 @@ def test_a_rejected_reply_destroys_the_pending_login(scheme):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_r_s_is_set_once_the_server_step_runs_on_a_login(scheme):
     enr = enroll(scheme)
-    handshake = Handshake(SCHEMES[scheme], enr.env, enr.server)
+    handshake = Handshake(enr.env, enr.server)
     with pytest.raises(LookupError):  # nothing in flight: no server step ran
         handshake.respond(5)
     assert handshake.r_s is None

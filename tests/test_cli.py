@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from triauth import cli
-from triauth.core import DEFAULT_EPOCH_MS
+from triauth import baseline, cli
+from triauth.core import DEFAULT_EPOCH_MS, AuthFailure
 
 SCENARIO_DIR = Path(str(resources.files("triauth"))) / "scenarios"
 RECORDED_COSTS = Path(__file__).parent / "recordings" / "costs"
@@ -184,14 +184,32 @@ def test_wrong_password_exits_with_the_auth_code(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "session rejected locally" in out
     assert "local-auth" in out
-    assert "wire view: session terminated" in out
+    # the card refused its holder: no login left it, so no notice came back
+    assert "wire view: nothing was sent" in out
+    assert "session terminated" not in out
 
 
 def test_excessive_latency_exits_with_the_freshness_code(tmp_path, capsys):
     paths = register(tmp_path, "baseline")
     code = login(tmp_path, paths, extra=("--latency", "5000"))
     assert code == 3
-    assert "freshness" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "freshness" in out
+    assert "wire view: session terminated" in out  # the server refused the login
+
+
+def test_a_reply_the_card_refuses_shows_both_messages_and_no_notice(
+        tmp_path, capsys, monkeypatch):
+    paths = register(tmp_path, "baseline")
+
+    def refuse(env, pending, reply):
+        raise AuthFailure("server authenticator mismatch")
+
+    monkeypatch.setattr(baseline, "finish", refuse)
+    assert login(tmp_path, paths) == 4
+    out = capsys.readouterr().out
+    assert "wire view: login and reply sent, no notice followed" in out
+    assert "session terminated" not in out
 
 
 def test_login_run_with_a_negative_seed_runs_nothing(tmp_path, capsys):

@@ -1,10 +1,12 @@
-"""Each module imports on its own, in a fresh interpreter.
+"""Each module imports on its own, in a fresh interpreter, and reads
+every name it imports.
 
 The package root exports only ``__version__``, so no module may lean on
 another having been imported first.  The modules are those of the
 ``triauth`` this run imports: the source tree's or an installed copy's.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -50,3 +52,25 @@ def test_a_module_imports_on_its_own(imports, module):
 
 def test_importing_core_loads_nothing_else(imports):
     assert imports["core"][1] == ["triauth", "triauth.core"]
+
+
+# Imported names that only code built at run time reads: the adversary's
+# eval'd rules and generated search call the fuzzy extractor `rep`.
+READ_AT_RUN_TIME = {("adversary", "rep")}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [(path.stem, name) for name in imported - read
+                   if (path.stem, name) not in READ_AT_RUN_TIME]
+    assert sorted(unread) == []
