@@ -60,6 +60,7 @@ from .session import (
     Handshake,
     card_from_fields,
     scheme_module,
+    scheme_of,
     wire_message,
 )
 
@@ -118,9 +119,12 @@ class AdversaryKnowledge:
         ``h`` among them, less those the model withholds (the hardened
         card's T12 = T1 xor T2); the wire words of ``transcripts[0]``,
         the session that ``r_u`` and ``r_s`` are from; and ``B``,
-        ``r_u``, ``r_s``."""
+        ``r_u``, ``r_s``.  ValueError for a card of another scheme."""
         atoms: dict[str, object] = {}
         if card is not None:
+            if scheme_of(card) != scheme:
+                raise ValueError("knowledge of the %s scheme cannot hold a card "
+                                 "of the %s scheme" % (scheme, scheme_of(card)))
             atoms.update((f.name, getattr(card, f.name)) for f in fields(card)
                          if f.name.lower() not in FORBIDDEN_ATOMS)
         transcripts = tuple(transcripts)
@@ -546,7 +550,9 @@ def impersonate(
     the captured atoms and the recovered password and identity.  Anything
     less (notably the hardened scheme) falls back to a card the adversary
     issues itself under guesses, pointed at the victim's Y, which the
-    server should throw out.  ValueError if the knowledge holds no card.
+    server should throw out.  ValueError if the knowledge holds no card,
+    or if its scheme is not the server's (``Handshake.login`` refuses
+    the card).
     """
     atoms = knowledge.atoms
     try:

@@ -128,10 +128,6 @@ class BaselineServer(BaseServer):
         self._add(user_id)
         return self.env.h(user_id, self.x_word) ^ w
 
-    def state_records(self) -> list[tuple]:
-        """The state file's records, one (ID,) per user, sorted."""
-        return sorted(self.records)
-
     def respond(
         self, msg: LoginMessage, r_s: int, processing_ms: int = 0
     ) -> tuple[ReplyMessage, Field128]:

@@ -139,10 +139,6 @@ class Field128(bytes):
             raise ValueError("value out of 128-bit range")
         return _new_bytes(cls, value.to_bytes(FIELD_BYTES, "big"))
 
-    @classmethod
-    def zero(cls) -> "Field128":
-        return cls(bytes(FIELD_BYTES))
-
 
 class WireMessage:
     """A protocol message: one 128-bit word per field.
@@ -395,15 +391,11 @@ class GroupParams:
     """A safe-prime group (p = 2q + 1) with generator g of order q or 2q.
 
     p fits in 128 bits so every group element encodes as one protocol
-    word.  Construct via :meth:`default` or :meth:`from_values`.
+    word.  Construct via :meth:`from_values`, which verifies the group.
     """
 
     p: int
     g: int
-
-    @classmethod
-    def default(cls) -> "GroupParams":
-        return _DEFAULT_GROUP
 
     @classmethod
     def from_values(cls, p: int, g: int) -> "GroupParams":

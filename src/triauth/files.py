@@ -1,14 +1,14 @@
 """On-disk formats: cards, server state, transcripts, dictionaries,
-config files, golden hash vectors, and report writing.
+config files, and report writing.
 
 Text formats are line-oriented with a versioned first line so a wrong
 or truncated file fails with a pointed message instead of garbage
 downstream.  The transcript format is binary (length-prefixed records)
 because byte-exactness is the whole point of a transcript.
 
-Every keyed text format (card, server state, config, golden vectors)
-is read through `_entries` and every JSON input through `read_json`,
-so a malformed file is refused with a FileFormatError that names it.
+Every keyed text format (card, server state, config) is read through
+`_entries` and every JSON input through `read_json`, so a malformed
+file is refused with a FileFormatError that names it.
 """
 
 from __future__ import annotations
@@ -342,7 +342,7 @@ def load_transcript(path) -> Transcript:
 
 
 # ---------------------------------------------------------------------------
-# Dictionaries, config, golden vectors, reports
+# Templates, dictionaries, config, reports
 # ---------------------------------------------------------------------------
 
 def save_template(template, path) -> None:
@@ -368,10 +368,6 @@ def load_dictionary(path) -> list[str]:
     if not words:
         raise FileFormatError("%s: dictionary is empty" % path)
     return words
-
-
-def save_dictionary(words: list[str], path) -> None:
-    _write_lines(path, words)
 
 
 def load_config(path) -> ProtocolConfig:
@@ -403,30 +399,6 @@ def load_config(path) -> ProtocolConfig:
     if group_lines:
         _checked(path, max(group_lines), GroupParams.from_values, config.p, config.g)
     return config
-
-
-def save_config(config: ProtocolConfig, path) -> None:
-    lines = [
-        "# protocol configuration",
-        "p = %x" % config.p,
-        "g = %d" % config.g,
-        "hash = %s" % config.hash_name,
-        "delta_t_ms = %d" % config.delta_t_ms,
-        "template_bits = %d" % config.template_bits,
-        "seed = %d" % config.seed,
-    ]
-    _write_lines(path, lines)
-
-
-def load_golden_vectors(path) -> list[tuple[list[bytes], bytes]]:
-    """The frozen hash vectors in the file at `path`."""
-    vectors = []
-    for lineno, left, right in _entries(path, "->", "blocks -> digest"):
-        blocks = [_parse_hex(path, lineno, tok, "block") for tok in left.split()]
-        vectors.append((blocks, _parse_hex(path, lineno, right, "digest")))
-    if not vectors:
-        raise FileFormatError("%s: no vectors" % path)
-    return vectors
 
 
 def json_report_bytes(obj) -> bytes:

@@ -46,11 +46,6 @@ class BiometricTemplate:
     def as_int(self) -> int:
         return int.from_bytes(self.bits, "big")
 
-    def hamming(self, other: "BiometricTemplate") -> int:
-        if self.nbits != other.nbits:
-            raise ValueError("template sizes differ")
-        return (self.as_int() ^ other.as_int()).bit_count()
-
 
 @dataclass(frozen=True)
 class HelperData:

@@ -100,7 +100,11 @@ class Handshake:
 
     def login(self, card, user_id: Field128, password: str, reading, r_u: int):
         """Card-side step; keeps r_u and the pending login, and sends
-        and returns the login."""
+        and returns the login.  ValueError, before the card's step runs,
+        for a card of another scheme than the server's."""
+        if not isinstance(card, self.mod.Card):
+            raise ValueError("a card of the %s scheme cannot log in to a server "
+                             "of the %s scheme" % (scheme_of(card), self.mod.SCHEME))
         with self.env.ledger.scope("login", "user"):
             msg, self.pending = self.mod.login(
                 self.env, card, user_id, password, reading, r_u

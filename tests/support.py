@@ -21,7 +21,16 @@ from triauth.files import load_server as _load_server
 from triauth.fuzzy import BiometricTemplate, perturb_within_tolerance
 from triauth.session import SCHEMES, Handshake
 
-GOLDEN_VECTORS = Path(__file__).parent / "golden-hashes.txt"  # frozen at design time
+def golden_vectors() -> list[tuple[list[bytes], bytes]]:
+    """(blocks, digest) of each `<block hex> ... -> <digest hex>` line of
+    the hash vectors frozen at design time; blank lines and `#` comments
+    are skipped."""
+    vectors = []
+    for line in (Path(__file__).parent / "golden-hashes.txt").read_text("utf-8").splitlines():
+        if line.strip() and not line.startswith("#"):
+            blocks, digest = line.split("->")
+            vectors.append(([bytes.fromhex(b) for b in blocks.split()], bytes.fromhex(digest)))
+    return vectors
 
 
 @dataclass
@@ -129,6 +138,11 @@ def full_leak(enr: Enrollment, run: SessionRun, dictionary) -> AdversaryKnowledg
         r_s=run.r_s,
         dictionary=dictionary,
     )
+
+
+def other_scheme(scheme: str) -> str:
+    """The scheme of SCHEMES that is not `scheme`."""
+    return next(name for name in SCHEMES if name != scheme)
 
 
 def clock_ahead(env: Env, ms: int) -> Env:

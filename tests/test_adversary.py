@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from support import enroll, full_leak, run_session
+from support import enroll, full_leak, other_scheme, run_session
 from triauth import adversary
 from triauth.adversary import (
     EXHAUSTED,
@@ -232,6 +232,14 @@ def test_wrong_scheme_knowledge_is_refused():
     improved_knowledge = AdversaryKnowledge("improved")
     with pytest.raises(ValueError):
         attack_baseline(improved_knowledge)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_knowledge_of_one_scheme_refuses_a_card_of_the_other(scheme):
+    other = other_scheme(scheme)
+    with pytest.raises(ValueError, match="^knowledge of the %s scheme cannot hold a card of "
+                       "the %s scheme$" % (other, scheme)):
+        AdversaryKnowledge.assemble(other, card=enroll(scheme).card)
 
 
 # ---------------------------------------------------------------------------
@@ -749,3 +757,16 @@ def test_impersonation_without_a_card_is_refused_before_drawing_randomness():
     with pytest.raises(ValueError, match="needs the captured card"):
         impersonate(enr.env, enr.server, knowledge, outcome, rng)
     assert rng.field() == SessionRng(99).field()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_impersonation_against_a_server_of_the_other_scheme_is_refused(scheme):
+    enr = enroll(scheme)
+    knowledge = full_leak(enr, run_session(enr), words_with(enr.password, 3))
+    outcome = adversary.attack(knowledge)
+    assert outcome.status == (RECOVERED if scheme == "baseline" else INSUFFICIENT)
+    other = other_scheme(scheme)
+    target = enroll(other)
+    with pytest.raises(ValueError, match="^a card of the %s scheme cannot log in to a "
+                       "server of the %s scheme$" % (scheme, other)):
+        impersonate(target.env, target.server, knowledge, outcome, SessionRng(99))

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from support import enroll
+from support import enroll, other_scheme
 from triauth.channel import (
     SERVER_TO_USER,
     USER_TO_SERVER,
@@ -169,6 +169,20 @@ def test_a_card_issued_under_another_hash_sends_and_counts_nothing(scheme):
                         enr.rng.exponent(enr.env.params))
     assert handshake.channel.transcript().entries == []
     assert (ledger.hash_total(), ledger.modexp_total()) == counts
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_card_of_the_other_scheme_is_refused_before_its_step_runs(scheme):
+    card = enroll(scheme).card
+    other = other_scheme(scheme)
+    enr = enroll(other)
+    handshake = Handshake(enr.env, enr.server)
+    with pytest.raises(ValueError, match="^a card of the %s scheme cannot log in to a "
+                       "server of the %s scheme$" % (scheme, other)):
+        handshake.login(card, enr.user_id, enr.password, enr.template,
+                        enr.rng.exponent(enr.env.params))
+    assert handshake.channel.transcript().entries == []
+    assert "login/user" not in enr.env.ledger.phase_table()
 
 
 def _logged_in(scheme):

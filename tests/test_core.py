@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from support import GOLDEN_VECTORS
+from support import golden_vectors
 from triauth import core
 from triauth.core import (
     BaseServer,
@@ -29,8 +29,8 @@ from triauth.core import (
     ms_to_field,
     text_block,
 )
-from triauth.files import load_golden_vectors
 
+DEFAULT_GROUP = GroupParams(DEFAULT_P, DEFAULT_G)  # the group every default config uses
 
 # ---------------------------------------------------------------------------
 # Field128
@@ -50,12 +50,12 @@ def test_field_xor_is_an_involution():
         a, b = rng.field(), rng.field()
         assert (a ^ b) ^ b == a
         assert a ^ b == b ^ a
-        assert a ^ Field128.zero() == a
+        assert a ^ Field128(bytes(16)) == a
 
 
 def test_field_xor_rejects_wrong_length():
     with pytest.raises(ValueError):
-        Field128.zero() ^ b"\x01"
+        Field128(bytes(16)) ^ b"\x01"
 
 
 def test_word_operations_return_exact_16_byte_words():
@@ -222,7 +222,7 @@ def test_ledger_phase_table():
 def test_hash_matches_frozen_golden_vectors():
     """The engine must agree with the vectors frozen at design time."""
     engine = HashEngine("sha256")
-    for blocks, digest in load_golden_vectors(GOLDEN_VECTORS):
+    for blocks, digest in golden_vectors():
         assert engine(*blocks) == digest
 
 
@@ -242,8 +242,8 @@ def test_hash_engine_enforces_block_width():
 
 def test_env_h_counts_into_its_ledger():
     env = Env.from_config()
-    env.h(Field128.zero())
-    env.h(Field128.zero(), Field128.zero())
+    env.h(Field128(bytes(16)))
+    env.h(Field128(bytes(16)), Field128(bytes(16)))
     assert env.ledger.hash_total() == 2
     # a refused block counts nothing
     with pytest.raises(ValueError):
@@ -276,7 +276,7 @@ def test_hash_engine_matches_raw_hashlib(name, nblocks):
 
 def test_alternate_digest_is_also_truncated_to_one_word():
     engine = HashEngine("sha512")
-    out = engine(Field128.zero())
+    out = engine(Field128(bytes(16)))
     assert len(out) == 16
     assert out == hashlib.sha512(bytes(16)).digest()[:16]
 
@@ -300,14 +300,11 @@ def test_miller_rabin_catches_carmichael_numbers():
 
 
 def test_default_group_is_a_safe_prime_group():
-    params = GroupParams.default()
-    assert params.p == DEFAULT_P
-    assert params.g == DEFAULT_G
-    params.verify()  # must not raise
-    q = (params.p - 1) // 2
+    DEFAULT_GROUP.verify()  # must not raise
+    q = (DEFAULT_P - 1) // 2
     assert is_probable_prime(q)
     # g = 4 is a square, so it sits in the order-q subgroup
-    assert pow(params.g, q, params.p) == 1
+    assert pow(DEFAULT_G, q, DEFAULT_P) == 1
 
 
 def test_from_values_rejects_bad_groups():
@@ -333,7 +330,7 @@ def test_from_values_rejects_bad_groups():
 # ---------------------------------------------------------------------------
 
 def test_mod_exp_accepts_ints_and_wire_words():
-    params = GroupParams.default()
+    params = DEFAULT_GROUP
     from_int = mod_exp(params.g, 12345, params)
     from_word = mod_exp(Field128.from_int(params.g), 12345, params)
     assert from_int == from_word == Field128.from_int(pow(params.g, 12345, params.p))
@@ -353,7 +350,7 @@ def _server_key(params: GroupParams, seed: int = 7) -> tuple[Env, int]:
 
 
 def test_mod_exp_rejects_out_of_group_bases(fresh_tables):
-    env, y = _server_key(GroupParams.default())
+    env, y = _server_key(DEFAULT_GROUP)
     params = env.params
     core._COMB_TABLES.clear()
     for base, exponent in ((0, 3), (params.p, 3), (3, -1), (params.g, -1), (y, -1)):
@@ -366,7 +363,7 @@ def test_mod_exp_rejects_out_of_group_bases(fresh_tables):
 
 
 def test_env_mod_exp_counts_into_its_ledger(fresh_tables):
-    env, y = _server_key(GroupParams.default())
+    env, y = _server_key(DEFAULT_GROUP)
     params = env.params
     core._COMB_TABLES.clear()
     env.mod_exp(params.g, (1 << 128) - 1)  # from the comb table
@@ -381,7 +378,7 @@ def test_env_mod_exp_counts_into_its_ledger(fresh_tables):
 
 
 # the default group and a 96-bit safe-prime group with its own comb table
-_COMB_GROUPS = [GroupParams.default(), GroupParams.from_values(0xA43A4BB686FF60C85D07F37F, 4)]
+_COMB_GROUPS = [DEFAULT_GROUP, GroupParams.from_values(0xA43A4BB686FF60C85D07F37F, 4)]
 
 
 def _comb_exponents(params: GroupParams) -> list[int]:
@@ -419,7 +416,7 @@ def test_exponents_of_2_to_the_128_or_more_fall_back_to_pow(params, fresh_tables
 
 
 def test_a_server_key_gets_its_table_on_its_second_use(fresh_tables):
-    env, y = _server_key(GroupParams.default())
+    env, y = _server_key(DEFAULT_GROUP)
     key = (y, env.params.p)
     assert core._KEY_TABLES == {key: 0}
     env.mod_exp(Field128.from_int(y), 12345)  # a card's Y is a wire word
@@ -432,7 +429,7 @@ def test_a_server_key_gets_its_table_on_its_second_use(fresh_tables):
 
 
 def test_an_unregistered_base_never_gets_a_table(fresh_tables):
-    params = GroupParams.default()
+    params = DEFAULT_GROUP
     _, y = _server_key(params)
     for _ in range(3):
         for base in (3, y + 1, mod_exp(params.g, 99, params)):
@@ -441,7 +438,7 @@ def test_an_unregistered_base_never_gets_a_table(fresh_tables):
 
 
 def test_the_key_registry_holds_the_last_8_keys(fresh_tables):
-    params = GroupParams.default()
+    params = DEFAULT_GROUP
     envs_keys = [_server_key(params, seed) for seed in range(20)]
     keys = [(y, params.p) for _, y in envs_keys]
     assert list(core._KEY_TABLES) == keys[-8:]
@@ -459,7 +456,7 @@ def test_the_key_registry_holds_the_last_8_keys(fresh_tables):
 
 
 def test_diffie_hellman_commutes_over_random_exponents():
-    params = GroupParams.default()
+    params = DEFAULT_GROUP
     rng = SessionRng(99)
     for _ in range(20):
         a = rng.exponent(params)
@@ -518,7 +515,7 @@ def test_session_rng_below_stays_in_range():
 
 
 def test_session_rng_exponent_range():
-    params = GroupParams.default()
+    params = DEFAULT_GROUP
     rng = SessionRng(4)
     for _ in range(50):
         assert 2 <= rng.exponent(params) <= params.p - 2
@@ -549,11 +546,11 @@ def test_derive_seed_separates_roles():
 
 def test_default_config_builds_a_working_env():
     env = Env.from_config()
-    assert env.params.p == DEFAULT_P
+    assert env.params == DEFAULT_GROUP
     assert env.delta_t_ms == 2000
     assert isinstance(env.clock, SimClock)
     # hash and modexp run through the shared ledger
-    env.h(Field128.zero())
+    env.h(Field128(bytes(16)))
     env.mod_exp(env.params.g, 2)
     assert env.ledger.hash_total() == 1
     assert env.ledger.modexp_total() == 1

@@ -252,5 +252,6 @@ def test_the_improved_server_counts_exactly_the_hashes_it_computes():
     # fresh and tagged under u0's record, whose A1 unmasks to 0 there
     u0 = server.records[0]
     _, t3 = env.now_field()
-    respond(improved.LoginMessage(NID=Field128.zero(), A11=u0.T2 ^ t3, C_i=Field128.zero(),
+    zero = Field128(bytes(16))
+    respond(improved.LoginMessage(NID=zero, A11=u0.T2 ^ t3, C_i=zero,
                                   Q=t3 ^ hasher.engine(u0.T1)), UnknownUser)

@@ -10,19 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from support import GOLDEN_VECTORS, load_server
-from triauth.core import ProtocolConfig, SessionRng
+from support import load_server
+from triauth.core import SessionRng
 from triauth.files import (
     FileFormatError,
     load_card,
     load_config,
     load_dictionary,
-    load_golden_vectors,
     load_leak,
     load_template,
     load_transcript,
-    save_config,
-    save_dictionary,
     save_template,
     write_json_report,
 )
@@ -44,6 +41,11 @@ def _saved(save, value):
     return make
 
 
+def _written(text):
+    """A sample maker for a file of `text`."""
+    return _saved(lambda text, path: path.write_text(text, "utf-8"), text)
+
+
 def _recorded(path):
     """A sample maker for a file that is already on disk."""
     return lambda tmp_path: path
@@ -56,12 +58,12 @@ SAMPLES = {
                           ("server.state", load_server))},
     "transcript": (_recorded(RECORDINGS / "baseline-attack" / "transcripts" / "s001.bin"),
                    load_transcript),
-    "config": (_saved(save_config, ProtocolConfig(delta_t_ms=5000, template_bits=256, seed=77)),
+    "config": (_written("# protocol configuration\np = ffffffffffffffffffffffffffffc3a7\ng = 4\n"
+                        "hash = sha256\ndelta_t_ms = 5000\ntemplate_bits = 256\nseed = 77\n"),
                load_config),
     "template": (_saved(save_template, BiometricTemplate.random(SessionRng(3), 256)),
                  load_template),
-    "dictionary": (_saved(save_dictionary, ["alpha", "glacier-42", "omega"]), load_dictionary),
-    "golden": (_recorded(GOLDEN_VECTORS), load_golden_vectors),
+    "dictionary": (_written("alpha\nglacier-42\nomega\n"), load_dictionary),
     "leak": (_saved(write_json_report, {"session": "cli-7", "seed": 7, "r_u": 123456789,
                                         "r_s": 987654321}), load_leak),
     **{name: (_recorded(PACKAGE / "scenarios" / (name + ".scenario")), load_scenario)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from support import GOLDEN_VECTORS, enroll, load_server, run_session
+from support import enroll, golden_vectors, load_server, run_session
 from triauth import cli
 from triauth.channel import Transcript, TranscriptEntry
 from triauth.core import (
@@ -23,13 +23,10 @@ from triauth.files import (
     load_card,
     load_config,
     load_dictionary,
-    load_golden_vectors,
     load_leak,
     load_template,
     load_transcript,
     save_card,
-    save_config,
-    save_dictionary,
     save_server,
     save_template,
     save_transcript,
@@ -218,6 +215,21 @@ def test_server_round_trips(tmp_path, scheme):
     assert loaded.y == enr.server.y  # recomputed, must agree
     assert loaded.user_ids == enr.server.user_ids
     assert loaded.records == enr.server.records
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_server_state_keeps_the_enrollment_order(tmp_path, scheme):
+    enr = enroll(scheme, identity="bob")
+    alice = encode_text("alice")
+    template = BiometricTemplate.random(enr.rng, 512)
+    SCHEMES[scheme].register(enr.env, enr.server, alice, "pw", template, enr.rng)
+    order = [enr.user_id, alice]  # bob first, though alice sorts first
+    path = tmp_path / "srv.state"
+    save_server(enr.server, path)
+    ids = [line.split()[1] for line in path.read_text().splitlines()
+           if line.startswith("record:")]
+    assert ids == [uid.hex() for uid in order]
+    assert [rec[0] for rec in load_server(path).records] == order
 
 
 def test_server_group_must_match_the_config(tmp_path):
@@ -447,7 +459,7 @@ def test_template_parse_errors_name_the_file_and_line(tmp_path, text, why):
 def test_dictionary_round_trips(tmp_path):
     words = ["alpha", "beta", "gamma delta", "p@ss w0rd"]
     path = tmp_path / "d.txt"
-    save_dictionary(words, path)
+    path.write_text("alpha\nbeta\ngamma delta\np@ss w0rd\n", "utf-8")
     assert load_dictionary(path) == words
 
 
@@ -463,7 +475,9 @@ def test_dictionary_skips_blank_lines_but_rejects_empty(tmp_path):
 def test_config_round_trips(tmp_path):
     config = ProtocolConfig(delta_t_ms=5000, template_bits=256, seed=77)
     path = tmp_path / "c.conf"
-    save_config(config, path)
+    path.write_text("# protocol configuration\np = ffffffffffffffffffffffffffffc3a7\n"
+                    "g = 4\nhash = sha256\ndelta_t_ms = 5000\ntemplate_bits = 256\n"
+                    "seed = 77\n", "utf-8")
     assert load_config(path) == config
 
 
@@ -507,24 +521,11 @@ def test_config_parse_errors_name_the_file_and_line(tmp_path, text, line, why):
 # ---------------------------------------------------------------------------
 
 def test_the_golden_vectors_parse_and_verify():
-    vectors = load_golden_vectors(GOLDEN_VECTORS)
+    vectors = golden_vectors()
     assert len(vectors) >= 8
     for blocks, digest in vectors:
         assert all(len(b) == 16 for b in blocks)
         assert hashlib.sha256(b"".join(blocks)).digest()[:16] == digest
-
-
-@pytest.mark.parametrize("text, where", [
-    (b"# algorithm: sha256\n\n", ": no vectors"),
-    (b"00 -> 11\n0011 2233\n", ", line 2: expected 'blocks -> digest'"),
-    (b"\n00 -> 1\n", ", line 2: field digest is not valid hex"),
-    (b"00 -> 11\n# \xff\n", ", line 2: not valid UTF-8"),
-])
-def test_golden_vector_parse_errors_name_the_file(tmp_path, text, where):
-    path = tmp_path / "golden.txt"
-    path.write_bytes(text)
-    with pytest.raises(FileFormatError, match="^%s$" % re.escape(str(path) + where)):
-        load_golden_vectors(path)
 
 
 def test_json_report_bytes_are_stable(tmp_path):

@@ -15,6 +15,11 @@ from triauth.fuzzy import (
 )
 
 
+def hamming(a: BiometricTemplate, b: BiometricTemplate) -> int:
+    """The number of bits in which two readings of one size differ."""
+    return (a.as_int() ^ b.as_int()).bit_count()
+
+
 def test_template_shape_is_validated():
     BiometricTemplate(bytes(64), 512)
     with pytest.raises(ValueError):
@@ -32,9 +37,7 @@ def test_helper_shape_is_validated():
 def test_hamming_distance():
     a = BiometricTemplate(bytes(64), 512)
     b = flip_positions(a, [0, 7, 511])
-    assert a.hamming(b) == 3
-    with pytest.raises(ValueError):
-        a.hamming(BiometricTemplate(bytes(32), 256))
+    assert hamming(a, b) == 3
 
 
 def test_exact_reading_recovers_the_key():
@@ -50,7 +53,7 @@ def test_recovery_with_one_flip_in_every_block():
     template = BiometricTemplate.random(rng, 512)
     key, helper = gen(template, rng)
     worst = flip_positions(template, [4 * i for i in range(128)])
-    assert worst.hamming(template) == 128
+    assert hamming(worst, template) == 128
     assert rep(worst, helper) == key
 
 
@@ -80,7 +83,7 @@ def test_perturb_within_tolerance_always_recovers():
         key, helper = gen(template, rng)
         for nblocks in (0, 1, 16, 64, 128):
             noisy = perturb_within_tolerance(template, rng, nblocks)
-            assert noisy.hamming(template) == nblocks
+            assert hamming(noisy, template) == nblocks
             assert rep(noisy, helper) == key
     # the noise is a function of the seed alone
     assert (perturb_within_tolerance(template, SessionRng(99), 16)
@@ -196,7 +199,7 @@ def _flips_per_block(template, rng, counts):
 @pytest.mark.parametrize("t", range(1, 9))
 def test_expand_equals_the_reference(t):
     rng = SessionRng(40 + t)
-    keys = [Field128.zero(), Field128.from_int((1 << 128) - 1)]
+    keys = [Field128(bytes(16)), Field128.from_int((1 << 128) - 1)]
     keys += [rng.field() for _ in range(50)]
     for key in keys:
         assert _expand(key, t) == _expand_reference(key, t)
@@ -231,4 +234,4 @@ def test_a_tie_in_every_block_decodes_to_zero(t):
     template = BiometricTemplate.random(rng, KEY_BITS * t)
     _, helper = gen(template, rng)
     tied = _flips_per_block(template, rng, [t // 2] * KEY_BITS)
-    assert rep(tied, helper) == Field128.zero()
+    assert rep(tied, helper) == Field128(bytes(16))

@@ -1,5 +1,6 @@
 """Each module imports on its own, in a fresh interpreter, and reads
-every name it imports.
+every name it imports; every definition in the package has a reader
+besides the unit tests.
 
 The package root exports only ``__version__``, so no module may lean on
 another having been imported first.  The modules are those of the
@@ -8,6 +9,7 @@ another having been imported first.  The modules are those of the
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -74,3 +76,50 @@ def test_no_module_imports_a_name_it_never_reads():
         unread += [(path.stem, name) for name in imported - read
                    if (path.stem, name) not in READ_AT_RUN_TIME]
     assert sorted(unread) == []
+
+
+# What a package definition must be read by, besides the unit tests: the
+# package itself, the benchmark, the acceptance gate and the README's
+# examples.  They are found from this file, so an installed package is
+# checked against the checkout its tests come from.
+CHECKOUT = Path(__file__).resolve().parent.parent
+
+
+def _reader_trees():
+    paths = [*sorted(PACKAGE.glob("*.py")), *sorted((CHECKOUT / "perfbench").glob("*.py")),
+             CHECKOUT / "tests" / "test_acceptance.py"]
+    for path in paths:
+        yield ast.parse(path.read_text(encoding="utf-8"), str(path))
+    readme = (CHECKOUT / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        yield ast.parse(block, "README.md")
+
+
+def _exempt(name: str) -> bool:
+    """Dunders, which Python calls, and the scenario's op handlers, which
+    KNOWN_OPS finds by name."""
+    return name.startswith("_op_") or name.startswith("__") and name.endswith("__")
+
+
+def test_every_public_name_has_a_reader_besides_the_unit_tests():
+    names, attributes = set(), set()
+    for tree in _reader_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+    read = names | attributes
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in read and not _exempt(node.name):
+                unread.append("%s.%s" % (path.stem, node.name))
+            if isinstance(node, ast.ClassDef):  # a method is read as an attribute
+                unread += ["%s.%s.%s" % (path.stem, node.name, item.name) for item in node.body
+                           if isinstance(item, ast.FunctionDef)
+                           and item.name not in attributes and not _exempt(item.name)]
+    assert not unread, "read only by the unit tests: " + ", ".join(unread)

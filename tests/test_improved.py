@@ -98,8 +98,8 @@ def test_a_record_that_unmasks_a1_outside_the_group_is_passed_without_group_work
     _, t3 = env.now_field()
     value = {"zero": 0, "p": env.params.p, "all-ones": (1 << 128) - 1}[a1]
     msg = improved.LoginMessage(
-        NID=Field128.zero(), A11=Field128.from_int(value) ^ t2 ^ t3,
-        C_i=Field128.zero(), Q=t3 ^ env.h(t1),
+        NID=Field128(bytes(16)), A11=Field128.from_int(value) ^ t2 ^ t3,
+        C_i=Field128(bytes(16)), Q=t3 ^ env.h(t1),
     )
     hashes, modexps = env.ledger.hash_total(), env.ledger.modexp_total()
     with pytest.raises(UnknownUser):

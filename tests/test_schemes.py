@@ -52,7 +52,7 @@ def test_sessions_with_fresh_exponents_get_fresh_keys(scheme):
 def test_duplicate_registration_is_refused(scheme):
     enr = enroll(scheme)
     with pytest.raises(RegistrationError):
-        enr.server.enroll(enr.user_id, Field128.zero(), *ENROLL_EXTRA[scheme])
+        enr.server.enroll(enr.user_id, Field128(bytes(16)), *ENROLL_EXTRA[scheme])
 
 
 @schemes
