@@ -55,6 +55,7 @@ from .core import (
 from .channel import SimChannel, Transcript
 from .fuzzy import BiometricTemplate, rep
 from .session import (
+    CROSS_SCHEME_LOGIN,
     SCHEMES,
     WIRE_LABELS,
     Handshake,
@@ -550,10 +551,12 @@ def impersonate(
     the captured atoms and the recovered password and identity.  Anything
     less (notably the hardened scheme) falls back to a card the adversary
     issues itself under guesses, pointed at the victim's Y, which the
-    server should throw out.  ValueError if the knowledge holds no card,
-    or if its scheme is not the server's (``Handshake.login`` refuses
-    the card).
+    server should throw out.  ValueError if the knowledge's scheme is not
+    the server's, or if it holds no card; either is refused before `rng`
+    is drawn from or any work is spent.
     """
+    if knowledge.scheme != scheme_of(server):
+        raise ValueError(CROSS_SCHEME_LOGIN % (knowledge.scheme, scheme_of(server)))
     atoms = knowledge.atoms
     try:
         own = replace(  # the victim's clock and window, the card's tools

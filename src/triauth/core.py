@@ -313,17 +313,22 @@ class HashEngine:
     Every input block must be a full 16-byte word: fixed-width
     concatenation is what makes h(a||b) unambiguous.  The digest is the
     configured algorithm's output truncated to the first 16 bytes.
+
+    ``new()`` returns a fresh hash object of the algorithm; every hash
+    the engine computes starts from it, and a caller that already holds
+    whole words may feed one directly and truncate its digest itself.
     """
 
     def __init__(self, name: str):
         # fail fast on unknown algorithms and on those that cannot yield
         # a 16-byte word (shake_* has digest_size 0: its digest needs a length)
-        self._empty = hashlib.new(name)
-        if self._empty.digest_size < FIELD_BYTES:
+        empty = hashlib.new(name)
+        if empty.digest_size < FIELD_BYTES:
             raise ValueError(
                 "hash %r cannot yield a %d-byte word" % (name, FIELD_BYTES)
             )
         self.name = name
+        self.new = empty.copy
 
     def __call__(self, *parts: bytes) -> Field128:
         if not parts:
@@ -333,7 +338,7 @@ class HashEngine:
                 raise ValueError(
                     "hash input block must be 16 bytes, got %d" % len(part)
                 )
-        h = self._empty.copy()
+        h = self.new()
         h.update(b"".join(parts))
         return _new_bytes(Field128, h.digest()[:FIELD_BYTES])
 

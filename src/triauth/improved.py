@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
+    FIELD_BYTES,
     AuthFailure,
     BaseServer,
     Env,
@@ -176,8 +177,11 @@ class ImprovedServer(BaseServer):
     whose C_i verifies.  Trial cost is visible in the ledger.  A record
     whose tag hash h(T1) differs from Q in the high 8 bytes is dropped
     on that hash alone: T3 = Q xor h(T1) would not be a timestamp word.
-    The tag hashes are counted in one ledger call when the scan ends,
-    however it ends; a rejection names the number of records tried.
+    A tag hash is one digest call: a fresh hash object from the engine's
+    ``new``, fed the record's T1, which is already a whole 16-byte word.
+    The tag hashes are counted in one ledger call, ``count_hash(n)``,
+    when the scan ends, however it ends; a rejection names the number
+    of records tried.
     """
 
     RECORD_FIELDS = ("id", "t1", "t2")
@@ -197,7 +201,7 @@ class ImprovedServer(BaseServer):
     ) -> tuple[ReplyMessage, Field128]:
         self.check_processing_ms(processing_ms)  # before the scan spends anything
         env = self.env
-        hasher = env.hasher
+        new = env.hasher.new  # a tag hash is one digest of one whole word
         t4_ms = env.clock.now()
         saw_stale = None  # the freshness fault of a stale record
         saw_mismatch = False
@@ -205,12 +209,14 @@ class ImprovedServer(BaseServer):
         tried = 0  # records whose tag hash h(T1) was computed
         try:
             for tried, rec in enumerate(self.records, 1):
-                tag = hasher(rec.T1)  # counted with the others when the scan ends
+                h = new()  # counted with the others when the scan ends
+                h.update(rec.T1)
+                tag = h.digest()
                 if tag[:8] != q_high:
                     # T3's high half is zero, so Q's is h(T1)'s: not this record
                     continue
                 t1, t2 = rec.T1, rec.T2
-                t3 = msg.Q ^ tag
+                t3 = msg.Q ^ tag[:FIELD_BYTES]
                 if fault := env.freshness_fault(t3, t4_ms, "login"):
                     # stale under this record's T1; no group work was spent
                     saw_stale = fault

@@ -24,6 +24,10 @@ from .core import Env, Field128, GroupParams, ProtocolError, WireMessage
 
 SCHEMES = {m.SCHEME: m for m in (baseline, improved)}
 
+# Why a card of one scheme cannot log in to a server of the other
+# (the card's scheme, then the server's)
+CROSS_SCHEME_LOGIN = "a card of the %s scheme cannot log in to a server of the %s scheme"
+
 # The one place a message label is paired with the direction it travels
 # and the name of its WireMessage class in a scheme module.
 WIRE_LABELS = {
@@ -103,8 +107,7 @@ class Handshake:
         and returns the login.  ValueError, before the card's step runs,
         for a card of another scheme than the server's."""
         if not isinstance(card, self.mod.Card):
-            raise ValueError("a card of the %s scheme cannot log in to a server "
-                             "of the %s scheme" % (scheme_of(card), self.mod.SCHEME))
+            raise ValueError(CROSS_SCHEME_LOGIN % (scheme_of(card), self.mod.SCHEME))
         with self.env.ledger.scope("login", "user"):
             msg, self.pending = self.mod.login(
                 self.env, card, user_id, password, reading, r_u

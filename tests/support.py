@@ -21,6 +21,10 @@ from triauth.files import load_server as _load_server
 from triauth.fuzzy import BiometricTemplate, perturb_within_tolerance
 from triauth.session import SCHEMES, Handshake
 
+# Hash algorithms the engine is checked under, one with a 64-byte digest
+HASH_NAMES = ("sha256", "sha512", "blake2b")
+
+
 def golden_vectors() -> list[tuple[list[bytes], bytes]]:
     """(blocks, digest) of each `<block hex> ... -> <digest hex>` line of
     the hash vectors frozen at design time; blank lines and `#` comments

@@ -767,6 +767,8 @@ def test_impersonation_against_a_server_of_the_other_scheme_is_refused(scheme):
     assert outcome.status == (RECOVERED if scheme == "baseline" else INSUFFICIENT)
     other = other_scheme(scheme)
     target = enroll(other)
+    rng = SessionRng(99)
     with pytest.raises(ValueError, match="^a card of the %s scheme cannot log in to a "
                        "server of the %s scheme$" % (scheme, other)):
-        impersonate(target.env, target.server, knowledge, outcome, SessionRng(99))
+        impersonate(target.env, target.server, knowledge, outcome, rng)
+    assert rng.field() == SessionRng(99).field()  # refused before any draw

@@ -49,6 +49,14 @@ def test_latency_advances_the_clock_on_delivery():
     assert clock.now() == 1125
 
 
+def test_a_channel_delivers_at_the_send_instant_by_default():
+    clock = SimClock(1000)
+    ch = SimChannel(clock)
+    ch.send(USER_TO_SERVER, "login", b"x")
+    assert ch.recv(USER_TO_SERVER) == b"x"
+    assert clock.now() == 1000
+
+
 def test_negative_latency_is_refused():
     # a message cannot be delivered before it was sent
     with pytest.raises(ValueError, match="latency must not be negative"):
@@ -212,6 +220,21 @@ def test_a_handshake_holds_its_session_state_until_finish(scheme):
     assert handshake.finish() == handshake.sk_user == handshake.sk_server
     assert handshake.keys_match()
     assert handshake.pending is None
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_default_handshake_leaves_the_clock_where_it_started(scheme):
+    """No latency and no processing time unless asked for:
+    ``adversary.impersonate`` relies on both defaults."""
+    enr = enroll(scheme)
+    start = enr.env.clock.now()
+    handshake = Handshake(enr.env, enr.server)
+    handshake.login(enr.card, enr.user_id, enr.password, enr.template,
+                    enr.rng.exponent(enr.env.params))
+    handshake.respond(enr.rng.exponent(enr.env.params))
+    handshake.finish()
+    assert handshake.keys_match()
+    assert enr.env.clock.now() == start
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

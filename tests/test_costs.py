@@ -210,23 +210,25 @@ def test_the_improved_scan_counts_one_hash_per_record_it_passes():
     assert (after[0] - hashes, after[1] - modexps) == (len(server.records), 0)
 
 
-class _CountingHasher:
-    """Stands in for a HashEngine and counts the hashes it computes."""
+class _CountingNew:
+    """Takes the place of a HashEngine's ``new``, which starts every hash
+    it computes, whether through the engine's call or the scan's digest
+    of one word, and counts the hashes started."""
 
     def __init__(self, engine):
-        self.engine, self.name, self.calls = engine, engine.name, 0
+        self.real, self.calls = engine.new, 0
+        engine.new = self
 
-    def __call__(self, *parts):
-        word = self.engine(*parts)
+    def __call__(self):
         self.calls += 1
-        return word
+        return self.real()
 
 
 def test_the_improved_server_counts_exactly_the_hashes_it_computes():
     """However respond ends, the hashes counted under authentication/server
     are the hashes computed: the scan's tag hashes are counted in one call."""
     env, rng, server, users = _crowded_server()
-    env.hasher = hasher = _CountingHasher(env.hasher)
+    hasher = _CountingNew(env.hasher)
 
     def respond(msg, fails=None):
         computed, counted = hasher.calls, _server_counts(env)[0]
@@ -254,4 +256,4 @@ def test_the_improved_server_counts_exactly_the_hashes_it_computes():
     _, t3 = env.now_field()
     zero = Field128(bytes(16))
     respond(improved.LoginMessage(NID=zero, A11=u0.T2 ^ t3, C_i=zero,
-                                  Q=t3 ^ hasher.engine(u0.T1)), UnknownUser)
+                                  Q=t3 ^ env.hasher(u0.T1)), UnknownUser)

@@ -2,9 +2,12 @@
 
 Each sample file is mutated by seeded truncations, byte flips, inserts
 and deletes.  A reader must either load the mutated file or refuse it
-with a FileFormatError whose message starts with the file's path.
+with a FileFormatError whose message starts with the file's path.  Each
+sample's seed is the CRC-32 of its name, so adding or removing a sample
+reseeds no other.
 """
 
+import zlib
 from importlib import resources
 from pathlib import Path
 
@@ -96,7 +99,7 @@ def test_a_mutated_file_loads_or_is_refused_naming_the_file(tmp_path, name):
     sample = make(tmp_path)
     load(sample)  # the unmutated sample loads
     original = sample.read_bytes()
-    rng = SessionRng(sorted(SAMPLES).index(name))
+    rng = SessionRng(zlib.crc32(name.encode()))
     path = tmp_path / "mutated"
     for i in range(MUTATIONS):
         path.write_bytes(_mutate(original, rng))

@@ -78,6 +78,24 @@ def test_no_module_imports_a_name_it_never_reads():
     assert sorted(unread) == []
 
 
+def test_only_core_imports_hashlib():
+    """Every protocol hash starts from ``HashEngine.new``, where a counting
+    hook sees it; no other module makes hashes of its own."""
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] == "hashlib" for m in modules):
+                importers.append(path.stem)
+    assert sorted(set(importers)) == ["core"]
+
+
 # What a package definition must be read by, besides the unit tests: the
 # package itself, the benchmark, the acceptance gate and the README's
 # examples.  They are found from this file, so an installed package is

@@ -8,11 +8,15 @@ import re
 
 import pytest
 
-from support import enroll, login, run_session
+from support import HASH_NAMES, enroll, login, run_session
 from triauth import baseline, improved
 from triauth.core import (
     AuthFailure,
+    Env,
     Field128,
+    ProtocolConfig,
+    SessionRng,
+    SimClock,
     UnknownUser,
     encode_text,
     field_to_ms,
@@ -133,6 +137,32 @@ def test_a_rejection_names_the_records_the_scan_tried():
                            r"this login \(%d records tried\)$" % n) as unknown:
             server.respond(noise, rng.exponent(env.params))
         assert unknown.value.records_tried == n
+
+
+@pytest.mark.parametrize("name", HASH_NAMES)
+def test_the_scan_tags_records_under_the_configured_hash(name):
+    """Under each hash the server accepts its k-th user, and a flipped C_i
+    from that user is rejected after all k records: the scan's tag is the
+    configured algorithm's digest, truncated to one word."""
+    config = ProtocolConfig(hash_name=name)
+    env = Env.from_config(config, SimClock())
+    rng = SessionRng(4)
+    server = improved.Server(env, rng=rng)
+    for i in range(3):
+        env.clock.advance(1000)
+        template = BiometricTemplate.random(rng, config.template_bits)
+        card = improved.register(env, server, encode_text("user-%d" % i), "pw-%d" % i,
+                                 template, rng, exchange_ms=10)
+    k = len(server.records)
+    env.clock.advance(1000)
+    msg, pending = improved.login(env, card, encode_text("user-%d" % (k - 1)),
+                                  "pw-%d" % (k - 1), template, rng.exponent(env.params))
+    flipped = dataclasses.replace(msg, C_i=msg.C_i ^ Field128.from_int(1))
+    with pytest.raises(AuthFailure) as bad:
+        server.respond(flipped, rng.exponent(env.params))
+    assert bad.value.records_tried == k
+    reply, sk_server = server.respond(msg, rng.exponent(env.params))
+    assert improved.finish(env, pending, reply) == sk_server
 
 
 @pytest.mark.parametrize("bad", ["zero", "p"])
