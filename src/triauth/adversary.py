@@ -20,8 +20,9 @@ any other, which only a captured card supplies.  An atom ends up
 values never change it) and orders the chosen rules into an
 :class:`AttackPlan`: rules run once, per candidate, and on a hit, all
 compiled into one Python function, ``search``, that runs the whole
-dictionary with plain statements; a forgery runs the same rules one by
-one through each rule's function.  A dictionary attack runs iff every
+dictionary with plain statements, each of a word's hashes one digest
+call on the card engine's ``new``; a forgery runs the same rules one
+by one through each rule's function.  A dictionary attack runs iff every
 block of the verifier equation is known or candidate-derivable; otherwise the
 outcome names the atoms that closure cannot reach (without a card,
 ``h`` among them).  Against the baseline the closure reaches C_i and
@@ -38,11 +39,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields, replace
+from itertools import groupby
 from types import MappingProxyType
 from typing import Callable, Mapping
 
 from . import baseline, improved
 from .core import (
+    FIELD_BYTES,
     CostLedger,
     Field128,
     GroupParams,
@@ -189,6 +192,10 @@ def _rule(target: str, expression: str) -> Derivation:
 _TIMESTAMP = re.compile(r"\bT([1-5])\b")
 
 
+# A hash term of a rule: h(...) over blocks that hold no call
+_HASH_TERM = re.compile(r"\bh\(([^()]*)\)")
+
+
 def _as_wire(text: str) -> str:
     """Timestamps as the adversary holds them, as wire words: T1 -> T1w."""
     return _TIMESTAMP.sub(r"T\1w", text)
@@ -281,9 +288,11 @@ class AttackPlan:
     With ``gaps`` the attack cannot start and the tuples are empty.
     ``source`` is the steps as one Python function, compiled as
     ``search(atoms, words)``: it runs ``known`` once, then each word's
-    :func:`text_block` through ``per_word`` and the verifier, and on
-    the first match ``on_hit``; it returns (work, (word, ID, SK)), or
-    (len(words), None).  A forgery runs the same steps rule by rule.
+    :func:`text_block` through ``per_word`` and the verifier, each
+    hash there one digest on the card engine's ``new`` (the held blocks
+    checked and joined once, before the loop), and on the first match
+    ``on_hit``; it returns (work, (word, ID, SK)), or (len(words),
+    None).  A forgery runs the same steps rule by rule.
     The steps depend only on the names held, never on the values;
     ``atoms`` holds this attack's values.
     """
@@ -384,11 +393,50 @@ def _plan_shape(scheme: str, names: frozenset[str]) -> AttackPlan:
 def _test_source(verifier: Derivation, known, per_word, on_hit) -> str:
     """The steps as the text of ``search(atoms, words)``: each rule's
     ``how`` is a plain statement, and every held atom a step reads is a
-    local.  A word that has no block counts as tested and rejected."""
+    local.  A word that has no block counts as tested and rejected.
+
+    In each word's steps and the verifier, every ``h(...)`` term is one
+    digest on a fresh object from the card engine's ``new``, read from
+    ``atoms['h']`` on each run (one shape serves cards naming different
+    hashes), fed the term's blocks as one input and truncated to a
+    word.  Runs of held blocks are checked and joined once, before the
+    loop, by the engine's :meth:`~triauth.core.HashEngine.join`.
+    ``known`` and ``on_hit`` call ``h`` itself."""
     made = {rule.target for rule in (*known, *per_word, *on_hit)} | {"PW"}
     reads = [*(a for rule in (*known, *per_word, *on_hit, verifier) for a in rule.needs),
              verifier.target, *_TARGETS]
-    check = verifier.how.split(" = ", 1)[1]
+    varies = {rule.target for rule in per_word} | {"PW"}
+    joins: dict[str, str] = {}  # a run of held blocks, joined: its name -> its join
+
+    def lowered(expression: str) -> tuple[list[str], str]:
+        """The statements that digest each h(...) term of `expression`,
+        and `expression` with each term replaced by its digest."""
+        feeds: list[tuple[str, str]] = []  # (hash object, its one input)
+
+        def digest(term: re.Match) -> str:
+            parts = []
+            for held, run in groupby(term[1].split(", "),
+                                     lambda b: b.isidentifier() and b not in varies):
+                run = list(run)
+                if held:
+                    name = "_".join(run) + "_"
+                    joins[name] = "h.join(%s)" % ", ".join(run)
+                    parts.append(name)
+                else:
+                    parts += (b if b.isidentifier() else "(%s)" % b for b in run)
+            feeds.append(("d%d" % len(feeds), " + ".join(parts)))
+            return "%s.digest()[:%d]" % (feeds[-1][0], FIELD_BYTES)
+
+        expression = _HASH_TERM.sub(digest, expression)
+        return [line for d, data in feeds
+                for line in ("%s = new()" % d, "%s.update(%s)" % (d, data))], expression
+
+    loop = []
+    for rule in per_word:
+        feeds, expression = lowered(rule.how.split(" = ", 1)[1])
+        loop += [*feeds, "%s = %s" % (rule.target, expression)]
+    feeds, check = lowered(verifier.how.split(" = ", 1)[1])
+    loop += [*feeds, "if %s == %s:" % (check, verifier.target)]
 
     def steps(rules, indent):
         return (" " * indent + rule.how for rule in rules)
@@ -397,13 +445,14 @@ def _test_source(verifier: Derivation, known, per_word, on_hit) -> str:
         "def search(atoms, words):",
         *("    %s = atoms[%r]" % (a, a) for a in dict.fromkeys(reads) if a not in made),
         *steps(known, 4),
+        "    new = h.new",
+        *("    %s = %s" % item for item in joins.items()),
         "    for work, word in enumerate(words, 1):",
         "        try:",
         "            PW = text_block(word)",
         "        except ValueError:",
         "            continue",
-        *steps(per_word, 8),
-        "        if %s == %s:" % (check, verifier.target),
+        *("        " + line for line in loop),
         *steps(on_hit, 12),
         "            return work, (word, %s)" % ", ".join(_TARGETS),
         "    return len(words), None",

@@ -316,7 +316,8 @@ class HashEngine:
 
     ``new()`` returns a fresh hash object of the algorithm; every hash
     the engine computes starts from it, and a caller that already holds
-    whole words may feed one directly and truncate its digest itself.
+    whole words may feed one directly, checked and joined by
+    :meth:`join`, and truncate its digest itself.
     """
 
     def __init__(self, name: str):
@@ -331,16 +332,29 @@ class HashEngine:
         self.new = empty.copy
 
     def __call__(self, *parts: bytes) -> Field128:
-        if not parts:
-            raise ValueError("hash of zero blocks is undefined")
-        for part in parts:
-            if len(part) != FIELD_BYTES:
-                raise ValueError(
-                    "hash input block must be 16 bytes, got %d" % len(part)
-                )
+        data = _hash_input(parts)
         h = self.new()
-        h.update(b"".join(parts))
+        h.update(data)
         return _new_bytes(Field128, h.digest()[:FIELD_BYTES])
+
+    @staticmethod
+    def join(*parts: bytes) -> bytes:
+        """The blocks as one hash input, checked as a hash's are: a
+        caller that feeds ``new()`` itself joins its blocks here."""
+        return _hash_input(parts)
+
+
+def _hash_input(parts: tuple[bytes, ...]) -> bytes:
+    """ValueError unless there is at least one block and each is a full
+    16-byte word; else the blocks joined."""
+    if not parts:
+        raise ValueError("hash of zero blocks is undefined")
+    for part in parts:
+        if len(part) != FIELD_BYTES:
+            raise ValueError(
+                "hash input block must be 16 bytes, got %d" % len(part)
+            )
+    return b"".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -69,9 +69,10 @@ def enroll(
     delta_t_ms: int = DEFAULT_DELTA_T_MS,
     exchange_ms: int = 10,
     start_ms: int = DEFAULT_EPOCH_MS,
+    hash_name: str = "sha256",
 ) -> Enrollment:
     mod = SCHEMES[scheme]
-    config = ProtocolConfig(delta_t_ms=delta_t_ms)
+    config = ProtocolConfig(delta_t_ms=delta_t_ms, hash_name=hash_name)
     env = Env.from_config(config, SimClock(start_ms))
     rng = SessionRng(seed)
     server = mod.Server(env, rng=rng)

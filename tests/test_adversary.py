@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from support import enroll, full_leak, other_scheme, run_session
+from support import HASH_NAMES, enroll, full_leak, other_scheme, run_session
 from triauth import adversary
 from triauth.adversary import (
     EXHAUSTED,
@@ -443,10 +443,10 @@ def _reference_attack(knowledge, granted=None):
     return AttackOutcome(EXHAUSTED, len(knowledge.dictionary), out_of_model=out_of_model)
 
 
-def _victim(scheme, grant):
+def _victim(scheme, grant, **enrollment):
     """An enrolled user, one leaked session, and the registration instants
     as `attack_improved` and `compile_plan` take them (None: no grant)."""
-    enr = enroll(scheme)
+    enr = enroll(scheme, **enrollment)
     run = run_session(enr)
     if not grant:
         return enr, run, None, None
@@ -487,47 +487,83 @@ def test_every_memoised_plan_equals_one_planned_afresh(scheme, grant):
         assert adversary._SHAPES[key] == fresh == replace(plan, atoms={}), sorted(given)
 
 
+def _counting_hashes(monkeypatch):
+    """Counts, from now on, of the hashes every new HashEngine starts
+    through its ``new`` (which starts each hash, called or lowered) and
+    of the calls of ``HashEngine.__call__``."""
+    counts = {"new": 0, "call": 0}
+    real_init, real_call = HashEngine.__init__, HashEngine.__call__
+
+    def counting_init(self, name):
+        real_init(self, name)
+        real_new = self.new
+
+        def counting_new():
+            counts["new"] += 1
+            return real_new()
+
+        self.new = counting_new
+
+    def counting_call(self, *parts):
+        counts["call"] += 1
+        return real_call(self, *parts)
+
+    monkeypatch.setattr(HashEngine, "__init__", counting_init)
+    monkeypatch.setattr(HashEngine, "__call__", counting_call)
+    return counts
+
+
+def _hashes_per_word(monkeypatch, attack):
+    """(hashes, engine calls) that `attack(words)` spends per word that
+    misses, over 40 words: its counts less those of an empty dictionary."""
+    counts = _counting_hashes(monkeypatch)
+
+    def spent(words):
+        before = dict(counts)
+        outcome = attack(words)
+        assert (outcome.status, outcome.work) == (EXHAUSTED, len(words))
+        return counts["new"] - before["new"], counts["call"] - before["call"]
+
+    words = ["nope-%d" % i for i in range(40)]
+    (hashes, calls), (fixed_hashes, fixed_calls) = spent(words), spent(())
+    return (hashes - fixed_hashes) / len(words), (calls - fixed_calls) / len(words)
+
+
 def test_an_exhausted_baseline_attack_hashes_twice_per_word(monkeypatch):
     enr = enroll("baseline")
     run = run_session(enr)
-    calls = []
-    real_hash = HashEngine.__call__
-
-    def counting_hash(self, *parts):
-        calls.append(parts)
-        return real_hash(self, *parts)
-
-    monkeypatch.setattr(HashEngine, "__call__", counting_hash)
-
-    def hashes(words):
-        calls.clear()
-        outcome = attack_baseline(full_leak(enr, run, words))
-        assert (outcome.status, outcome.work) == (EXHAUSTED, len(words))
-        return len(calls)
-
-    words = ["nope-%d" % i for i in range(40)]
-    assert hashes(words) - hashes(()) == 2 * len(words)
+    per_word = _hashes_per_word(
+        monkeypatch, lambda words: attack_baseline(full_leak(enr, run, words)))
+    assert per_word == (2, 0)  # both digests lowered: no engine call per word
 
 
 def test_an_exhausted_granted_improved_attack_hashes_twice_per_word(monkeypatch):
     enr, run, instants, _ = _victim("improved", True)
-    calls = []
-    real_hash = HashEngine.__call__
+    per_word = _hashes_per_word(
+        monkeypatch, lambda words: attack_improved(full_leak(enr, run, words), instants))
+    assert per_word == (2, 0)
 
-    def counting_hash(self, *parts):
-        calls.append(parts)
-        return real_hash(self, *parts)
 
-    monkeypatch.setattr(HashEngine, "__call__", counting_hash)
+@pytest.mark.parametrize("name", HASH_NAMES)
+@pytest.mark.parametrize("scheme, grant", [("baseline", False), ("improved", True)])
+def test_the_lowered_search_digests_under_the_cards_hash(scheme, grant, name):
+    """Each word's digests come from the hash the card names, truncated
+    to one word: the search recovers as the rules run one by one do."""
+    enr, run, instants, granted = _victim(scheme, grant, hash_name=name)
+    knowledge = full_leak(enr, run, words_with(enr.password, 6, size=12))
+    outcome = adversary.attack(knowledge, instants)
+    assert outcome == _reference_attack(knowledge, granted)
+    assert (outcome.status, outcome.work, outcome.password, outcome.identity,
+            outcome.session_key) == (RECOVERED, 7, enr.password, enr.user_id, run.sk_user)
 
-    def hashes(words):
-        calls.clear()
-        outcome = attack_improved(full_leak(enr, run, words), instants)
-        assert (outcome.status, outcome.work) == (EXHAUSTED, len(words))
-        return len(calls)
 
-    words = ["nope-%d" % i for i in range(40)]
-    assert hashes(words) - hashes(()) == 2 * len(words)
+def test_a_held_block_of_the_wrong_length_fails_the_engines_check():
+    enr = enroll("baseline")
+    knowledge = full_leak(enr, run_session(enr), words_with(enr.password, 2, size=4))
+    short = AdversaryKnowledge("baseline", {**knowledge.atoms, "A1": knowledge.atoms["A1"][:15]},
+                               knowledge.dictionary)
+    with pytest.raises(ValueError, match="^hash input block must be 16 bytes, got 15$"):
+        attack_baseline(short)
 
 
 # The baseline attack of a full leak, as generated: a change to the
@@ -552,13 +588,21 @@ def search(atoms, words):
     ID = NID ^ A2
     R = rep(B, P_i)
     N = L ^ R
+    new = h.new
+    N_ = h.join(N)
+    ID_ = h.join(ID)
+    A1_A2_T1w_ = h.join(A1, A2, T1w)
     for work, word in enumerate(words, 1):
         try:
             PW = text_block(word)
         except ValueError:
             continue
-        H = e ^ h(PW, N)
-        if h(ID, H, A1, A2, T1w) == C_i:
+        d0 = new()
+        d0.update(PW + N_)
+        H = e ^ d0.digest()[:16]
+        d0 = new()
+        d0.update(ID_ + H + A1_A2_T1w_)
+        if d0.digest()[:16] == C_i:
             A6 = exp(A4, r_u)
             SK = h(ID, A2, A6, H, T1w, T3w)
             return work, (word, ID, SK)
@@ -574,13 +618,14 @@ def test_the_baseline_full_leak_compiles_to_the_pinned_source():
 
 def test_victims_sharing_a_plan_keep_their_own_values():
     victims = []
-    for seed, identity, password in ((1, "alice", "correct-horse"),
-                                     (2, "bob", "battery-staple")):
-        enr = enroll("baseline", seed=seed, identity=identity, password=password)
+    for seed, identity, password, name in ((1, "alice", "correct-horse", "sha256"),
+                                           (2, "bob", "battery-staple", "blake2b")):
+        enr = enroll("baseline", seed=seed, identity=identity, password=password,
+                     hash_name=name)
         victims.append((enr, run_session(enr)))
     plans = [adversary.compile_plan(full_leak(enr, run, ()))
              for enr, run in victims]
-    assert plans[0].search is plans[1].search  # one memoised shape
+    assert plans[0].search is plans[1].search  # one memoised shape, two hashes
     (a, run_a), (b, run_b) = victims
     assert plans[0].search(plans[0].atoms, [b.password]) == (1, None)
     assert plans[1].search(plans[1].atoms, [a.password]) == (1, None)
