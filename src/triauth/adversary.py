@@ -21,11 +21,12 @@ values never change it) and orders the chosen rules into an
 :class:`AttackPlan`: rules run once, per candidate, and on a hit, all
 compiled into one Python function, ``search``, that runs the whole
 dictionary with plain statements, each of a word's hashes one digest
-call on the card engine's ``new``; a forgery runs the same rules one
-by one through each rule's function.  A dictionary attack runs iff every
-block of the verifier equation is known or candidate-derivable; otherwise the
-outcome names the atoms that closure cannot reach (without a card,
-``h`` among them).  Against the baseline the closure reaches C_i and
+call on the card engine's ``new`` and each of its XORs one on ints; a
+forgery runs the same rules one by one through each rule's function.
+A dictionary attack runs iff every block of the verifier equation is
+known or candidate-derivable; otherwise the outcome names the atoms
+that closure cannot reach (without a card, ``h`` among them).
+Against the baseline the closure reaches C_i and
 the loop recovers the password, identity and session key.  Against the
 hardened scheme T1, T3 and ID lock each other (T1 needs ID, ID needs
 T1 and T3, T3 needs T1) and every equation keeps at least two
@@ -195,6 +196,9 @@ _TIMESTAMP = re.compile(r"\bT([1-5])\b")
 # A hash term of a rule: h(...) over blocks that hold no call
 _HASH_TERM = re.compile(r"\bh\(([^()]*)\)")
 
+# Between two XOR terms of a rule: a ^ outside any call's parentheses
+_XOR_TERMS = re.compile(r" \^ (?![^(]*\))")
+
 
 def _as_wire(text: str) -> str:
     """Timestamps as the adversary holds them, as wire words: T1 -> T1w."""
@@ -216,7 +220,7 @@ def _derive(equations) -> tuple[tuple[Derivation, ...], Derivation]:
             verifier = _rule(value, expression)
             continue
         rules.append(_rule(value, expression))
-        terms = re.split(r" \^ (?![^(]*\))", expression)  # outside h(...)
+        terms = _XOR_TERMS.split(expression)
         for i, term in enumerate(terms):
             if term.isidentifier():
                 rest = terms[:i] + terms[i + 1:]
@@ -290,9 +294,11 @@ class AttackPlan:
     ``search(atoms, words)``: it runs ``known`` once, then each word's
     :func:`text_block` through ``per_word`` and the verifier, each
     hash there one digest on the card engine's ``new`` (the held blocks
-    checked and joined once, before the loop), and on the first match
-    ``on_hit``; it returns (work, (word, ID, SK)), or (len(words),
-    None).  A forgery runs the same steps rule by rule.
+    checked and joined once, before the loop) and each XOR one on ints
+    (the held operands checked and converted once), and on the first
+    match ``on_hit``, which gets ``per_word``'s values back as
+    :class:`Field128`; it returns (work, (word, ID, SK)), or
+    (len(words), None).  A forgery runs the same steps rule by rule.
     The steps depend only on the names held, never on the values;
     ``atoms`` holds this attack's values.
     """
@@ -400,13 +406,19 @@ def _test_source(verifier: Derivation, known, per_word, on_hit) -> str:
     ``atoms['h']`` on each run (one shape serves cards naming different
     hashes), fed the term's blocks as one input and truncated to a
     word.  Runs of held blocks are checked and joined once, before the
-    loop, by the engine's :meth:`~triauth.core.HashEngine.join`.
-    ``known`` and ``on_hit`` call ``h`` itself."""
+    loop, by the engine's :meth:`~triauth.core.HashEngine.join`.  A
+    word's XOR runs on ints and its result is a word of plain bytes:
+    each held operand is checked as a :class:`Field128` and converted
+    once, before the loop, and every other operand is read with
+    ``int.from_bytes``.  On a hit, each word's value becomes a
+    ``Field128`` again before ``on_hit`` runs.  ``known`` and
+    ``on_hit`` call ``h`` itself and XOR on ``Field128``."""
     made = {rule.target for rule in (*known, *per_word, *on_hit)} | {"PW"}
     reads = [*(a for rule in (*known, *per_word, *on_hit, verifier) for a in rule.needs),
              verifier.target, *_TARGETS]
     varies = {rule.target for rule in per_word} | {"PW"}
     joins: dict[str, str] = {}  # a run of held blocks, joined: its name -> its join
+    ints: dict[str, str] = {}  # a held XOR operand as an int: its name -> its conversion
 
     def lowered(expression: str) -> tuple[list[str], str]:
         """The statements that digest each h(...) term of `expression`,
@@ -431,9 +443,21 @@ def _test_source(verifier: Derivation, known, per_word, on_hit) -> str:
         return [line for d, data in feeds
                 for line in ("%s = new()" % d, "%s.update(%s)" % (d, data))], expression
 
+    def as_int(term: str) -> str:
+        """An XOR term of a word's step as an int: a held atom converted
+        once, before the loop; anything else read per word."""
+        if term.isidentifier() and term not in varies:
+            ints[term + "_int"] = "Field128(%s).to_int()" % term
+            return term + "_int"
+        return 'from_bytes(%s, "big")' % term
+
     loop = []
     for rule in per_word:
         feeds, expression = lowered(rule.how.split(" = ", 1)[1])
+        terms = _XOR_TERMS.split(expression)
+        if len(terms) > 1:
+            expression = '(%s).to_bytes(%d, "big")' % (
+                " ^ ".join(map(as_int, terms)), FIELD_BYTES)
         loop += [*feeds, "%s = %s" % (rule.target, expression)]
     feeds, check = lowered(verifier.how.split(" = ", 1)[1])
     loop += [*feeds, "if %s == %s:" % (check, verifier.target)]
@@ -446,13 +470,15 @@ def _test_source(verifier: Derivation, known, per_word, on_hit) -> str:
         *("    %s = atoms[%r]" % (a, a) for a in dict.fromkeys(reads) if a not in made),
         *steps(known, 4),
         "    new = h.new",
-        *("    %s = %s" % item for item in joins.items()),
+        "    from_bytes = int.from_bytes",
+        *("    %s = %s" % item for item in (*joins.items(), *ints.items())),
         "    for work, word in enumerate(words, 1):",
         "        try:",
         "            PW = text_block(word)",
         "        except ValueError:",
         "            continue",
         *("        " + line for line in loop),
+        *("            %s = Field128(%s)" % (rule.target, rule.target) for rule in per_word),
         *steps(on_hit, 12),
         "            return work, (word, %s)" % ", ".join(_TARGETS),
         "    return len(words), None",

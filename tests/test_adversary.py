@@ -489,10 +489,11 @@ def test_every_memoised_plan_equals_one_planned_afresh(scheme, grant):
 
 def _counting_hashes(monkeypatch):
     """Counts, from now on, of the hashes every new HashEngine starts
-    through its ``new`` (which starts each hash, called or lowered) and
-    of the calls of ``HashEngine.__call__``."""
-    counts = {"new": 0, "call": 0}
+    through its ``new`` (which starts each hash, called or lowered), of
+    the calls of ``HashEngine.__call__`` and of ``Field128``'s XOR."""
+    counts = {"new": 0, "call": 0, "xor": 0}
     real_init, real_call = HashEngine.__init__, HashEngine.__call__
+    real_xor = Field128.__xor__
 
     def counting_init(self, name):
         real_init(self, name)
@@ -508,25 +509,33 @@ def _counting_hashes(monkeypatch):
         counts["call"] += 1
         return real_call(self, *parts)
 
+    def counting_xor(self, other):
+        counts["xor"] += 1
+        return real_xor(self, other)
+
     monkeypatch.setattr(HashEngine, "__init__", counting_init)
     monkeypatch.setattr(HashEngine, "__call__", counting_call)
+    monkeypatch.setattr(Field128, "__xor__", counting_xor)
+    monkeypatch.setattr(Field128, "__rxor__", counting_xor)
     return counts
 
 
 def _hashes_per_word(monkeypatch, attack):
-    """(hashes, engine calls) that `attack(words)` spends per word that
-    misses, over 40 words: its counts less those of an empty dictionary."""
+    """(hashes, engine calls, Field128 XORs) that `attack(words)` spends
+    per word that misses, over 40 words: its counts less those of an
+    empty dictionary."""
     counts = _counting_hashes(monkeypatch)
 
     def spent(words):
         before = dict(counts)
         outcome = attack(words)
         assert (outcome.status, outcome.work) == (EXHAUSTED, len(words))
-        return counts["new"] - before["new"], counts["call"] - before["call"]
+        return {key: counts[key] - before[key] for key in counts}
 
     words = ["nope-%d" % i for i in range(40)]
-    (hashes, calls), (fixed_hashes, fixed_calls) = spent(words), spent(())
-    return (hashes - fixed_hashes) / len(words), (calls - fixed_calls) / len(words)
+    tested, fixed = spent(words), spent(())
+    assert fixed["xor"] > 0  # the hook sees the XORs that run once
+    return tuple((tested[key] - fixed[key]) / len(words) for key in ("new", "call", "xor"))
 
 
 def test_an_exhausted_baseline_attack_hashes_twice_per_word(monkeypatch):
@@ -534,14 +543,15 @@ def test_an_exhausted_baseline_attack_hashes_twice_per_word(monkeypatch):
     run = run_session(enr)
     per_word = _hashes_per_word(
         monkeypatch, lambda words: attack_baseline(full_leak(enr, run, words)))
-    assert per_word == (2, 0)  # both digests lowered: no engine call per word
+    # both digests lowered, the XOR on ints: no engine call or Field128 XOR per word
+    assert per_word == (2, 0, 0)
 
 
 def test_an_exhausted_granted_improved_attack_hashes_twice_per_word(monkeypatch):
     enr, run, instants, _ = _victim("improved", True)
     per_word = _hashes_per_word(
         monkeypatch, lambda words: attack_improved(full_leak(enr, run, words), instants))
-    assert per_word == (2, 0)
+    assert per_word == (2, 0, 0)
 
 
 @pytest.mark.parametrize("name", HASH_NAMES)
@@ -555,6 +565,8 @@ def test_the_lowered_search_digests_under_the_cards_hash(scheme, grant, name):
     assert outcome == _reference_attack(knowledge, granted)
     assert (outcome.status, outcome.work, outcome.password, outcome.identity,
             outcome.session_key) == (RECOVERED, 7, enr.password, enr.user_id, run.sk_user)
+    # equal bytes are not enough: a word's values are plain bytes in the loop
+    assert type(outcome.identity) is type(outcome.session_key) is Field128
 
 
 def test_a_held_block_of_the_wrong_length_fails_the_engines_check():
@@ -563,6 +575,19 @@ def test_a_held_block_of_the_wrong_length_fails_the_engines_check():
     short = AdversaryKnowledge("baseline", {**knowledge.atoms, "A1": knowledge.atoms["A1"][:15]},
                                knowledge.dictionary)
     with pytest.raises(ValueError, match="^hash input block must be 16 bytes, got 15$"):
+        attack_baseline(short)
+
+
+@pytest.mark.parametrize("empty", [False, True])
+def test_a_held_xor_operand_of_the_wrong_length_fails_before_the_loop(empty):
+    """A word's XOR runs on ints, so its held operand is checked as a
+    Field128 once, before any word: also for an empty dictionary."""
+    enr = enroll("baseline")
+    words = () if empty else words_with(enr.password, 2, size=4)
+    knowledge = full_leak(enr, run_session(enr), words)
+    short = AdversaryKnowledge("baseline", {**knowledge.atoms, "e": knowledge.atoms["e"][:15]},
+                               knowledge.dictionary)
+    with pytest.raises(ValueError, match="^Field128 needs exactly 16 bytes, got 15$"):
         attack_baseline(short)
 
 
@@ -589,9 +614,11 @@ def search(atoms, words):
     R = rep(B, P_i)
     N = L ^ R
     new = h.new
+    from_bytes = int.from_bytes
     N_ = h.join(N)
     ID_ = h.join(ID)
     A1_A2_T1w_ = h.join(A1, A2, T1w)
+    e_int = Field128(e).to_int()
     for work, word in enumerate(words, 1):
         try:
             PW = text_block(word)
@@ -599,10 +626,11 @@ def search(atoms, words):
             continue
         d0 = new()
         d0.update(PW + N_)
-        H = e ^ d0.digest()[:16]
+        H = (e_int ^ from_bytes(d0.digest()[:16], "big")).to_bytes(16, "big")
         d0 = new()
         d0.update(ID_ + H + A1_A2_T1w_)
         if d0.digest()[:16] == C_i:
+            H = Field128(H)
             A6 = exp(A4, r_u)
             SK = h(ID, A2, A6, H, T1w, T3w)
             return work, (word, ID, SK)
