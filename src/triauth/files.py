@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import struct
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from .core import (
@@ -402,10 +403,56 @@ def load_config(path) -> ProtocolConfig:
 
 
 def json_report_bytes(obj) -> bytes:
-    """Stable JSON: sorted keys, fixed separators, trailing newline."""
-    return (
-        json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
-    ).encode("utf-8")
+    """Stable JSON: sorted keys, fixed separators, trailing newline.
+
+    The bytes are those of ``json.dumps(obj, sort_keys=True, indent=2,
+    separators=(",", ": ")) + "\\n"``, written directly: with `indent`
+    the stdlib takes its pure-Python encoder, which costs about 1.6
+    times as much.  A report holds dicts with str keys, lists, tuples,
+    str, int, bool and None; anything else is a TypeError."""
+    out: list[str] = []
+    _json_into(out, obj, "\n")
+    out.append("\n")
+    return "".join(out).encode("ascii")
+
+
+def _json_into(out: list[str], obj, newline: str) -> None:
+    """Append `obj`'s JSON to `out`; `newline` starts a line at its
+    own indent.  The type tests run in `json.encoder`'s order."""
+    if isinstance(obj, str):
+        out.append(_json_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _json_into(out, value, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + _json_str(key) + ": ")  # a TypeError if not a str
+            _json_into(out, value, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError("a report holds no %s" % type(obj).__name__)
 
 
 def write_json_report(obj, path) -> None:

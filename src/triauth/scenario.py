@@ -36,6 +36,7 @@ leaked transcripts by session.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -511,21 +512,60 @@ def _artifacts(result: ScenarioResult) -> list[tuple[str, bytes]]:
 
 
 def write_result(result: ScenarioResult, out_dir) -> None:
-    files = [(Path(out_dir) / name, data) for name, data in _artifacts(result)]
-    for folder in {path.parent for path, _ in files}:
-        folder.mkdir(parents=True, exist_ok=True)
-    for path, data in files:
-        path.write_bytes(data)
+    """Record `result` in `out_dir`, one open and write per file; the
+    transcripts/ folder is made only when the run has a session."""
+    out = os.fspath(out_dir)
+    os.makedirs(os.path.join(out, "transcripts") if result.transcripts else out,
+                exist_ok=True)
+    for name, data in _artifacts(result):
+        _write_file(os.path.join(out, name), data)
 
 
 def compare_with_recording(result: ScenarioResult, out_dir) -> list[str]:
-    """Byte-compare a fresh run against a recorded one; [] means identical."""
-    out = Path(out_dir)
+    """Byte-compare a fresh run against a recorded one; [] means identical.
+
+    Each artifact is missing or differs, in the order it is written; then
+    each transcript in the recording that the run did not produce is
+    unexpected, by name."""
+    out = os.fspath(out_dir)
+    artifacts = _artifacts(result)
     mismatches = []
-    for name, data in _artifacts(result):
-        path = out / name
-        if not path.exists():
+    for name, data in artifacts:
+        recorded = _read_file(os.path.join(out, name))
+        if recorded is None:
             mismatches.append("%s missing" % name)
-        elif path.read_bytes() != data:
+        elif recorded != data:
             mismatches.append("%s differs" % name)
+    try:
+        listed = os.listdir(os.path.join(out, "transcripts"))
+    except FileNotFoundError:
+        listed = []
+    produced = {name for name, _ in artifacts}
+    mismatches.extend(
+        "transcripts/%s unexpected" % name for name in sorted(listed)
+        if name.endswith(".bin") and "transcripts/" + name not in produced
+    )
     return mismatches
+
+
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
+def _write_file(path: str, data: bytes) -> None:
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        done = os.write(fd, data)
+        while done < len(data):  # a short write is finished, not dropped
+            done += os.write(fd, data[done:])
+    finally:
+        os.close(fd)
+
+
+def _read_file(path: str) -> bytes | None:
+    """The file's bytes, or None when there is no such file."""
+    try:
+        file = open(path, "rb", buffering=0)
+    except FileNotFoundError:
+        return None
+    with file:
+        return file.read()

@@ -1,13 +1,14 @@
 """File formats: round-trips and pointed failure messages."""
 
 import hashlib
+import json
 import re
 from pathlib import Path
 
 import pytest
 
-from support import enroll, golden_vectors, load_server, run_session
-from triauth import cli
+from support import enroll, full_leak, golden_vectors, load_server, run_session
+from triauth import adversary, cli
 from triauth.channel import Transcript, TranscriptEntry
 from triauth.core import (
     Env,
@@ -18,8 +19,10 @@ from triauth.core import (
     SimClock,
     encode_text,
 )
+from triauth.costs import cost_report
 from triauth.files import (
     FileFormatError,
+    json_report_bytes,
     load_card,
     load_config,
     load_dictionary,
@@ -534,6 +537,46 @@ def test_json_report_bytes_are_stable(tmp_path):
     write_json_report({"a": [2, 3], "z": 1}, b)
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().endswith("\n")
+
+
+def _outcome_report() -> dict:
+    """An improved attack's report: gaps, each naming its unknowns."""
+    enr = enroll("improved")
+    knowledge = full_leak(enr, run_session(enr), ["guess", enr.password])
+    return adversary.outcome_report("improved", adversary.attack(knowledge))
+
+
+_STDLIB_CASES = {
+    "baseline-costs": lambda: cost_report("baseline"),
+    "improved-costs": lambda: cost_report("improved"),
+    "outcome": _outcome_report,
+    "leak": lambda: {"session": "s001", "seed": 7, "r_u": 123456789, "r_s": 987654321},
+    "empty-object": lambda: {},
+    "empty-list": lambda: [],
+    "nested-empty": lambda: {"a": [], "b": {}, "c": [[], {}, [[]]], "d": {"e": {"f": []}}},
+    "non-ascii": lambda: {"na\u00efve \u2603 \U0001d11e": ["\u00e9", "\u2028", "\t\"\\\x00\x7f"]},
+    "lone-surrogate": lambda: ["\ud800", {"\udfff": "x\ud834"}],
+    "ints-tuples-bools": lambda: {"n": [-1, 0, -(2 ** 70), 2 ** 64], "t": (1, (True, 1), ()),
+                                  "b": [True, 1, False, 0, None], "1": True, "one": 1},
+}
+_REFUSED_CASES = {
+    "float": lambda: {"x": 1.5},
+    "bytes": lambda: [b"raw"],
+    "int-key": lambda: {1: "one"},
+}
+
+
+@pytest.mark.parametrize("case", [*_STDLIB_CASES, *_REFUSED_CASES])
+def test_json_report_bytes_are_the_stdlib_encoding(case):
+    """The direct writer's bytes are `json.dumps`'s for every type a
+    report holds; a float, bytes or a non-str key is refused."""
+    if case in _REFUSED_CASES:
+        with pytest.raises(TypeError):
+            json_report_bytes(_REFUSED_CASES[case]())
+        return
+    obj = _STDLIB_CASES[case]()
+    expected = json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    assert json_report_bytes(obj) == expected.encode()
 
 
 def test_leak_round_trips(tmp_path):

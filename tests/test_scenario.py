@@ -1,6 +1,7 @@
 """Scenario runner: scripted sessions, determinism, recording, replay."""
 
 import json
+import os
 import re
 from importlib import resources
 from pathlib import Path
@@ -105,7 +106,7 @@ def test_scenario_runs_are_deterministic():
         )
 
 
-def test_recording_round_trip_and_drift_detection(tmp_path):
+def test_recording_round_trip_and_drift_detection(tmp_path, capsys):
     script = load_scenario(IMPROVED_ATTACK)
     result = run_scenario(script)
     out = tmp_path / "rec"
@@ -121,6 +122,19 @@ def test_recording_round_trip_and_drift_detection(tmp_path):
     tfile.write_bytes(bytes(blob))
     mismatches = compare_with_recording(fresh, out)
     assert mismatches == ["transcripts/%s differs" % tfile.name]
+
+    # a deleted artifact is missing; a transcript the run did not make is
+    # unexpected, and `replay` reports both as drift
+    (out / "report.txt").unlink()
+    (out / "transcripts" / "s999.bin").write_bytes(tfile.read_bytes())
+    assert compare_with_recording(fresh, out) == [
+        "report.txt missing",
+        "transcripts/%s differs" % tfile.name,
+        "transcripts/s999.bin unexpected",
+    ]
+    assert main(["replay", "--scenario", str(IMPROVED_ATTACK), "--out", str(out)]) == 5
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "replay drift: transcripts/s999.bin unexpected")
 
 
 def _files(root: Path) -> dict[str, bytes]:
@@ -142,6 +156,35 @@ def test_shipped_scenarios_replay_their_committed_recordings(tmp_path, capsys, p
     assert capsys.readouterr().out.endswith(
         "\nreplay of %s is byte-identical to the recording\n" % path.stem)
     assert _files(out) == _files(RECORDINGS / path.stem)
+
+
+def test_a_recording_holds_a_transcripts_folder_only_for_a_run_with_a_session(tmp_path):
+    result = run_scenario(_script("baseline", [_REGISTER_U]))
+    out = tmp_path / "new" / "rec"
+    write_result(result, out)
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "report.txt"]
+    assert compare_with_recording(result, out) == []
+
+
+def test_a_short_write_is_finished(tmp_path, monkeypatch):
+    result = run_scenario(load_scenario(IMPROVED_ATTACK))
+    write = os.write
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", lambda fd, data: write(fd, data[:100]))
+        write_result(result, tmp_path / "rec")
+    assert compare_with_recording(result, tmp_path / "rec") == []
+
+
+def test_recording_over_longer_files_truncates_them(tmp_path):
+    result = run_scenario(load_scenario(IMPROVED_ATTACK))
+    out = tmp_path / "rec"
+    write_result(result, out)
+    expected = _files(out)
+    for name, data in expected.items():
+        (out / name).write_bytes(data + b"stale tail")
+    write_result(result, out)
+    assert _files(out) == expected
+    assert compare_with_recording(result, out) == []
 
 
 def test_recorded_transcripts_reload_byte_exactly(tmp_path):

@@ -17,6 +17,7 @@ import random
 import pytest
 
 from triauth import adversary
+from triauth.files import json_report_bytes
 from triauth.scenario import (
     LEAKABLE,
     _Runner,
@@ -113,6 +114,8 @@ def test_a_generated_scenario_replays_and_attacks_as_its_leaks_predict(
     assert compare_with_recording(run_scenario(script), tmp_path / "rec") == []
 
     report = recorded.report
+    assert json_report_bytes(report) == (json.dumps(
+        report, sort_keys=True, indent=2, separators=(",", ": ")) + "\n").encode()
     assert all(step["ok"] for step in report["steps"]
                if step["op"] not in ("respond", "finish"))
     sessions = list(report["sessions"].values())
