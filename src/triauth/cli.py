@@ -52,12 +52,7 @@ from .files import (
     write_json_report,
 )
 from .fuzzy import KEY_BITS, BiometricTemplate, perturb_within_tolerance
-from .scenario import (
-    compare_with_recording,
-    load_scenario,
-    run_scenario,
-    write_result,
-)
+from .scenario import load_scenario, record_or_compare, run_scenario
 from .session import SCHEMES, Handshake, scheme_of
 
 EXIT_OK = 0
@@ -271,18 +266,17 @@ def _cmd_replay(args) -> int:
     script = load_scenario(args.scenario)
     result = run_scenario(script)
     out = Path(args.out)
-    if (out / "report.json").exists():
-        mismatches = compare_with_recording(result, out)
-        if mismatches:
-            for m in mismatches:
-                _print("replay drift: %s" % m)
-            return EXIT_REPLAY_DRIFT
-        _print("replay of %s is byte-identical to the recording" % script.name)
+    mismatches = record_or_compare(result, out)
+    if mismatches is None:
+        _print("recorded scenario %s -> %s" % (script.name, out))
+        for line in result.text.splitlines():
+            _print(line)
         return EXIT_OK
-    write_result(result, out)
-    _print("recorded scenario %s -> %s" % (script.name, out))
-    for line in result.text.splitlines():
-        _print(line)
+    if mismatches:
+        for m in mismatches:
+            _print("replay drift: %s" % m)
+        return EXIT_REPLAY_DRIFT
+    _print("replay of %s is byte-identical to the recording" % script.name)
     return EXIT_OK
 
 
@@ -369,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="record or verify a scenario")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True,
-                   help="recording directory (created on first run)")
+                   help="recording directory (recorded into when missing "
+                        "or empty, else compared with)")
     p.set_defaults(func=_cmd_replay)
 
     p = sub.add_parser("verify-card", help="structural card file check")

@@ -177,8 +177,11 @@ class ImprovedServer(BaseServer):
     whose C_i verifies.  Trial cost is visible in the ledger.  A record
     whose tag hash h(T1) differs from Q in the high 8 bytes is dropped
     on that hash alone: T3 = Q xor h(T1) would not be a timestamp word.
-    A tag hash is one digest call: a fresh hash object from the engine's
-    ``new``, fed the record's T1, which is already a whole 16-byte word.
+    Each record's tag hash is staged when the record is stored: a hash
+    object from the engine's ``new`` that has absorbed the record's T1,
+    kept in a private list in step with ``records``.  A scan finishes
+    each staged tag with one ``digest()``, which leaves the object as it
+    was, so every record tried is still hashed on every scan.
     The tag hashes are counted in one ledger call, ``count_hash(n)``,
     when the scan ends, however it ends; a rejection names the number
     of records tried.
@@ -186,6 +189,17 @@ class ImprovedServer(BaseServer):
 
     RECORD_FIELDS = ("id", "t1", "t2")
     Record = ServerRecord.build
+
+    def __init__(self, env: Env, x: int | None = None, rng: SessionRng | None = None):
+        super().__init__(env, x, rng)
+        self._tags: list = []  # records[i]'s h(T1), absorbed but not finished
+
+    def _add(self, user_id: Field128, *ints: int) -> ServerRecord:
+        rec = super()._add(user_id, *ints)
+        tag = self.env.hasher.new()
+        tag.update(rec.T1)
+        self._tags.append(tag)
+        return rec
 
     def enroll(
         self, user_id: Field128, w: Field128, t1_ms: int, t2_ms: int
@@ -201,20 +215,18 @@ class ImprovedServer(BaseServer):
     ) -> tuple[ReplyMessage, Field128]:
         self.check_processing_ms(processing_ms)  # before the scan spends anything
         env = self.env
-        new = env.hasher.new  # a tag hash is one digest of one whole word
         t4_ms = env.clock.now()
         saw_stale = None  # the freshness fault of a stale record
         saw_mismatch = False
         q_high = msg.Q[:8]
         tried = 0  # records whose tag hash h(T1) was computed
         try:
-            for tried, rec in enumerate(self.records, 1):
-                h = new()  # counted with the others when the scan ends
-                h.update(rec.T1)
-                tag = h.digest()
+            for tried, staged in enumerate(self._tags, 1):
+                tag = staged.digest()  # counted with the others when the scan ends
                 if tag[:8] != q_high:
                     # T3's high half is zero, so Q's is h(T1)'s: not this record
                     continue
+                rec = self.records[tried - 1]
                 t1, t2 = rec.T1, rec.T2
                 t3 = msg.Q ^ tag[:FIELD_BYTES]
                 if fault := env.freshness_fault(t3, t4_ms, "login"):

@@ -548,6 +548,22 @@ def compare_with_recording(result: ScenarioResult, out_dir) -> list[str]:
     return mismatches
 
 
+def record_or_compare(result: ScenarioResult, out_dir) -> list[str] | None:
+    """Record `result` in `out_dir` when that directory is missing or
+    empty, returning None; otherwise compare it with what the directory
+    holds (:func:`compare_with_recording`), so a recording that lost any
+    of its files is reported, never recorded over."""
+    out = os.fspath(out_dir)
+    try:
+        recorded = os.listdir(out)
+    except FileNotFoundError:
+        recorded = []
+    if recorded:
+        return compare_with_recording(result, out)
+    write_result(result, out)
+    return None
+
+
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
 
 

@@ -514,6 +514,26 @@ def test_replay_against_a_recording_without_its_text_report_is_drift(tmp_path, c
     assert capsys.readouterr().out == "replay drift: report.txt missing\n"
 
 
+def test_replay_compares_a_recording_that_lost_its_json_report(tmp_path, capsys):
+    """An empty directory is recorded into; one that holds any recorded
+    file is compared with, never recorded over, so the tampered text
+    report is both reported and kept."""
+    scenario = SCENARIO_DIR / "baseline-attack.scenario"
+    out = tmp_path / "recording"
+    out.mkdir()
+    assert run_cli("replay", "--scenario", scenario, "--out", out) == 0
+    assert "recorded scenario baseline-attack" in capsys.readouterr().out
+
+    (out / "report.json").unlink()
+    with (out / "report.txt").open("a") as fh:
+        fh.write("tampered\n")
+    assert run_cli("replay", "--scenario", scenario, "--out", out) == 5
+    assert capsys.readouterr().out == (
+        "replay drift: report.json missing\nreplay drift: report.txt differs\n")
+    assert (out / "report.txt").read_text().endswith("\ntampered\n")
+    assert not (out / "report.json").exists()
+
+
 def test_verify_card_describes_a_good_card(tmp_path, capsys):
     paths = register(tmp_path, "improved")
     assert run_cli("verify-card", "--card", paths["card"]) == 0

@@ -1,5 +1,6 @@
 """File formats: round-trips and pointed failure messages."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -8,9 +9,10 @@ from pathlib import Path
 import pytest
 
 from support import enroll, full_leak, golden_vectors, load_server, run_session
-from triauth import adversary, cli
+from triauth import adversary, cli, improved
 from triauth.channel import Transcript, TranscriptEntry
 from triauth.core import (
+    AuthFailure,
     Env,
     Field128,
     ProtocolConfig,
@@ -233,6 +235,52 @@ def test_server_state_keeps_the_enrollment_order(tmp_path, scheme):
            if line.startswith("record:")]
     assert ids == [uid.hex() for uid in order]
     assert [rec[0] for rec in load_server(path).records] == order
+
+
+def test_a_reloaded_improved_server_scans_its_records_in_enrollment_order(tmp_path):
+    """Restored records and a record enrolled after the reload are each
+    found by their tag hash, in enrollment order: the k-th user is
+    accepted after k tag hashes, and a flipped C_i is refused after all
+    of the records.  user-1 and user-2 share T1, so user-2's login also
+    tries user-1's record."""
+    env = Env.from_config(ProtocolConfig(), SimClock(1_700_000_000_000))
+    rng = SessionRng(8)
+    server = improved.Server(env, rng=rng)
+    users = []
+
+    def register(on_env, on_server, exchange_ms):
+        name = "user-%d" % len(users)
+        template = BiometricTemplate.random(rng, 512)
+        card = improved.register(on_env, on_server, encode_text(name), "pw-" + name,
+                                 template, rng, exchange_ms=exchange_ms)
+        users.append((name, template, card))
+
+    for exchange_ms in (10, 0, 5):
+        if len(users) < 2:  # user-2 registers in user-1's millisecond
+            env.clock.advance(1000)
+        register(env, server, exchange_ms)
+    path = tmp_path / "srv.state"
+    save_server(server, path)
+    env = Env.from_config(ProtocolConfig(), SimClock(env.clock.now() + 1000))
+    loaded = load_server(path, env)
+    register(env, loaded, 10)
+    t1 = [rec.t1_ms for rec in loaded.records]
+    assert t1[1] == t1[2] and len(set(t1)) == 3
+
+    for k, (name, template, card) in enumerate(users, 1):
+        env.clock.advance(1000)
+        msg, pending = improved.login(env, card, encode_text(name), "pw-" + name,
+                                      template, rng.exponent(env.params))
+        hashes = env.ledger.hash_total()
+        reply, sk_server = loaded.respond(msg, rng.exponent(env.params))
+        # k tag hashes, 7 more for the accepted record, 3 for a record
+        # passed on a shared T1
+        assert env.ledger.hash_total() - hashes == k + 7 + 3 * (name == "user-2")
+        assert improved.finish(env, pending, reply) == sk_server
+        flipped = dataclasses.replace(msg, C_i=msg.C_i ^ Field128.from_int(1))
+        with pytest.raises(AuthFailure) as bad:
+            loaded.respond(flipped, rng.exponent(env.params))
+        assert bad.value.records_tried == len(loaded.records) == 4
 
 
 def test_server_group_must_match_the_config(tmp_path):
