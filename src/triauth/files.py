@@ -1,5 +1,6 @@
 """On-disk formats: cards, server state, transcripts, dictionaries,
-config files, and report writing.
+config files, and report writing.  Every file the package reads or
+writes goes through `read_file` and `write_file`.
 
 Text formats are line-oriented with a versioned first line so a wrong
 or truncated file fails with a pointed message instead of garbage
@@ -14,9 +15,9 @@ file is refused with a FileFormatError that names it.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from json.encoder import encode_basestring_ascii as _json_str
-from pathlib import Path
 
 from .core import (
     Field128,
@@ -48,12 +49,34 @@ def _fail(path, lineno: int, why: str) -> "FileFormatError":
 
 
 # ---------------------------------------------------------------------------
-# Line-oriented scaffolding and strict value parsers
+# Whole-file reads and writes, line-oriented scaffolding and strict
+# value parsers
 # ---------------------------------------------------------------------------
+
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
+def write_file(path, data: bytes) -> None:
+    """Replace the file's bytes with `data`, in one open."""
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        done = os.write(fd, data)
+        while done < len(data):  # a short write is finished, not dropped
+            done += os.write(fd, data[done:])
+    finally:
+        os.close(fd)
+
+
+def read_file(path) -> bytes:
+    """The file's bytes, in one unbuffered open; FileNotFoundError when
+    there is no such file."""
+    with open(path, "rb", buffering=0) as file:
+        return file.read()
+
 
 def _read_lines(path) -> list[str]:
     """The file's lines of UTF-8 text."""
-    raw = Path(path).read_bytes()
+    raw = read_file(path)
     try:
         return raw.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -61,7 +84,7 @@ def _read_lines(path) -> list[str]:
 
 
 def _write_lines(path, lines: list[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+    write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _entries(path, sep: str, form: str, magic: str | None = None):
@@ -103,9 +126,10 @@ def _read_tagged(path, magic: str, header_keys: tuple[str, ...]):
 
 def read_json(path, what: str):
     """The JSON document in `path`, which should be `what`.  Bytes that
-    are not UTF-8 JSON are refused naming the file."""
+    are not UTF-8 JSON are refused naming the file, also UTF-16, UTF-32
+    and a byte-order mark, which `json.loads` would take from bytes."""
     try:
-        return json.loads(Path(path).read_text("utf-8"))
+        return json.loads(read_file(path).decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or too deep
         raise FileFormatError("%s: not %s (%s)" % (path, what, exc)) from None
 
@@ -200,10 +224,15 @@ def load_card(path):
     fields = {"h": hash_name}
     lines: dict[str, int] = {}
     for lineno, key, value in body:
+        if key not in expected_order:
+            raise _fail(path, lineno, "unknown field %r" % key)
         if key in lines:
             raise _fail(path, lineno, "duplicate field %s" % key)
         lines[key] = lineno
         fields[key] = _card_field_value(path, lineno, value, key, helper_bits)
+    for need in expected_order:
+        if need not in lines:
+            raise _fail(path, 1, "missing field %r" % need)
     if list(lines) != expected_order:
         raise _fail(path, 1, "fields out of order: %s" % ", ".join(lines))
     if fields["h"] != hash_name:
@@ -292,11 +321,11 @@ def transcript_bytes(transcript: Transcript) -> bytes:
 
 
 def save_transcript(transcript: Transcript, path) -> None:
-    Path(path).write_bytes(transcript_bytes(transcript))
+    write_file(path, transcript_bytes(transcript))
 
 
 def load_transcript(path) -> Transcript:
-    raw = Path(path).read_bytes()
+    raw = read_file(path)
     if raw[:8] != TRANSCRIPT_MAGIC:
         raise FileFormatError("%s: bad transcript magic" % path)
     view = memoryview(raw)
@@ -456,7 +485,7 @@ def _json_into(out: list[str], obj, newline: str) -> None:
 
 
 def write_json_report(obj, path) -> None:
-    Path(path).write_bytes(json_report_bytes(obj))
+    write_file(path, json_report_bytes(obj))
 
 
 # Leak files: how the harness hands session secrets to the attack CLI.

@@ -58,8 +58,10 @@ from .files import (
     FileFormatError,
     json_report_bytes,
     load_dictionary,
+    read_file,
     read_json,
     transcript_bytes,
+    write_file,
 )
 from .fuzzy import BiometricTemplate, perturb_within_tolerance
 from .session import Handshake, scheme_module, wire_message, wire_traffic
@@ -518,7 +520,7 @@ def write_result(result: ScenarioResult, out_dir) -> None:
     os.makedirs(os.path.join(out, "transcripts") if result.transcripts else out,
                 exist_ok=True)
     for name, data in _artifacts(result):
-        _write_file(os.path.join(out, name), data)
+        write_file(os.path.join(out, name), data)
 
 
 def compare_with_recording(result: ScenarioResult, out_dir) -> list[str]:
@@ -531,11 +533,11 @@ def compare_with_recording(result: ScenarioResult, out_dir) -> list[str]:
     artifacts = _artifacts(result)
     mismatches = []
     for name, data in artifacts:
-        recorded = _read_file(os.path.join(out, name))
-        if recorded is None:
+        try:
+            if read_file(os.path.join(out, name)) != data:
+                mismatches.append("%s differs" % name)
+        except FileNotFoundError:
             mismatches.append("%s missing" % name)
-        elif recorded != data:
-            mismatches.append("%s differs" % name)
     try:
         listed = os.listdir(os.path.join(out, "transcripts"))
     except FileNotFoundError:
@@ -562,26 +564,3 @@ def record_or_compare(result: ScenarioResult, out_dir) -> list[str] | None:
         return compare_with_recording(result, out)
     write_result(result, out)
     return None
-
-
-_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
-
-
-def _write_file(path: str, data: bytes) -> None:
-    fd = os.open(path, _WRITE_FLAGS, 0o666)
-    try:
-        done = os.write(fd, data)
-        while done < len(data):  # a short write is finished, not dropped
-            done += os.write(fd, data[done:])
-    finally:
-        os.close(fd)
-
-
-def _read_file(path: str) -> bytes | None:
-    """The file's bytes, or None when there is no such file."""
-    try:
-        file = open(path, "rb", buffering=0)
-    except FileNotFoundError:
-        return None
-    with file:
-        return file.read()

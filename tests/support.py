@@ -1,6 +1,6 @@
 """Shared test fixtures: enrollments, card-side logins and honest
-sessions for both schemes, leaks, clocks, server files and the golden
-hash vectors."""
+sessions for both schemes, leaks, clocks, server files, the golden
+hash vectors and a count of the hashes computed."""
 
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -12,6 +12,7 @@ from triauth.core import (
     DEFAULT_EPOCH_MS,
     Env,
     Field128,
+    HashEngine,
     ProtocolConfig,
     SessionRng,
     SimClock,
@@ -161,3 +162,34 @@ def load_server(path, env: Env | None = None):
     if env is None:
         env = Env.from_config(ProtocolConfig(), SimClock())
     return _load_server(path, env)
+
+
+class _CountedHash:
+    """A hash object whose finished digests are counted."""
+
+    def __init__(self, counts: dict, hash_object):
+        self.counts, self.hash_object = counts, hash_object
+
+    def update(self, data):
+        self.hash_object.update(data)
+
+    def digest(self):
+        self.counts["digest"] += 1
+        return self.hash_object.digest()
+
+
+def count_digests(monkeypatch) -> dict:
+    """Counts whose "digest" goes up by one for each hash finished, from
+    now on, by a HashEngine built after this call: each ``digest()`` of
+    an object its ``new`` returned, whether the engine's call, a record
+    tag staged at enrollment or a generated search finishes it."""
+    counts = {"digest": 0}
+    real_init = HashEngine.__init__
+
+    def counting_init(self, name):
+        real_init(self, name)
+        real_new = self.new
+        self.new = lambda: _CountedHash(counts, real_new())
+
+    monkeypatch.setattr(HashEngine, "__init__", counting_init)
+    return counts

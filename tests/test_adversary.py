@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from support import HASH_NAMES, enroll, full_leak, other_scheme, run_session
+from support import HASH_NAMES, count_digests, enroll, full_leak, other_scheme, run_session
 from triauth import adversary
 from triauth.adversary import (
     EXHAUSTED,
@@ -487,23 +487,13 @@ def test_every_memoised_plan_equals_one_planned_afresh(scheme, grant):
         assert adversary._SHAPES[key] == fresh == replace(plan, atoms={}), sorted(given)
 
 
-def _counting_hashes(monkeypatch):
-    """Counts, from now on, of the hashes every new HashEngine starts
-    through its ``new`` (which starts each hash, called or lowered), of
-    the calls of ``HashEngine.__call__`` and of ``Field128``'s XOR."""
-    counts = {"new": 0, "call": 0, "xor": 0}
-    real_init, real_call = HashEngine.__init__, HashEngine.__call__
-    real_xor = Field128.__xor__
-
-    def counting_init(self, name):
-        real_init(self, name)
-        real_new = self.new
-
-        def counting_new():
-            counts["new"] += 1
-            return real_new()
-
-        self.new = counting_new
+def _hashes_per_word(monkeypatch, attack):
+    """(hashes, engine calls, Field128 XORs) that `attack(words)` spends
+    per word that misses, over 40 words: its counts less those of an
+    empty dictionary.  A hash is a digest finished by a new HashEngine."""
+    counts = count_digests(monkeypatch)
+    counts.update(call=0, xor=0)
+    real_call, real_xor = HashEngine.__call__, Field128.__xor__
 
     def counting_call(self, *parts):
         counts["call"] += 1
@@ -513,18 +503,9 @@ def _counting_hashes(monkeypatch):
         counts["xor"] += 1
         return real_xor(self, other)
 
-    monkeypatch.setattr(HashEngine, "__init__", counting_init)
     monkeypatch.setattr(HashEngine, "__call__", counting_call)
     monkeypatch.setattr(Field128, "__xor__", counting_xor)
     monkeypatch.setattr(Field128, "__rxor__", counting_xor)
-    return counts
-
-
-def _hashes_per_word(monkeypatch, attack):
-    """(hashes, engine calls, Field128 XORs) that `attack(words)` spends
-    per word that misses, over 40 words: its counts less those of an
-    empty dictionary."""
-    counts = _counting_hashes(monkeypatch)
 
     def spent(words):
         before = dict(counts)
@@ -535,7 +516,7 @@ def _hashes_per_word(monkeypatch, attack):
     words = ["nope-%d" % i for i in range(40)]
     tested, fixed = spent(words), spent(())
     assert fixed["xor"] > 0  # the hook sees the XORs that run once
-    return tuple((tested[key] - fixed[key]) / len(words) for key in ("new", "call", "xor"))
+    return tuple((tested[key] - fixed[key]) / len(words) for key in ("digest", "call", "xor"))
 
 
 def test_an_exhausted_baseline_attack_hashes_twice_per_word(monkeypatch):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from support import count_digests
 from triauth import improved
 from triauth.core import (
     AuthFailure,
@@ -160,15 +161,11 @@ def _server_counts(env):
     return env.ledger.hash_calls.get(_SERVER, 0), env.ledger.modexp_calls.get(_SERVER, 0)
 
 
-def _new_env():
-    return Env.from_config(ProtocolConfig(), SimClock(1_700_000_000_000))
-
-
-def _crowded_server(env=None):
+def _crowded_server():
     """One server, four users; u1 and u2 register in the same millisecond,
-    so they share T1 but not T2.  Returns the env (`env`, or a new one),
-    the rng, the server and each user's (template, card)."""
-    env = env or _new_env()
+    so they share T1 but not T2.  Returns a new env, the rng, the server
+    and each user's (template, card)."""
+    env = Env.from_config(ProtocolConfig(), SimClock(1_700_000_000_000))
     rng = SessionRng(3)
     server = improved.Server(env, rng=rng)
     users = {}
@@ -214,45 +211,17 @@ def test_the_improved_scan_counts_one_hash_per_record_it_passes():
     assert (after[0] - hashes, after[1] - modexps) == (len(server.records), 0)
 
 
-class _CountingNew:
-    """Takes the place of a HashEngine's ``new``, which starts every hash
-    the engine or the server computes, and counts the hashes finished:
-    each ``digest()`` of an object it returned, whether the engine's call
-    finishes one or the scan finishes a tag staged at enrollment.  It
-    must be in place before the users enroll."""
-
-    def __init__(self, engine):
-        self.real, self.calls = engine.new, 0
-        engine.new = self
-
-    def __call__(self):
-        return _CountedHash(self, self.real())
-
-
-class _CountedHash:
-    def __init__(self, counter, hash_object):
-        self.counter, self.hash_object = counter, hash_object
-
-    def update(self, data):
-        self.hash_object.update(data)
-
-    def digest(self):
-        self.counter.calls += 1
-        return self.hash_object.digest()
-
-
-def test_the_improved_server_counts_exactly_the_hashes_it_computes():
+def test_the_improved_server_counts_exactly_the_hashes_it_computes(monkeypatch):
     """However respond ends, the hashes counted under authentication/server
     are the hashes computed: the scan's tag hashes are counted in one call."""
-    env = _new_env()
-    hasher = _CountingNew(env.hasher)
-    env, rng, server, users = _crowded_server(env)
+    computed = count_digests(monkeypatch)  # before the users enroll
+    env, rng, server, users = _crowded_server()
 
     def respond(msg, fails=None):
-        computed, counted = hasher.calls, _server_counts(env)[0]
+        before, counted = computed["digest"], _server_counts(env)[0]
         with env.ledger.scope(*_SERVER), pytest.raises(fails) if fails else nullcontext():
             server.respond(msg, rng.exponent(env.params))
-        assert _server_counts(env)[0] - counted == hasher.calls - computed > 0
+        assert _server_counts(env)[0] - counted == computed["digest"] - before > 0
 
     def login(name):
         template, card = users[name]

@@ -96,6 +96,25 @@ def test_only_core_imports_hashlib():
     assert sorted(set(importers)) == ["core"]
 
 
+_FILE_BYTE_FUNCTIONS = {"open", "os.open", "os.read", "os.write"}
+_FILE_BYTE_METHODS = {"read_bytes", "read_text", "write_bytes", "write_text"}
+
+
+def test_only_files_reads_or_writes_file_bytes():
+    """Every file's bytes are read by ``files.read_file`` and written by
+    ``files.write_file``; other modules only make and list folders."""
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                ast.unparse(node.func) in _FILE_BYTE_FUNCTIONS
+                or isinstance(node.func, ast.Attribute) and node.func.attr in _FILE_BYTE_METHODS
+            ):
+                callers.add(path.stem)
+    assert callers == {"files"}
+
+
 # What a package definition must be read by, besides the unit tests: the
 # package itself, the benchmark, the acceptance gate and the README's
 # examples.  They are found from this file, so an installed package is

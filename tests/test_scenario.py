@@ -11,7 +11,13 @@ import pytest
 from triauth.channel import SERVER_TO_USER, USER_TO_SERVER
 from triauth.cli import main
 from triauth.core import SessionRng
-from triauth.files import FileFormatError, load_transcript, transcript_bytes
+from triauth.files import (
+    FileFormatError,
+    load_card,
+    load_transcript,
+    save_card,
+    transcript_bytes,
+)
 from triauth.scenario import (
     DEFAULT_EPOCH_MS,
     ScenarioScript,
@@ -166,25 +172,52 @@ def test_a_recording_holds_a_transcripts_folder_only_for_a_run_with_a_session(tm
     assert compare_with_recording(result, out) == []
 
 
-def test_a_short_write_is_finished(tmp_path, monkeypatch):
-    result = run_scenario(load_scenario(IMPROVED_ATTACK))
-    write = os.write
+def _record(out: Path) -> dict[str, bytes]:
+    """Record the improved attack in `out`; the files it should hold."""
+    write_result(run_scenario(load_scenario(IMPROVED_ATTACK)), out)
+    return _files(RECORDINGS / IMPROVED_ATTACK.stem)
+
+
+def _save_card(out: Path) -> dict[str, bytes]:
+    """Resave a recorded card in `out`; the file it should hold."""
+    card = RECORDINGS / "files" / "improved" / "alice.card"
+    out.mkdir(exist_ok=True)
+    save_card(load_card(card), out / card.name)
+    return {card.name: card.read_bytes()}
+
+
+_EACH_WRITER = pytest.mark.parametrize("write", [_record, _save_card], ids=["recording", "card"])
+
+
+@_EACH_WRITER
+def test_a_short_write_is_finished(tmp_path, monkeypatch, write):
+    """Each file is written whole, though os.write takes 100 bytes at a
+    time, and each descriptor written to is closed."""
+    real_write, real_close = os.write, os.close
+    written, closed = set(), set()
+
+    def short_write(fd, data):
+        written.add(fd)
+        return real_write(fd, data[:100])
+
+    def close(fd):
+        closed.add(fd)
+        real_close(fd)
+
     with monkeypatch.context() as patch:
-        patch.setattr(os, "write", lambda fd, data: write(fd, data[:100]))
-        write_result(result, tmp_path / "rec")
-    assert compare_with_recording(result, tmp_path / "rec") == []
+        patch.setattr(os, "write", short_write)
+        patch.setattr(os, "close", close)
+        expected = write(tmp_path / "out")
+    assert _files(tmp_path / "out") == expected
+    assert written and written <= closed
 
 
-def test_recording_over_longer_files_truncates_them(tmp_path):
-    result = run_scenario(load_scenario(IMPROVED_ATTACK))
-    out = tmp_path / "rec"
-    write_result(result, out)
-    expected = _files(out)
-    for name, data in expected.items():
+@_EACH_WRITER
+def test_writing_over_longer_files_truncates_them(tmp_path, write):
+    out = tmp_path / "out"
+    for name, data in write(out).items():
         (out / name).write_bytes(data + b"stale tail")
-    write_result(result, out)
-    assert _files(out) == expected
-    assert compare_with_recording(result, out) == []
+    assert write(out) == _files(out)
 
 
 def test_recorded_transcripts_reload_byte_exactly(tmp_path):
