@@ -21,11 +21,13 @@ values never change it) and orders the chosen rules into an
 :class:`AttackPlan`: rules run once, per candidate, and on a hit, all
 compiled into one Python function, ``search``, that runs the whole
 dictionary with plain statements, each of a word's hashes one digest
-call on the card engine's ``new`` and each of its XORs one on ints; a
-forgery runs the same rules one by one through each rule's function.
-A dictionary attack runs iff every block of the verifier equation is
-known or candidate-derivable; otherwise the outcome names the atoms
-that closure cannot reach (without a card, ``h`` among them).
+call on the card engine's ``new`` and each of its XORs one on ints.
+A session-key forgery under guessed registration instants and a guessed
+password is that search under a grant, over a one-word dictionary: it
+gives a key only when C_i verifies.  A dictionary attack runs iff every
+block of the verifier equation is known or candidate-derivable;
+otherwise the outcome names the atoms that closure cannot reach
+(without a card, ``h`` among them).
 Against the baseline the closure reaches C_i and
 the loop recovers the password, identity and session key.  Against the
 hardened scheme T1, T3 and ID lock each other (T1 needs ID, ID needs
@@ -174,7 +176,8 @@ class AttackOutcome:
 @dataclass(frozen=True)
 class Derivation:
     """``target`` is ``fn(*needs)``, by the equation ``how``.  The card's
-    tools ``h`` and ``exp`` are needs like any other atom."""
+    tools ``h`` and ``exp`` are needs like any other atom.  A plan's
+    search runs ``how`` as a statement; ``fn`` is the rule on its own."""
 
     target: str
     needs: tuple[str, ...]
@@ -298,7 +301,8 @@ class AttackPlan:
     (the held operands checked and converted once), and on the first
     match ``on_hit``, which gets ``per_word``'s values back as
     :class:`Field128`; it returns (work, (word, ID, SK)), or
-    (len(words), None).  A forgery runs the same steps rule by rule.
+    (len(words), None).  A forgery is this search over one word, under
+    a grant of guessed instants (:func:`attack_improved`).
     The steps depend only on the names held, never on the values;
     ``atoms`` holds this attack's values.
     """
@@ -528,6 +532,9 @@ def attack_improved(
     granting the registration instants (T1, T2), which the model
     forbids, restores the exact pipeline the baseline attack runs —
     flagged on the outcome so nobody mistakes it for an in-model break.
+    A forgery under guessed instants and a guessed password is this
+    call with the guesses as the grant and the password as a one-word
+    dictionary: it gives a key only when the guesses make C_i verify.
     """
     if knowledge.scheme != improved.SCHEME:
         raise ValueError("knowledge is not about the improved scheme")
@@ -569,36 +576,6 @@ def explain_gaps(outcome: AttackOutcome) -> list[str]:
     """Human-readable lines for why an attack could not start."""
     return ["equation %s blocked; unknown: %s" % (gap.equation, ", ".join(gap.unknown))
             for gap in outcome.gaps]
-
-
-def forge_improved_session_key(
-    knowledge: AdversaryKnowledge,
-    t1_ms: int,
-    t2_ms: int,
-    password_guess: str,
-) -> Field128 | None:
-    """Forge an SK for guessed (T1, T2, PW) without any verification.
-
-    This is the brute-force counterpart to the closure argument: run
-    the plan's whole derivation chain, rule by rule, under the guesses
-    and emit whatever key falls out.  Wrong guesses produce well-formed
-    garbage; the caller compares against the honest key.  Returns None
-    if the chain cannot run at all (missing knowledge) or the password
-    guess has no 16-byte block.
-    """
-    if knowledge.scheme != improved.SCHEME:
-        raise ValueError("forgery chain is specific to the improved scheme")
-    plan = compile_plan(knowledge, _granted(t1_ms, t2_ms))
-    if plan.gaps:
-        return None
-    try:
-        pw = text_block(password_guess)
-    except ValueError:
-        return None
-    values = dict(plan.atoms, PW=pw)
-    for rule in plan.known + plan.per_word + plan.on_hit:
-        values[rule.target] = rule.fn(*(values[a] for a in rule.needs))
-    return values["SK"]
 
 
 # ---------------------------------------------------------------------------

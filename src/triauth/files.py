@@ -380,12 +380,18 @@ def save_template(template, path) -> None:
 
 
 def load_template(path):
-    parts = " ".join(_read_lines(path)).split()
+    """One line, '<bits> <hex>'; every line after it must be blank."""
+    first, *rest = _read_lines(path) or [""]
+    parts = first.split()
     if len(parts) != 2:
         raise _fail(path, 1, "expected '<bits> <hex>'")
     nbits = _parse_int(path, 1, parts[0], "bit count")
     raw = _parse_hex(path, 1, parts[1], "template")
-    return _checked(path, 1, BiometricTemplate, raw, nbits)
+    template = _checked(path, 1, BiometricTemplate, raw, nbits)
+    for lineno, line in enumerate(rest, 2):
+        if line.strip():
+            raise _fail(path, lineno, "a template is one line")
+    return template
 
 
 def load_dictionary(path) -> list[str]:

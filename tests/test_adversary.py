@@ -16,7 +16,6 @@ from triauth.adversary import (
     attack_baseline,
     attack_improved,
     explain_gaps,
-    forge_improved_session_key,
     impersonate,
     intercept,
 )
@@ -121,13 +120,15 @@ def test_baseline_attack_exhausts_without_the_true_password():
     assert outcome.password is None
 
 
-def test_unencodable_dictionary_words_count_as_work():
-    enr = enroll("baseline")
-    run = run_session(enr)
-    words = ["x" * 40, enr.password]  # first cannot fit a 128-bit block
-    outcome = attack_baseline(full_leak(enr, run, words))
-    assert outcome.status == RECOVERED
-    assert outcome.work == 2
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_unencodable_dictionary_words_count_as_work(scheme):
+    enr, run, instants, _ = _victim(scheme, scheme == "improved")
+    for long in ("x" * 17, "x" * 40):  # neither fits a 128-bit block
+        outcome = adversary.attack(full_leak(enr, run, [long, enr.password]), instants)
+        assert outcome.status == RECOVERED
+        assert outcome.work == 2
+        outcome = adversary.attack(full_leak(enr, run, [long]), instants)
+        assert (outcome.status, outcome.work, outcome.session_key) == (EXHAUSTED, 1, None)
 
 
 def test_baseline_attack_without_r_u_cannot_start():
@@ -227,10 +228,11 @@ def test_across_all_leak_subsets_gaps_are_unreached_and_leaks_never_add_one(sche
 def test_wrong_scheme_knowledge_is_refused():
     enr = enroll("baseline")
     knowledge = AdversaryKnowledge.assemble("baseline", card=enr.card)
-    with pytest.raises(ValueError):
-        attack_improved(knowledge)
+    for grant in (None, (0, 0)):  # in model, and a forgery under guesses
+        with pytest.raises(ValueError, match="^knowledge is not about the improved scheme$"):
+            attack_improved(knowledge, grant)
     improved_knowledge = AdversaryKnowledge("improved")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^knowledge is not about the baseline scheme$"):
         attack_baseline(improved_knowledge)
 
 
@@ -302,43 +304,38 @@ def test_granting_the_registration_instants_unlocks_the_attack():
     assert outcome.work == 42
 
 
-def test_granted_but_wrong_instants_do_not_recover():
+@pytest.mark.parametrize("wrong", [
+    lambda t1, t2: (t1 + 1, t2),
+    lambda t1, t2: (t1, t2 + 1),
+    lambda t1, t2: (t2, t1),
+], ids=["T1+1ms", "T2+1ms", "swapped"])
+def test_granted_but_wrong_instants_do_not_recover(wrong):
     enr = enroll("improved")
     run = run_session(enr)
     rec = enr.server.records[0]
     knowledge = full_leak(enr, run, words_with(enr.password, 3))
-    outcome = attack_improved(knowledge, (rec.t1_ms + 1, rec.t2_ms))
+    outcome = attack_improved(knowledge, wrong(rec.t1_ms, rec.t2_ms))
     assert outcome.status == EXHAUSTED
+    assert outcome.work == len(knowledge.dictionary)
+    assert outcome.session_key is None
     assert outcome.out_of_model is True
 
 
-def test_forged_key_under_true_guesses_matches_the_honest_key():
+def test_forgeries_under_guessed_instants_give_no_key():
+    """A forgery is the granted attack over the true password alone; a
+    guess of the instants that misses gives no key at all."""
     enr = enroll("improved")
     run = run_session(enr)
     rec = enr.server.records[0]
-    knowledge = full_leak(enr, run, ())
-    forged = forge_improved_session_key(
-        knowledge, rec.t1_ms, rec.t2_ms, enr.password
-    )
-    assert forged == run.sk_user
-
-
-def test_forged_keys_under_guessed_instants_never_match():
-    enr = enroll("improved")
-    run = run_session(enr)
-    rec = enr.server.records[0]
-    knowledge = full_leak(enr, run, ())
+    knowledge = full_leak(enr, run, (enr.password,))
     rng = SessionRng(4242)
-    hits = 0
     for _ in range(500):
         t1_guess = rec.t1_ms - 86_400_000 + rng.below(86_400_000)
         t2_guess = t1_guess + rng.below(1000)
-        forged = forge_improved_session_key(
-            knowledge, t1_guess, t2_guess, enr.password
-        )
-        if forged == run.sk_user:
-            hits += 1
-    assert hits == 0
+        outcome = attack_improved(knowledge, (t1_guess, t2_guess))
+        assert (outcome.status, outcome.work, outcome.session_key) == (EXHAUSTED, 1, None)
+    outcome = attack_improved(knowledge, (rec.t1_ms, rec.t2_ms))
+    assert (outcome.status, outcome.session_key) == (RECOVERED, run.sk_user)
 
 
 def test_a_grant_never_enters_the_knowledge():
@@ -347,29 +344,10 @@ def test_a_grant_never_enters_the_knowledge():
     rec = enr.server.records[0]
     knowledge = full_leak(enr, run, words_with(enr.password, 4))
     assert attack_improved(knowledge, (rec.t1_ms, rec.t2_ms)).status == RECOVERED
-    assert forge_improved_session_key(
-        knowledge, rec.t1_ms, rec.t2_ms, enr.password
-    ) == run.sk_user
     outcome = attack_improved(knowledge)
     assert outcome.status == INSUFFICIENT
     assert outcome.gaps[0].unknown == ("A22", "H", "ID", "SK", "T1w", "T3w")
     assert not {"T1w", "T2w"} & set(knowledge.atoms)
-
-
-def test_forgery_refuses_baseline_knowledge():
-    enr = enroll("baseline")
-    knowledge = AdversaryKnowledge.assemble("baseline", card=enr.card)
-    with pytest.raises(ValueError, match="specific to the improved scheme"):
-        forge_improved_session_key(knowledge, 0, 0, enr.password)
-
-
-def test_forgery_under_a_guess_too_long_for_a_word_is_none():
-    enr = enroll("improved")
-    run = run_session(enr)
-    rec = enr.server.records[0]
-    knowledge = full_leak(enr, run, ())
-    assert forge_improved_session_key(knowledge, rec.t1_ms, rec.t2_ms, "x" * 16)
-    assert forge_improved_session_key(knowledge, rec.t1_ms, rec.t2_ms, "x" * 17) is None
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -393,11 +371,13 @@ def test_a_termination_notice_adds_no_wire_atoms(scheme):
     assert atoms == AdversaryKnowledge.assemble(scheme, transcripts=(login_only,)).atoms
 
 
-def test_forgery_needs_the_leaked_material():
+def test_a_forgery_needs_the_leaked_material():
     enr = enroll("improved")
     rec = enr.server.records[0]
-    knowledge = AdversaryKnowledge.assemble("improved", card=enr.card)
-    assert forge_improved_session_key(knowledge, rec.t1_ms, rec.t2_ms, "x") is None
+    knowledge = AdversaryKnowledge.assemble("improved", card=enr.card,
+                                            dictionary=(enr.password,))
+    outcome = attack_improved(knowledge, (rec.t1_ms, rec.t2_ms))
+    assert (outcome.status, outcome.work, outcome.session_key) == (INSUFFICIENT, 0, None)
 
 
 # ---------------------------------------------------------------------------

@@ -401,20 +401,30 @@ def test_template_round_trips(tmp_path):
     assert load_template(path) == template
 
 
-@pytest.mark.parametrize("text, why", [
-    (b"512\n", "expected '<bits> <hex>'"),
-    (b"512 zz\n", "field template is not valid hex"),
-    (b"512 abcd\n", "template length does not match bit count"),
-    (b"5l2 abcd\n", "bit count must be a non-negative integer, got '5l2'"),
-    (b"16 ab cd\n", "expected '<bits> <hex>'"),
-    (b"16 abc\n", "field template is not valid hex"),
-    (b"16 \xab\xcd\n", "not valid UTF-8"),
+@pytest.mark.parametrize("text, line, why", [
+    (b"512\n", 1, "expected '<bits> <hex>'"),
+    (b"512 zz\n", 1, "field template is not valid hex"),
+    (b"512 abcd\n", 1, "template length does not match bit count"),
+    (b"5l2 abcd\n", 1, "bit count must be a non-negative integer, got '5l2'"),
+    (b"16 ab cd\n", 1, "expected '<bits> <hex>'"),
+    (b"16 abc\n", 1, "field template is not valid hex"),
+    (b"16 \xab\xcd\n", 1, "not valid UTF-8"),
+    (b"16\nabcd\n", 1, "expected '<bits> <hex>'"),
+    (b"512\nzz\n", 1, "expected '<bits> <hex>'"),
+    (b"16 abcd\n\n16 abcd\n", 3, "a template is one line"),
+    (b"16 abcd\nzz\n", 2, "a template is one line"),
 ])
-def test_template_parse_errors_name_the_file_and_line(tmp_path, text, why):
+def test_template_parse_errors_name_the_file_and_line(tmp_path, text, line, why):
     path = tmp_path / "u.tpl"
     path.write_bytes(text)
-    with _raises_at(path, 1, why):
+    with _raises_at(path, line, why):
         load_template(path)
+
+
+def test_a_template_may_end_in_blank_lines(tmp_path):
+    path = tmp_path / "u.tpl"
+    path.write_bytes(b"16 abcd\n\n  \n")
+    assert load_template(path) == BiometricTemplate(bytes.fromhex("abcd"), 16)
 
 
 def test_dictionary_round_trips(tmp_path):
