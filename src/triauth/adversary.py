@@ -245,17 +245,25 @@ _TARGETS = ("ID", "SK")
 # From leaks to atoms
 # ---------------------------------------------------------------------------
 
+# Each message class's words as atoms, in layout order.  Timestamps
+# captured off the wire are words, not clock readings the adversary can
+# trust: T1 -> T1w.
+_WIRE_ATOM_NAMES = {
+    cls: tuple(_as_wire(name) for name in cls.WIRE)
+    for mod in SCHEMES.values() for cls in (mod.LoginMessage, mod.ReplyMessage)
+}
+
+
 def _wire_atoms(scheme: str, transcript: Transcript) -> dict[str, Field128]:
     mod = scheme_module(scheme)
     atoms: dict[str, Field128] = {}
     for entry in transcript.entries:
         if entry.label not in WIRE_LABELS:
             continue  # a termination notice
+        cls = wire_message(mod, entry.label)[1]
         # ValueError for a message of another length: another scheme's
-        for name, word in wire_message(mod, entry.label)[1].words(entry.data).items():
-            # timestamps captured off the wire are words, not clock
-            # readings the adversary can trust
-            atoms.setdefault(_as_wire(name), word)
+        for name, word in zip(_WIRE_ATOM_NAMES[cls], cls.words(entry.data).values()):
+            atoms.setdefault(name, word)
     return atoms
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -164,17 +163,22 @@ class WireMessage:
     def words(cls, raw: bytes) -> dict[str, Field128]:
         """The words of an encoded message by layout name, without
         building the message; ValueError if `raw` has the wrong length."""
-        if len(raw) != cls._nbytes:
-            raise ValueError("%s.%s must be %d bytes" % (
-                cls.__module__, cls.__name__, cls._nbytes))
-        return {  # every slice is a whole word, so Field128's check is skipped
-            name: _new_bytes(Field128, raw[i : i + FIELD_BYTES])
-            for name, i in cls.OFFSETS.items()
-        }
+        return dict(zip(cls.WIRE, cls._split(raw)))
 
     @classmethod
     def decode(cls, raw: bytes):
-        return cls(*cls.words(raw).values())
+        """The message `raw` encodes; ValueError as :meth:`words` gives."""
+        return cls(*cls._split(raw))
+
+    @classmethod
+    def _split(cls, raw: bytes) -> list[Field128]:
+        """`raw`'s words in layout order, after one length check."""
+        if len(raw) != cls._nbytes:
+            raise ValueError("%s.%s must be %d bytes" % (
+                cls.__module__, cls.__name__, cls._nbytes))
+        # every slice is a whole word, so Field128's check is skipped
+        return [_new_bytes(Field128, raw[i : i + FIELD_BYTES])
+                for i in range(0, len(raw), FIELD_BYTES)]
 
 
 def text_block(text: str) -> bytes:
@@ -269,13 +273,10 @@ class CostLedger:
         self.modexp_calls: dict[tuple[str, str], int] = {}
         self._stack: list[tuple[str, str]] = []
 
-    @contextmanager
-    def scope(self, phase: str, principal: str):
-        self._stack.append((phase, principal))
-        try:
-            yield self
-        finally:
-            self._stack.pop()
+    def scope(self, phase: str, principal: str) -> "_LedgerScope":
+        """A context that attributes counts to (phase, principal) while
+        it is open, and restores the outer scope when it closes."""
+        return _LedgerScope(self, (phase, principal))
 
     # the scope is read inline: these run once per counted operation
 
@@ -301,6 +302,24 @@ class CostLedger:
         "phase/principal", sorted for stable reports."""
         calls = self.hash_calls if calls is None else calls
         return {"%s/%s" % key: n for key, n in sorted(calls.items())}
+
+
+class _LedgerScope:
+    """:meth:`CostLedger.scope`'s context, a class rather than a generator
+    because every protocol step opens one."""
+
+    __slots__ = ("ledger", "key")
+
+    def __init__(self, ledger: CostLedger, key: tuple[str, str]):
+        self.ledger = ledger
+        self.key = key
+
+    def __enter__(self) -> CostLedger:
+        self.ledger._stack.append(self.key)
+        return self.ledger
+
+    def __exit__(self, *exc_info) -> None:
+        self.ledger._stack.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +590,16 @@ class SessionRng:
     the object so transcripts can reference it, which is why it must
     fit in 64 bits (Random would also fold a negative seed onto its
     absolute value).
+
+    The draw contract, which every method keeps and any faster path
+    must keep draw for draw:
+
+    - a draw below a bound is ``getrandbits(bound.bit_length())``,
+      repeated until the value is under the bound;
+    - :meth:`field` is one ``getrandbits(128)``;
+    - each byte of :meth:`random_bytes` is one draw below 256;
+    - :meth:`positions` is a partial Fisher-Yates shuffle of
+      ``range(n)``: its i-th swap partner is i plus a draw below n - i.
     """
 
     def __init__(self, seed: int):
@@ -586,11 +615,23 @@ class SessionRng:
         """Uniform int in [0, bound) by rejection sampling."""
         if bound <= 0:
             raise ValueError("bound must be positive")
+        draw = self._rng.getrandbits
         k = bound.bit_length()
-        while True:
-            x = self._rng.getrandbits(k)
-            if x < bound:
-                return x
+        x = draw(k)
+        while x >= bound:
+            x = draw(k)
+        return x
+
+    def random_bytes(self, n: int) -> bytes:
+        """n bytes, each one draw below 256, as ``below(256)`` draws it."""
+        draw = self._rng.getrandbits
+        out = []
+        for _ in range(n):
+            x = draw(9)
+            while x >= 256:
+                x = draw(9)
+            out.append(x)
+        return bytes(out)
 
     def exponent(self, params: GroupParams) -> int:
         """Ephemeral exponent in [2, p-2]."""
@@ -600,9 +641,15 @@ class SessionRng:
         """k distinct positions out of n (partial Fisher-Yates)."""
         if not 0 <= k <= n:
             raise ValueError("cannot pick %d of %d positions" % (k, n))
+        draw = self._rng.getrandbits
         pool = list(range(n))
         for i in range(k):
-            j = i + self.below(n - i)
+            left = n - i  # j is i + a draw below `left`
+            bits = left.bit_length()
+            j = draw(bits)
+            while j >= left:
+                j = draw(bits)
+            j += i
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
 

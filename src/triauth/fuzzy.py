@@ -38,10 +38,7 @@ class BiometricTemplate:
     def random(cls, rng: SessionRng, nbits: int) -> "BiometricTemplate":
         if nbits % 8 != 0:
             raise ValueError("template bit count must be a multiple of 8")
-        raw = b"".join(
-            rng.below(256).to_bytes(1, "big") for _ in range(nbits // 8)
-        )
-        return cls(raw, nbits)
+        return cls(rng.random_bytes(nbits // 8), nbits)
 
     def as_int(self) -> int:
         return int.from_bytes(self.bits, "big")

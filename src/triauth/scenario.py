@@ -186,10 +186,10 @@ class _Runner:
 
     def run(self) -> ScenarioResult:
         for i, step in enumerate(self.script.steps, 1):
-            handler = getattr(self, "_op_" + step["op"].replace("-", "_"))
+            handler = _HANDLERS[step["op"]]
             outcome = {"step": i, "op": step["op"]}
             try:
-                outcome.update(handler(step))
+                outcome.update(handler(self, step))
             except ValueError as exc:  # a fault of the script: name its step
                 raise ValueError("step %d (%s): %s" % (i, step["op"], exc)) from None
             self.step_reports.append(outcome)
@@ -420,8 +420,10 @@ class _Runner:
         return ScenarioResult(report, _render_text(report, transcripts), transcripts)
 
 
-KNOWN_OPS = tuple(name[len("_op_"):].replace("_", "-")
-                  for name in vars(_Runner) if name.startswith("_op_"))
+# Each op's handler: "advance-clock" is _Runner._op_advance_clock
+_HANDLERS = {name[len("_op_"):].replace("_", "-"): handler
+             for name, handler in vars(_Runner).items() if name.startswith("_op_")}
+KNOWN_OPS = tuple(_HANDLERS)
 
 
 def _need(doc: dict, key: str, kind: type):
@@ -448,19 +450,11 @@ def _render_text(report: dict, transcripts: dict[str, Transcript]) -> str:
         % (report["name"], report["scheme"], report["seed"])
     ]
     for step in report["steps"]:
-        detail = " ".join(
-            "%s=%s" % (k, v)
-            for k, v in step.items()
-            if k not in ("step", "op", "ok")
-        )
+        detail = "".join([" %s=%s" % item for item in step.items()
+                          if item[0] not in ("step", "op", "ok")])
         lines.append(
             "step %02d %-14s %s%s"
-            % (
-                step["step"],
-                step["op"],
-                "ok" if step["ok"] else "FAILED",
-                (" " + detail) if detail else "",
-            )
+            % (step["step"], step["op"], "ok" if step["ok"] else "FAILED", detail)
         )
     for sid, info in report["sessions"].items():
         lines.append(

@@ -1,11 +1,13 @@
 """Primitives: words, clocks, ledger, hash engine, group math, RNG."""
 
 import hashlib
+import random
 
 import pytest
 
-from support import HASH_NAMES, golden_vectors
+from support import HASH_NAMES, enroll, golden_vectors
 from triauth import core
+from triauth.channel import USER_TO_SERVER
 from triauth.core import (
     BaseServer,
     DEFAULT_G,
@@ -18,6 +20,7 @@ from triauth.core import (
     HashEngine,
     MALFORMED_TIMESTAMP,
     ProtocolConfig,
+    ProtocolError,
     SessionRng,
     SimClock,
     decode_text,
@@ -29,6 +32,8 @@ from triauth.core import (
     ms_to_field,
     text_block,
 )
+from triauth.fuzzy import BiometricTemplate
+from triauth.session import SCHEMES, Handshake
 
 DEFAULT_GROUP = GroupParams(DEFAULT_P, DEFAULT_G)  # the group every default config uses
 
@@ -177,11 +182,12 @@ def test_sim_clock_stays_within_64_bits():
 def test_ledger_attributes_counts_to_the_active_scope():
     ledger = CostLedger()
     ledger.count_hash()  # unscoped
-    with ledger.scope("login", "user"):
-        ledger.count_hash()
+    with ledger.scope("login", "user") as opened:
+        assert opened is ledger
         ledger.count_hash()
         with ledger.scope("authentication", "server"):
             ledger.count_modexp()
+        ledger.count_hash()  # the outer scope again
     assert ledger.hash_calls[CostLedger.UNSCOPED] == 1
     assert ledger.hash_calls[("login", "user")] == 2
     assert ledger.modexp_calls[("authentication", "server")] == 1
@@ -191,9 +197,28 @@ def test_ledger_attributes_counts_to_the_active_scope():
 
 def test_ledger_scope_pops_on_exception():
     ledger = CostLedger()
-    with pytest.raises(RuntimeError):
-        with ledger.scope("login", "user"):
-            raise RuntimeError("boom")
+    with ledger.scope("authentication", "server"):
+        with pytest.raises(RuntimeError):
+            with ledger.scope("login", "user"):
+                raise RuntimeError("boom")
+        ledger.count_hash()  # the outer scope again
+    ledger.count_hash()
+    assert ledger.hash_calls == {
+        ("authentication", "server"): 1, CostLedger.UNSCOPED: 1}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_refused_respond_leaves_no_ledger_scope_open(scheme):
+    enr = enroll(scheme)
+    enr.env.clock.advance(60_000)
+    handshake = Handshake(enr.env, enr.server, latency_ms=10)
+    handshake.login(enr.card, enr.user_id, enr.password, enr.template,
+                    enr.rng.exponent(enr.env.params))
+    handshake.channel.corrupt_in_flight(USER_TO_SERVER, 0, b"\x01")
+    with pytest.raises(ProtocolError):
+        handshake.respond(enr.rng.exponent(enr.env.params))
+    ledger = enr.env.ledger
+    assert ledger._stack == []
     ledger.count_hash()
     assert ledger.hash_calls[CostLedger.UNSCOPED] == 1
 
@@ -535,6 +560,57 @@ def test_session_rng_positions_are_distinct():
     assert sorted(rng.positions(10, 10)) == list(range(10))
     with pytest.raises(ValueError):
         rng.positions(10, 11)
+
+
+# The seeded streams, drawn as the draw contract in SessionRng's docstring
+# states it, on random.Random alone: a faster path must keep them draw
+# for draw, or every recording changes.
+
+def _contract_below(rnd: random.Random, bound: int) -> int:
+    while True:
+        x = rnd.getrandbits(bound.bit_length())
+        if x < bound:
+            return x
+
+
+def _contract_positions(rnd: random.Random, n: int, k: int) -> list[int]:
+    pool = list(range(n))
+    for i in range(k):
+        j = i + _contract_below(rnd, n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
+STREAM_SEEDS = (0, 1, 9, 2**64 - 1)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_session_rng_below_keeps_the_contract_stream(seed):
+    rng, rnd = SessionRng(seed), random.Random(seed)
+    for bound in (1, 2, 255, 256, 257, 2**16, DEFAULT_P - 3):
+        assert [rng.below(bound) for _ in range(40)] == [
+            _contract_below(rnd, bound) for _ in range(40)]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_session_rng_exponent_and_positions_keep_the_contract_stream(seed):
+    rng, rnd = SessionRng(seed), random.Random(seed)
+    assert [rng.exponent(DEFAULT_GROUP) for _ in range(20)] == [
+        2 + _contract_below(rnd, DEFAULT_P - 3) for _ in range(20)]
+    for k in (0, 1, 16, 128):
+        assert rng.positions(128, k) == _contract_positions(rnd, 128, k)
+    assert rng.below(1000) == _contract_below(rnd, 1000)  # nothing drawn past
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_the_template_draw_keeps_the_contract_stream(seed):
+    rnd = random.Random(seed)
+    expected = bytes(_contract_below(rnd, 256) for _ in range(64))
+    rng = SessionRng(seed)
+    assert BiometricTemplate.random(rng, 512) == BiometricTemplate(expected, 512)
+    assert rng.below(1000) == _contract_below(rnd, 1000)  # nothing drawn past
+    assert SessionRng(seed).random_bytes(64) == expected
+    assert SessionRng(seed).random_bytes(0) == b""
 
 
 def test_derive_seed_separates_roles():

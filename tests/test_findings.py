@@ -13,9 +13,17 @@ import pytest
 
 from support import enroll, full_leak, login, run_session
 from triauth import adversary, baseline, improved
-from triauth.core import CostLedger, Field128, UnknownUser, encode_text
+from triauth.core import (
+    DEFAULT_EPOCH_MS,
+    CostLedger,
+    Field128,
+    SessionRng,
+    UnknownUser,
+    encode_text,
+    ms_to_field,
+)
 from triauth.fuzzy import rep
-from triauth.session import SCHEMES, wire_message
+from triauth.session import SCHEMES, Handshake, wire_message
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -107,3 +115,85 @@ def test_the_card_t12_turns_one_leaked_session_into_a_password_oracle():
     outcome = adversary.attack(knowledge)
     assert (outcome.status, outcome.work, outcome.session_key) == (
         adversary.INSUFFICIENT, 0, None)
+
+
+def test_the_improved_logins_capture_time_is_its_t3():
+    """ROADMAP item 3.  The card stamps T3 and sends the login at the same
+    instant, so the observer's capture time, as a word, is T3; with the
+    login's Q it gives all 128 bits of h(T1), with no search."""
+    enr = enroll("improved")
+    run = run_session(enr)
+    (entry,) = [e for e in run.transcript.entries if e.label == "login"]
+    t3 = ms_to_field(entry.captured_at)
+    assert t3 == run.pending.T3
+    (rec,) = enr.server.records
+    assert run.msg.Q ^ t3 == enr.env.h(rec.T1)
+
+
+def test_a_small_window_around_registration_leaves_only_the_true_t1():
+    """ROADMAP item 13.  Q[:8] = h(T1)[:8] is an exact test of a T1
+    guess: of the 2**12 instants around a guess of the registration
+    instant, only the true T1 passes it."""
+    enr = enroll("improved")
+    enr.env.clock.advance(60_000)
+    msg, _ = login(enr)
+    (rec,) = enr.server.records
+    env = replace(enr.env, ledger=CostLedger())
+    guess = DEFAULT_EPOCH_MS + 1234  # registration began at the epoch
+    window = range(guess - 2**11, guess + 2**11)
+    assert rec.t1_ms in window
+    survivors = [ms for ms in window if env.h(ms_to_field(ms))[:8] == msg.Q[:8]]
+    assert survivors == [rec.t1_ms]
+    assert env.ledger.hash_total() == 2**12
+
+
+WEEK_MS = 7 * 24 * 3600 * 1000
+
+
+def _forge_login(scheme, env, leaked, server_y, r_u):
+    """A login built from a leaked PendingLogin, the server's public key
+    and a fresh exponent alone, stamped now; and the forger's own
+    PendingLogin for it.  Only the long-term values ID and H (and the
+    improved card's T1 and T2) are read from the leak."""
+    _, now = env.now_field()
+    a1 = env.mod_exp(env.params.g, r_u)
+    a2 = env.mod_exp(server_y, r_u)
+    if scheme == "baseline":
+        msg = baseline.LoginMessage(
+            NID=leaked.ID ^ a2, A1=a1,
+            C_i=env.h(leaked.ID, leaked.H, a1, a2, now), T1=now)
+        return msg, replace(leaked, A2=a2, r_u=r_u, T1=now)
+    t1, t2 = leaked.T1, leaked.T2
+    a11, a22 = a1 ^ t2 ^ now, a2 ^ now
+    msg = improved.LoginMessage(
+        NID=leaked.ID ^ a22 ^ env.h(t1, now, t2), A11=a11,
+        C_i=env.h(leaked.ID, leaked.H, a22, a11, t1, now, t2),
+        Q=now ^ env.h(t1))
+    return msg, replace(leaked, A22=a22, r_u=r_u, T3=now)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_leaked_pending_login_forges_a_login_a_week_later(scheme):
+    """ROADMAP item 10.  The card's session state between login and
+    finish, `handshake.pending`, holds the user's long-term ID and H
+    (and the improved card's T1 and T2).  A week later, with a fresh
+    exponent and no card, password or biometric, a login forged from it
+    is accepted, and the forger holds the server's session key."""
+    enr = enroll(scheme)
+    env = enr.env
+    env.clock.advance(60_000)
+    handshake = Handshake(env, enr.server, latency_ms=10)
+    handshake.login(enr.card, enr.user_id, enr.password, enr.template,
+                    enr.rng.exponent(env.params))
+    leaked = replace(handshake.pending)  # read between login and finish
+    handshake.respond(enr.rng.exponent(env.params))
+    handshake.finish()
+    assert handshake.keys_match() and handshake.pending is None
+
+    env.clock.advance(WEEK_MS)
+    forger = replace(env, ledger=CostLedger())  # the same clock, its own count
+    msg, forged = _forge_login(scheme, forger, leaked, enr.server.y,
+                               SessionRng(77).exponent(env.params))
+    assert msg.encode() != handshake.channel.transcript().entries[0].data
+    reply, sk_server = enr.server.respond(msg, enr.rng.exponent(env.params))
+    assert SCHEMES[scheme].finish(forger, forged, reply) == sk_server

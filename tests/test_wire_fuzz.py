@@ -9,7 +9,7 @@ refuse each with a ProtocolError and nothing else.
 import pytest
 
 from support import enroll, login
-from triauth.core import FIELD_BYTES, ProtocolError, SessionRng
+from triauth.core import FIELD_BYTES, Field128, ProtocolError, SessionRng
 from triauth.session import SCHEMES, WIRE_LABELS, wire_message
 
 SAMPLES = 300
@@ -33,6 +33,24 @@ def test_a_decoder_accepts_exactly_its_layout_length(scheme, label):
             why = r"\.%s must be %d bytes" % (cls.__name__, size)
             with pytest.raises(ValueError, match=why):
                 cls.decode(raw)
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("label", sorted(WIRE_LABELS))
+def test_decode_refuses_a_length_off_by_one_as_words_does(scheme, label):
+    cls = wire_message(SCHEMES[scheme], label)[1]
+    size = len(cls.WIRE) * FIELD_BYTES
+    why = "triauth.%s.%s must be %d bytes" % (scheme, cls.__name__, size)
+    for n in (0, size - 1, size + 1):
+        for parse in (cls.decode, cls.words):
+            with pytest.raises(ValueError) as refused:
+                parse(bytes(n))
+            assert str(refused.value) == why
+    raw = _random_bytes(SessionRng(size), size)
+    msg = cls.decode(raw)
+    assert msg.encode() == raw
+    assert {name: getattr(msg, name) for name in cls.WIRE} == cls.words(raw)
+    assert {type(getattr(msg, name)) for name in cls.WIRE} == {Field128}
 
 
 def _fuzzed(cls, honest, rng: SessionRng):
