@@ -56,7 +56,6 @@ from .core import (
     ProtocolError,
     SessionRng,
     ms_to_field,
-    text_block,
 )
 from .channel import SimChannel, Transcript
 from .fuzzy import BiometricTemplate, rep
@@ -267,13 +266,27 @@ def _wire_atoms(scheme: str, transcript: Transcript) -> dict[str, Field128]:
     return atoms
 
 
+# The card's tools already made, by (hash name, p, g), the way
+# core._COMB_TABLES keeps g's table by (g, p): attacks on cards of one
+# group and hash share one engine and one exp.
+_TOOLS: dict[tuple, dict[str, Callable]] = {}
+
+
 def _tools(atoms: Mapping[str, object]) -> dict[str, Callable]:
     """The card's tools as the rules call them: ``h``, the hash the card
-    names, and ``exp``, pow modulo the card's p.  Without a well-formed
-    card, neither exists."""
+    names, and ``exp``, pow modulo the card's p, made once per (hash
+    name, p, g) and kept in :data:`_TOOLS`; the caller copies them.
+    Without a well-formed card, neither exists."""
     try:
-        h, group = HashEngine(atoms["h"]), GroupParams(atoms["p"], atoms["g"])
-    except (KeyError, ValueError, TypeError):
+        key = (atoms["h"], atoms["p"], atoms["g"])
+        tools = _TOOLS.get(key)
+    except (KeyError, TypeError):  # no card, or a field that cannot be a key
+        return {}
+    if tools is not None:
+        return tools
+    try:
+        h, group = HashEngine(key[0]), GroupParams(key[1], key[2])
+    except (ValueError, TypeError):
         return {}
 
     def exp(base: Field128, exponent: int) -> Field128:
@@ -281,7 +294,8 @@ def _tools(atoms: Mapping[str, object]) -> dict[str, Callable]:
         # implicit reduction is what an attacker would compute anyway
         return Field128.from_int(pow(base.to_int(), exponent, group.p))
 
-    return {"h": h, "exp": exp}
+    tools = _TOOLS[key] = {"h": h, "exp": exp}
+    return tools
 
 
 def _granted(t1_ms: int, t2_ms: int) -> dict[str, Field128]:
@@ -303,7 +317,8 @@ class AttackPlan:
     With ``gaps`` the attack cannot start and the tuples are empty.
     ``source`` is the steps as one Python function, compiled as
     ``search(atoms, words)``: it runs ``known`` once, then each word's
-    :func:`text_block` through ``per_word`` and the verifier, each
+    block, built inline as :func:`~triauth.core.text_block` builds it,
+    through ``per_word`` and the verifier, each
     hash there one digest on the card engine's ``new`` (the held blocks
     checked and joined once, before the loop) and each XOR one on ints
     (the held operands checked and converted once), and on the first
@@ -312,7 +327,9 @@ class AttackPlan:
     (len(words), None).  A forgery is this search over one word, under
     a grant of guessed instants (:func:`attack_improved`).
     The steps depend only on the names held, never on the values;
-    ``atoms`` holds this attack's values.
+    ``atoms`` holds this attack's values, among them the card's tools,
+    which every attack on a card of the same hash and group shares
+    (:func:`_tools`).
     """
 
     atoms: dict[str, object]
@@ -352,7 +369,8 @@ def compile_plan(
     shape = _SHAPES.get(key)
     if shape is None:
         shape = _SHAPES[key] = _plan_shape(*key)
-    return replace(shape, atoms=atoms)
+    return AttackPlan(atoms, shape.known, shape.per_word, shape.on_hit, shape.gaps,
+                      shape.source, shape.search)
 
 
 def _plan_shape(scheme: str, names: frozenset[str]) -> AttackPlan:
@@ -411,7 +429,11 @@ def _plan_shape(scheme: str, names: frozenset[str]) -> AttackPlan:
 def _test_source(verifier: Derivation, known, per_word, on_hit) -> str:
     """The steps as the text of ``search(atoms, words)``: each rule's
     ``how`` is a plain statement, and every held atom a step reads is a
-    local.  A word that has no block counts as tested and rejected.
+    local.  Each word's block is built inline, as
+    :func:`~triauth.core.text_block` builds it, with no call: UTF-8
+    (``str.encode``'s default), zero-padded to a word.  A word that has
+    no block, one UTF-8 cannot encode (a lone surrogate) or one longer
+    than 16 bytes, counts as tested and rejected.
 
     In each word's steps and the verifier, every ``h(...)`` term is one
     digest on a fresh object from the card engine's ``new``, read from
@@ -486,9 +508,12 @@ def _test_source(verifier: Derivation, known, per_word, on_hit) -> str:
         *("    %s = %s" % item for item in (*joins.items(), *ints.items())),
         "    for work, word in enumerate(words, 1):",
         "        try:",
-        "            PW = text_block(word)",
+        "            PW = word.encode()",
         "        except ValueError:",
         "            continue",
+        "        if len(PW) > %d:" % FIELD_BYTES,
+        "            continue",
+        '        PW = PW.ljust(%d, b"\\x00")' % FIELD_BYTES,
         *("        " + line for line in loop),
         *("            %s = Field128(%s)" % (rule.target, rule.target) for rule in per_word),
         *steps(on_hit, 12),

@@ -5,6 +5,7 @@ hash vectors and a count of the hashes computed."""
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from triauth import adversary
 from triauth.adversary import AdversaryKnowledge
 from triauth.channel import Transcript
 from triauth.core import (
@@ -182,8 +183,11 @@ def count_digests(monkeypatch) -> dict:
     """Counts whose "digest" goes up by one for each hash finished, from
     now on, by a HashEngine built after this call: each ``digest()`` of
     an object its ``new`` returned, whether the engine's call, a record
-    tag staged at enrollment or a generated search finishes it."""
+    tag staged at enrollment or a generated search finishes it.  The
+    adversary's kept card tools are dropped, so an attack builds its
+    engine anew and is counted too."""
     counts = {"digest": 0}
+    monkeypatch.setattr(adversary, "_TOOLS", {})
     real_init = HashEngine.__init__
 
     def counting_init(self, name):

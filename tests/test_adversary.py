@@ -1,6 +1,6 @@
 """Adversary engine: knowledge boundary, derivation closure, the attack."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -22,7 +22,7 @@ from triauth.adversary import (
 from triauth.channel import USER_TO_SERVER, SimChannel
 from triauth.core import (
     Field128, FreshnessFailure, HashEngine, SessionRng, SimClock, encode_text,
-    ms_to_field,
+    ms_to_field, text_block,
 )
 from triauth.fuzzy import gen, rep
 from triauth.session import SCHEMES, Handshake
@@ -120,15 +120,47 @@ def test_baseline_attack_exhausts_without_the_true_password():
     assert outcome.password is None
 
 
+# Words at the edges of a 16-byte block, each with whether
+# core.text_block gives it one.  The search builds a word's block inline.
+_BLOCK_EDGES = (
+    ("", True),
+    ("correct-horse", True),
+    ("x" * 16, True),
+    ("\u00e9" * 8, True),  # 16 bytes of two-byte UTF-8
+    ("\u00e9" * 8 + "x", False),  # 17 bytes
+    ("\ud800", False),  # a lone surrogate: UTF-8 cannot encode it
+    ("x" * 17, False),
+    ("x" * 40, False),
+)
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_unencodable_dictionary_words_count_as_work(scheme):
-    enr, run, instants, _ = _victim(scheme, scheme == "improved")
-    for long in ("x" * 17, "x" * 40):  # neither fits a 128-bit block
-        outcome = adversary.attack(full_leak(enr, run, [long, enr.password]), instants)
-        assert outcome.status == RECOVERED
-        assert outcome.work == 2
-        outcome = adversary.attack(full_leak(enr, run, [long]), instants)
+@pytest.mark.parametrize("word, has_block", _BLOCK_EDGES)
+def test_the_search_accepts_and_refuses_the_words_text_block_does(
+        monkeypatch, scheme, word, has_block):
+    """A word with a block, enrolled as the password, is recovered as the
+    first word: the search's block is the one registration hashed.  A
+    word without one counts as work and finishes no digest."""
+    try:
+        text_block(word)
+    except ValueError:
+        assert not has_block
+    else:
+        assert has_block
+    counts = count_digests(monkeypatch)
+    enr, run, instants, _ = _victim(
+        scheme, scheme == "improved", password=word if has_block else "correct-horse")
+    outcome = adversary.attack(full_leak(enr, run, [word, enr.password]), instants)
+    assert (outcome.status, outcome.work, outcome.password) == (
+        RECOVERED, 1 if has_block else 2, enr.password)
+    if not has_block:
+        spent = []
+        for words in ((), [word]):
+            before = counts["digest"]
+            outcome = adversary.attack(full_leak(enr, run, words), instants)
+            spent.append(counts["digest"] - before)
         assert (outcome.status, outcome.work, outcome.session_key) == (EXHAUSTED, 1, None)
+        assert spent[0] == spent[1]  # the digests of the steps run once
 
 
 def test_baseline_attack_without_r_u_cannot_start():
@@ -582,9 +614,12 @@ def search(atoms, words):
     e_int = Field128(e).to_int()
     for work, word in enumerate(words, 1):
         try:
-            PW = text_block(word)
+            PW = word.encode()
         except ValueError:
             continue
+        if len(PW) > 16:
+            continue
+        PW = PW.ljust(16, b"\\x00")
         d0 = new()
         d0.update(PW + N_)
         H = (e_int ^ from_bytes(d0.digest()[:16], "big")).to_bytes(16, "big")
@@ -717,6 +752,42 @@ def test_every_leaked_atom_is_named_as_the_equations_name_it(monkeypatch, scheme
 # ---------------------------------------------------------------------------
 # Active operations
 # ---------------------------------------------------------------------------
+
+# Card fields and wire words that no EQUATIONS row has as its target,
+# each with why: the adversary cannot reason about them.  An entry for a
+# missing row names the item that adds it, and goes when the row lands.
+UNMODELLED = {
+    "h": "a tool: the hash the card names",
+    "p": "a tool: the modulus of the card's exp",
+    "g": "a tool: the generator of the card's group",
+    "Y": "Y = g^X, and X never leaks",
+    "P_i": "gen's public helper string: an input of rep, no row's output",
+    "T1": "a raw timestamp: the adversary holds it as the wire atom T1w",
+    "T3": "a raw timestamp: the adversary holds it as the wire atom T3w",
+    "V": "pending: item 17 adds each scheme's V row",
+    "T12": "pending: item 17 adds T12 = T1 ^ T2",
+    "A1": "pending: item 2 adds A1 = exp(g, r_u)",
+    "A4": "pending: item 2 adds A4 = exp(g, r_s)",
+    "Cs": "pending: item 24 adds the baseline's Cs = h(ID, SK, H, T3), a second verifier",
+}
+
+
+def _unrowed(scheme):
+    """The scheme's card fields and wire words that are no row's target."""
+    mod = SCHEMES[scheme]
+    targets = {line.split(" = ")[0] for line in mod.EQUATIONS}
+    stored = [f.name for f in fields(mod.Card)] + [*mod.LoginMessage.WIRE, *mod.ReplyMessage.WIRE]
+    return {name for name in stored if name not in targets}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_every_card_field_and_wire_word_has_a_row_or_a_declared_reason(scheme):
+    """ROADMAP item 24.  Each value a card stores or the wire carries is
+    a row's target or an UNMODELLED entry, and each entry is a value some
+    scheme still leaves without a row."""
+    assert sorted(_unrowed(scheme) - UNMODELLED.keys()) == []
+    assert set(UNMODELLED) == set().union(*map(_unrowed, SCHEMES))
+
 
 def test_intercept_returns_the_channel_transcript():
     clock = SimClock(0)

@@ -74,6 +74,14 @@ def test_every_improved_login_of_a_user_carries_one_q_tag():
     assert {msg.Q[:8] for msg in msgs} == {enr.env.h(rec.T1)[:8]}
 
 
+def _improved_wire(transcript):
+    """An improved session's wire words by name, as an eavesdropper reads them."""
+    wire = {}
+    for entry in transcript.entries:
+        wire.update(wire_message(improved, entry.label)[1].words(entry.data))
+    return wire
+
+
 def test_the_card_t12_turns_one_leaked_session_into_a_password_oracle():
     """ROADMAP item 17.  The hardened card keeps T12 = T1 xor T2.  With
     the card, one transcript, the biometric and r_u, each password guess
@@ -84,9 +92,7 @@ def test_the_card_t12_turns_one_leaked_session_into_a_password_oracle():
     enr = enroll("improved", password="real-pw")
     run = run_session(enr)
     card, env = enr.card, replace(enr.env, ledger=CostLedger())
-    wire = {}
-    for entry in run.transcript.entries:
-        wire.update(wire_message(improved, entry.label)[1].words(entry.data))
+    wire = _improved_wire(run.transcript)
     r = rep(enr.template, card.P_i)
     a1 = env.mod_exp(card.g, run.r_u)
     a2 = env.mod_exp(card.Y, run.r_u)
@@ -145,6 +151,63 @@ def test_a_small_window_around_registration_leaves_only_the_true_t1():
     survivors = [ms for ms in window if env.h(ms_to_field(ms))[:8] == msg.Q[:8]]
     assert survivors == [rec.t1_ms]
     assert env.ledger.hash_total() == 2**12
+
+
+def test_the_card_the_biometric_and_one_login_give_the_password_with_no_randomness():
+    """ROADMAP item 17.  With no r_u or r_s: the login's tag
+    Q[:8] = h(T1)[:8] leaves only the true T1 of a 2**12-ms window around
+    the registration instant (item 13), the card's T12 gives
+    T2 = T12 xor T1, and Nmask = h(PW||R) xor T2 then tests a password
+    guess with one hash.  The symbolic attack on the same leak cannot
+    start."""
+    enr = enroll("improved", password="real-pw")
+    run = run_session(enr)
+    card, env = enr.card, replace(enr.env, ledger=CostLedger())
+    q_tag = _improved_wire(run.transcript)["Q"][:8]
+    guess = DEFAULT_EPOCH_MS + 1234  # registration began at the epoch
+    window = range(guess - 2**11, guess + 2**11)
+    (t1_ms,) = [ms for ms in window if env.h(ms_to_field(ms))[:8] == q_tag]
+    t1 = ms_to_field(t1_ms)
+    t2 = card.T12 ^ t1
+    r = rep(enr.template, card.P_i)
+    words = ["decoy-1", "real-pw", "decoy-2", "decoy-3"]
+    passed = [word for word in words if card.Nmask ^ env.h(encode_text(word), r) == t2]
+    assert passed == ["real-pw"]
+    (rec,) = enr.server.records
+    assert (t1, t2) == (rec.T1, rec.T2)
+    assert (env.ledger.modexp_total(), env.ledger.hash_total()) == (0, 2**12 + 4)
+
+    knowledge = adversary.AdversaryKnowledge.assemble(
+        "improved", card=card, transcripts=(run.transcript,), biometric=enr.template,
+        dictionary=words)
+    outcome = adversary.attack(knowledge)
+    assert (outcome.status, outcome.work, outcome.password) == (
+        adversary.INSUFFICIENT, 0, None)
+
+
+def test_one_improved_server_record_and_the_wire_give_t3_t4_and_t5():
+    """ROADMAP item 10.  The improved server's state file holds each
+    user's (ID, T1, T2) in the clear.  One record of `state_records()`
+    and one eavesdropped session give T3 = Q xor h(T1), then
+    T4 = P xor h(T1||ID||T3) and T5 = Q2 xor h(T2||ID||T3): the
+    session's own instants, with no card, password, biometric or
+    exponent."""
+    enr = enroll("improved")
+    run = run_session(enr, network_ms=10, processing_ms=3)
+    ((user_id, t1_ms, t2_ms),) = enr.server.state_records()
+    env = replace(enr.env, ledger=CostLedger())
+    wire = _improved_wire(run.transcript)
+    t1, t2 = ms_to_field(t1_ms), ms_to_field(t2_ms)
+    t3 = wire["Q"] ^ env.h(t1)
+    t4 = wire["P"] ^ env.h(t1, user_id, t3)
+    t5 = wire["Q2"] ^ env.h(t2, user_id, t3)
+    assert t3 == run.pending.T3
+    # the server stamps T4 as the login arrives, one 10 ms hop after it
+    # was sent, and T5 as it sends the reply, after 3 ms of processing
+    sent = {entry.label: entry.captured_at for entry in run.transcript.entries}
+    assert sent["reply"] == sent["login"] + 10 + 3
+    assert (t4, t5) == (ms_to_field(sent["login"] + 10), ms_to_field(sent["reply"]))
+    assert (env.ledger.modexp_total(), env.ledger.hash_total()) == (0, 3)
 
 
 WEEK_MS = 7 * 24 * 3600 * 1000

@@ -57,9 +57,8 @@ def test_importing_core_loads_nothing_else(imports):
 
 
 # Imported names that only code built at run time reads: the adversary's
-# eval'd rules and generated search call the fuzzy extractor `rep`, and
-# the generated search reads each word with `text_block`.
-READ_AT_RUN_TIME = {("adversary", "rep"), ("adversary", "text_block")}
+# eval'd rules and generated search call the fuzzy extractor `rep`.
+READ_AT_RUN_TIME = {("adversary", "rep")}
 
 
 def test_no_module_imports_a_name_it_never_reads():
