@@ -18,18 +18,16 @@ any other, which only a captured card supplies.  An atom ends up
 *known*, *derivable per password candidate*, or *unknown*.
 :func:`compile_plan` does that closure once per set of names held (the
 values never change it) and orders the chosen rules into an
-:class:`AttackPlan`: rules run once, per candidate, and on a hit, all
-compiled into one Python function, ``search``, that runs the whole
-dictionary with plain statements, each of a word's hashes one digest
-call on the card engine's ``new`` and each of its XORs one on ints.
-A session-key forgery under guessed registration instants and a guessed
-password is that search under a grant, over a one-word dictionary: it
-gives a key only when C_i verifies.  A dictionary attack runs iff every
-block of the verifier equation is known or candidate-derivable;
-otherwise the outcome names the atoms that closure cannot reach
-(without a card, ``h`` among them).
-Against the baseline the closure reaches C_i and
-the loop recovers the password, identity and session key.  Against the
+:class:`AttackPlan`, whose one compiled function runs the whole
+dictionary; :func:`_test_source` says how the rules become its
+statements.  A session-key forgery under guessed registration
+instants and a guessed password is that function under a grant, over
+a one-word dictionary: it gives a key only when C_i verifies.  A
+dictionary attack runs iff every block of the verifier equation is
+known or candidate-derivable; otherwise the outcome names the atoms
+that closure cannot reach (without a card, ``h`` among them).
+Against the baseline the closure reaches C_i and the loop recovers
+the password, identity and session key.  Against the
 hardened scheme T1, T3 and ID lock each other (T1 needs ID, ID needs
 T1 and T3, T3 needs T1) and every equation keeps at least two
 unknowns — the attack cannot start.  Granting (T1, T2) through the
@@ -174,22 +172,20 @@ class AttackOutcome:
 
 @dataclass(frozen=True)
 class Derivation:
-    """``target`` is ``fn(*needs)``, by the equation ``how``.  The card's
-    tools ``h`` and ``exp`` are needs like any other atom.  A plan's
-    search runs ``how`` as a statement; ``fn`` is the rule on its own."""
+    """``target`` follows from ``needs`` by the statement ``how``.  The
+    card's tools ``h`` and ``exp`` are needs like any other atom;
+    ``rep``, the public extractor, is a global, not a need.  A plan's
+    search runs ``how``."""
 
     target: str
     needs: tuple[str, ...]
     how: str
-    fn: Callable
 
 
 def _rule(target: str, expression: str) -> Derivation:
     names = re.findall(r"[A-Za-z_]\w*", expression)
     needs = tuple(dict.fromkeys(n for n in names if n != "rep"))
-    # `rep`, the public extractor, stays a global looked up at call time
-    fn = eval("lambda %s: %s" % (", ".join(needs), expression), globals())
-    return Derivation(target, needs, "%s = %s" % (target, expression), fn)
+    return Derivation(target, needs, "%s = %s" % (target, expression))
 
 
 _TIMESTAMP = re.compile(r"\bT([1-5])\b")
@@ -298,11 +294,6 @@ def _tools(atoms: Mapping[str, object]) -> dict[str, Callable]:
     return tools
 
 
-def _granted(t1_ms: int, t2_ms: int) -> dict[str, Field128]:
-    """The out-of-model grant: the registration instants as wire atoms."""
-    return {"T1w": ms_to_field(t1_ms), "T2w": ms_to_field(t2_ms)}
-
-
 # ---------------------------------------------------------------------------
 # The compiled plan and its execution
 # ---------------------------------------------------------------------------
@@ -315,21 +306,12 @@ class AttackPlan:
 
     Each tuple is in dependency order, and so is their concatenation.
     With ``gaps`` the attack cannot start and the tuples are empty.
-    ``source`` is the steps as one Python function, compiled as
-    ``search(atoms, words)``: it runs ``known`` once, then each word's
-    block, built inline as :func:`~triauth.core.text_block` builds it,
-    through ``per_word`` and the verifier, each
-    hash there one digest on the card engine's ``new`` (the held blocks
-    checked and joined once, before the loop) and each XOR one on ints
-    (the held operands checked and converted once), and on the first
-    match ``on_hit``, which gets ``per_word``'s values back as
-    :class:`Field128`; it returns (work, (word, ID, SK)), or
-    (len(words), None).  A forgery is this search over one word, under
-    a grant of guessed instants (:func:`attack_improved`).
-    The steps depend only on the names held, never on the values;
-    ``atoms`` holds this attack's values, among them the card's tools,
-    which every attack on a card of the same hash and group shares
-    (:func:`_tools`).
+    ``source`` is the steps as the text of one Python function, which
+    :func:`_test_source` writes, and ``search(atoms, words)`` is that
+    function compiled.  The steps depend only on the names held, never
+    on the values; ``atoms`` holds this attack's values, among them the
+    card's tools, which every attack on a card of the same hash and
+    group shares (:func:`_tools`).
     """
 
     atoms: dict[str, object]
@@ -421,7 +403,7 @@ def _plan_shape(scheme: str, names: frozenset[str]) -> AttackPlan:
     steps = (tuple(known), tuple(per_word), tuple(on_hit))
     source = _test_source(verifier, *steps)
     namespace: dict[str, Callable] = {}
-    # `rep`, the public extractor, stays a global as in every rule
+    # `rep`, the public extractor, is the one global the steps read
     exec(source, globals(), namespace)
     return AttackPlan({}, *steps, source=source, search=namespace["search"])
 
@@ -429,8 +411,14 @@ def _plan_shape(scheme: str, names: frozenset[str]) -> AttackPlan:
 def _test_source(verifier: Derivation, known, per_word, on_hit) -> str:
     """The steps as the text of ``search(atoms, words)``: each rule's
     ``how`` is a plain statement, and every held atom a step reads is a
-    local.  Each word's block is built inline, as
-    :func:`~triauth.core.text_block` builds it, with no call: UTF-8
+    local.  It runs ``known`` once, then each word through ``per_word``
+    and the verifier, and on the first match ``on_hit``; it returns
+    (work, (word, ID, SK)), or (len(words), None).  A forgery is this
+    search over one word, under a grant of guessed instants
+    (:func:`attack_improved`).
+
+    Each word's block is built inline, with no call, as
+    :func:`~triauth.core.encode_text` builds a word's bytes: UTF-8
     (``str.encode``'s default), zero-padded to a word.  A word that has
     no block, one UTF-8 cannot encode (a lone surrogate) or one longer
     than 16 bytes, counts as tested and rejected.
@@ -573,7 +561,9 @@ def attack_improved(
         raise ValueError("knowledge is not about the improved scheme")
     if out_of_model_timestamps is None:
         return _run_dictionary(knowledge)
-    return _run_dictionary(knowledge, _granted(*out_of_model_timestamps))
+    t1_ms, t2_ms = out_of_model_timestamps
+    granted = {"T1w": ms_to_field(t1_ms), "T2w": ms_to_field(t2_ms)}  # as wire atoms
+    return _run_dictionary(knowledge, granted)
 
 
 def attack(

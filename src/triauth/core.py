@@ -181,8 +181,9 @@ class WireMessage:
                 for i in range(0, len(raw), FIELD_BYTES)]
 
 
-def text_block(text: str) -> bytes:
-    """An identity or password string as the 16 plain bytes it is hashed as.
+def encode_text(text: str) -> Field128:
+    """An identity or password string as one protocol word: the 16 plain
+    bytes it is hashed as.
 
     UTF-8, zero-padded on the right.  Anything longer than 16 bytes is
     rejected rather than truncated (truncation would silently alias
@@ -192,13 +193,7 @@ def text_block(text: str) -> bytes:
     raw = text.encode("utf-8")
     if len(raw) > FIELD_BYTES:
         raise ValueError("text too long for a 128-bit word: %r" % text)
-    return raw.ljust(FIELD_BYTES, b"\x00")
-
-
-def encode_text(text: str) -> Field128:
-    """Encode an identity or password string as one protocol word: its
-    :func:`text_block`."""
-    return _new_bytes(Field128, text_block(text))
+    return _new_bytes(Field128, raw.ljust(FIELD_BYTES, b"\x00"))
 
 
 def decode_text(word: Field128) -> str:
@@ -586,10 +581,9 @@ class SessionRng:
 
     getrandbits is the one Random primitive whose output stream is
     stable across Python versions and platforms, which is what makes
-    recorded scenarios replayable byte-for-byte.  The seed is kept on
-    the object so transcripts can reference it, which is why it must
-    fit in 64 bits (Random would also fold a negative seed onto its
-    absolute value).
+    recorded scenarios replayable byte-for-byte.  The seed must fit in
+    64 bits, the width a transcript records a seed in (Random would also
+    fold a negative seed onto its absolute value).
 
     The draw contract, which every method keeps and any faster path
     must keep draw for draw:
@@ -605,7 +599,6 @@ class SessionRng:
     def __init__(self, seed: int):
         if not 0 <= seed < (1 << 64):
             raise ValueError("seed must be in [0, 2**64), got %d" % seed)
-        self.seed = seed
         self._rng = random.Random(seed)
 
     def field(self) -> Field128:
@@ -669,9 +662,6 @@ class ProtocolConfig:
     template_bits: int = 512
     seed: int = 1
 
-    def group(self) -> GroupParams:
-        return GroupParams.from_values(self.p, self.g)
-
 
 @dataclass
 class Env:
@@ -698,7 +688,7 @@ class Env:
     ) -> "Env":
         config = config or ProtocolConfig()
         return cls(
-            params=config.group(),
+            params=GroupParams.from_values(config.p, config.g),
             hasher=HashEngine(config.hash_name),
             ledger=CostLedger(),
             clock=clock if clock is not None else SimClock(),

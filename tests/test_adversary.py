@@ -1,5 +1,6 @@
 """Adversary engine: knowledge boundary, derivation closure, the attack."""
 
+from collections import Counter
 from dataclasses import fields, replace
 
 import pytest
@@ -22,7 +23,7 @@ from triauth.adversary import (
 from triauth.channel import USER_TO_SERVER, SimChannel
 from triauth.core import (
     Field128, FreshnessFailure, HashEngine, SessionRng, SimClock, encode_text,
-    ms_to_field, text_block,
+    ms_to_field,
 )
 from triauth.fuzzy import gen, rep
 from triauth.session import SCHEMES, Handshake
@@ -121,7 +122,7 @@ def test_baseline_attack_exhausts_without_the_true_password():
 
 
 # Words at the edges of a 16-byte block, each with whether
-# core.text_block gives it one.  The search builds a word's block inline.
+# core.encode_text gives it one.  The search builds a word's block inline.
 _BLOCK_EDGES = (
     ("", True),
     ("correct-horse", True),
@@ -136,13 +137,13 @@ _BLOCK_EDGES = (
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("word, has_block", _BLOCK_EDGES)
-def test_the_search_accepts_and_refuses_the_words_text_block_does(
+def test_the_search_accepts_and_refuses_the_words_encode_text_does(
         monkeypatch, scheme, word, has_block):
     """A word with a block, enrolled as the password, is recovered as the
     first word: the search's block is the one registration hashed.  A
     word without one counts as work and finishes no digest."""
     try:
-        text_block(word)
+        encode_text(word)
     except ValueError:
         assert not has_block
     else:
@@ -434,9 +435,17 @@ def test_the_per_word_loop_derives_only_h():
     assert [r.target for r in plan.per_word] == ["H"]
 
 
+def _evaluated(rule, values):
+    """The value of `rule`'s equation, evaluated from its text alone: its
+    needs, read from `values`, are the only locals, and `rep`, the public
+    extractor, the only global."""
+    expression = rule.how.split(" = ", 1)[1]
+    return eval(expression, {"rep": rep}, {a: values[a] for a in rule.needs})
+
+
 def _reference_attack(knowledge, granted=None):
-    """The attack run rule by rule: each word runs the plan's known,
-    per_word and on_hit steps through each rule's fn, then the verifier."""
+    """The attack run rule by rule: each word evaluates the plan's known,
+    per_word and on_hit steps, then the verifier, each from its text."""
     out_of_model = bool(granted)
     plan = adversary.compile_plan(knowledge, granted)
     if plan.gaps:
@@ -448,8 +457,8 @@ def _reference_attack(knowledge, granted=None):
         except ValueError:
             continue
         for rule in plan.known + plan.per_word + plan.on_hit:
-            values[rule.target] = rule.fn(*(values[a] for a in rule.needs))
-        if verifier.fn(*(values[a] for a in verifier.needs)) == values[verifier.target]:
+            values[rule.target] = _evaluated(rule, values)
+        if _evaluated(verifier, values) == values[verifier.target]:
             return AttackOutcome(RECOVERED, work, word, values["ID"], values["SK"],
                                  out_of_model=out_of_model)
     return AttackOutcome(EXHAUSTED, len(knowledge.dictionary), out_of_model=out_of_model)
@@ -735,9 +744,8 @@ def test_every_rule_maps_true_inputs_to_the_true_output(monkeypatch, scheme, cou
     rules, verifier = adversary.RULES[scheme], adversary.VERIFIERS[scheme]
     assert len(rules) == count
     for rule in rules:
-        derived = rule.fn(*(truth[a] for a in rule.needs))
-        assert derived == truth[rule.target], rule.how
-    assert verifier.fn(*(truth[a] for a in verifier.needs)) == truth[verifier.target]
+        assert _evaluated(rule, truth) == truth[rule.target], rule.how
+    assert _evaluated(verifier, truth) == truth[verifier.target]
 
 
 @pytest.mark.parametrize("scheme", ["baseline", "improved"])
@@ -787,6 +795,73 @@ def test_every_card_field_and_wire_word_has_a_row_or_a_declared_reason(scheme):
     scheme still leaves without a row."""
     assert sorted(_unrowed(scheme) - UNMODELLED.keys()) == []
     assert set(UNMODELLED) == set().union(*map(_unrowed, SCHEMES))
+
+
+class _RecordedHash:
+    """A hash object that appends each digest it finishes, as a word, to
+    `digests`."""
+
+    def __init__(self, digests, hash_object):
+        self.digests, self.hash_object = digests, hash_object
+
+    def update(self, data):
+        self.hash_object.update(data)
+
+    def digest(self):
+        digest = self.hash_object.digest()
+        self.digests.append(Field128(digest[:16]))
+        return digest
+
+
+def _recorded_digests(patch):
+    """The list to which each hash finished from now on, by an engine
+    built after this call, is appended: the engine's calls and the
+    improved scan's staged record tags alike."""
+    digests = []
+    real_init = HashEngine.__init__
+
+    def recording_init(self, name):
+        real_init(self, name)
+        new = self.new
+        self.new = lambda: _RecordedHash(digests, new())
+
+    patch.setattr(HashEngine, "__init__", recording_init)
+    return digests
+
+
+# Hashes that registration and one session count, and that are no row's
+# h(...) term, each with why: the adversary cannot reason about them.
+UNROWED_HASHES = {
+    "h(ID, X)": "X never leaks",
+    "V": "pending: item 17 adds each scheme's V row",
+    "Cs": "pending: item 24 adds the baseline's Cs = h(ID, SK, H, T3), a second verifier",
+}
+
+
+@pytest.mark.parametrize("scheme, tally", [
+    ("baseline", {"row": 6, "h(ID, X)": 2, "V": 2, "Cs": 2}),
+    ("improved", {"row": 20, "h(ID, X)": 2, "V": 2}),
+])
+def test_every_counted_hash_is_a_rows_term_or_has_a_declared_reason(
+        monkeypatch, scheme, tally):
+    """ROADMAP item 24.  Each hash counted over registration and one
+    session, the improved scan's record tag h(T1) among them, equals the
+    value of some row's h(...) term on the session's true atoms, or is
+    one that an UNROWED_HASHES entry names."""
+    with monkeypatch.context() as patch:
+        digests = _recorded_digests(patch)
+        enr, _, truth = _honest_atoms(scheme, monkeypatch)
+    assert len(digests) == enr.env.ledger.hash_total()  # every counted hash is seen
+    h = HashEngine(enr.card.h)
+    terms = {term[0] for line in SCHEMES[scheme].EQUATIONS
+             for term in adversary._HASH_TERM.finditer(adversary._as_wire(line))}
+    rows = {eval(term, {}, {**truth, "h": h}) for term in terms}
+    unrowed = {h(enr.user_id, enr.server.x_word): "h(ID, X)", truth["V"]: "V",
+               truth["Cs"]: "Cs"}
+    found = Counter("row" if word in rows else unrowed.get(word, word.hex())
+                    for word in digests)
+    assert found == tally
+    assert tally.keys() - {"row"} <= UNROWED_HASHES.keys()
 
 
 def test_intercept_returns_the_channel_transcript():

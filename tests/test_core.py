@@ -30,7 +30,6 @@ from triauth.core import (
     is_probable_prime,
     mod_exp,
     ms_to_field,
-    text_block,
 )
 from triauth.fuzzy import BiometricTemplate
 from triauth.session import SCHEMES, Handshake
@@ -111,16 +110,14 @@ def test_encode_text_rejects_overlong():
     ("pässwörd-€", "pässwörd-€".encode("utf-8")),  # 14 bytes from 10 characters
     ("x" * 16, b"x" * 16),
 ])
-def test_text_block_is_the_bytes_of_encode_text(text, raw):
-    block = text_block(text)
-    assert type(block) is bytes
-    assert block == encode_text(text) == raw.ljust(16, b"\x00")
+def test_encode_text_is_the_utf8_bytes_zero_padded(text, raw):
+    word = encode_text(text)
+    assert type(word) is Field128
+    assert word == raw.ljust(16, b"\x00")
 
 
 @pytest.mark.parametrize("text", ["x" * 17, "\ud800"])  # too long; no UTF-8 form
-def test_text_block_and_encode_text_refuse_the_same_text(text):
-    with pytest.raises(ValueError):
-        text_block(text)
+def test_encode_text_refuses_text_with_no_block(text):
     with pytest.raises(ValueError):
         encode_text(text)
 
@@ -530,8 +527,8 @@ def test_session_rng_refuses_seeds_outside_64_bits(seed):
     # Random folds -5 onto 5: the two streams would be one
     with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
         SessionRng(seed)
-    assert SessionRng(0).seed == 0
-    assert SessionRng((1 << 64) - 1).seed == (1 << 64) - 1
+    for edge in (0, (1 << 64) - 1):  # both ends of the range draw as Random does
+        assert SessionRng(edge).field().to_int() == random.Random(edge).getrandbits(128)
 
 
 def test_session_rng_below_stays_in_range():
@@ -636,10 +633,10 @@ def test_default_config_builds_a_working_env():
     assert env.ledger.modexp_total() == 1
 
 
-def test_config_group_rejects_invalid_overrides():
+def test_env_from_config_rejects_an_invalid_group():
     config = ProtocolConfig(p=15, g=4)
     with pytest.raises(ValueError):
-        config.group()
+        Env.from_config(config)
 
 
 def test_now_field_matches_clock():

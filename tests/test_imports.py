@@ -1,6 +1,6 @@
 """Each module imports on its own, in a fresh interpreter, and reads
-every name it imports; every definition in the package has a reader
-besides the unit tests.
+every name it imports; every definition in the package, down to a
+class's methods and fields, has a reader besides the unit tests.
 
 The package root exports only ``__version__``, so no module may lean on
 another having been imported first.  The modules are those of the
@@ -57,7 +57,7 @@ def test_importing_core_loads_nothing_else(imports):
 
 
 # Imported names that only code built at run time reads: the adversary's
-# eval'd rules and generated search call the fuzzy extractor `rep`.
+# generated search calls the fuzzy extractor `rep`.
 READ_AT_RUN_TIME = {("adversary", "rep")}
 
 
@@ -132,6 +132,16 @@ def _reader_trees():
         yield ast.parse(block, "README.md")
 
 
+def _field_names(cls: ast.ClassDef) -> set[str]:
+    """The names a class lists in ``FIELD_NAMES``, which the card file
+    reads and writes by name."""
+    for item in cls.body:
+        if isinstance(item, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "FIELD_NAMES" for t in item.targets):
+            return set(ast.literal_eval(item.value))
+    return set()
+
+
 def _exempt(name: str) -> bool:
     """Dunders, which Python calls, and the scenario's op handlers, which
     KNOWN_OPS finds by name."""
@@ -155,8 +165,12 @@ def test_every_public_name_has_a_reader_besides_the_unit_tests():
                 continue
             if node.name not in read and not _exempt(node.name):
                 unread.append("%s.%s" % (path.stem, node.name))
-            if isinstance(node, ast.ClassDef):  # a method is read as an attribute
+            if isinstance(node, ast.ClassDef):  # a method or field is read as an attribute
                 unread += ["%s.%s.%s" % (path.stem, node.name, item.name) for item in node.body
                            if isinstance(item, ast.FunctionDef)
                            and item.name not in attributes and not _exempt(item.name)]
+                unread += ["%s.%s.%s" % (path.stem, node.name, item.target.id)
+                           for item in node.body
+                           if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                           and item.target.id not in attributes | _field_names(node)]
     assert not unread, "read only by the unit tests: " + ", ".join(unread)
