@@ -9,40 +9,36 @@ password dictionary.  It does NOT hold the identity, the password, the
 server secret X, or any raw protocol timestamp — and the
 :class:`AdversaryKnowledge` constructor refuses to smuggle those in.
 
-The attack itself is not hard-coded per scheme.  A small derivation
-engine closes the adversary's atoms, the leaked values named as each
-scheme's ``EQUATIONS`` table names them, under rules derived from that
-table: every row run forward, and every XOR row solved for each atom
-it XORs in.  The card's hash ``h`` and modexp ``exp`` are atoms like
-any other, which only a captured card supplies.  An atom ends up
-*known*, *derivable per password candidate*, or *unknown*.
-:func:`compile_plan` does that closure once per set of names held (the
-values never change it) and orders the chosen rules into an
-:class:`AttackPlan`, whose one compiled function runs the whole
-dictionary; :func:`_test_source` says how the rules become its
-statements.  A session-key forgery under guessed registration
-instants and a guessed password is that function under a grant, over
-a one-word dictionary: it gives a key only when C_i verifies.  A
-dictionary attack runs iff every block of the verifier equation is
-known or candidate-derivable; otherwise the outcome names the atoms
-that closure cannot reach (without a card, ``h`` among them).
-Against the baseline the closure reaches C_i and the loop recovers
-the password, identity and session key.  Against the
-hardened scheme T1, T3 and ID lock each other (T1 needs ID, ID needs
-T1 and T3, T3 needs T1) and every equation keeps at least two
-unknowns — the attack cannot start.  Granting (T1, T2) through the
-explicit out-of-model hook unlocks the same pipeline, which is the
-white-box control showing the engine is honest about *why* the attack
-fails.
+The attack itself is not hard-coded per scheme.  Each scheme's
+``EQUATIONS`` table is parsed once, at import, into rows
+(:func:`_parsed`): a target and its XOR terms, each an atom or a call
+of ``h``, ``exp`` or ``rep`` over blocks of XORed atoms.  A small
+derivation engine closes the adversary's atoms, the leaked values named
+as the rows name them, under every row run forward and solved for each
+atom term.  The card's hash ``h`` and modexp ``exp`` are atoms like any
+other, which only a captured card supplies.  An atom ends up *known*,
+*derivable per password candidate*, or *unknown*.  :func:`compile_plan`
+does that closure once per set of names held and orders the chosen
+rules into an :class:`AttackPlan`, whose one compiled function runs
+the whole dictionary (:func:`_test_source`).  A session-key forgery
+under guessed registration instants and a guessed password is that
+function under a grant, over a one-word dictionary.  A dictionary
+attack runs iff every block of the verifier equation is known or
+candidate-derivable; otherwise the outcome names the atoms that closure
+cannot reach (without a card, ``h`` among them).  Against the baseline
+the loop recovers the password, identity and session key.  Against the
+hardened scheme T1, T3 and ID lock each other under the closure, and
+the attack cannot start; granting (T1, T2) out of model unlocks the
+same pipeline, the white-box control showing *why* it fails.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields, replace
-from itertools import groupby
+from itertools import chain, groupby
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from . import baseline, improved
 from .core import (
@@ -167,70 +163,81 @@ class AttackOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Derivation rules: each scheme's EQUATIONS, run forward and solved
+# Derivation rules: each scheme's EQUATIONS, parsed, run forward and solved
 # ---------------------------------------------------------------------------
+
+class Call(NamedTuple):
+    """A term ``fn(blocks)``: ``h``, ``exp`` or ``rep`` over blocks of XORed atoms."""
+
+    fn: str
+    blocks: tuple[tuple[str, ...], ...]
+
+    def __str__(self) -> str:
+        return "%s(%s)" % (self.fn, ", ".join(map(" ^ ".join, self.blocks)))
+
 
 @dataclass(frozen=True)
 class Derivation:
-    """``target`` follows from ``needs`` by the statement ``how``.  The
-    card's tools ``h`` and ``exp`` are needs like any other atom;
-    ``rep``, the public extractor, is a global, not a need.  A plan's
-    search runs ``how``."""
+    """``target`` is the XOR of ``terms``, each an atom or a :class:`Call`.
+    ``needs`` (the names the terms read, the card's tools ``h`` and
+    ``exp`` among them; ``rep``, the public extractor, is a global) and
+    ``how`` (the rule as the statement a plan's search runs) are made
+    once, with the rule."""
 
     target: str
-    needs: tuple[str, ...]
-    how: str
+    terms: tuple[str | Call, ...]
+    needs: tuple[str, ...] = field(init=False)
+    how: str = field(init=False)
 
-
-def _rule(target: str, expression: str) -> Derivation:
-    names = re.findall(r"[A-Za-z_]\w*", expression)
-    needs = tuple(dict.fromkeys(n for n in names if n != "rep"))
-    return Derivation(target, needs, "%s = %s" % (target, expression))
-
-
-_TIMESTAMP = re.compile(r"\bT([1-5])\b")
-
-
-# A hash term of a rule: h(...) over blocks that hold no call
-_HASH_TERM = re.compile(r"\bh\(([^()]*)\)")
-
-# Between two XOR terms of a rule: a ^ outside any call's parentheses
-_XOR_TERMS = re.compile(r" \^ (?![^(]*\))")
+    def __post_init__(self):
+        names = chain(*([t] if isinstance(t, str) else [t.fn, *chain(*t.blocks)]
+                        for t in self.terms))
+        object.__setattr__(self, "needs", tuple(dict.fromkeys(n for n in names if n != "rep")))
+        how = "%s = %s" % (self.target, " ^ ".join(map(str, self.terms)))
+        object.__setattr__(self, "how", how)
 
 
 def _as_wire(text: str) -> str:
     """Timestamps as the adversary holds them, as wire words: T1 -> T1w."""
-    return _TIMESTAMP.sub(r"T\1w", text)
+    return re.sub(r"\bT([1-5])\b", r"T\1w", text)
 
 
-def _derive(equations) -> tuple[tuple[Derivation, ...], Derivation]:
-    """A scheme's rules and verifier, from its EQUATIONS table.
-
-    Every row runs forward, and each XOR row is also solved for every
-    atom it XORs in.  Timestamps become their wire atoms (T1 -> T1w):
-    the adversary only ever holds them as words.  The C_i row is the
-    verifier: a published hash whose preimage the adversary may test.
-    """
-    rules = []
-    for line in equations:
-        value, expression = _as_wire(line).split(" = ")
-        if value == "C_i":
-            verifier = _rule(value, expression)
-            continue
-        rules.append(_rule(value, expression))
-        terms = _XOR_TERMS.split(expression)
-        for i, term in enumerate(terms):
-            if term.isidentifier():
-                rest = terms[:i] + terms[i + 1:]
-                rules.append(_rule(term, " ^ ".join([value, *rest])))
-    return tuple(rules), verifier
+_BLOCK = r"{0}(?: \^ {0})*".format(r"[A-Za-z_]\w*")
+_TERM = r"(?:(?:h|exp|rep)\({0}(?:, {0})*\)|[A-Za-z_]\w*)".format(_BLOCK)
+_ROW = re.compile(r"[A-Za-z_]\w* = {0}(?: \^ {0})*".format(_TERM))
 
 
-# Per scheme, compiled once: the rules and the verifier the attack tests.
-RULES: dict[str, tuple[Derivation, ...]] = {}
-VERIFIERS: dict[str, Derivation] = {}
-for _mod in SCHEMES.values():
-    RULES[_mod.SCHEME], VERIFIERS[_mod.SCHEME] = _derive(_mod.EQUATIONS)
+def _parsed(line: str) -> Derivation:
+    """An EQUATIONS line as its forward rule, timestamps as the wire atoms
+    the adversary holds (T1 -> T1w).  ValueError, naming the line, for one
+    outside :data:`_ROW`'s grammar: a target, then XOR terms, each an atom
+    or a call of ``h``, ``exp`` or ``rep`` over blocks of XORed atoms."""
+    if not _ROW.fullmatch(line):
+        raise ValueError("not an equation row: %r" % line)
+    target, expression = _as_wire(line).split(" = ")
+    return Derivation(target, tuple(
+        Call(fn, tuple(tuple(block.split(" ^ ")) for block in blocks.split(", ")))
+        if blocks else fn for fn, blocks in re.findall(r"(\w+)(?:\(([^)]*)\))?", expression)))
+
+
+def _derive(rows) -> tuple[tuple[Derivation, ...], Derivation]:
+    """A scheme's rules, each row run forward and solved for each atom
+    term (the XOR of the row's target and its other terms), and its
+    verifier, the C_i row: a published hash whose preimage the adversary
+    may test.  ValueError, naming the rows, if there is none."""
+    verifier = next((row for row in rows if row.target == "C_i"), None)
+    if verifier is None:
+        raise ValueError("no C_i row in: %s" % "; ".join(row.how for row in rows))
+    solved = [(row.target, *row.terms) for row in rows if row.target != "C_i"]
+    return tuple(Derivation(atom, terms[:i] + terms[i + 1:]) for terms in solved
+                 for i, atom in enumerate(terms) if isinstance(atom, str)), verifier
+
+
+# Per scheme, parsed once: its rows, and the rules and the verifier they give.
+ROWS = {mod.SCHEME: tuple(map(_parsed, mod.EQUATIONS)) for mod in SCHEMES.values()}
+RULES, VERIFIERS = {}, {}
+for _scheme, _rows in ROWS.items():
+    RULES[_scheme], VERIFIERS[_scheme] = _derive(_rows)
 
 # What a successful attack must produce besides the password.
 _TARGETS = ("ID", "SK")
@@ -442,28 +449,26 @@ def _test_source(verifier: Derivation, known, per_word, on_hit) -> str:
     joins: dict[str, str] = {}  # a run of held blocks, joined: its name -> its join
     ints: dict[str, str] = {}  # a held XOR operand as an int: its name -> its conversion
 
-    def lowered(expression: str) -> tuple[list[str], str]:
-        """The statements that digest each h(...) term of `expression`,
-        and `expression` with each term replaced by its digest."""
-        feeds: list[tuple[str, str]] = []  # (hash object, its one input)
-
-        def digest(term: re.Match) -> str:
+    def lowered(rule: Derivation) -> tuple[list[str], list[str]]:
+        """The statements that digest each h(...) term of `rule`, and
+        its terms as text, each h(...) term as its digest."""
+        feeds, terms = [], []
+        for term in rule.terms:
+            if isinstance(term, str) or term.fn != "h":
+                terms.append(str(term))
+                continue
             parts = []
-            for held, run in groupby(term[1].split(", "),
-                                     lambda b: b.isidentifier() and b not in varies):
-                run = list(run)
+            for held, run in groupby(term.blocks, lambda b: len(b) == 1 and b[0] not in varies):
+                run = [" ^ ".join(block) for block in run]
                 if held:
-                    name = "_".join(run) + "_"
-                    joins[name] = "h.join(%s)" % ", ".join(run)
-                    parts.append(name)
+                    parts.append("_".join(run) + "_")
+                    joins[parts[-1]] = "h.join(%s)" % ", ".join(run)
                 else:
                     parts += (b if b.isidentifier() else "(%s)" % b for b in run)
-            feeds.append(("d%d" % len(feeds), " + ".join(parts)))
-            return "%s.digest()[:%d]" % (feeds[-1][0], FIELD_BYTES)
-
-        expression = _HASH_TERM.sub(digest, expression)
-        return [line for d, data in feeds
-                for line in ("%s = new()" % d, "%s.update(%s)" % (d, data))], expression
+            d = "d%d" % (len(feeds) // 2)
+            feeds += ["%s = new()" % d, "%s.update(%s)" % (d, " + ".join(parts))]
+            terms.append("%s.digest()[:%d]" % (d, FIELD_BYTES))
+        return feeds, terms
 
     def as_int(term: str) -> str:
         """An XOR term of a word's step as an int: a held atom converted
@@ -475,22 +480,17 @@ def _test_source(verifier: Derivation, known, per_word, on_hit) -> str:
 
     loop = []
     for rule in per_word:
-        feeds, expression = lowered(rule.how.split(" = ", 1)[1])
-        terms = _XOR_TERMS.split(expression)
-        if len(terms) > 1:
-            expression = '(%s).to_bytes(%d, "big")' % (
-                " ^ ".join(map(as_int, terms)), FIELD_BYTES)
+        feeds, terms = lowered(rule)
+        expression = terms[0] if len(terms) == 1 else '(%s).to_bytes(%d, "big")' % (
+            " ^ ".join(map(as_int, terms)), FIELD_BYTES)
         loop += [*feeds, "%s = %s" % (rule.target, expression)]
-    feeds, check = lowered(verifier.how.split(" = ", 1)[1])
-    loop += [*feeds, "if %s == %s:" % (check, verifier.target)]
-
-    def steps(rules, indent):
-        return (" " * indent + rule.how for rule in rules)
+    feeds, check = lowered(verifier)
+    loop += [*feeds, "if %s == %s:" % (" ^ ".join(check), verifier.target)]
 
     return "\n".join([
         "def search(atoms, words):",
         *("    %s = atoms[%r]" % (a, a) for a in dict.fromkeys(reads) if a not in made),
-        *steps(known, 4),
+        *("    " + rule.how for rule in known),
         "    new = h.new",
         "    from_bytes = int.from_bytes",
         *("    %s = %s" % item for item in (*joins.items(), *ints.items())),
@@ -504,7 +504,7 @@ def _test_source(verifier: Derivation, known, per_word, on_hit) -> str:
         '        PW = PW.ljust(%d, b"\\x00")' % FIELD_BYTES,
         *("        " + line for line in loop),
         *("            %s = Field128(%s)" % (rule.target, rule.target) for rule in per_word),
-        *steps(on_hit, 12),
+        *("            " + rule.how for rule in on_hit),
         "            return work, (word, %s)" % ", ".join(_TARGETS),
         "    return len(words), None",
         "",

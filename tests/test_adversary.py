@@ -1,7 +1,10 @@
 """Adversary engine: knowledge boundary, derivation closure, the attack."""
 
+import re
 from collections import Counter
 from dataclasses import fields, replace
+from functools import reduce
+from operator import xor
 
 import pytest
 
@@ -14,6 +17,8 @@ from triauth.adversary import (
     RECOVERED,
     AdversaryKnowledge,
     AttackOutcome,
+    Call,
+    Derivation,
     attack_baseline,
     attack_improved,
     explain_gaps,
@@ -733,6 +738,46 @@ def _honest_atoms(scheme, monkeypatch):
     return enr, run, truth
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_every_row_parses_and_renders_back_to_its_wire_form_text(scheme):
+    assert [row.how for row in adversary.ROWS[scheme]] \
+        == list(map(adversary._as_wire, SCHEMES[scheme].EQUATIONS))
+
+
+def test_a_row_holds_its_target_and_its_xor_terms_and_is_solved_for_each_atom_term():
+    (row,) = [row for row in adversary.ROWS["improved"] if row.target == "M"]
+    assert row == Derivation("M", (Call("h", (("ID", "T2w"),)), "T1w"))
+    assert row.needs == ("h", "ID", "T2w", "T1w")
+    # solved for its atom term T1w only: the block ID ^ T2w is no term
+    assert [rule.how for rule in adversary.RULES["improved"] if "M" in rule.needs] \
+        == ["T1w = M ^ h(ID ^ T2w)"]
+    row = adversary.ROWS["baseline"][0]
+    assert (row.how, row.terms, row.needs) \
+        == ("R = rep(B, P_i)", (Call("rep", (("B",), ("P_i",))),), ("B", "P_i"))
+
+
+def _baseline_table(index, line=None):
+    """The baseline's EQUATIONS with row `index` replaced by `line`, or
+    dropped."""
+    table = list(SCHEMES["baseline"].EQUATIONS)
+    table[index:index + 1] = [line] if line else []
+    return table
+
+
+@pytest.mark.parametrize("table, refusal", [
+    (_baseline_table(3, "A2 = exp(h(Y), r_u)"), "not an equation row: 'A2 = exp(h(Y), r_u)'"),
+    (_baseline_table(3, "A2 = pow(Y, r_u)"), "not an equation row: 'A2 = pow(Y, r_u)'"),
+    (_baseline_table(1, "L = N + R"), "not an equation row: 'L = N + R'"),
+    (_baseline_table(1, "L := N ^ R"), "not an equation row: 'L := N ^ R'"),
+    (_baseline_table(5), "no C_i row in: R = rep(B, P_i); L = N ^ R; e = H ^ h(PW, N); "
+     "A2 = exp(Y, r_u); NID = ID ^ A2; A6 = exp(A4, r_u); SK = h(ID, A2, A6, H, T1w, T3w)"),
+], ids=["nested call", "unknown function", "another operator", "no ' = '", "no C_i row"])
+def test_a_table_outside_the_grammar_is_refused_with_its_text(table, refusal):
+    """What import runs on each scheme's EQUATIONS, on a broken copy."""
+    with pytest.raises(ValueError, match="^%s$" % re.escape(refusal)):
+        adversary._derive(tuple(map(adversary._parsed, table)))
+
+
 @pytest.mark.parametrize("scheme, count", [("baseline", 12), ("improved", 39)])
 def test_every_rule_maps_true_inputs_to_the_true_output(monkeypatch, scheme, count):
     enr, _, truth = _honest_atoms(scheme, monkeypatch)
@@ -783,7 +828,7 @@ UNMODELLED = {
 def _unrowed(scheme):
     """The scheme's card fields and wire words that are no row's target."""
     mod = SCHEMES[scheme]
-    targets = {line.split(" = ")[0] for line in mod.EQUATIONS}
+    targets = {row.target for row in adversary.ROWS[scheme]}
     stored = [f.name for f in fields(mod.Card)] + [*mod.LoginMessage.WIRE, *mod.ReplyMessage.WIRE]
     return {name for name in stored if name not in targets}
 
@@ -853,9 +898,10 @@ def test_every_counted_hash_is_a_rows_term_or_has_a_declared_reason(
         enr, _, truth = _honest_atoms(scheme, monkeypatch)
     assert len(digests) == enr.env.ledger.hash_total()  # every counted hash is seen
     h = HashEngine(enr.card.h)
-    terms = {term[0] for line in SCHEMES[scheme].EQUATIONS
-             for term in adversary._HASH_TERM.finditer(adversary._as_wire(line))}
-    rows = {eval(term, {}, {**truth, "h": h}) for term in terms}
+    terms = {term for row in adversary.ROWS[scheme] for term in row.terms
+             if isinstance(term, Call) and term.fn == "h"}
+    rows = {h(*(reduce(xor, map(truth.get, block)) for block in term.blocks))
+            for term in terms}
     unrowed = {h(enr.user_id, enr.server.x_word): "h(ID, X)", truth["V"]: "V",
                truth["Cs"]: "Cs"}
     found = Counter("row" if word in rows else unrowed.get(word, word.hex())

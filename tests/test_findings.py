@@ -20,6 +20,7 @@ from triauth.core import (
     SessionRng,
     UnknownUser,
     encode_text,
+    field_to_ms,
     ms_to_field,
 )
 from triauth.fuzzy import rep
@@ -182,6 +183,92 @@ def test_the_card_the_biometric_and_one_login_give_the_password_with_no_randomne
         dictionary=words)
     outcome = adversary.attack(knowledge)
     assert (outcome.status, outcome.work, outcome.password) == (
+        adversary.INSUFFICIENT, 0, None)
+
+
+def _nmask_passes(card, env, r, words):
+    """Each word of `words` whose guess PW leaves Nmask xor h(PW||R) with
+    a zero high half, as a well-formed T2 must be, with that T2."""
+    unmasked = ((word, card.Nmask ^ env.h(encode_text(word), r)) for word in words)
+    return {word: t2 for word, t2 in unmasked if not any(t2[:8])}
+
+
+def test_the_improved_card_and_the_biometric_alone_give_the_password():
+    """ROADMAP item 30.  The card stores Nmask = h(PW||R) xor T2, and T2,
+    a 64-bit ms count in a word, has a zero high half.  So the card and
+    the biometric test a password guess with one hash, and the true one
+    gives T2.  A list of identities then gives ID and T1 by
+    M = h(ID xor T2) xor T1: only the true identity leaves T1's high
+    half zero.  The symbolic attack on the card and the biometric cannot
+    start."""
+    enr = enroll("improved", password="real-pw")
+    card, env = enr.card, replace(enr.env, ledger=CostLedger())
+    words = ["w%03d" % i for i in range(100)]
+    words.insert(50, "real-pw")
+    passed = _nmask_passes(card, env, rep(enr.template, card.P_i), words)
+    (rec,) = enr.server.records
+    assert passed == {"real-pw": rec.T2}
+    assert (env.ledger.modexp_total(), env.ledger.hash_total()) == (0, len(words))
+
+    unmasked = {name: card.M ^ env.h(encode_text(name) ^ passed["real-pw"])
+                for name in ("bob", "alice", "carol", "dave")}
+    assert {name: t1 for name, t1 in unmasked.items() if not any(t1[:8])} \
+        == {"alice": rec.T1}
+
+    knowledge = adversary.AdversaryKnowledge.assemble(
+        "improved", card=card, biometric=enr.template, dictionary=words)
+    outcome = adversary.attack(knowledge)
+    assert (outcome.status, outcome.work, outcome.password) == (
+        adversary.INSUFFICIENT, 0, None)
+
+
+@pytest.mark.parametrize("seed", [9, 10, 11])
+def test_criterion_4s_leak_gives_the_password_identity_and_session_key(seed):
+    """ROADMAP item 30.  Criterion 4's leak, the card without T12, one
+    transcript, the biometric and r_u, gives PW and T2 as the card and
+    the biometric alone do.  T1 lies exchange_ms before T2, and a scan
+    back from T2 finds it by the login's tag Q[:8] = h(T1)[:8] (item 13).
+    Then T3 = Q xor h(T1), A22 = Y^r_u xor T3 and
+    ID = NID xor A22 xor h(T1||T3||T2); C_i verifies, and T4, T5 and A55
+    give the session's key.  The symbolic attack on the same leak cannot
+    start: its verdict is the closure's, which does not know that a
+    timestamp lies in a known range."""
+    enr = enroll("improved", seed=seed, password="real-pw", exchange_ms=10)
+    run = run_session(enr)
+    card, env = enr.card, replace(enr.env, ledger=CostLedger())
+    wire = _improved_wire(run.transcript)
+    r = rep(enr.template, card.P_i)
+    words = ["w%03d" % i for i in range(100)]
+    words.insert(50, "real-pw")
+    ((word, t2),) = _nmask_passes(card, env, r, words).items()
+    assert word == "real-pw"
+    pw = encode_text(word)
+
+    for guesses, t1_ms in enumerate(range(field_to_ms(t2), -1, -1), 1):
+        t1 = ms_to_field(t1_ms)
+        h_t1 = env.h(t1)
+        if h_t1[:8] == wire["Q"][:8]:
+            break
+    assert guesses == 11  # T2 - T1 is the registration's 10 ms
+    t3 = wire["Q"] ^ h_t1
+    a22 = env.mod_exp(card.Y, run.r_u) ^ t3
+    user_id = wire["NID"] ^ a22 ^ env.h(t1, t3, t2)
+    h_val = card.e ^ env.h(pw, card.L ^ r ^ t1, t1)  # N = L ^ R ^ T1
+    assert env.h(user_id, h_val, a22, wire["A11"], t1, t3, t2) == wire["C_i"]
+    t4 = wire["P"] ^ env.h(t1, user_id, t3)
+    t5 = wire["Q2"] ^ env.h(t2, user_id, t3)
+    a55 = env.mod_exp(wire["A44"] ^ t3 ^ t4, run.r_u) ^ t3 ^ t5
+    sk = env.h(user_id, a22, a55, h_val, t1, t3, t5)
+    (rec,) = enr.server.records
+    assert (t1, t2, user_id, sk) == (rec.T1, rec.T2, enr.user_id, run.sk_user)
+    assert (env.ledger.modexp_total(), env.ledger.hash_total()) == (2, len(words) + 11 + 6)
+
+    knowledge = adversary.AdversaryKnowledge.assemble(
+        "improved", card=card, transcripts=(run.transcript,), biometric=enr.template,
+        r_u=run.r_u, dictionary=words)
+    assert "T12" not in knowledge.atoms
+    outcome = adversary.attack(knowledge)
+    assert (outcome.status, outcome.work, outcome.session_key) == (
         adversary.INSUFFICIENT, 0, None)
 
 

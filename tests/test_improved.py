@@ -4,12 +4,11 @@ property that timestamps protect every wire field.  Behaviour both
 schemes share is tested in test_schemes.py."""
 
 import dataclasses
-import re
 
 import pytest
 
 from support import HASH_NAMES, enroll, login, run_session
-from triauth import baseline, improved
+from triauth import adversary, baseline, improved
 from triauth.core import (
     AuthFailure,
     Env,
@@ -189,17 +188,19 @@ def test_a_reply_that_unmasks_a4_outside_the_group_is_an_auth_failure(bad):
 # Structural taint: the timestamps protect every wire field
 # ---------------------------------------------------------------------------
 
-TIMESTAMPS = frozenset({"T1", "T2", "T3", "T4", "T5"})
+# The timestamps as the rows and the adversary name them: as wire words
+TIMESTAMPS = frozenset({"T1w", "T2w", "T3w", "T4w", "T5w"})
 
 
-def _ingredients(equations) -> dict:
-    """A scheme's EQUATIONS as value -> the atoms its row combines."""
-    notes = {}
-    for line in equations:
-        value, expression = line.split(" = ")
-        names = re.findall(r"[A-Za-z_]\w*", expression)
-        notes[value] = tuple(n for n in names if n not in ("h", "exp", "rep"))
-    return notes
+def _ingredients(scheme) -> dict:
+    """A scheme's parsed rows as target -> the atoms its row combines."""
+    return {row.target: tuple(n for n in row.needs if n not in ("h", "exp"))
+            for row in adversary.ROWS[scheme]}
+
+
+def _wire_fields(mod) -> list:
+    """A scheme's wire words, timestamps under their wire names."""
+    return [adversary._as_wire(name) for name in (*mod.LOGIN_WIRE, *mod.REPLY_WIRE)]
 
 
 def _protected_timestamps(notes: dict, wire_fields: list) -> set:
@@ -233,8 +234,8 @@ def test_every_wire_field_is_protected_by_a_registration_timestamp():
     """Walks the scheme's equations: each of the eight wire fields must
     carry T1/T2 directly or be masked by timestamps that themselves never
     travel unprotected."""
-    notes = _ingredients(improved.EQUATIONS)
-    wire_fields = list(improved.LOGIN_WIRE) + list(improved.REPLY_WIRE)
+    notes = _ingredients("improved")
+    wire_fields = _wire_fields(improved)
 
     for field in wire_fields:
         assert field in notes, "wire field %s has no construction note" % field
@@ -247,20 +248,20 @@ def test_every_wire_field_is_protected_by_a_registration_timestamp():
         assert touched, "wire field %s is not timestamp-protected" % field
 
     # the verifier preimages must bind the registration secrets directly
-    assert {"T1", "T2"} <= set(notes["C_i"])
-    assert "T2" in notes["Cs"]
-    assert "T1" in notes["SK"]
+    assert {"T1w", "T2w"} <= set(notes["C_i"])
+    assert "T2w" in notes["Cs"]
+    assert "T1w" in notes["SK"]
 
 
 def test_taint_checker_flags_the_unprotected_construction():
     """Control: the same checker run over the baseline scheme's equations
     (raw T1/T3 on the wire, unmasked group elements) must reject them —
     otherwise the structural test proves nothing."""
-    notes = _ingredients(baseline.EQUATIONS)
-    wire_fields = list(baseline.LOGIN_WIRE) + list(baseline.REPLY_WIRE)
+    notes = _ingredients("baseline")
+    wire_fields = _wire_fields(baseline)
     protected = _protected_timestamps(notes, wire_fields)
-    assert "T3" not in protected  # sent bare
-    assert "T1" not in protected  # likewise
+    assert "T3w" not in protected  # sent bare
+    assert "T1w" not in protected  # likewise
     unprotected_fields = [
         f for f in wire_fields if not set(notes.get(f, ())) & protected
     ]
