@@ -734,10 +734,11 @@ class BaseServer:
     """The server role both schemes share: the long-term secret X, drawn
     from ``rng`` when not given (``x_word`` is X as a protocol word, for
     h(ID || X)), its public Y = g^X, and one record per registered
-    identity, in enrollment order.  A subclass defines
-    ``enroll`` and ``respond``; one that stores more than the identity
-    sets ``RECORD_FIELDS`` (the state file's names for a record's
-    values) and ``Record`` (builds a record from (ID, ints...)).
+    identity, in enrollment order, holding just what its state-file
+    line holds.  A subclass defines ``enroll`` and ``respond``; one that
+    stores more than the identity sets ``RECORD_FIELDS`` (the state
+    file's names for a record's values) and ``Record`` (builds a record
+    from (ID, ints...)).
     """
 
     RECORD_FIELDS: tuple[str, ...] = ("id",)
@@ -766,13 +767,8 @@ class BaseServer:
         if ms < 0:
             raise ValueError("processing_ms must not be negative, got %d" % ms)
 
-    def state_records(self) -> list[tuple]:
-        """The state file's records, in enrollment order: the values
-        ``RECORD_FIELDS`` names, without what a record derives from them."""
-        return [rec[:len(self.RECORD_FIELDS)] for rec in self.records]
-
     def restore_record(self, user_id: Field128, *ints: int) -> None:
-        """Re-enroll a user from one of `state_records`' records."""
+        """Re-enroll a user from one of the state file's records."""
         if len(ints) != len(self.RECORD_FIELDS) - 1:
             raise ValueError("record needs '%s'" % " ".join(self.RECORD_FIELDS))
         if user_id in self.user_ids:

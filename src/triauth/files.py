@@ -218,7 +218,9 @@ def load_card(path):
     count = _parse_int(path, *header["fields"], "fields")
     if count != len(expected_order):
         raise _fail(path, 1, "field count %d, expected %d" % (count, len(expected_order)))
-    helper_bits = _parse_int(path, *header["helper_bits"], "helper_bits")
+    lineno, text = header["helper_bits"]
+    helper_bits = _parse_int(path, lineno, text, "helper_bits")
+    _checked(path, lineno, _repetition_factor, helper_bits)
     lineno, hash_name = header["hash"]
     _checked(path, lineno, HashEngine, hash_name)
     fields = {"h": hash_name}
@@ -257,7 +259,7 @@ def save_server(server, path) -> None:
         "g: %s" % Field128.from_int(env.params.g).hex(),
         "X: %s" % server.x_word.hex(),
     ]
-    for uid, *ints in server.state_records():
+    for uid, *ints in server.records:
         lines.append(" ".join(["record:", uid.hex(), *map(str, ints)]))
     _write_lines(path, lines)
 
@@ -391,6 +393,7 @@ def load_template(path):
     for lineno, line in enumerate(rest, 2):
         if line.strip():
             raise _fail(path, lineno, "a template is one line")
+    _checked(path, 1, _repetition_factor, nbits)
     return template
 
 

@@ -152,20 +152,12 @@ class PendingLogin:
 
 
 class ServerRecord(NamedTuple):
-    """Per-user registration state: the two long-term timestamps, as the
-    millisecond counts the state file holds and as the words the login
-    scan reads, built once when the user is enrolled or restored."""
+    """Per-user registration state, exactly as the state file holds it:
+    the identity and the two long-term timestamps as millisecond counts."""
 
     user_id: Field128
     t1_ms: int
     t2_ms: int
-    T1: Field128
-    T2: Field128
-
-    @classmethod
-    def build(cls, fields: tuple) -> "ServerRecord":
-        user_id, t1_ms, t2_ms = fields
-        return cls(user_id, t1_ms, t2_ms, ms_to_field(t1_ms), ms_to_field(t2_ms))
 
 
 class ImprovedServer(BaseServer):
@@ -188,7 +180,7 @@ class ImprovedServer(BaseServer):
     """
 
     RECORD_FIELDS = ("id", "t1", "t2")
-    Record = ServerRecord.build
+    Record = ServerRecord._make
 
     def __init__(self, env: Env, x: int | None = None, rng: SessionRng | None = None):
         super().__init__(env, x, rng)
@@ -197,7 +189,7 @@ class ImprovedServer(BaseServer):
     def _add(self, user_id: Field128, *ints: int) -> ServerRecord:
         rec = super()._add(user_id, *ints)
         tag = self.env.hasher.new()
-        tag.update(rec.T1)
+        tag.update(ms_to_field(rec.t1_ms))
         self._tags.append(tag)
         return rec
 
@@ -205,9 +197,9 @@ class ImprovedServer(BaseServer):
         self, user_id: Field128, w: Field128, t1_ms: int, t2_ms: int
     ) -> Field128:
         """Registration at the server: returns e; stores (ID, T1, T2)."""
-        rec = self._add(user_id, t1_ms, t2_ms)
+        self._add(user_id, t1_ms, t2_ms)
         g_val = self.env.h(user_id, self.x_word)
-        h_val = g_val ^ rec.T2
+        h_val = g_val ^ ms_to_field(t2_ms)
         return h_val ^ w
 
     def respond(
@@ -226,8 +218,8 @@ class ImprovedServer(BaseServer):
                 if tag[:8] != q_high:
                     # T3's high half is zero, so Q's is h(T1)'s: not this record
                     continue
-                rec = self.records[tried - 1]
-                t1, t2 = rec.T1, rec.T2
+                _, t1_ms, t2_ms = self.records[tried - 1]
+                t1, t2 = ms_to_field(t1_ms), ms_to_field(t2_ms)
                 t3 = msg.Q ^ tag[:FIELD_BYTES]
                 if fault := env.freshness_fault(t3, t4_ms, "login"):
                     # stale under this record's T1; no group work was spent

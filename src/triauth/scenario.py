@@ -329,7 +329,7 @@ class _Runner:
         if _get(step, "grant_timestamps", bool, False):
             victim = self._victim(step)
             granted = next(
-                (tuple(ints) for uid, *ints in self.server.state_records()
+                (tuple(ints) for uid, *ints in self.server.records
                  if uid == victim.user_id),
                 None,
             )

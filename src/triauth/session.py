@@ -11,7 +11,7 @@ its hash's name ``h``; a pending login holds the session values the
 card keeps until ``finish``.  A ``Server`` subclasses
 ``core.BaseServer`` and supplies ``enroll``, ``respond`` and, if it
 stores more than the identity per user, ``Record`` and
-``RECORD_FIELDS``.
+``RECORD_FIELDS``; a record holds what the state file holds for it.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from triauth.core import (
     SimClock,
     UnknownUser,
     encode_text,
+    ms_to_field,
 )
 from triauth.costs import (
     NOMINAL,
@@ -242,5 +243,6 @@ def test_the_improved_server_counts_exactly_the_hashes_it_computes(monkeypatch):
     u0 = server.records[0]
     _, t3 = env.now_field()
     zero = Field128(bytes(16))
-    respond(improved.LoginMessage(NID=zero, A11=u0.T2 ^ t3, C_i=zero,
-                                  Q=t3 ^ env.hasher(u0.T1)), UnknownUser)
+    t1, t2 = ms_to_field(u0.t1_ms), ms_to_field(u0.t2_ms)
+    respond(improved.LoginMessage(NID=zero, A11=t2 ^ t3, C_i=zero,
+                                  Q=t3 ^ env.hasher(t1)), UnknownUser)

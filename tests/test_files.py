@@ -129,6 +129,7 @@ _V = b"V: ef3ea49800df8db99d145e1ac5e1666b\n"
     (b"p: ffffffffffffffffffffffffffffc3a7", b"p: " + b"0" * 31 + b"f", 8, "p is not prime"),
     (b"helper_bits: 512", b"helper_bits: abc", 4,
      "helper_bits must be a non-negative integer, got 'abc'"),
+    (b"helper_bits: 512", b"helper_bits: 136", 4, "template bits must be a multiple of 128"),
     (b"fields: 8", b"fields: x", 5, "fields must be a non-negative integer, got 'x'"),
     (b"fields: 8", b"fields: -8", 5, "fields must be a non-negative integer, got '-8'"),
     (b"hash: sha256", b"hash: sha\xff256", 3, "not valid UTF-8"),
@@ -413,6 +414,7 @@ def test_template_round_trips(tmp_path):
     (b"512\nzz\n", 1, "expected '<bits> <hex>'"),
     (b"16 abcd\n\n16 abcd\n", 3, "a template is one line"),
     (b"16 abcd\nzz\n", 2, "a template is one line"),
+    (b"136 " + b"ab" * 17 + b"\n", 1, "template bits must be a multiple of 128"),
 ])
 def test_template_parse_errors_name_the_file_and_line(tmp_path, text, line, why):
     path = tmp_path / "u.tpl"
@@ -423,8 +425,8 @@ def test_template_parse_errors_name_the_file_and_line(tmp_path, text, line, why)
 
 def test_a_template_may_end_in_blank_lines(tmp_path):
     path = tmp_path / "u.tpl"
-    path.write_bytes(b"16 abcd\n\n  \n")
-    assert load_template(path) == BiometricTemplate(bytes.fromhex("abcd"), 16)
+    path.write_bytes(b"128 " + b"abcd" * 8 + b"\n\n  \n")
+    assert load_template(path) == BiometricTemplate(bytes.fromhex("abcd" * 8), 128)
 
 
 def test_dictionary_round_trips(tmp_path):

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from support import enroll, full_leak, login, run_session
+from support import enroll, full_leak, login, other_scheme, run_session
 from triauth import adversary, baseline, improved
 from triauth.core import (
     DEFAULT_EPOCH_MS,
@@ -61,6 +61,37 @@ def test_a_baseline_a1_of_p_minus_1_costs_a_modexp_before_unknown_user():
     assert (env.ledger.modexp_total(), env.ledger.hash_total()) == (1, 0)
 
 
+@pytest.mark.parametrize("card_scheme, unknown", [
+    ("baseline", ("SK",)),
+    ("improved", ("A22", "H", "ID", "SK", "T1w", "T3w")),
+])
+def test_a_login_of_the_other_scheme_is_read_under_the_cards_layout(card_scheme, unknown):
+    """ROADMAP item 4.  A transcript names no scheme, and both schemes'
+    logins are 64 bytes, so a login-only capture of the other scheme is
+    read as a login of the card's scheme: `assemble` raises nothing, and
+    the attack on the card, the biometric and r_u, r_s gives the verdict
+    that the card's own login-only capture gives."""
+    runs = {}
+    for scheme in SCHEMES:
+        enr = enroll(scheme)
+        runs[scheme] = (enr, run_session(enr))
+    enr, run = runs[card_scheme]
+
+    def verdict(wire_scheme):
+        transcript = runs[wire_scheme][1].transcript
+        (entry, *_) = transcript.entries
+        assert (entry.label, len(entry.data)) == ("login", 64)
+        knowledge = adversary.AdversaryKnowledge.assemble(
+            card_scheme, card=enr.card,
+            transcripts=(replace(transcript, entries=[entry]),),
+            biometric=enr.template, r_u=run.r_u, r_s=run.r_s, dictionary=[enr.password])
+        outcome = adversary.attack(knowledge)
+        return outcome.status, outcome.work, [(g.equation, g.unknown) for g in outcome.gaps]
+
+    assert verdict(other_scheme(card_scheme)) == verdict(card_scheme) == (
+        adversary.INSUFFICIENT, 0, [("C_i", unknown)])
+
+
 def test_every_improved_login_of_a_user_carries_one_q_tag():
     """ROADMAP item 13.  Q = T3 xor h(T1), and T3's high half is zero,
     so Q's high 8 bytes are h(T1)'s: one tag per user, which links all
@@ -72,7 +103,7 @@ def test_every_improved_login_of_a_user_carries_one_q_tag():
         msgs.append(login(enr)[0])
     (rec,) = enr.server.records
     assert len({msg.Q for msg in msgs}) == 4
-    assert {msg.Q[:8] for msg in msgs} == {enr.env.h(rec.T1)[:8]}
+    assert {msg.Q[:8] for msg in msgs} == {enr.env.h(ms_to_field(rec.t1_ms))[:8]}
 
 
 def _improved_wire(transcript):
@@ -134,7 +165,7 @@ def test_the_improved_logins_capture_time_is_its_t3():
     t3 = ms_to_field(entry.captured_at)
     assert t3 == run.pending.T3
     (rec,) = enr.server.records
-    assert run.msg.Q ^ t3 == enr.env.h(rec.T1)
+    assert run.msg.Q ^ t3 == enr.env.h(ms_to_field(rec.t1_ms))
 
 
 def test_a_small_window_around_registration_leaves_only_the_true_t1():
@@ -175,7 +206,7 @@ def test_the_card_the_biometric_and_one_login_give_the_password_with_no_randomne
     passed = [word for word in words if card.Nmask ^ env.h(encode_text(word), r) == t2]
     assert passed == ["real-pw"]
     (rec,) = enr.server.records
-    assert (t1, t2) == (rec.T1, rec.T2)
+    assert (t1, t2) == (ms_to_field(rec.t1_ms), ms_to_field(rec.t2_ms))
     assert (env.ledger.modexp_total(), env.ledger.hash_total()) == (0, 2**12 + 4)
 
     knowledge = adversary.AdversaryKnowledge.assemble(
@@ -207,13 +238,13 @@ def test_the_improved_card_and_the_biometric_alone_give_the_password():
     words.insert(50, "real-pw")
     passed = _nmask_passes(card, env, rep(enr.template, card.P_i), words)
     (rec,) = enr.server.records
-    assert passed == {"real-pw": rec.T2}
+    assert passed == {"real-pw": ms_to_field(rec.t2_ms)}
     assert (env.ledger.modexp_total(), env.ledger.hash_total()) == (0, len(words))
 
     unmasked = {name: card.M ^ env.h(encode_text(name) ^ passed["real-pw"])
                 for name in ("bob", "alice", "carol", "dave")}
     assert {name: t1 for name, t1 in unmasked.items() if not any(t1[:8])} \
-        == {"alice": rec.T1}
+        == {"alice": ms_to_field(rec.t1_ms)}
 
     knowledge = adversary.AdversaryKnowledge.assemble(
         "improved", card=card, biometric=enr.template, dictionary=words)
@@ -260,7 +291,8 @@ def test_criterion_4s_leak_gives_the_password_identity_and_session_key(seed):
     a55 = env.mod_exp(wire["A44"] ^ t3 ^ t4, run.r_u) ^ t3 ^ t5
     sk = env.h(user_id, a22, a55, h_val, t1, t3, t5)
     (rec,) = enr.server.records
-    assert (t1, t2, user_id, sk) == (rec.T1, rec.T2, enr.user_id, run.sk_user)
+    assert (t1, t2, user_id, sk) == (
+        ms_to_field(rec.t1_ms), ms_to_field(rec.t2_ms), enr.user_id, run.sk_user)
     assert (env.ledger.modexp_total(), env.ledger.hash_total()) == (2, len(words) + 11 + 6)
 
     knowledge = adversary.AdversaryKnowledge.assemble(
@@ -274,14 +306,14 @@ def test_criterion_4s_leak_gives_the_password_identity_and_session_key(seed):
 
 def test_one_improved_server_record_and_the_wire_give_t3_t4_and_t5():
     """ROADMAP item 10.  The improved server's state file holds each
-    user's (ID, T1, T2) in the clear.  One record of `state_records()`
-    and one eavesdropped session give T3 = Q xor h(T1), then
+    user's (ID, T1, T2) in the clear.  One such record and one
+    eavesdropped session give T3 = Q xor h(T1), then
     T4 = P xor h(T1||ID||T3) and T5 = Q2 xor h(T2||ID||T3): the
     session's own instants, with no card, password, biometric or
     exponent."""
     enr = enroll("improved")
     run = run_session(enr, network_ms=10, processing_ms=3)
-    ((user_id, t1_ms, t2_ms),) = enr.server.state_records()
+    ((user_id, t1_ms, t2_ms),) = enr.server.records
     env = replace(enr.env, ledger=CostLedger())
     wire = _improved_wire(run.transcript)
     t1, t2 = ms_to_field(t1_ms), ms_to_field(t2_ms)

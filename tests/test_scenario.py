@@ -10,7 +10,7 @@ import pytest
 
 from triauth.channel import SERVER_TO_USER, USER_TO_SERVER
 from triauth.cli import main
-from triauth.core import SessionRng
+from triauth.core import SessionRng, encode_text
 from triauth.files import (
     FileFormatError,
     load_card,
@@ -363,6 +363,31 @@ def test_an_attack_without_the_wire_of_its_exponents_names_the_gap():
     assert attack["gaps"] == [
         {"equation": "C_i", "unknown": ["A1", "C_i", "ID", "SK", "T1w"]}
     ]
+
+
+def test_granted_timestamps_are_the_leaked_users_own():
+    """With two improved users on the server, the grant is the record of
+    the user whose session leaked, not the first one enrolled: the first
+    user's T1 and T2 would let no word of the dictionary verify."""
+    steps = [
+        {"op": "register", "user": "alice", "password": "pw-alice", "seed": 11},
+        {"op": "advance-clock", "ms": 5_000},
+        {"op": "register", "user": "bob", "password": "pw-bob", "seed": 12},
+        {"op": "advance-clock", "ms": 1_000},
+        {"op": "login", "user": "bob", "seed": 13},
+        {"op": "respond", "seed": 14},
+        {"op": "finish"},
+        {"op": "leak", "values": ["card", "biometric", "r_u", "r_s", "transcript"]},
+        {"op": "attack", "dictionary": {"size": 20, "seed": 15, "plant_at": 6},
+         "grant_timestamps": True},
+    ]
+    result = run_scenario(_script("improved", steps))
+    (attack,) = result.report["attacks"]
+    assert attack["status"] == "recovered"
+    assert attack["password"] == "pw-bob"
+    assert attack["identity"] == encode_text("bob").hex()
+    (session,) = result.report["sessions"].values()
+    assert attack["session_key"] == session["sk_user"]
 
 
 def test_a_transcript_leaked_again_is_read_in_full():
