@@ -49,6 +49,10 @@ from .core import (
     HashEngine,
     ProtocolError,
     SessionRng,
+    # the attacker's exp, bound under its own name: the attacker keeps no
+    # ledger, and a hook that swaps ``mod_exp`` where a module bound it
+    # (the benchmark's tracer) counts the protocol's modexps alone
+    mod_exp as _mod_exp,
     ms_to_field,
 )
 from .channel import SimChannel, Transcript
@@ -277,9 +281,9 @@ _TOOLS: dict[tuple, dict[str, Callable]] = {}
 
 def _tools(atoms: Mapping[str, object]) -> dict[str, Callable]:
     """The card's tools as the rules call them: ``h``, the hash the card
-    names, and ``exp``, pow modulo the card's p, made once per (hash
-    name, p, g) and kept in :data:`_TOOLS`; the caller copies them.
-    Without a well-formed card, neither exists."""
+    names, and ``exp``, :func:`core.mod_exp` in the card's group, made
+    once per (hash name, p, g) and kept in :data:`_TOOLS`; the caller
+    copies them.  Without a well-formed card, neither exists."""
     try:
         key = (atoms["h"], atoms["p"], atoms["g"])
         tools = _TOOLS.get(key)
@@ -292,10 +296,19 @@ def _tools(atoms: Mapping[str, object]) -> dict[str, Callable]:
     except (ValueError, TypeError):
         return {}
 
+    p = group.p
+
     def exp(base: Field128, exponent: int) -> Field128:
-        # the attacker is not bound by protocol domain checks; pow's
-        # implicit reduction is what an attacker would compute anyway
-        return Field128.from_int(pow(base.to_int(), exponent, group.p))
+        # core's mod_exp, with its tables for g and the registered server
+        # keys.  The attacker is not bound by its domain checks: the base
+        # is reduced mod p, and a negative exponent mod p - 1 (a card's p
+        # is prime), so that what pow computes or refuses, exp does too.
+        b = base.to_int() % p
+        if b:
+            return _mod_exp(b, exponent % (p - 1) if exponent < 0 else exponent, group)
+        if exponent < 0:
+            raise ValueError("base is not invertible mod p")
+        return Field128.from_int(0 if exponent else 1)
 
     tools = _TOOLS[key] = {"h": h, "exp": exp}
     return tools

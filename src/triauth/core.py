@@ -479,11 +479,13 @@ _COMB_TABLES: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 # far smaller than g's 8-bit table and builds in about the time of five
 # pow calls, a cost it wins back within about seven reads, where an
 # 8-bit table would need some forty; a key used once (a server that
-# sees one login) builds nothing.  An entry is the number of uses so
-# far (0 or 1) until the table replaces it.  Registering again keeps the
-# entry and moves it to the end; past _KEY_LIMIT keys the oldest
-# registration is dropped.
-_KEY_LIMIT = 8
+# sees one login) builds nothing.  A use is any mod_exp on the key, be
+# it the card's, the server's or the attacker's.  An entry is the number
+# of uses so far (0 or 1) until the table replaces it.  Registering
+# again keeps the entry and moves it to the end; past _KEY_LIMIT keys
+# the oldest registration is dropped, so the tables stay under about
+# 16 x 27 KB.
+_KEY_LIMIT = 16
 _KEY_TABLES: dict[tuple[int, int], int | tuple[tuple[tuple[int, ...], ...], ...]] = {}
 
 

@@ -67,6 +67,8 @@ from .fuzzy import BiometricTemplate, perturb_within_tolerance
 from .session import Handshake, scheme_module, wire_message, wire_traffic
 
 LEAKABLE = ("card", "biometric", "r_u", "r_s", "transcript")
+# A generated dictionary is built in memory, about 70 bytes a word
+MAX_GENERATED_WORDS = 1 << 20
 
 _KIND_NAMES = {str: "a string", int: "an integer", list: "a list",
                dict: "an object", bool: "true or false"}
@@ -95,11 +97,8 @@ class ScenarioScript:
                 raise ValueError("%r must not be negative" % key)
         if self.latency_ms >= 1 << 64:  # no hop fits the clock's range
             raise ValueError("'latency_ms' must be below 2**64")
-        try:
-            longest = len(_channel_session_id(self.name, len(self.steps)).encode("utf-8"))
-        except UnicodeEncodeError:  # a lone surrogate, which JSON can spell
-            raise ValueError("'name' is not text a transcript can hold: "
-                             "it has no UTF-8 encoding") from None
+        _check_text("name", self.name)
+        longest = len(_channel_session_id(self.name, len(self.steps)).encode("utf-8"))
         if longest > MAX_SESSION_ID_BYTES:
             raise ValueError("'name' is too long: its session ids reach %d bytes, "
                              "a transcript holds at most %d"
@@ -376,6 +375,8 @@ class _Runner:
         plant_at = _get(spec, "plant_at", int, None)
         if size < 0:
             raise ValueError("'size' must not be negative")
+        if size > MAX_GENERATED_WORDS:
+            raise ValueError("'size' must be at most %d" % MAX_GENERATED_WORDS)
         if plant_at is not None and not 0 <= plant_at <= size:
             raise ValueError("'plant_at' must be in 0..%d" % size)
         rng = SessionRng(seed)
@@ -435,13 +436,27 @@ def _need(doc: dict, key: str, kind: type):
 
 def _get(doc: dict, key: str, kind: type, default):
     """doc[key], or `default` if it is absent; ValueError if it is
-    not a `kind` (bool is no integer, though Python makes it one)."""
+    not a `kind` (bool is no integer, though Python makes it one), or
+    is a string :func:`_check_text` refuses."""
     if key not in doc:
         return default
     value = doc[key]
     if (type(value) is bool and kind is not bool) or not isinstance(value, kind):
         raise ValueError("%r must be %s" % (key, _KIND_NAMES[kind]))
+    if kind is str:
+        _check_text(key, value)
     return value
+
+
+def _check_text(key: str, value: str) -> None:
+    """ValueError if `value` has no UTF-8 encoding (a lone surrogate,
+    which JSON can spell): a recording, whose text may echo it, could
+    not hold it."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError("%r is not text a recording can hold: "
+                         "it has no UTF-8 encoding" % key) from None
 
 
 def _render_text(report: dict, transcripts: dict[str, Transcript]) -> str:

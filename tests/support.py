@@ -1,11 +1,13 @@
 """Shared test fixtures: enrollments, card-side logins and honest
 sessions for both schemes, leaks, clocks, server files, the golden
-hash vectors and a count of the hashes computed."""
+hash vectors, a count of the hashes computed and empty modexp tables."""
 
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from triauth import adversary
+import pytest
+
+from triauth import adversary, core
 from triauth.adversary import AdversaryKnowledge
 from triauth.channel import Transcript
 from triauth.core import (
@@ -197,3 +199,10 @@ def count_digests(monkeypatch) -> dict:
 
     monkeypatch.setattr(HashEngine, "__init__", counting_init)
     return counts
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty comb tables and an empty server-key registry for one test."""
+    monkeypatch.setattr(core, "_COMB_TABLES", {})
+    monkeypatch.setattr(core, "_KEY_TABLES", {})

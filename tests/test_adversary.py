@@ -8,8 +8,10 @@ from operator import xor
 
 import pytest
 
-from support import HASH_NAMES, count_digests, enroll, full_leak, other_scheme, run_session
-from triauth import adversary
+from support import (
+    HASH_NAMES, count_digests, enroll, fresh_tables, full_leak, other_scheme, run_session,
+)
+from triauth import adversary, core
 from triauth.adversary import (
     EXHAUSTED,
     FORBIDDEN_ATOMS,
@@ -677,6 +679,51 @@ def test_victims_sharing_a_plan_keep_their_own_values():
             full_leak(enr, run, [other.password, enr.password]))
         assert (outcome.work, outcome.password, outcome.identity, outcome.session_key) \
             == (2, enr.password, enr.user_id, run.sk_user)
+
+
+# ---------------------------------------------------------------------------
+# The card's exp: core.mod_exp, with pow's values
+# ---------------------------------------------------------------------------
+
+def test_the_attackers_exp_gives_pows_value_for_every_base_and_exponent(fresh_tables):
+    enr = enroll("baseline")  # registers its server's key Y
+    p, g, y = enr.card.p, enr.card.g, enr.card.Y.to_int()
+    knowledge = AdversaryKnowledge.assemble("baseline", card=enr.card)
+    exp = adversary.compile_plan(knowledge).atoms["exp"]
+    # the key's first use reads no table; its second, in the loop, builds one
+    assert exp(enr.card.Y, 12345) == Field128.from_int(pow(y, 12345, p))
+    assert core._KEY_TABLES == {(y, p): 1}
+    # g, the key, an unregistered base, bases at least p, bases that are 0 mod p
+    bases = [g, y, 3, p + 5, (1 << 128) - 1, p, 0]
+    exponents = [0, 1, 12345, p - 2, p - 1, 1 << 128, 1 << 200, -1, -12345]
+    for b in bases:
+        for e in exponents:
+            if b % p == 0 and e < 0:
+                with pytest.raises(ValueError):  # pow refuses it too
+                    pow(b, e, p)
+                with pytest.raises(ValueError):
+                    exp(Field128.from_int(b), e)
+            else:
+                assert exp(Field128.from_int(b), e) == Field128.from_int(pow(b, e, p)), (b, e)
+    assert isinstance(core._KEY_TABLES[(y, p)], tuple)
+    assert list(core._KEY_TABLES) == [(y, p)]
+    assert list(core._COMB_TABLES) == [(g, p)]
+
+
+def test_a_second_attack_on_one_victim_builds_its_keys_table(fresh_tables):
+    enr = enroll("baseline")
+    run = run_session(enr)
+    key = (enr.card.Y.to_int(), enr.card.p)
+    core._KEY_TABLES[key] = 0  # as if the victim's login had not used the key
+    knowledge = full_leak(enr, run, words_with(enr.password, 5, size=20))
+    first = attack_baseline(knowledge)
+    assert core._KEY_TABLES[key] == 1
+    assert attack_baseline(knowledge) == first
+    assert isinstance(core._KEY_TABLES[key], tuple)
+    core._KEY_TABLES.clear()  # the key is then a base like any other
+    assert attack_baseline(knowledge) == first
+    assert core._KEY_TABLES == {}
+    assert first.status == RECOVERED and first.session_key == run.sk_user
 
 
 def _honest_atoms(scheme, monkeypatch):

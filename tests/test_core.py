@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from support import HASH_NAMES, enroll, golden_vectors
+from support import HASH_NAMES, enroll, fresh_tables, golden_vectors
 from triauth import core
 from triauth.channel import USER_TO_SERVER
 from triauth.core import (
@@ -362,13 +362,6 @@ def test_mod_exp_accepts_ints_and_wire_words():
     assert from_int == from_word == Field128.from_int(pow(params.g, 12345, params.p))
 
 
-@pytest.fixture
-def fresh_tables(monkeypatch):
-    """Empty comb tables and an empty server-key registry for one test."""
-    monkeypatch.setattr(core, "_COMB_TABLES", {})
-    monkeypatch.setattr(core, "_KEY_TABLES", {})
-
-
 def _server_key(params: GroupParams, seed: int = 7) -> tuple[Env, int]:
     """An Env on `params` and the public Y, as an int, of a server built in it."""
     env = Env.from_config(ProtocolConfig(p=params.p, g=params.g))
@@ -463,16 +456,16 @@ def test_an_unregistered_base_never_gets_a_table(fresh_tables):
     assert core._KEY_TABLES == {(y, params.p): 0}
 
 
-def test_the_key_registry_holds_the_last_8_keys(fresh_tables):
+def test_the_key_registry_holds_the_last_16_keys(fresh_tables):
     params = DEFAULT_GROUP
     envs_keys = [_server_key(params, seed) for seed in range(20)]
     keys = [(y, params.p) for _, y in envs_keys]
-    assert list(core._KEY_TABLES) == keys[-8:]
+    assert list(core._KEY_TABLES) == keys[-16:]
     # registering a held key again keeps its state and makes it the newest
     env, y = envs_keys[12]
     env.mod_exp(y, 5)
     core.register_key(y, params.p)
-    assert list(core._KEY_TABLES) == keys[13:] + [keys[12]]
+    assert list(core._KEY_TABLES) == keys[4:12] + keys[13:] + [keys[12]]
     assert core._KEY_TABLES[keys[12]] == 1
     # a dropped key is a base like any other
     env, y = envs_keys[0]

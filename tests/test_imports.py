@@ -115,6 +115,27 @@ def test_only_files_reads_or_writes_file_bytes():
     assert callers == {"files"}
 
 
+def test_only_mod_exp_and_the_primality_test_call_a_modular_pow():
+    """Every modular exponentiation of the package is ``core.mod_exp``,
+    with its tables; only the Miller-Rabin test, which runs on numbers
+    that are no group's, calls ``pow`` with a modulus itself."""
+    callers = set()
+
+    def visit(node, module, where):
+        """Note each modular pow under `node` with the innermost function
+        it is in (`where`, "<module>" at the top level)."""
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and ast.unparse(child.func) == "pow"
+                    and len(child.args) + len(child.keywords) == 3):
+                callers.add((module, where))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, module, getattr(child, "name", "<lambda>") if inner else where)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem, "<module>")
+    assert callers == {("core", "is_probable_prime"), ("core", "mod_exp")}
+
+
 # What a package definition must be read by, besides the unit tests: the
 # package itself, the benchmark, the acceptance gate and the README's
 # examples.  They are found from this file, so an installed package is

@@ -513,6 +513,8 @@ _LOGIN_U = {"op": "login", "user": "u", "seed": 12}
      "step 3 (leak): 'values' must be a list"),
     ([_REGISTER_U, {"op": "attack", "dictionary": {"size": -1}}],
      "step 2 (attack): 'size' must not be negative"),
+    ([_REGISTER_U, {"op": "attack", "dictionary": {"size": 1 << 64}}],
+     "step 2 (attack): 'size' must be at most 1048576"),
     ([_REGISTER_U, {"op": "attack", "dictionary": {"size": 5, "plant_at": 9}}],
      "step 2 (attack): 'plant_at' must be in 0..5"),
     ([_REGISTER_U, {"op": "attack", "dictionary": {"size": 5, "plant_at": -1}}],
@@ -544,15 +546,22 @@ _LOGIN_U = {"op": "login", "user": "u", "seed": 12}
      "step 2 (attack): granted timestamps apply to the improved scheme only"),
     ([_REGISTER_U, _LOGIN_U, {"op": "respond", "seed": 13, "processing_ms": -1}],
      "step 3 (respond): processing_ms must not be negative, got -1"),
+    ([dict(_REGISTER_U, user="\ud800", id="u")],
+     "step 1 (register): 'user' is not text a recording can hold: it has no UTF-8 encoding"),
+    ([_REGISTER_U, _LOGIN_U,
+      {"op": "tamper", "message": "\ud800", "field": "C_i", "mask": "01"}],
+     "step 3 (tamper): 'message' is not text a recording can hold: it has no UTF-8 encoding"),
 ], ids=["undefined-user", "missing-seed", "plant-before-leak", "string-ms",
         "negative-ms", "string-noise-blocks", "int-mask", "non-hex-mask",
         "string-dictionary", "string-seed", "bool-seed", "string-values",
-        "negative-size", "plant-past-the-end", "negative-plant", "missing-file",
+        "negative-size", "size-past-2^20", "plant-past-the-end", "negative-plant",
+        "missing-file",
         "negative-login-seed", "login-seed-past-64-bits", "negative-register-seed",
         "negative-respond-seed", "negative-dictionary-seed",
         "clock-past-64-bits-before-a-login", "clock-reaching-2^64",
         "respond-before-login", "finish-before-login", "leak-before-login",
-        "grant-on-a-baseline-record", "negative-processing-ms"])
+        "grant-on-a-baseline-record", "negative-processing-ms",
+        "user-with-a-lone-surrogate", "tamper-message-with-a-lone-surrogate"])
 def test_bad_scenario_input_names_its_step_and_replay_exits_2(
     tmp_path, capsys, steps, message
 ):
@@ -628,7 +637,7 @@ _GOOD_HEADER = {"name": "bad", "scheme": "baseline", "seed": 5, "steps": []}
     ({**_GOOD_HEADER, "name": "n" * 70000},
      "'name' is too long: its session ids reach 70005 bytes"),
     ({**_GOOD_HEADER, "name": "a\ud800"},
-     "'name' is not text a transcript can hold: it has no UTF-8 encoding"),
+     "'name' is not text a recording can hold: it has no UTF-8 encoding"),
 ], ids=["string-document", "string-step", "steps-object", "string-seed",
         "bool-seed", "list-scheme", "string-latency", "negative-window",
         "negative-latency", "latency-past-64-bits", "negative-epoch",

@@ -9,14 +9,20 @@ tampered one fails, and the attack recovers the password exactly when
 it is in the dictionary and the leak leaves no gap in the plan.  Its
 work is the planted word's position on recovery, nothing on a gap, and
 every drawn word when the dictionary runs out.
+
+Each script is also run once more with one step value made malformed
+or out of range: the run must refuse it as ``step N (op): ...``, and
+``replay`` must exit 2 and write nothing.
 """
 
 import json
 import random
+import re
 
 import pytest
 
 from triauth import adversary
+from triauth.cli import main
 from triauth.files import json_report_bytes
 from triauth.scenario import (
     LEAKABLE,
@@ -137,3 +143,60 @@ def test_a_generated_scenario_replays_and_attacks_as_its_leaks_predict(
     else:
         assert attack["status"] == adversary.EXHAUSTED
         assert attack["work"] == facts["words"]
+
+
+_MISSING = object()  # the key is taken out of the step
+_BAD_INTS = [-1, 1 << 64, "7", 1.5, True, None]
+_BAD_TEXT = [7, None, "\ud800"]  # a lone surrogate has no UTF-8 encoding
+
+# Per op, per key, values each of which the step must refuse; a key
+# ("dictionary", k) is the attack's dictionary's.  A finish takes none.
+_BAD_VALUES = {
+    "register": {"user": [_MISSING, *_BAD_TEXT], "id": ["x" * 17, *_BAD_TEXT],
+                 "password": [_MISSING, "x" * 17, *_BAD_TEXT], "seed": [_MISSING, *_BAD_INTS]},
+    "advance-clock": {"ms": [_MISSING, *_BAD_INTS]},
+    "login": {"user": [_MISSING, "nobody", *_BAD_TEXT], "seed": [_MISSING, *_BAD_INTS],
+              "noise_blocks": [-1, 129, "4", 1.5, None]},
+    "respond": {"seed": [_MISSING, *_BAD_INTS], "processing_ms": [-1, "3", 1.5, None]},
+    "tamper": {"message": [_MISSING, *_BAD_TEXT], "field": [_MISSING, *_BAD_TEXT],
+               "mask": [_MISSING, "zz", "abc", 1, None]},
+    "leak": {"values": ["card", 5, {}, None]},
+    "attack": {"dictionary": ["x", 5, [], None], "grant_timestamps": ["yes", 1, None],
+               ("dictionary", "size"): [-1, (1 << 20) + 1, 1 << 64, "3", 1.5, None],
+               ("dictionary", "seed"): [-1, 1 << 64, "3"],
+               ("dictionary", "plant_at"): [-1, 1 << 20, "0"]},
+}
+
+
+def _malformed(doc: dict, seed: int) -> tuple[int, str, str]:
+    """Make one value of one of `doc`'s steps malformed or out of range;
+    (the step's number, its op, what was done)."""
+    rnd = random.Random("malformed-%s-%d" % (doc["scheme"], seed))
+    number = rnd.choice([i for i, step in enumerate(doc["steps"], 1)
+                         if step["op"] != "finish"])
+    step = doc["steps"][number - 1]
+    key = rnd.choice(list(_BAD_VALUES[step["op"]]))
+    value = rnd.choice(_BAD_VALUES[step["op"]][key])
+    where = step
+    if isinstance(key, tuple):
+        where, key = step["dictionary"], key[1]
+    if value is _MISSING:
+        where.pop(key, None)
+    else:
+        where[key] = value
+    return number, step["op"], "%s = %s" % (key, "missing" if value is _MISSING else repr(value))
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("seed", range(SCRIPTS_PER_SCHEME))
+def test_a_malformed_step_value_is_refused_naming_its_step(tmp_path, capsys, scheme, seed):
+    doc, _ = _generate(scheme, seed)
+    number, op, change = _malformed(doc, seed)
+    path = tmp_path / "bad.scenario"
+    path.write_text(json.dumps(doc))
+    prefix = "step %d (%s): " % (number, op)
+    with pytest.raises(ValueError, match="^" + re.escape(prefix)):
+        run_scenario(load_scenario(path))
+    assert main(["replay", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2, change
+    assert "error: " + prefix in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # nothing is written
