@@ -331,7 +331,8 @@ class HashEngine:
     ``new()`` returns a fresh hash object of the algorithm; every hash
     the engine computes starts from it, and a caller that already holds
     whole words may feed one directly, checked and joined by
-    :meth:`join`, and truncate its digest itself.
+    :meth:`join`, and truncate its digest itself.  ``digest_size`` is
+    the length of such a digest.
     """
 
     def __init__(self, name: str):
@@ -343,6 +344,7 @@ class HashEngine:
                 "hash %r cannot yield a %d-byte word" % (name, FIELD_BYTES)
             )
         self.name = name
+        self.digest_size = empty.digest_size
         self.new = empty.copy
 
     def __call__(self, *parts: bytes) -> Field128:

@@ -210,13 +210,15 @@ class ImprovedServer(BaseServer):
         t4_ms = env.clock.now()
         saw_stale = None  # the freshness fault of a stale record
         saw_mismatch = False
-        q_high = msg.Q[:8]
+        # T3's high half is zero, so Q's is h(T1)'s: a record's tag digest
+        # starts with Q[:8] exactly when it lies between these bounds
+        low = msg.Q[:8]
+        high = low + b"\xff" * (env.hasher.digest_size - 8)
         tried = 0  # records whose tag hash h(T1) was computed
         try:
             for tried, staged in enumerate(self._tags, 1):
                 tag = staged.digest()  # counted with the others when the scan ends
-                if tag[:8] != q_high:
-                    # T3's high half is zero, so Q's is h(T1)'s: not this record
+                if not low <= tag <= high:
                     continue
                 _, t1_ms, t2_ms = self.records[tried - 1]
                 t1, t2 = ms_to_field(t1_ms), ms_to_field(t2_ms)

@@ -13,6 +13,7 @@ from triauth.core import (
     AuthFailure,
     Env,
     Field128,
+    FreshnessFailure,
     ProtocolConfig,
     SessionRng,
     SimClock,
@@ -162,6 +163,124 @@ def test_the_scan_tags_records_under_the_configured_hash(name):
     assert bad.value.records_tried == k
     reply, sk_server = server.respond(msg, rng.exponent(env.params))
     assert improved.finish(env, pending, reply) == sk_server
+
+
+class _ChosenDigest:
+    """A hash object of the algorithm whose digest is the chosen one when
+    its whole input is a key of ``chosen``, and its own otherwise."""
+
+    def __init__(self, hash_object, chosen: dict):
+        self.hash_object, self.chosen, self.data = hash_object, chosen, b""
+
+    def update(self, data: bytes) -> None:
+        self.hash_object.update(data)
+        self.data += data
+
+    def digest(self) -> bytes:
+        return self.chosen.get(self.data) or self.hash_object.digest()
+
+
+# Q[:8] of the logins: all zeros, all ones and a prefix on each side of
+# a carry, each with tags at its edges; one more prefix with a lone tag
+# and one with none
+_EDGE_PREFIXES = (0, 2**64 - 1, 0x0123456789AB00FF, 0x0123456789AB0100)
+_LONE_PREFIX, _EMPTY_PREFIX = 0x0123456789AB0080, 0x0123456789AB0081
+_MID = 0x5A  # the tail byte of each prefix's fresh tag
+
+
+def _edge_tags(size: int) -> list[bytes]:
+    """Distinct digests of ``size`` bytes: for each edge prefix q,
+    q‖00…00, q‖5a…5a and q‖ff…ff, and the digests just outside q's range,
+    (q − 1)‖ff…ff and (q + 1)‖00…00; and _LONE_PREFIX‖5a…5a."""
+    def tag(q, tail):
+        return q.to_bytes(8, "big") + bytes([tail]) * (size - 8)
+
+    tags = {tag(_LONE_PREFIX, _MID)}
+    for q in _EDGE_PREFIXES:
+        tags.update(tag(q, tail) for tail in (0x00, _MID, 0xFF))
+        if q > 0:
+            tags.add(tag(q - 1, 0xFF))
+        if q < 2**64 - 1:
+            tags.add(tag(q + 1, 0x00))
+    return sorted(tags)
+
+
+def _slice_scan(env, server, tags, msg):
+    """What the record scan gives when it tests each tag by its slice
+    ``tag[:8] == Q[:8]``: the timestamps it checks for freshness, its
+    verdict (type, text, records tried) and the hashes and modexps it
+    counts.  Here C_i matches no record."""
+    t4_ms = env.clock.now()
+    stamps, stale, mismatch, hashes, modexps = [], None, False, len(tags), 0
+    for rec, tag in zip(server.records, tags):
+        if tag[:8] != msg.Q[:8]:
+            continue
+        t3 = msg.Q ^ tag[:16]
+        stamps.append(t3)
+        if fault := env.freshness_fault(t3, t4_ms, "login"):
+            stale = fault
+            continue
+        a1 = msg.A11 ^ ms_to_field(rec.t2_ms) ^ t3
+        if 0 < a1.to_int() < env.params.p:  # one modexp, then three hashes
+            modexps, hashes, mismatch = modexps + 1, hashes + 3, True
+    verdict = stale or (AuthFailure if mismatch else UnknownUser)("", len(tags))
+    return stamps, verdict, hashes, modexps
+
+
+def _verdict(error) -> tuple:
+    """What the test compares of a rejection: a stale stamp's text and
+    skew, or how many records a scan rejection tried."""
+    if isinstance(error, FreshnessFailure):
+        return type(error), str(error), error.skew_ms
+    return type(error), error.records_tried
+
+
+@pytest.mark.parametrize("name,size", [("md5", 16), ("sha1", 20),
+                                       ("sha256", 32), ("blake2b", 64)])
+def test_the_scan_passes_on_exactly_the_tags_that_start_with_q(name, size):
+    """Tags chosen at the edges of each login's Q[:8] (00…00, ff…ff and
+    each side of a carry), under each digest size: the scan checks the
+    freshness of exactly the records whose tag starts with Q[:8], and its
+    verdict, records tried and counts are those of a scan that tests
+    each tag by its slice.  Each edge prefix's q‖5a…5a tag unmasks a
+    fresh T3 and a group element A1, so that record costs a modexp and
+    three hashes; its other tags unmask a stale T3."""
+    env = Env.from_config(ProtocolConfig(hash_name=name), SimClock(1_700_000_000_000))
+    assert env.hasher.digest_size == size
+    tags = _edge_tags(size)
+    server = improved.Server(env, rng=SessionRng(5))
+    t1_ms, t2_ms = env.clock.now() - 5000, env.clock.now() - 4000
+    real_new, chosen = env.hasher.new, {}
+    env.hasher.new = lambda: _ChosenDigest(real_new(), chosen)
+    for i, tag in enumerate(tags):
+        chosen[ms_to_field(t1_ms + i)] = tag
+        server.enroll(Field128.from_int(i + 1), Field128(bytes(16)), t1_ms + i, t2_ms)
+
+    stamps = []
+    real_fault = env.freshness_fault
+    env.freshness_fault = lambda t3, *rest: stamps.append(t3) or real_fault(t3, *rest)
+    _, now = env.now_field()
+    mid = Field128(bytes(8) + bytes([_MID]) * 8)
+    kind = {_LONE_PREFIX: AuthFailure, _EMPTY_PREFIX: UnknownUser}
+    for q in (*_EDGE_PREFIXES, _LONE_PREFIX, _EMPTY_PREFIX):
+        # Q ^ q‖5a…5a is now, and there A1 = 2
+        msg = improved.LoginMessage(
+            NID=Field128(bytes(16)), C_i=Field128(bytes(16)),
+            A11=Field128.from_int(2) ^ ms_to_field(t2_ms) ^ now,
+            Q=Field128(q.to_bytes(8, "big") + bytes(8)) ^ mid ^ now,
+        )
+        want_stamps, want, want_hashes, want_modexps = _slice_scan(env, server, tags, msg)
+        stamps.clear()
+        hashes, modexps = env.ledger.hash_total(), env.ledger.modexp_total()
+        with pytest.raises((FreshnessFailure, AuthFailure, UnknownUser)) as got:
+            server.respond(msg, 3)
+        assert stamps == want_stamps
+        assert _verdict(got.value) == _verdict(want)
+        assert env.ledger.hash_total() - hashes == want_hashes
+        assert env.ledger.modexp_total() - modexps == want_modexps
+        # the test reaches each kind of verdict the scan can give
+        assert type(want) is kind.get(q, FreshnessFailure)
+        assert want_modexps == (q != _EMPTY_PREFIX)
 
 
 @pytest.mark.parametrize("bad", ["zero", "p"])

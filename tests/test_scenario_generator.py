@@ -2,13 +2,17 @@
 
 Each script registers users, moves the clock, runs sessions (some with
 a tampered login or reply), leaks a random subset of ``LEAKABLE`` from
-one untampered session and attacks with the victim's password planted
-in the dictionary or not.  The checks hold for every such script:
-replay is byte-identical, an untampered session agrees on its key, a
-tampered one fails, and the attack recovers the password exactly when
-it is in the dictionary and the leak leaves no gap in the plan.  Its
-work is the planted word's position on recovery, nothing on a gap, and
-every drawn word when the dictionary runs out.
+one session and attacks with the victim's password planted in the
+dictionary or not.  A tampered session that leaks has its verifier
+flipped: C_i in its login or Cs in its reply.  The checks hold for
+every such script: replay is byte-identical, an untampered session
+agrees on its key, a tampered one fails, and the attack recovers the
+password exactly when it is in the dictionary and the leak leaves no
+gap in the plan.  Its work is the planted word's position on recovery,
+nothing on a gap, and every drawn word when the dictionary runs out.
+A leak from a session whose login was flipped gives no reply words, so
+its attack is short of knowledge; one whose reply was flipped attacks
+as the same script without the tamper does.
 
 Each script is also run once more with one step value made malformed
 or out of range: the run must refuse it as ``step N (op): ...``, and
@@ -50,8 +54,8 @@ def _generate(scheme: str, seed: int) -> tuple[dict, dict]:
         steps.append({"op": "advance-clock", "ms": rnd.randrange(120_000)})
     n_sessions = rnd.randint(1, 4)
     tampered = [rnd.random() < 0.3 for _ in range(n_sessions)]
-    tampered[rnd.randrange(n_sessions)] = False  # one session can leak
-    leak_at = rnd.choice([s for s in range(n_sessions) if not tampered[s]])
+    leak_at = rnd.randrange(n_sessions)
+    leak_tamper = None  # the tamper step of the leaked session
     leaked = [value for value in LEAKABLE if rnd.random() < 0.75]
     for s in range(n_sessions):
         steps.append({"op": "advance-clock", "ms": rnd.randrange(1, 120_000)})
@@ -61,6 +65,8 @@ def _generate(scheme: str, seed: int) -> tuple[dict, dict]:
         if tampered[s]:
             label = rnd.choice(("login", "reply"))
             fields = mod.LOGIN_WIRE if label == "login" else mod.REPLY_WIRE
+            if s == leak_at:  # the attack is predicted for a flipped verifier
+                fields = ("C_i",) if label == "login" else ("Cs",)
             mask = bytearray(rnd.getrandbits(8) for _ in range(rnd.randint(1, 16)))
             mask[rnd.randrange(len(mask))] |= 1 << rnd.randrange(8)  # nonzero
             tamper = {"op": "tamper", "message": label,
@@ -73,6 +79,7 @@ def _generate(scheme: str, seed: int) -> tuple[dict, dict]:
         steps.append({"op": "finish"})
         if s == leak_at:
             steps.append({"op": "leak", "values": leaked})
+            leak_tamper = tamper
     size = rnd.randint(0, 30)
     plant_at = rnd.randint(0, size) if rnd.random() < 0.6 else None
     dictionary = {"size": size, "seed": rnd.getrandbits(32)}
@@ -83,6 +90,7 @@ def _generate(scheme: str, seed: int) -> tuple[dict, dict]:
            "seed": rnd.getrandbits(32), "latency_ms": rnd.randint(0, 50),
            "steps": steps}
     facts = {"tampered": tampered, "leak_at": leak_at, "leaked": leaked,
+             "leak_tamper": leak_tamper,
              "plant_at": plant_at, "words": size + (plant_at is not None)}
     return doc, facts
 
@@ -143,6 +151,17 @@ def test_a_generated_scenario_replays_and_attacks_as_its_leaks_predict(
     else:
         assert attack["status"] == adversary.EXHAUSTED
         assert attack["work"] == facts["words"]
+
+    tamper = facts["leak_tamper"]
+    if tamper and tamper["message"] == "login":
+        # the server sent the termination notice: SK lacks the reply's words
+        assert (attack["status"], attack["work"]) == (adversary.INSUFFICIENT, 0)
+    elif tamper:
+        # the card refused the flipped Cs, and the reply's other words
+        # arrived as sent: the attack reports as if nothing was flipped
+        path.write_text(json.dumps(
+            dict(doc, steps=[step for step in doc["steps"] if step is not tamper])))
+        assert run_scenario(load_scenario(path)).report["attacks"] == [attack]
 
 
 _MISSING = object()  # the key is taken out of the step
