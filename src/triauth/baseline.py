@@ -220,6 +220,8 @@ def login(
     """
     if card.h != env.hasher.name:
         raise ValueError("card was issued under a different hash function")
+    if (card.p, card.g) != (env.params.p, env.params.g):
+        raise ValueError("card was issued under a different group")
     pw = encode_text(password)
     r = rep(template, card.P_i)
     n = card.L ^ r

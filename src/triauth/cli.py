@@ -74,14 +74,11 @@ def _exit_code_for(exc: Exception) -> int:
 
 
 def _load_config(args) -> ProtocolConfig:
-    """The --config file (or the defaults), its seed overridden by --seed;
-    a --seed outside [0, 2**64) is refused before the file is read."""
-    if args.seed is not None and not 0 <= args.seed < 1 << 64:
+    """The --config file (or the defaults); a --seed outside [0, 2**64)
+    is refused before the file is read."""
+    if not 0 <= args.seed < 1 << 64:
         raise ValueError("--seed must be in [0, 2**64), got %d" % args.seed)
-    config = load_config(args.config) if args.config else ProtocolConfig()
-    if args.seed is not None:
-        config.seed = args.seed
-    return config
+    return load_config(args.config) if args.config else ProtocolConfig()
 
 
 def _print(line: str) -> None:
@@ -102,7 +99,7 @@ def _cmd_register(args) -> int:
     config = _load_config(args)
     env = Env.from_config(config)
     mod = SCHEMES[args.scheme]
-    seed = config.seed
+    seed = args.seed
     rng = SessionRng(seed)
 
     state = Path(args.server_state)
@@ -153,7 +150,7 @@ def _cmd_login_run(args) -> int:
         raise ValueError("%s is a %s card; %s holds %s server state"
                          % (args.card, scheme, args.server_state, scheme_of(server)))
     template = load_template(args.template)
-    seed = config.seed
+    seed = args.seed
     rng = SessionRng(seed)
     if args.advance_ms:
         env.clock.advance(args.advance_ms)
@@ -253,8 +250,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_cost_report(args) -> int:
-    config = _load_config(args)
-    report = cost_report(args.scheme, config)
+    report = cost_report(args.scheme)
     _print(format_cost_report(report))
     if args.out:
         write_json_report(report, args.out)
@@ -309,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="config file (key = value lines)")
-        p.add_argument("--seed", type=int,
-                       help="deterministic seed (default: the config's, else 1)")
+        p.add_argument("--seed", type=int, default=1,
+                       help="deterministic seed (default 1)")
 
     p = sub.add_parser("register", help="enroll a user and issue a card")
     scheme_option(p)
@@ -356,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cost-report", help="measured vs nominal costs")
     scheme_option(p)
-    common(p)
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=_cmd_cost_report)
 

@@ -657,14 +657,13 @@ class SessionRng:
 
 @dataclass
 class ProtocolConfig:
-    """Tunable knobs shared by CLI, scenarios and tests."""
+    """The protocol's parameters: group, hash, freshness window, template size."""
 
     p: int = DEFAULT_P
     g: int = DEFAULT_G
     hash_name: str = "sha256"
     delta_t_ms: int = DEFAULT_DELTA_T_MS
     template_bits: int = 512
-    seed: int = 1
 
 
 @dataclass

@@ -15,8 +15,8 @@ breakdown and flags the difference rather than massaging it.
 from __future__ import annotations
 
 from . import baseline, improved
-from .core import Env, ProtocolConfig, SessionRng, SimClock, encode_text
-from .fuzzy import KEY_BITS, BiometricTemplate, perturb_within_tolerance
+from .core import Env, SessionRng, encode_text
+from .fuzzy import BiometricTemplate, perturb_within_tolerance
 from .session import Handshake, scheme_module, wire_traffic
 
 NOMINAL = {
@@ -25,21 +25,20 @@ NOMINAL = {
 }
 
 
-def run_instrumented_session(scheme: str, config: ProtocolConfig | None = None):
-    """One honest registration + authentication with full accounting,
-    seeded by ``config.seed``.
+def run_instrumented_session(scheme: str):
+    """One honest registration + authentication with full accounting, on
+    the default config and seed 1 (no count depends on either).
 
     Returns (env, handshake): the env's ledger carries the operation
     counts, and the handshake both keys and, in its channel's
     transcript, the authentication's wire traffic.
     """
     mod = scheme_module(scheme)
-    config = config or ProtocolConfig()
-    env = Env.from_config(config, SimClock())
-    rng = SessionRng(config.seed)
+    env = Env.from_config()
+    rng = SessionRng(1)
     server = mod.Server(env, rng=rng)
     user_id = encode_text("cost-probe")
-    template = BiometricTemplate.random(rng, config.template_bits)
+    template = BiometricTemplate.random(rng, 512)
 
     env.clock.advance(31)
     card = mod.register(
@@ -47,21 +46,16 @@ def run_instrumented_session(scheme: str, config: ProtocolConfig | None = None):
     )
 
     env.clock.advance(60_000)
-    # one flip in each of 16 blocks, which a block corrects once it holds
-    # 3 bits; a template of 1- or 2-bit blocks is read clean
-    noise_blocks = 16 if config.template_bits >= 3 * KEY_BITS else 0
-    noisy = perturb_within_tolerance(template, rng, noise_blocks)
-    # 25 ms each way between card and server, or the freshness window if
-    # that is shorter, so that each message arrives inside it
-    handshake = Handshake(env, server, latency_ms=min(25, config.delta_t_ms))
+    noisy = perturb_within_tolerance(template, rng, 16)  # one flip in 16 blocks
+    handshake = Handshake(env, server, latency_ms=25)
     handshake.login(card, user_id, "probe-password", noisy, rng.exponent(env.params))
     handshake.respond(rng.exponent(env.params), processing_ms=3)
     handshake.finish()
     return env, handshake
 
 
-def cost_report(scheme: str, config: ProtocolConfig | None = None) -> dict:
-    env, handshake = run_instrumented_session(scheme, config)
+def cost_report(scheme: str) -> dict:
+    env, handshake = run_instrumented_session(scheme)
     ledger = env.ledger
     nominal = NOMINAL[scheme]
 

@@ -24,7 +24,6 @@ from .core import (
     GroupParams,
     HashEngine,
     ProtocolConfig,
-    SessionRng,
     decode_text,
     encode_text,
 )
@@ -239,7 +238,10 @@ def load_card(path):
         raise _fail(path, 1, "fields out of order: %s" % ", ".join(lines))
     if fields["h"] != hash_name:
         raise _fail(path, lines["h"], "h field disagrees with header hash")
-    return _checked(path, lines["p"], card_from_fields, scheme, fields)
+    card = _checked(path, lines["p"], card_from_fields, scheme, fields)
+    if not 0 < card.Y.to_int() < card.p:
+        raise _fail(path, lines["Y"], "field Y is not in (0, p)")
+    return card
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +429,6 @@ def load_config(path) -> ProtocolConfig:
         elif key == "template_bits":
             config.template_bits = _parse_int(path, lineno, value, key)
             _checked(path, lineno, _repetition_factor, config.template_bits)
-        elif key == "seed":
-            config.seed = _parse_int(path, lineno, value, key)
-            _checked(path, lineno, SessionRng, config.seed)
         elif key in ("g", "delta_t_ms"):
             setattr(config, key, _parse_int(path, lineno, value, key))
         else:

@@ -327,6 +327,8 @@ def login(
     """Card-side login: unmask T2, T1, N; verify V; mask the wire."""
     if card.h != env.hasher.name:
         raise ValueError("card was issued under a different hash function")
+    if (card.p, card.g) != (env.params.p, env.params.g):
+        raise ValueError("card was issued under a different group")
     pw = encode_text(password)
     r = rep(template, card.P_i)
     t2 = card.Nmask ^ env.h(pw, r)

@@ -587,6 +587,27 @@ def test_a_held_block_of_the_wrong_length_fails_the_engines_check():
         attack_baseline(short)
 
 
+@pytest.mark.parametrize("scheme, unknown", [
+    ("baseline", ("A2", "H", "ID", "SK", "h")),
+    ("improved", ("A22", "H", "ID", "SK", "T1w", "T2w", "T3w", "h")),
+])
+@pytest.mark.parametrize("name", ["shake_128", "no-such-hash", 7])
+def test_a_card_hash_without_an_engine_leaves_the_attack_without_h(
+    monkeypatch, scheme, unknown, name
+):
+    """A hash name HashEngine refuses makes no tools: the attack reports
+    the verifier's gap, h among it, runs no word and keeps no tools."""
+    monkeypatch.setattr(adversary, "_TOOLS", {})
+    enr = enroll(scheme)
+    knowledge = full_leak(enr, run_session(enr), words_with(enr.password, 2, size=4))
+    knowledge = AdversaryKnowledge(scheme, {**knowledge.atoms, "h": name},
+                                   knowledge.dictionary)
+    outcome = adversary.attack(knowledge)
+    assert (outcome.status, outcome.work) == (INSUFFICIENT, 0)
+    assert [gap.unknown for gap in outcome.gaps] == [unknown]
+    assert adversary._TOOLS == {}
+
+
 @pytest.mark.parametrize("empty", [False, True])
 def test_a_held_xor_operand_of_the_wrong_length_fails_before_the_loop(empty):
     """A word's XOR runs on ints, so its held operand is checked as a

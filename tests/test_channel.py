@@ -166,13 +166,18 @@ def test_a_server_rejection_leaves_the_login_then_the_termination_notice(scheme)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_a_card_issued_under_another_hash_sends_and_counts_nothing(scheme):
+@pytest.mark.parametrize("issued, why", [
+    (dict(h="sha512"), "hash function"),
+    (dict(p=0xA43A4BB686FF60C85D07F37F), "group"),  # a 96-bit safe prime, same g
+    (dict(g=9), "group"),
+], ids=["hash", "p", "g"])
+def test_a_card_issued_under_another_hash_sends_and_counts_nothing(scheme, issued, why):
     enr = enroll(scheme)
-    card = replace(enr.card, h="sha512")
+    card = replace(enr.card, **issued)
     handshake = Handshake(enr.env, enr.server)
     ledger = enr.env.ledger
     counts = (ledger.hash_total(), ledger.modexp_total())
-    with pytest.raises(ValueError, match="card was issued under a different hash function"):
+    with pytest.raises(ValueError, match="^card was issued under a different %s$" % why):
         handshake.login(card, enr.user_id, enr.password, enr.template,
                         enr.rng.exponent(enr.env.params))
     assert handshake.channel.transcript().entries == []

@@ -60,11 +60,9 @@ def test_register_writes_the_three_files(tmp_path, capsys):
         assert p.exists()
 
 
-def test_register_takes_the_seed_from_the_config_file(tmp_path):
-    config = tmp_path / "seed9.cfg"
-    config.write_text("seed = 9\n")
+def test_register_without_a_seed_runs_on_seed_1(tmp_path):
     cards = {}
-    for name, options in (("config", ("--config", config)), ("flag", ("--seed", 9))):
+    for name, options in (("default", ()), ("flag", ("--seed", 1))):
         cards[name] = tmp_path / ("%s.card" % name)
         assert run_cli(
             "register", "--scheme", "improved", *options,
@@ -72,7 +70,7 @@ def test_register_takes_the_seed_from_the_config_file(tmp_path):
             "--card-out", cards[name],
             "--server-state", tmp_path / ("%s.state" % name),
         ) == 0
-    assert cards["config"].read_bytes() == cards["flag"].read_bytes()
+    assert cards["default"].read_bytes() == cards["flag"].read_bytes()
 
 
 def test_register_rejects_a_duplicate_identity(tmp_path, capsys):
@@ -217,7 +215,7 @@ def _absent_files(tmp_path):
             "--server-state", tmp_path / "absent.state")
 
 
-@pytest.mark.parametrize("command", ["register", "login-run", "cost-report"])
+@pytest.mark.parametrize("command", ["register", "login-run"])
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
 def test_a_seed_outside_64_bits_is_refused_naming_the_option(
     tmp_path, capsys, command, seed
@@ -228,7 +226,6 @@ def test_a_seed_outside_64_bits_is_refused_naming_the_option(
                      "--server-state", tmp_path / "server.state"),
         "login-run": ("--id", "alice", "--password", "pw", *_absent_files(tmp_path),
                       "--out", tmp_path / "cap", "--leak"),
-        "cost-report": ("--scheme", "baseline", "--out", tmp_path / "cost.json"),
     }[command]
     assert run_cli(command, *options, "--seed", seed) == 2
     out, err = capsys.readouterr()
@@ -570,17 +567,18 @@ def test_config_hash_without_a_16_byte_word_is_a_precondition_failure(tmp_path, 
     assert not (tmp_path / "alice.card").exists()
 
 
-@pytest.mark.parametrize("text, status, why", [
-    ("fast_mode = yes\n", 2, "line 1: unknown config key 'fast_mode'"),
-    ("seed = 99999999999999999999999\n", 2, "line 1: seed must be in [0, 2**64)"),
-    ("template_bits = 128\n", 0, None),  # 1-bit blocks: the probe reads them clean
-], ids=["unknown-key", "seed-past-64-bits", "128-bit-template"])
-def test_cost_report_reads_its_config_file(tmp_path, capsys, text, status, why):
+@pytest.mark.parametrize("option", ["--config", "--seed"])
+def test_cost_report_takes_no_config_and_no_seed(tmp_path, capsys, option):
+    """The report is the same under every config and seed, so the command
+    takes neither: argparse refuses the option before anything runs."""
     config = tmp_path / "c.cfg"
-    config.write_text(text)
-    assert run_cli("cost-report", "--scheme", "baseline", "--config", config) == status
-    err = capsys.readouterr().err
-    if why:
-        assert "error: %s, %s" % (config, why) in err
-    else:
-        assert err == ""
+    config.write_text("g = 4\n")
+    value = {"--config": config, "--seed": 5}[option]
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("cost-report", "--scheme", "baseline", "--out", tmp_path / "cost.json",
+                option, value)
+    assert exc_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: %s %s" % (option, value) in err
+    assert list(tmp_path.iterdir()) == [config]

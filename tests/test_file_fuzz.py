@@ -62,7 +62,7 @@ SAMPLES = {
     "transcript": (_recorded(RECORDINGS / "baseline-attack" / "transcripts" / "s001.bin"),
                    load_transcript),
     "config": (_written("# protocol configuration\np = ffffffffffffffffffffffffffffc3a7\ng = 4\n"
-                        "hash = sha256\ndelta_t_ms = 5000\ntemplate_bits = 256\nseed = 77\n"),
+                        "hash = sha256\ndelta_t_ms = 5000\ntemplate_bits = 256\n"),
                load_config),
     "template": (_saved(save_template, BiometricTemplate.random(SessionRng(3), 256)),
                  load_template),

@@ -148,6 +148,12 @@ _V = b"V: ef3ea49800df8db99d145e1ac5e1666b\n"
     (b"fields: 8\n", b"", 1, "missing header line 'fields'"),
     (b"e: f260b0365f9a77bb2ee940d34ca57ab1", b"e: f260", 6, "field e must be 16 bytes, got 2"),
     (b"fields: 8", b"fields: 9", 1, "field count 9, expected 8"),
+    (b"Y: de6cdc730959e4ad2ceedd68a30e694a", b"Y: " + b"0" * 32, 10,
+     "field Y is not in (0, p)"),
+    (b"Y: de6cdc730959e4ad2ceedd68a30e694a", b"Y: ffffffffffffffffffffffffffffc3a7", 10,
+     "field Y is not in (0, p)"),
+    (b"Y: de6cdc730959e4ad2ceedd68a30e694a", b"Y: " + b"f" * 32, 10,
+     "field Y is not in (0, p)"),
 ])
 def test_card_parse_errors_name_the_file_and_line(tmp_path, old, new, line, why):
     path = _edited_copy(tmp_path, "baseline/alice.card", "u.card", old, new)
@@ -446,11 +452,11 @@ def test_dictionary_skips_blank_lines_but_rejects_empty(tmp_path):
 
 
 def test_config_round_trips(tmp_path):
-    config = ProtocolConfig(delta_t_ms=5000, template_bits=256, seed=77)
+    config = ProtocolConfig(delta_t_ms=5000, template_bits=256)
     path = tmp_path / "c.conf"
     path.write_text("# protocol configuration\np = ffffffffffffffffffffffffffffc3a7\n"
-                    "g = 4\nhash = sha256\ndelta_t_ms = 5000\ntemplate_bits = 256\n"
-                    "seed = 77\n", "utf-8")
+                    "g = 4\nhash = sha256\ndelta_t_ms = 5000\ntemplate_bits = 256\n",
+                    "utf-8")
     assert load_config(path) == config
 
 
@@ -458,21 +464,18 @@ def test_config_round_trips(tmp_path):
     (b"surprise = 1\n", 1, "unknown config key 'surprise'"),
     (b"just a line\n", 1, "expected 'key = value'"),
     (b"p = 0x17\n", 1, "p must be hex, got '0x17'"),
-    (b"seed = 1\np = \n", 2, "p must be hex, got ''"),
+    (b"g = 4\np = \n", 2, "p must be hex, got ''"),
     (b"g = four\n", 1, "g must be a non-negative integer, got 'four'"),
-    (b"seed = 1\ndelta_t_ms = -5\n", 2, "delta_t_ms must be a non-negative integer, got '-5'"),
-    (b"seed = 1\nseed = 2\n", 2, "duplicate config key 'seed'"),
-    (b"# \xe9t\xe9\nseed = 1\n", 1, "not valid UTF-8"),
-    (b"seed = 1\nhash = shake_128\n", 2, "hash 'shake_128' cannot yield a 16-byte word"),
+    (b"g = 4\ndelta_t_ms = -5\n", 2, "delta_t_ms must be a non-negative integer, got '-5'"),
+    (b"g = 4\ng = 5\n", 2, "duplicate config key 'g'"),
+    (b"# \xe9t\xe9\ng = 4\n", 1, "not valid UTF-8"),
+    (b"g = 4\nhash = shake_128\n", 2, "hash 'shake_128' cannot yield a 16-byte word"),
     (b"hash = not-a-hash\n", 1, "unsupported hash type not-a-hash"),
     (b"template_bits = 136\n", 1, "template bits must be a multiple of 128"),
-    (b"seed = 1\ntemplate_bits = 0\n", 2, "template too short for a 128-bit key"),
+    (b"g = 4\ntemplate_bits = 0\n", 2, "template too short for a 128-bit key"),
     (b"g = 1\n", 1, "g out of range"),
-    (b"p = 17\nseed = 1\ng = 5\n", 3, "subgroup order must exceed 2**64"),
-    (b"# protocol configuration\nseed = 99999999999999999999999\n", 2,
-     "seed must be in [0, 2**64), got 99999999999999999999999"),
-    (b"seed = 18446744073709551616\n", 1,
-     "seed must be in [0, 2**64), got 18446744073709551616"),
+    (b"p = 17\nhash = sha256\ng = 5\n", 3, "subgroup order must exceed 2**64"),
+    (b"# protocol configuration\nseed = 1\n", 2, "unknown config key 'seed'"),
 ])
 def test_config_parse_errors_name_the_file_and_line(tmp_path, text, line, why):
     path = tmp_path / "c.conf"
